@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import FusionConfig, write_default_config
+from .config import SSIM_WINDOW, FusionConfig, write_default_config
 from .gradcheck import check_parameter_groups
 from .images import (
     luma_chroma_to_rgb,
@@ -188,7 +188,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     ir = Tensor(rng.uniform(0.0, 1.0, size=(1, 1, args.size, args.size)).astype(np.float32))
     vis = Tensor(rng.uniform(0.0, 1.0, size=(1, 1, args.size, args.size)).astype(np.float32))
-    window = 11 if args.size >= 11 else max(3, args.size - (1 - args.size % 2))
+    window = SSIM_WINDOW if args.size >= SSIM_WINDOW else max(3, args.size - (1 - args.size % 2))
 
     def objective() -> Tensor:
         fused = forward(ir, vis, params, config)

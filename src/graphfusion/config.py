@@ -7,6 +7,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+# Side of the Gaussian SSIM window in the loss and the metrics; a training
+# crop must be at least this large.
+SSIM_WINDOW = 11
 
 _FIELD_DOC = {
     "channels": "feature channels C throughout the network",
@@ -77,6 +80,8 @@ class FusionConfig:
         for field in ("batch", "epochs", "crop", "stride"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be positive, got {getattr(self, field)}")
+        if self.crop < SSIM_WINDOW:
+            raise ValueError(f"crop ({self.crop}) must be at least the SSIM window ({SSIM_WINDOW})")
         return self
 
     def to_dict(self) -> dict:

@@ -6,16 +6,17 @@ grids 1, 2, 4, ... (capped at the input size), passed through a per-scale
 1x1 conv, and bilinearly upsampled back to full resolution.  Within a
 modality every node pair is connected; across modalities node o of one
 branch connects to node o of the other.  A directed edge j -> k carries a
-3x3 conv of the node difference, and the two directions of a pair share
-one conv applied to the difference and its negation, so reversing an edge
-negates its pre-bias response.  Messages are sigmoid-gated copies of the
-source node; all messages are computed from the pre-update state and the
-nodes then update simultaneously (Jacobi style) through a shared 3x3 conv
-and ReLU.  A per-loop leader summarizes the updated nodes with a 1x1 conv
-over their concatenation; between loops the leader's pooled activation
-gates a per-node 3x3 conv of the current state, and the gated result is
-injected into the next loop's freshly generated nodes.  The branch output
-concatenates all loop leaders through a final 1x1 conv.
+3x3 conv of the node difference plus a bias.  Reversing an edge negates
+its pre-bias response, so each pair runs the conv once and its two
+directions add the bias to that response and to its negation.  Messages
+are sigmoid-gated copies of the source node; all messages are computed
+from the pre-update state and the nodes then update simultaneously
+(Jacobi style) through a shared 3x3 conv and ReLU.  A per-loop leader
+summarizes the updated nodes with a 1x1 conv over their concatenation;
+between loops the leader's pooled activation gates a per-node 3x3 conv
+of the current state, and the gated result is injected into the next
+loop's freshly generated nodes.  The branch output concatenates all loop
+leaders through a final 1x1 conv.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import ops
+from .backbone import MODALITIES
 from .config import FusionConfig
 from .tensor import ShapeError, Tensor
-
-MODALITIES = ("ir", "vis")
 
 # A node is addressed by (modality, scale index).
 NodeId = tuple[str, int]
@@ -105,11 +105,15 @@ def generate_nodes(
 def difference_edges(
     a: Tensor, b: Tensor, weight: Tensor, bias: Tensor
 ) -> tuple[Tensor, Tensor]:
-    """Both directed edges of a pair: conv(a - b) and conv(-(a - b))."""
-    d = ops.sub(a, b)
-    forward_edge = ops.conv2d(d, weight, bias, 1, 1)
-    reverse_edge = ops.conv2d(ops.negate(d), weight, bias, 1, 1)
-    return forward_edge, reverse_edge
+    """Both directed edges of a pair: ``s + bias`` and ``bias - s``.
+
+    ``s`` is the bias-free conv of ``a - b``; the reverse edge's conv of
+    ``b - a`` is exactly ``-s``, so one conv serves both directions.
+    """
+    oc = bias.shape[0]
+    s = ops.conv2d(ops.sub(a, b), weight, Tensor.zeros((oc,)), 1, 1)
+    b4 = ops.reshape(bias, (1, oc, 1, 1))
+    return ops.add(s, b4), ops.sub(b4, s)
 
 
 def pass_message(edge: Tensor, source: Tensor) -> Tensor:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
-from .config import FusionConfig
+from .config import SSIM_WINDOW, FusionConfig
 from .tensor import ShapeError, Tensor
 
 SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]], dtype=np.float32)
@@ -55,7 +55,7 @@ def gaussian_window(window: int, sigma: float) -> np.ndarray:
     return (k / k.sum()).astype(np.float32)
 
 
-def ssim(x: Tensor, y: Tensor, window: int = 11, sigma: float = 1.5) -> Tensor:
+def ssim(x: Tensor, y: Tensor, window: int = SSIM_WINDOW, sigma: float = 1.5) -> Tensor:
     """Mean structural similarity over valid Gaussian windows, as a scalar.
 
     Both inputs are (N, 1, H, W) with H, W >= window.  Identical inputs
@@ -105,7 +105,7 @@ def loss_edge(fused: Tensor, ir: Tensor, vis: Tensor, squared: bool = False) -> 
     return resid
 
 
-def loss_ssim(fused: Tensor, ir: Tensor, vis: Tensor, window: int = 11) -> Tensor:
+def loss_ssim(fused: Tensor, ir: Tensor, vis: Tensor, window: int = SSIM_WINDOW) -> Tensor:
     """(1 - SSIM(fused, ir)) + (1 - SSIM(fused, vis)); zero at equality."""
     a = ops.shift(ops.negate(ssim(fused, ir, window)), 1.0)
     b = ops.shift(ops.negate(ssim(fused, vis, window)), 1.0)
@@ -113,7 +113,7 @@ def loss_ssim(fused: Tensor, ir: Tensor, vis: Tensor, window: int = 11) -> Tenso
 
 
 def loss_components(
-    fused: Tensor, ir: Tensor, vis: Tensor, config: FusionConfig, ssim_window: int = 11
+    fused: Tensor, ir: Tensor, vis: Tensor, config: FusionConfig, ssim_window: int = SSIM_WINDOW
 ) -> dict[str, Tensor]:
     """All loss terms plus their weighted total, on one tape."""
     mse = loss_mse(fused, ir, vis)
@@ -128,6 +128,6 @@ def loss_components(
 
 
 def loss_total(
-    fused: Tensor, ir: Tensor, vis: Tensor, config: FusionConfig, ssim_window: int = 11
+    fused: Tensor, ir: Tensor, vis: Tensor, config: FusionConfig, ssim_window: int = SSIM_WINDOW
 ) -> Tensor:
     return loss_components(fused, ir, vis, config, ssim_window)["total"]

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import SSIM_WINDOW
 from .images import quantize
 from .losses import SOBEL_X, SOBEL_Y, SSIM_K1, SSIM_K2, gaussian_window
 
@@ -131,7 +132,7 @@ def metric_qabf(ir, vis, fused) -> float:
     return float((q_af * g_a + q_bf * g_b).sum() / denom)
 
 
-def metric_ssim(x, y, window: int = 11, sigma: float = 1.5) -> float:
+def metric_ssim(x, y, window: int = SSIM_WINDOW, sigma: float = 1.5) -> float:
     """Gaussian-windowed SSIM over valid windows, dynamic range 1."""
     a = _as_image(x)
     b = _as_image(y)

@@ -15,6 +15,7 @@ little-endian float32 data in C order.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -180,6 +181,11 @@ def fuse_arrays(ir: np.ndarray, vis: np.ndarray, params: NetworkParams, config: 
 
 
 def save_checkpoint(path: str | Path, params: NetworkParams, config: FusionConfig) -> None:
+    """Write a checkpoint atomically.
+
+    The bytes go to a temporary file next to ``path`` that then replaces
+    it, so an interrupted write leaves the previous checkpoint intact.
+    """
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
     blob += struct.pack("<I", CHECKPOINT_VERSION)
@@ -195,7 +201,13 @@ def save_checkpoint(path: str | Path, params: NetworkParams, config: FusionConfi
         for dim in tensor.shape:
             blob += struct.pack("<I", dim)
         blob += np.ascontiguousarray(tensor.data, dtype="<f4").tobytes()
-    Path(path).write_bytes(bytes(blob))
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(bytes(blob))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 class _Reader:

@@ -47,6 +47,12 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     ``kernel`` has shape (out_ch, in_ch, kh, kw), ``bias`` shape (out_ch,).
     Output spatial size is ``(H + 2*padding - kh) // stride + 1``; with
     ``padding = (k - 1) // 2`` and stride 1 an odd kernel preserves size.
+
+    One code path serves every kernel size and stride.  Kernel tap (i, j)
+    reads the padded input at rows ``i : i + (oh-1)*stride + 1 : stride``
+    and the matching columns; the forward pass, the kernel gradient and
+    the input scatter all use these slices.  Trailing rows and columns
+    that no window reaches keep a zero gradient.
     """
     _require_4d("conv2d", x)
     if kernel.ndim != 4:
@@ -69,78 +75,44 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     else:
         xp = x.data
     hp, wp = h + 2 * padding, w + 2 * padding
+    oh = (hp - kh) // stride + 1
+    ow = (wp - kw) // stride + 1
+    span_h = (oh - 1) * stride + 1
+    span_w = (ow - 1) * stride + 1
 
-    if stride == 1:
-        oh = hp - kh + 1
-        ow = wp - kw + 1
-        if kh == 1 and kw == 1:
-            out = np.tensordot(kernel.data[:, :, 0, 0], xp, axes=([1], [1]))
-            out = np.ascontiguousarray(out.transpose(1, 0, 2, 3))
-        else:
-            # One channel-contraction GEMM per kernel row over full-width
-            # slabs; the slab operands stay contiguous, and the column
-            # offset becomes a slice of the result.
-            out = np.zeros((n, oc, oh, ow), dtype=np.float32)
-            for i in range(kh):
-                slab = np.tensordot(
-                    kernel.data[:, :, i, :], xp[:, :, i : i + oh, :], axes=([1], [1])
-                )
-                for j in range(kw):
-                    out += slab[:, j, :, :, j : j + ow].transpose(1, 0, 2, 3)
-        out += bias.data.reshape(1, oc, 1, 1)
-
-        def backward(g: np.ndarray) -> None:
-            if bias.requires_grad:
-                accumulate(bias, g.sum(axis=(0, 2, 3)))
-            if kernel.requires_grad:
-                gk = np.empty((oc, c, kh, kw), dtype=np.float32)
-                for i in range(kh):
-                    for j in range(kw):
-                        gk[:, :, i, j] = np.tensordot(
-                            g, xp[:, :, i : i + oh, j : j + ow], axes=([0, 2, 3], [0, 2, 3])
-                        )
-                accumulate(kernel, gk)
-            if x.requires_grad:
-                # (c, kh, kw, n, oh, ow): each kernel tap's contribution,
-                # scattered back onto the padded input by offset.
-                taps = np.tensordot(kernel.data, g, axes=([0], [1]))
-                dxp = np.zeros((n, c, hp, wp), dtype=np.float32)
-                for i in range(kh):
-                    for j in range(kw):
-                        dxp[:, :, i : i + oh, j : j + ow] += taps[:, i, j].transpose(1, 0, 2, 3)
-                accumulate(x, dxp[:, :, padding : padding + h, padding : padding + w])
-
-        return record_op(out, (x, kernel, bias), backward)
-
-    win = _windows(xp, kh, kw, stride)
-    out = np.tensordot(win, kernel.data, axes=([1, 4, 5], [1, 2, 3]))
-    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    # One channel-contraction GEMM per kernel row over full-width slabs;
+    # the column offset becomes a slice of the result.
+    out = np.zeros((n, oc, oh, ow), dtype=np.float32)
+    for i in range(kh):
+        slab = np.tensordot(
+            kernel.data[:, :, i, :], xp[:, :, i : i + span_h : stride, :], axes=([1], [1])
+        )
+        for j in range(kw):
+            out += slab[:, j, :, :, j : j + span_w : stride].transpose(1, 0, 2, 3)
     out += bias.data.reshape(1, oc, 1, 1)
-    oh, ow = out.shape[2], out.shape[3]
 
     def backward(g: np.ndarray) -> None:
         if bias.requires_grad:
             accumulate(bias, g.sum(axis=(0, 2, 3)))
         if kernel.requires_grad:
-            gk = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))
+            gk = np.empty((oc, c, kh, kw), dtype=np.float32)
+            for i in range(kh):
+                for j in range(kw):
+                    gk[:, :, i, j] = np.tensordot(
+                        g,
+                        xp[:, :, i : i + span_h : stride, j : j + span_w : stride],
+                        axes=([0, 2, 3], [0, 2, 3]),
+                    )
             accumulate(kernel, gk)
         if x.requires_grad:
-            # Full correlation of the stride-dilated output gradient with the
-            # spatially flipped kernel gives the padded-input gradient.
-            hd = (oh - 1) * stride + 1
-            wd = (ow - 1) * stride + 1
-            gd = np.zeros((n, oc, hd, wd), dtype=np.float32)
-            gd[:, :, ::stride, ::stride] = g
-            gp = np.pad(gd, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-            win2 = _windows(gp, kh, kw, 1)
-            kflip = kernel.data[:, :, ::-1, ::-1]
-            dxp = np.tensordot(win2, kflip, axes=([1, 4, 5], [0, 2, 3]))
-            dxp = dxp.transpose(0, 3, 1, 2)
-            if dxp.shape[2] != hp or dxp.shape[3] != wp:
-                # Stride leftover: trailing rows/cols no window reached.
-                full = np.zeros((n, c, hp, wp), dtype=np.float32)
-                full[:, :, : dxp.shape[2], : dxp.shape[3]] = dxp
-                dxp = full
+            # (c, kh, kw, n, oh, ow): each kernel tap's contribution,
+            # scattered back onto the padded input by offset.
+            taps = np.tensordot(kernel.data, g, axes=([0], [1]))
+            dxp = np.zeros((n, c, hp, wp), dtype=np.float32)
+            for i in range(kh):
+                for j in range(kw):
+                    tap = taps[:, i, j].transpose(1, 0, 2, 3)
+                    dxp[:, :, i : i + span_h : stride, j : j + span_w : stride] += tap
             accumulate(x, dxp[:, :, padding : padding + h, padding : padding + w])
 
     return record_op(out, (x, kernel, bias), backward)
@@ -500,13 +472,9 @@ def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    """Logistic function, computed in the overflow-free branch per sign."""
-    d = x.data
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Logistic function as ``0.5 * tanh(0.5 x) + 0.5``, which cannot overflow."""
+    half = np.float32(0.5)
+    out = half * np.tanh(half * x.data) + half
 
     def backward(g: np.ndarray) -> None:
         accumulate(x, g * out * (1.0 - out))

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from graphfusion import reference
+from graphfusion import ops, reference
 from graphfusion.config import FusionConfig
 from graphfusion.graph import (
     build_topology,
@@ -85,6 +85,24 @@ class TestEdgesAndMessages:
         fwd, rev = difference_edges(a, b, w, bias)
         expected = np.broadcast_to(2.0 * bias.data.reshape(1, 2, 1, 1), fwd.shape)
         np.testing.assert_allclose(fwd.data + rev.data, expected, atol=1e-5)
+
+    def test_pair_runs_one_conv(self, rng, monkeypatch):
+        calls = []
+        conv2d = ops.conv2d
+
+        def counting_conv2d(*args, **kwargs):
+            calls.append(args[0].shape)
+            return conv2d(*args, **kwargs)
+
+        monkeypatch.setattr(ops, "conv2d", counting_conv2d)
+        a = Tensor(rng.standard_normal((1, 2, 4, 4)).astype(np.float32))
+        b = Tensor(rng.standard_normal((1, 2, 4, 4)).astype(np.float32))
+        w = Tensor(rng.standard_normal((2, 2, 3, 3)).astype(np.float32))
+        bias = Tensor(np.array([0.5, -0.25], dtype=np.float32))
+        fwd, rev = difference_edges(a, b, w, bias)
+        assert calls == [(1, 2, 4, 4)]
+        np.testing.assert_allclose(fwd.data, oracle_conv(a.data - b.data, w.data, bias.data, padding=1), atol=1e-5)
+        np.testing.assert_allclose(rev.data, oracle_conv(b.data - a.data, w.data, bias.data, padding=1), atol=1e-5)
 
     def test_message_is_sigmoid_gated_source(self, rng):
         edge = Tensor(rng.standard_normal((1, 2, 3, 3)).astype(np.float32))

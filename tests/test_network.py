@@ -1,6 +1,7 @@
 """Parameter layout, initialization, forward pass, and checkpoint format."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +176,24 @@ class TestCheckpoint:
         save_checkpoint(p1, params, config)
         save_checkpoint(p2, params, config)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_interrupted_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        config = cfg(**SMALL)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(config, seed=0), config)
+        before = path.read_bytes()
+        write_bytes = Path.write_bytes
+
+        def fail_half_way(self, data):
+            write_bytes(self, data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", fail_half_way)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, init_params(config, seed=1), config)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
     def test_bad_magic_rejected(self, tmp_path):
         config = cfg(**SMALL)

@@ -80,6 +80,9 @@ class TestConv2d:
             ((1, 2, 7, 5), (3, 2, 1, 1), 1, 0),
             ((1, 2, 8, 8), (2, 2, 3, 3), 2, 1),
             ((1, 1, 9, 9), (1, 1, 5, 5), 2, 2),
+            ((2, 3, 7, 6), (2, 3, 1, 1), 2, 0),
+            # No window reaches the last two rows and the last column.
+            ((1, 2, 8, 7), (3, 2, 3, 3), 3, 0),
         ],
     )
     def test_matches_loop_oracle(self, rng, shape, kspec, stride, padding):
@@ -89,6 +92,42 @@ class TestConv2d:
         out = ops.conv2d(Tensor(x), Tensor(k), Tensor(b), stride=stride, padding=padding)
         expected = oracle_conv(x, k, b, stride=stride, padding=padding)
         np.testing.assert_allclose(out.data, expected, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize(
+        "shape,kspec,stride,padding",
+        [((1, 2, 8, 7), (3, 2, 3, 3), 3, 0), ((2, 2, 7, 6), (2, 2, 1, 1), 2, 1)],
+    )
+    def test_strided_gradients_match_loop_adjoint(self, rng, shape, kspec, stride, padding):
+        x = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+        k = Tensor(rng.standard_normal(kspec).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.standard_normal(kspec[0]).astype(np.float32), requires_grad=True)
+        with Tape() as tape:
+            out = ops.conv2d(x, k, b, stride=stride, padding=padding)
+            g = rng.standard_normal(out.shape).astype(np.float32)
+            tape.backward(ops.reduce_sum(ops.mul(out, Tensor(g))))
+        dx, dk, db = x.grad.copy(), k.grad.copy(), b.grad.copy()
+        tape.clear()
+
+        # Each output cell (y, xx) reads padded rows y*stride + i, cols xx*stride + j.
+        kh, kw = kspec[2], kspec[3]
+        xp = np.pad(x.data.astype(np.float64), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        dxp = np.zeros_like(xp)
+        dk_ref = np.zeros(kspec)
+        for y in range(out.shape[2]):
+            for xx in range(out.shape[3]):
+                rows = slice(y * stride, y * stride + kh)
+                cols = slice(xx * stride, xx * stride + kw)
+                gy = g[:, :, y, xx].astype(np.float64)
+                dxp[:, :, rows, cols] += np.einsum("no,ocij->ncij", gy, k.data.astype(np.float64))
+                dk_ref += np.einsum("no,ncij->ocij", gy, xp[:, :, rows, cols])
+        h, w = shape[2], shape[3]
+        dx_ref = dxp[:, :, padding : padding + h, padding : padding + w]
+        np.testing.assert_allclose(dx, dx_ref, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(dk, dk_ref, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(db, g.sum(axis=(0, 2, 3)), rtol=1e-5, atol=1e-5)
+        if stride == 3:
+            # Rows 6-7 and column 6 lie past the last window.
+            assert not dx[:, :, 6:, :].any() and not dx[:, :, :, 6:].any()
 
     def test_rejects_channel_mismatch(self):
         x = Tensor.zeros((1, 2, 4, 4))

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from graphfusion import trainer
 from graphfusion.config import FusionConfig
 from graphfusion.images import ImagePair
 from graphfusion.network import NetworkParams, init_params, load_checkpoint
@@ -219,6 +220,18 @@ class TestTrainLoop:
         params["head.conv2.weight"].data[0, 0, 0, 0] = np.nan
         with pytest.raises(TrainingDiverged, match="non-finite loss at step 0"):
             train([make_pair()], config, max_steps=1, params=params)
+
+    def test_crop_below_ssim_window_rejected_before_forward(self, monkeypatch):
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward ran before the config was checked")
+
+        monkeypatch.setattr(trainer, "forward", no_forward)
+        with pytest.raises(ValueError, match=r"crop \(10\) must be at least the SSIM window \(11\)"):
+            train([make_pair()], tiny_config(crop=10), max_steps=1)
+
+    def test_crop_equal_to_ssim_window_trains(self):
+        _, log = train([make_pair()], tiny_config(crop=11), max_steps=1)
+        assert np.isfinite(log.records[0].total)
 
     def test_log_csv_layout(self):
         log = TrainLog(records=[LogRecord(step=0, total=1.5, mse=0.5, edge=0.05, ssim=0.9, lr=1e-3)])
