@@ -11,7 +11,6 @@ combined map is reweighted per channel by a squeeze-excite style bottleneck
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from . import ops
@@ -21,17 +20,15 @@ from .tensor import ShapeError, Tensor
 MODALITIES = ("ir", "vis")
 
 
-@dataclass
-class BranchFeatures:
-    """The three per-branch feature maps, all (N, C, H, W)."""
+def feature_depth(config: FusionConfig) -> int:
+    """How many backbone stages (conv1, conv2, salience) the network reads.
 
-    modality: str
-    f1: Tensor
-    f2: Tensor
-    f3: Tensor
-
-    def as_list(self) -> list[Tensor]:
-        return [self.f1, self.f2, self.f3]
+    With the graph on, loop i reads stage min(i, depth), so stages beyond
+    ``config.loops`` are never read and neither built nor parameterized.
+    Without the graph the head reads only the deepest stage.
+    """
+    depth = 3 if config.use_salience else 2
+    return min(depth, config.loops) if config.use_graph else depth
 
 
 def channel_attention(x: Tensor, params: Mapping[str, Tensor], prefix: str) -> Tensor:
@@ -59,14 +56,22 @@ def salience(x: Tensor, params: Mapping[str, Tensor], modality: str) -> Tensor:
     return ops.mul(combined, weight)
 
 
-def extract(image: Tensor, params: Mapping[str, Tensor], modality: str, config: FusionConfig) -> BranchFeatures:
-    """Run one branch on a (N, 1, H, W) image in [0, 1]."""
+def extract(image: Tensor, params: Mapping[str, Tensor], modality: str, config: FusionConfig) -> list[Tensor]:
+    """Run one branch on a (N, 1, H, W) image in [0, 1].
+
+    Returns the first :func:`feature_depth` stage outputs, all (N, C, H, W).
+    """
     if modality not in MODALITIES:
         raise ValueError(f"unknown modality {modality!r}")
     if image.ndim != 4 or image.shape[1] != 1:
         raise ShapeError(f"extract: expected (N, 1, H, W) input, got {image.shape}")
+    depth = feature_depth(config)
     prefix = f"extract.{modality}"
-    f1 = ops.relu(ops.conv2d(image, params[f"{prefix}.conv1.weight"], params[f"{prefix}.conv1.bias"], 1, 1))
-    f2 = ops.relu(ops.conv2d(f1, params[f"{prefix}.conv2.weight"], params[f"{prefix}.conv2.bias"], 1, 1))
-    f3 = salience(f2, params, modality) if config.use_salience else f2
-    return BranchFeatures(modality=modality, f1=f1, f2=f2, f3=f3)
+    feats = []
+    x = image
+    for name in ("conv1", "conv2")[:depth]:
+        x = ops.relu(ops.conv2d(x, params[f"{prefix}.{name}.weight"], params[f"{prefix}.{name}.bias"], 1, 1))
+        feats.append(x)
+    if depth > 2:
+        feats.append(salience(x, params, modality))
+    return feats

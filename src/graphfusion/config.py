@@ -89,13 +89,23 @@ class FusionConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FusionConfig":
-        known = {f.name: f.type for f in dataclasses.fields(cls)}
+        """Build and validate a config from plain data, such as parsed JSON.
+
+        Each value must have the type of its field's default; a bool is not
+        an int, and an int is accepted (as a float) for a float field.
+        """
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
         kwargs = {}
         for key, value in data.items():
             if key.startswith("_"):
                 continue
-            if key not in known:
+            if key not in defaults:
                 raise ValueError(f"unknown config key {key!r}")
+            kind = type(defaults[key])
+            if kind is float and type(value) is int:
+                value = float(value)
+            if type(value) is not kind:
+                raise ValueError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
             kwargs[key] = value
         return cls(**kwargs).validate()
 

@@ -9,9 +9,10 @@ branch connects to node o of the other.  A directed edge j -> k carries a
 3x3 conv of the node difference plus a bias.  Reversing an edge negates
 its pre-bias response, so each pair runs the conv once and its two
 directions add the bias to that response and to its negation.  Messages
-are sigmoid-gated copies of the source node; all messages are computed
-from the pre-update state and the nodes then update simultaneously
-(Jacobi style) through a shared 3x3 conv and ReLU.  A per-loop leader
+are sigmoid-gated copies of the source node, computed from the pre-update
+state and added into their destination's running sum as soon as their
+pair has run; the nodes then update simultaneously (Jacobi style) through
+a shared 3x3 conv and ReLU of that sum.  A per-loop leader
 summarizes the updated nodes with a 1x1 conv over their concatenation;
 between loops the leader's pooled activation gates a per-node 3x3 conv
 of the current state, and the gated result is injected into the next
@@ -57,15 +58,6 @@ class GraphTopology:
             out.append((("vis", o), ("ir", o)))
         return out
 
-    def sources_into(self, node: NodeId) -> list[NodeId]:
-        """In-neighbors in aggregation order: intra by scale, then inter."""
-        m, o = node
-        other = "vis" if m == "ir" else "ir"
-        intra = [(m, j) for j, k in self.intra_pairs if k == o]
-        intra += [(m, k) for j, k in self.intra_pairs if j == o]
-        intra.sort(key=lambda n: n[1])
-        return intra + [(other, o)]
-
 
 def build_topology(nodes: int) -> GraphTopology:
     if nodes < 1:
@@ -83,6 +75,11 @@ def node_grids(nodes: int, height: int, width: int) -> list[int]:
 def loop_prefix(config: FusionConfig, loop: int) -> str:
     """Parameter prefix for a loop; loop 1 is reused when sharing is on."""
     return f"graph.loop{1 if config.share_loop_params else loop}"
+
+
+# The six stage functions below are looked up by module attribute at each
+# call, so a profiler (perfbench/tracer.py) can time them by rebinding
+# ``graph.<stage>``; keep them module-level names.
 
 
 def generate_nodes(
@@ -121,12 +118,9 @@ def pass_message(edge: Tensor, source: Tensor) -> Tensor:
     return ops.mul(ops.sigmoid(edge), source)
 
 
-def update_node(node: Tensor, incoming: Sequence[Tensor], weight: Tensor, bias: Tensor) -> Tensor:
-    """New node state: ReLU(conv(node + sum of incoming messages))."""
-    s = node
-    for msg in incoming:
-        s = ops.add(s, msg)
-    return ops.relu(ops.conv2d(s, weight, bias, 1, 1))
+def update_node(total: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """New node state from ``total``, the node plus its incoming messages."""
+    return ops.relu(ops.conv2d(total, weight, bias, 1, 1))
 
 
 def form_leader(nodes: Sequence[Tensor], weight: Tensor, bias: Tensor) -> Tensor:
@@ -157,87 +151,58 @@ def deliver(
 
 
 @dataclass
-class LoopTrace:
-    """Intermediate state of one loop, for inspection and tests."""
-
-    loop: int
-    nodes_in: dict[NodeId, Tensor]
-    edges: dict[EdgeKey, Tensor]
-    messages: dict[EdgeKey, Tensor]
-    nodes_out: dict[NodeId, Tensor]
-    leaders: dict[str, Tensor]
-
-
-@dataclass
 class GraphResult:
     g_ir: Tensor
     g_vis: Tensor
-    traces: list[LoopTrace] | None = None
 
 
 def _run_loop(
     loop: int,
     features: dict[str, Tensor],
-    injections: dict[str, list[Tensor]] | None,
+    injections: dict[str, list[Tensor]],
     params: Mapping[str, Tensor],
     config: FusionConfig,
     topo: GraphTopology,
-) -> LoopTrace:
+) -> tuple[dict[str, Tensor], dict[str, list[Tensor]]]:
+    """One loop: each modality's leader and the next loop's injections.
+
+    Every edge pair runs once: its two gated messages are added straight
+    into their destinations' running sums, which start as the nodes
+    themselves.  Pairs arrive intra (in ``intra_pairs`` order) and then
+    inter, so every node sums its messages intra by scale, then inter.
+    """
     prefix = loop_prefix(config, loop)
     h, w = features["ir"].shape[2], features["ir"].shape[3]
     grids = node_grids(config.nodes, h, w)
 
-    nodes: dict[NodeId, Tensor] = {}
-    for m in MODALITIES:
-        fresh = generate_nodes(features[m], grids, params, prefix, m)
-        if injections is not None:
-            fresh = [ops.add(f, inj) for f, inj in zip(fresh, injections[m])]
-        for o, t in enumerate(fresh):
-            nodes[(m, o)] = t
-
-    edges: dict[EdgeKey, Tensor] = {}
-    for m in MODALITIES:
-        for j, k in topo.intra_pairs:
-            e_fwd, e_rev = difference_edges(
-                nodes[(m, j)],
-                nodes[(m, k)],
-                params[f"{prefix}.intra.{m}.weight"],
-                params[f"{prefix}.intra.{m}.bias"],
-            )
-            edges[((m, j), (m, k))] = e_fwd
-            edges[((m, k), (m, j))] = e_rev
-    for o in topo.inter_scales:
-        e_fwd, e_rev = difference_edges(
-            nodes[("ir", o)],
-            nodes[("vis", o)],
-            params[f"{prefix}.inter.weight"],
-            params[f"{prefix}.inter.bias"],
-        )
-        edges[(("ir", o), ("vis", o))] = e_fwd
-        edges[(("vis", o), ("ir", o))] = e_rev
-
-    messages = {(src, dst): pass_message(edge, nodes[src]) for (src, dst), edge in edges.items()}
-
-    updated: dict[NodeId, Tensor] = {}
-    for m in MODALITIES:
-        for o in range(topo.nodes):
-            incoming = [messages[(src, (m, o))] for src in topo.sources_into((m, o))]
-            updated[(m, o)] = update_node(
-                nodes[(m, o)],
-                incoming,
-                params[f"{prefix}.update.{m}.weight"],
-                params[f"{prefix}.update.{m}.bias"],
-            )
-
-    leaders = {
-        m: form_leader(
-            [updated[(m, o)] for o in range(topo.nodes)],
-            params[f"{prefix}.leader.{m}.weight"],
-            params[f"{prefix}.leader.{m}.bias"],
-        )
+    nodes: dict[NodeId, Tensor] = {
+        (m, o): ops.add(t, injections[m][o]) if injections else t
         for m in MODALITIES
+        for o, t in enumerate(generate_nodes(features[m], grids, params, prefix, m))
     }
-    return LoopTrace(loop=loop, nodes_in=nodes, edges=edges, messages=messages, nodes_out=updated, leaders=leaders)
+
+    pairs = [((m, j), (m, k), f"{prefix}.intra.{m}") for m in MODALITIES for j, k in topo.intra_pairs]
+    pairs += [(("ir", o), ("vis", o), f"{prefix}.inter") for o in topo.inter_scales]
+    totals = dict(nodes)
+    for a, b, name in pairs:
+        into_b, into_a = difference_edges(nodes[a], nodes[b], params[f"{name}.weight"], params[f"{name}.bias"])
+        totals[b] = ops.add(totals[b], pass_message(into_b, nodes[a]))
+        totals[a] = ops.add(totals[a], pass_message(into_a, nodes[b]))
+    # Every total has replaced its node: drop the nodes and the last pair's
+    # edges before the updates.  The injections stay held by the caller.
+    del nodes, into_b, into_a
+
+    leaders: dict[str, Tensor] = {}
+    delivered: dict[str, list[Tensor]] = {}
+    for m in MODALITIES:
+        weight, bias = params[f"{prefix}.update.{m}.weight"], params[f"{prefix}.update.{m}.bias"]
+        updated = [update_node(totals[(m, o)], weight, bias) for o in range(topo.nodes)]
+        leaders[m] = form_leader(
+            updated, params[f"{prefix}.leader.{m}.weight"], params[f"{prefix}.leader.{m}.bias"]
+        )
+        if config.use_leader and loop < config.loops:
+            delivered[m] = deliver(leaders[m], updated, params, prefix, m)
+    return leaders, delivered
 
 
 def run_graph(
@@ -245,40 +210,29 @@ def run_graph(
     features_vis: Sequence[Tensor],
     params: Mapping[str, Tensor],
     config: FusionConfig,
-    collect_traces: bool = False,
 ) -> GraphResult:
     """Chain ``config.loops`` graph loops and mix their leaders.
 
     Loop i reads the i-th feature of each branch; loops beyond the feature
-    count reuse the deepest feature.  With ``use_graph`` off this function
-    is not called; the network passes deep features through unchanged.
+    count reuse the deepest feature.  Only the leaders and the next loop's
+    injections outlive a loop.  With ``use_graph`` off this function is not
+    called; the network passes deep features through unchanged.
     """
     if len(features_ir) != len(features_vis) or not features_ir:
         raise ShapeError("run_graph: need equally many features per branch")
     topo = build_topology(config.nodes)
-    traces: list[LoopTrace] = []
     leaders: dict[str, list[Tensor]] = {m: [] for m in MODALITIES}
-    injections: dict[str, list[Tensor]] | None = None
+    injections: dict[str, list[Tensor]] = {}
     for loop in range(1, config.loops + 1):
         idx = min(loop, len(features_ir)) - 1
         feats = {"ir": features_ir[idx], "vis": features_vis[idx]}
-        trace = _run_loop(loop, feats, injections, params, config, topo)
+        loop_leaders, injections = _run_loop(loop, feats, injections, params, config, topo)
         for m in MODALITIES:
-            leaders[m].append(trace.leaders[m])
-        if config.use_leader and loop < config.loops:
-            prefix = loop_prefix(config, loop)
-            injections = {
-                m: deliver(trace.leaders[m], [trace.nodes_out[(m, o)] for o in range(topo.nodes)], params, prefix, m)
-                for m in MODALITIES
-            }
-        else:
-            injections = None
-        if collect_traces:
-            traces.append(trace)
+            leaders[m].append(loop_leaders[m])
 
     outputs = {}
     for m in MODALITIES:
         outputs[m] = ops.conv2d(
             ops.concat_channels(leaders[m]), params[f"graph.mix.{m}.weight"], params[f"graph.mix.{m}.bias"]
         )
-    return GraphResult(g_ir=outputs["ir"], g_vis=outputs["vis"], traces=traces if collect_traces else None)
+    return GraphResult(g_ir=outputs["ir"], g_vis=outputs["vis"])

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ops
-from .backbone import MODALITIES, extract
+from .backbone import MODALITIES, extract, feature_depth
 from .config import FusionConfig
 from .graph import run_graph
 from .tensor import ShapeError, Tensor
@@ -50,10 +50,12 @@ def parameter_shapes(config: FusionConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"{name}.weight"] = (out_f, in_f)
         shapes[f"{name}.bias"] = (out_f,)
 
+    depth = feature_depth(config)
     for m in MODALITIES:
         conv(f"extract.{m}.conv1", c, 1, 3)
-        conv(f"extract.{m}.conv2", c, c, 3)
-    if config.use_salience:
+        if depth > 1:
+            conv(f"extract.{m}.conv2", c, c, 3)
+    if depth > 2:
         hidden = c // config.reduction
         for m in MODALITIES:
             conv(f"salience.{m}.conv", c, c, 3)
@@ -154,10 +156,10 @@ def forward(ir: Tensor, vis: Tensor, params: NetworkParams, config: FusionConfig
     feats_ir = extract(ir, params, "ir", config)
     feats_vis = extract(vis, params, "vis", config)
     if config.use_graph:
-        result = run_graph(feats_ir.as_list(), feats_vis.as_list(), params, config)
+        result = run_graph(feats_ir, feats_vis, params, config)
         g_ir, g_vis = result.g_ir, result.g_vis
     else:
-        g_ir, g_vis = feats_ir.f3, feats_vis.f3
+        g_ir, g_vis = feats_ir[-1], feats_vis[-1]
     h = ops.concat_channels([g_ir, g_vis])
     h = ops.relu(ops.conv2d(h, params["head.conv1.weight"], params["head.conv1.bias"], 1, 1))
     return ops.sigmoid(ops.conv2d(h, params["head.conv2.weight"], params["head.conv2.bias"], 1, 1))

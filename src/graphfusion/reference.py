@@ -130,11 +130,20 @@ def _salience(x: np.ndarray, p: Arrays, modality: str) -> np.ndarray:
 
 
 def _extract(image: np.ndarray, p: Arrays, modality: str, config: FusionConfig) -> list[np.ndarray]:
+    # Graph loop i reads stage min(i, depth); stages past the last loop are
+    # never read, and the network allocates no parameters for them.
+    depth = 3 if config.use_salience else 2
+    if config.use_graph:
+        depth = min(depth, config.loops)
     prefix = f"extract.{modality}"
-    f1 = _relu(_conv(image, p[f"{prefix}.conv1.weight"], p[f"{prefix}.conv1.bias"], 1, 1))
-    f2 = _relu(_conv(f1, p[f"{prefix}.conv2.weight"], p[f"{prefix}.conv2.bias"], 1, 1))
-    f3 = _salience(f2, p, modality) if config.use_salience else f2
-    return [f1, f2, f3]
+    feats = []
+    x = image
+    for name in ("conv1", "conv2")[:depth]:
+        x = _relu(_conv(x, p[f"{prefix}.{name}.weight"], p[f"{prefix}.{name}.bias"], 1, 1))
+        feats.append(x)
+    if depth > 2:
+        feats.append(_salience(x, p, modality))
+    return feats
 
 
 def _run_graph(
@@ -229,7 +238,7 @@ def reference_forward(ir: np.ndarray, vis: np.ndarray, arrays: Arrays, config: F
         out = _run_graph(feats_ir, feats_vis, p, config)
         g_ir, g_vis = out["ir"], out["vis"]
     else:
-        g_ir, g_vis = feats_ir[2], feats_vis[2]
+        g_ir, g_vis = feats_ir[-1], feats_vis[-1]
     h = np.concatenate([g_ir, g_vis], axis=1)
     h = _relu(_conv(h, p["head.conv1.weight"], p["head.conv1.bias"], 1, 1))
     return _sigmoid(_conv(h, p["head.conv2.weight"], p["head.conv2.bias"], 1, 1))

@@ -5,14 +5,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from graphfusion.backbone import channel_attention, extract, salience
+from graphfusion import ops
+from graphfusion.backbone import channel_attention, extract, feature_depth, salience
 from graphfusion.config import FusionConfig
 from graphfusion.network import init_params
 from graphfusion.tensor import ShapeError, Tensor
 
 
 def small_config(**overrides) -> FusionConfig:
-    base = dict(channels=4, nodes=2, loops=2, reduction=4)
+    # Three loops, so the graph reads all three stages, salience included.
+    base = dict(channels=4, nodes=2, loops=3, reduction=4)
     base.update(overrides)
     return dataclasses.replace(FusionConfig(), **base)
 
@@ -22,19 +24,40 @@ def test_extract_preserves_spatial_size_and_widens_channels():
     params = init_params(config, seed=0)
     image = Tensor(np.random.default_rng(1).uniform(size=(2, 1, 6, 5)).astype(np.float32))
     feats = extract(image, params, "ir", config)
-    assert feats.f1.shape == (2, 4, 6, 5)
-    assert feats.f2.shape == (2, 4, 6, 5)
-    assert feats.f3.shape == (2, 4, 6, 5)
-    assert feats.modality == "ir"
-    assert [t.shape for t in feats.as_list()] == [(2, 4, 6, 5)] * 3
+    assert [t.shape for t in feats] == [(2, 4, 6, 5)] * 3
 
 
 def test_extract_without_salience_passes_f2_through():
+    # Without salience the deepest stage, the one the head reads, is the
+    # conv2 map itself, with nothing applied after it.
     config = small_config(use_salience=False)
     params = init_params(config, seed=0)
     image = Tensor(np.random.default_rng(2).uniform(size=(1, 1, 5, 5)).astype(np.float32))
-    feats = extract(image, params, "vis", config)
-    assert feats.f3 is feats.f2
+    f1, f2 = extract(image, params, "vis", config)
+    conv2 = ops.conv2d(f1, params["extract.vis.conv2.weight"], params["extract.vis.conv2.bias"], 1, 1)
+    np.testing.assert_array_equal(f2.data, ops.relu(conv2).data)
+
+
+@pytest.mark.parametrize(
+    "overrides,depth",
+    [
+        ({}, 3),
+        ({"loops": 5}, 3),
+        ({"loops": 2}, 2),
+        ({"loops": 1}, 1),
+        ({"loops": 1, "use_salience": False}, 1),
+        ({"loops": 1, "use_graph": False}, 3),
+        ({"loops": 1, "use_graph": False, "use_salience": False}, 2),
+    ],
+)
+def test_extract_builds_only_the_stages_the_network_reads(overrides, depth):
+    config = small_config(**overrides)
+    params = init_params(config, seed=0)
+    image = Tensor(np.random.default_rng(3).uniform(size=(1, 1, 5, 5)).astype(np.float32))
+    assert feature_depth(config) == depth
+    assert len(extract(image, params, "ir", config)) == depth
+    assert ("extract.ir.conv2.weight" in params) == (depth > 1)
+    assert ("salience.ir.conv.weight" in params) == (depth > 2)
 
 
 def test_extract_rejects_multichannel_input():

@@ -108,6 +108,25 @@ class TestTrain:
         assert code == 2
         assert "cannot load config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("use_graph", "false"), ("channels", "16")])
+    def test_mistyped_config_value_is_usage_error(self, toy, tmp_path, capsys, key, value):
+        data = json.loads(toy["config"].read_text())
+        data[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code = cli.main(
+            [
+                "train",
+                "--config", str(bad),
+                "--ir-dir", str(toy["ir"]),
+                "--vis-dir", str(toy["vis"]),
+                "--out", str(tmp_path / "x.ckpt"),
+            ]
+        )
+        assert code == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
     def test_empty_data_dir_is_usage_error(self, toy, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -24,8 +24,6 @@ from graphfusion.trainer import (
 
 
 def tiny_config(**overrides) -> FusionConfig:
-    # loops=3 so the third loop consumes the salience output; with fewer
-    # loops those parameters would get no gradient and adam_step rejects.
     base = dict(channels=4, nodes=2, loops=3, reduction=4, crop=16, stride=8, batch=2, epochs=4)
     base.update(overrides)
     return dataclasses.replace(FusionConfig(), **base)
@@ -231,6 +229,14 @@ class TestTrainLoop:
 
     def test_crop_equal_to_ssim_window_trains(self):
         _, log = train([make_pair()], tiny_config(crop=11), max_steps=1)
+        assert np.isfinite(log.records[0].total)
+
+    @pytest.mark.parametrize("loops", [1, 2])
+    def test_graph_shallower_than_backbone_trains(self, loops):
+        # Loop i reads backbone stage i, so fewer than three loops leave the
+        # later stages unread; a parameter of theirs would get no gradient
+        # and adam_step would reject it.
+        _, log = train([make_pair()], tiny_config(loops=loops, use_salience=True), max_steps=1)
         assert np.isfinite(log.records[0].total)
 
     def test_log_csv_layout(self):
