@@ -10,7 +10,6 @@ from .config import FusionConfig, write_default_config
 from .gradcheck import check_parameter_groups, gradient_check
 from .images import ImagePair, pair_directory, read_image, write_image
 from .network import (
-    NetworkParams,
     count_parameters,
     forward,
     fuse_arrays,
@@ -28,7 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FusionConfig",
     "ImagePair",
-    "NetworkParams",
     "ShapeError",
     "Tape",
     "Tensor",

@@ -15,14 +15,7 @@ import numpy as np
 
 from .config import SSIM_WINDOW, FusionConfig, write_default_config
 from .gradcheck import check_parameter_groups
-from .images import (
-    luma_chroma_to_rgb,
-    pair_directory,
-    read_image,
-    rgb_to_chroma,
-    rgb_to_luma,
-    write_image,
-)
+from .images import luma_chroma_to_rgb, pair_directory, read_image, rgb_to_chroma, to_gray, write_image
 from .losses import loss_total
 from .metrics import MetricReport, compute_metrics
 from .network import CheckpointError, forward, fuse_arrays, init_params, load_checkpoint
@@ -121,22 +114,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_gray(path: Path) -> np.ndarray:
-    img = read_image(path)
-    return rgb_to_luma(img) if img.ndim == 3 else img
-
-
 def cmd_fuse(args: argparse.Namespace) -> int:
     try:
         params, config = load_checkpoint(args.checkpoint)
     except (OSError, CheckpointError, ValueError) as exc:
         return _fail(f"cannot load checkpoint {args.checkpoint}: {exc}")
     try:
-        ir = _load_gray(args.ir)
+        ir = to_gray(read_image(args.ir))
         vis_img = read_image(args.vis)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    vis = rgb_to_luma(vis_img) if vis_img.ndim == 3 else vis_img
+    vis = to_gray(vis_img)
     if ir.shape != vis.shape:
         return _fail(f"size mismatch: infrared {ir.shape} vs visible {vis.shape}")
     if args.color and vis_img.ndim != 3:
@@ -199,7 +187,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
     reports = check_parameter_groups(
         objective,
-        dict(params.items()),
+        params,
         epsilon=args.epsilon,
         samples_per_tensor=args.samples,
         seed=args.seed,

@@ -37,26 +37,27 @@ EdgeKey = tuple[NodeId, NodeId]
 
 @dataclass(frozen=True)
 class GraphTopology:
-    """Undirected pair lists for one loop; edges are stored per direction."""
+    """Undirected pair lists for one loop; each pair is two directed edges."""
 
     nodes: int
     intra_pairs: tuple[tuple[int, int], ...]
     inter_scales: tuple[int, ...]
 
+    def pairs(self) -> list[tuple[NodeId, NodeId, str]]:
+        """Every connected pair ``(a, b, group)`` in the order a loop runs them.
+
+        Intra pairs come first, per modality in ``intra_pairs`` order, with
+        group ``intra.<modality>``; then the inter pairs, group ``inter``.
+        """
+        out = [((m, j), (m, k), f"intra.{m}") for m in MODALITIES for j, k in self.intra_pairs]
+        return out + [(("ir", o), ("vis", o), "inter") for o in self.inter_scales]
+
     @property
     def directed_edge_count(self) -> int:
-        return 2 * (2 * len(self.intra_pairs) + len(self.inter_scales))
+        return 2 * len(self.pairs())
 
     def directed_edges(self) -> list[EdgeKey]:
-        out: list[EdgeKey] = []
-        for m in MODALITIES:
-            for j, k in self.intra_pairs:
-                out.append(((m, j), (m, k)))
-                out.append(((m, k), (m, j)))
-        for o in self.inter_scales:
-            out.append((("ir", o), ("vis", o)))
-            out.append((("vis", o), ("ir", o)))
-        return out
+        return [edge for a, b, _ in self.pairs() for edge in ((a, b), (b, a))]
 
 
 def build_topology(nodes: int) -> GraphTopology:
@@ -168,7 +169,7 @@ def _run_loop(
 
     Every edge pair runs once: its two gated messages are added straight
     into their destinations' running sums, which start as the nodes
-    themselves.  Pairs arrive intra (in ``intra_pairs`` order) and then
+    themselves.  Pairs arrive in ``topo.pairs()`` order, intra and then
     inter, so every node sums its messages intra by scale, then inter.
     """
     prefix = loop_prefix(config, loop)
@@ -181,10 +182,9 @@ def _run_loop(
         for o, t in enumerate(generate_nodes(features[m], grids, params, prefix, m))
     }
 
-    pairs = [((m, j), (m, k), f"{prefix}.intra.{m}") for m in MODALITIES for j, k in topo.intra_pairs]
-    pairs += [(("ir", o), ("vis", o), f"{prefix}.inter") for o in topo.inter_scales]
     totals = dict(nodes)
-    for a, b, name in pairs:
+    for a, b, group in topo.pairs():
+        name = f"{prefix}.{group}"
         into_b, into_a = difference_edges(nodes[a], nodes[b], params[f"{name}.weight"], params[f"{name}.bias"])
         totals[b] = ops.add(totals[b], pass_message(into_b, nodes[a]))
         totals[a] = ops.add(totals[a], pass_message(into_a, nodes[b]))

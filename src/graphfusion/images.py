@@ -43,6 +43,11 @@ def rgb_to_luma(rgb: np.ndarray) -> np.ndarray:
     return (r * rgb[:, :, 0] + g * rgb[:, :, 1] + b * rgb[:, :, 2]).astype(np.float32)
 
 
+def to_gray(img: np.ndarray) -> np.ndarray:
+    """Luma of a (H, W, 3) image; a (H, W) image comes back unchanged."""
+    return rgb_to_luma(img) if img.ndim == 3 else img
+
+
 def rgb_to_chroma(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full-range Cb/Cr companions to :func:`rgb_to_luma` (offset 0.5)."""
     y = rgb_to_luma(rgb)
@@ -177,10 +182,6 @@ def _scan(directory: Path) -> dict[str, Path]:
     return found
 
 
-def _as_gray(img: np.ndarray) -> np.ndarray:
-    return rgb_to_luma(img) if img.ndim == 3 else img
-
-
 def pair_directory(ir_dir: str | Path, vis_dir: str | Path) -> list[ImagePair]:
     """Match images across two directories by base filename.
 
@@ -204,8 +205,8 @@ def pair_directory(ir_dir: str | Path, vis_dir: str | Path) -> list[ImagePair]:
     for stem in common:
         ir_img = read_image(ir_files[stem])
         vis_img = read_image(vis_files[stem])
-        ir_gray = _as_gray(ir_img)
-        vis_gray = _as_gray(vis_img)
+        ir_gray = to_gray(ir_img)
+        vis_gray = to_gray(vis_img)
         if ir_gray.shape != vis_gray.shape:
             raise ValueError(
                 f"pair {stem!r}: size mismatch, infrared {ir_gray.shape} vs visible {vis_gray.shape}"

@@ -24,6 +24,7 @@ from .tensor import ShapeError, Tensor
 SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]], dtype=np.float32)
 SOBEL_Y = np.array([[1.0, 2.0, 1.0], [0.0, 0.0, 0.0], [-1.0, -2.0, -1.0]], dtype=np.float32)
 
+SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
@@ -55,7 +56,7 @@ def gaussian_window(window: int, sigma: float) -> np.ndarray:
     return (k / k.sum()).astype(np.float32)
 
 
-def ssim(x: Tensor, y: Tensor, window: int = SSIM_WINDOW, sigma: float = 1.5) -> Tensor:
+def ssim(x: Tensor, y: Tensor, window: int = SSIM_WINDOW) -> Tensor:
     """Mean structural similarity over valid Gaussian windows, as a scalar.
 
     Both inputs are (N, 1, H, W) with H, W >= window.  Identical inputs
@@ -68,7 +69,7 @@ def ssim(x: Tensor, y: Tensor, window: int = SSIM_WINDOW, sigma: float = 1.5) ->
     h, w = x.shape[2], x.shape[3]
     if h < window or w < window:
         raise ShapeError(f"ssim: image {h}x{w} smaller than window {window}")
-    kernel = Tensor(gaussian_window(window, sigma).reshape(1, 1, window, window))
+    kernel = Tensor(gaussian_window(window, SSIM_SIGMA).reshape(1, 1, window, window))
     zero = Tensor(np.zeros(1, dtype=np.float32))
 
     def blur(t: Tensor) -> Tensor:

@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import SSIM_WINDOW
 from .images import quantize
-from .losses import SOBEL_X, SOBEL_Y, SSIM_K1, SSIM_K2, gaussian_window
+from .losses import SOBEL_X, SOBEL_Y, SSIM_K1, SSIM_K2, SSIM_SIGMA, gaussian_window
 
 METRIC_COLUMNS = ("EN", "AG", "CC", "SCD", "Qabf", "SSIM")
 
@@ -132,7 +132,7 @@ def metric_qabf(ir, vis, fused) -> float:
     return float((q_af * g_a + q_bf * g_b).sum() / denom)
 
 
-def metric_ssim(x, y, window: int = SSIM_WINDOW, sigma: float = 1.5) -> float:
+def metric_ssim(x, y, window: int = SSIM_WINDOW) -> float:
     """Gaussian-windowed SSIM over valid windows, dynamic range 1."""
     a = _as_image(x)
     b = _as_image(y)
@@ -141,7 +141,7 @@ def metric_ssim(x, y, window: int = SSIM_WINDOW, sigma: float = 1.5) -> float:
     h, w = a.shape
     if h < window or w < window:
         raise ValueError(f"ssim: image {h}x{w} smaller than window {window}")
-    kern = gaussian_window(window, sigma).astype(np.float64)
+    kern = gaussian_window(window, SSIM_SIGMA).astype(np.float64)
 
     def blur(img: np.ndarray) -> np.ndarray:
         return np.tensordot(sliding_window_view(img, (window, window)), kern, axes=([2, 3], [0, 1]))

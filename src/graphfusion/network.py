@@ -1,6 +1,6 @@
 """Network assembly: parameter table, init, forward pass, checkpoints.
 
-Parameters live in an ordered name -> Tensor map whose layout is a pure
+Parameters are a plain ``dict`` from name to Tensor whose layout is a pure
 function of the config (see :func:`parameter_shapes`).  Initialization is
 He-normal on conv and linear weights (variance 2 / fan_in) with zero
 biases, drawn in table order from a seeded generator, so a (config, seed)
@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -92,32 +92,6 @@ def count_parameters(config: FusionConfig) -> int:
     return sum(int(np.prod(s)) for s in parameter_shapes(config).values())
 
 
-@dataclass
-class NetworkParams:
-    """Ordered name -> Tensor map plus the seed that produced it."""
-
-    tensors: dict[str, Tensor]
-    seed: int
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self.tensors[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
-
-    def __iter__(self):
-        return iter(self.tensors)
-
-    def __len__(self) -> int:
-        return len(self.tensors)
-
-    def names(self) -> list[str]:
-        return list(self.tensors)
-
-    def items(self):
-        return self.tensors.items()
-
-
 def he_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Zero-mean normal with variance 2 / fan_in, float32.
 
@@ -134,7 +108,7 @@ def he_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return rng.normal(0.0, std, size=shape).astype(np.float32)
 
 
-def init_params(config: FusionConfig, seed: int | None = None) -> NetworkParams:
+def init_params(config: FusionConfig, seed: int | None = None) -> dict[str, Tensor]:
     """Deterministically initialize every parameter the config calls for."""
     if seed is None:
         seed = config.seed
@@ -146,10 +120,10 @@ def init_params(config: FusionConfig, seed: int | None = None) -> NetworkParams:
         else:
             data = he_normal(rng, shape)
         tensors[name] = Tensor(data, requires_grad=True)
-    return NetworkParams(tensors=tensors, seed=seed)
+    return tensors
 
 
-def forward(ir: Tensor, vis: Tensor, params: NetworkParams, config: FusionConfig) -> Tensor:
+def forward(ir: Tensor, vis: Tensor, params: Mapping[str, Tensor], config: FusionConfig) -> Tensor:
     """Fuse a batch of image pairs; returns (N, 1, H, W) in (0, 1)."""
     if ir.shape != vis.shape:
         raise ShapeError(f"forward: input shapes differ, {ir.shape} vs {vis.shape}")
@@ -165,7 +139,7 @@ def forward(ir: Tensor, vis: Tensor, params: NetworkParams, config: FusionConfig
     return ops.sigmoid(ops.conv2d(h, params["head.conv2.weight"], params["head.conv2.bias"], 1, 1))
 
 
-def fuse_arrays(ir: np.ndarray, vis: np.ndarray, params: NetworkParams, config: FusionConfig) -> np.ndarray:
+def fuse_arrays(ir: np.ndarray, vis: np.ndarray, params: Mapping[str, Tensor], config: FusionConfig) -> np.ndarray:
     """Fuse two (H, W) float arrays outside any tape; returns (H, W)."""
     if ir.shape != vis.shape or ir.ndim != 2:
         raise ShapeError(f"fuse_arrays: need two equal (H, W) arrays, got {ir.shape} and {vis.shape}")
@@ -182,7 +156,7 @@ def fuse_arrays(ir: np.ndarray, vis: np.ndarray, params: NetworkParams, config: 
 # checkpoint io
 
 
-def save_checkpoint(path: str | Path, params: NetworkParams, config: FusionConfig) -> None:
+def save_checkpoint(path: str | Path, params: Mapping[str, Tensor], config: FusionConfig) -> None:
     """Write a checkpoint atomically.
 
     The bytes go to a temporary file next to ``path`` that then replaces
@@ -230,7 +204,7 @@ class _Reader:
 
 def load_checkpoint(
     path: str | Path, expected_config: FusionConfig | None = None
-) -> tuple[NetworkParams, FusionConfig]:
+) -> tuple[dict[str, Tensor], FusionConfig]:
     """Read a checkpoint; optionally validate against an expected config.
 
     The stored tensor set is always validated against the stored config's
@@ -252,7 +226,7 @@ def load_checkpoint(
     except (ValueError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"bad config blob: {exc}") from exc
     count = reader.u32("tensor count")
-    tensors: dict[str, Tensor] = {}
+    params: dict[str, Tensor] = {}
     for _ in range(count):
         name_len = reader.u32("name length")
         name = reader.take(name_len, "name").decode("utf-8")
@@ -260,20 +234,19 @@ def load_checkpoint(
         shape = tuple(reader.u32(f"dim of {name}") for _ in range(rank))
         n_bytes = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
         data = np.frombuffer(reader.take(n_bytes, f"data of {name}"), dtype="<f4").reshape(shape)
-        if name in tensors:
+        if name in params:
             raise CheckpointError(f"duplicate parameter {name}")
-        tensors[name] = Tensor(data.astype(np.float32), requires_grad=True)
+        params[name] = Tensor(data.astype(np.float32), requires_grad=True)
     if reader.pos != len(reader.blob):
         raise CheckpointError(f"trailing bytes after tensor data (byte {reader.pos})")
 
-    params = NetworkParams(tensors=tensors, seed=config.seed)
     _validate_against(params, config)
     if expected_config is not None:
         _validate_against(params, expected_config)
     return params, config
 
 
-def _validate_against(params: NetworkParams, config: FusionConfig) -> None:
+def _validate_against(params: Mapping[str, Tensor], config: FusionConfig) -> None:
     expected = parameter_shapes(config)
     for name, shape in expected.items():
         if name not in params:

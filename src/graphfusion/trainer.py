@@ -11,20 +11,23 @@ from __future__ import annotations
 import csv
 import io
 import logging
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .config import FusionConfig
 from .images import ImagePair
 from .losses import loss_components
-from .network import NetworkParams, forward, init_params, save_checkpoint
+from .network import forward, init_params, save_checkpoint
 from .tensor import Tape, Tensor
 
 log = logging.getLogger(__name__)
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -38,19 +41,16 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def init_adam(params: NetworkParams) -> AdamState:
+def init_adam(params: Mapping[str, Tensor]) -> AdamState:
     return AdamState(
         m={name: np.zeros_like(t.data) for name, t in params.items()},
         v={name: np.zeros_like(t.data) for name, t in params.items()},
     )
 
 
-def adam_step(params: NetworkParams, state: AdamState, lr: float, weight_decay: float = 0.0) -> None:
+def adam_step(params: Mapping[str, Tensor], state: AdamState, lr: float, weight_decay: float = 0.0) -> None:
     """One update over every parameter from its accumulated gradient.
 
     Decoupled weight decay shrinks the parameter by ``lr * weight_decay``
@@ -58,10 +58,10 @@ def adam_step(params: NetworkParams, state: AdamState, lr: float, weight_decay: 
     gradient is an error: every parameter must participate in the loss.
     """
     state.t += 1
-    b1, b2 = np.float32(state.beta1), np.float32(state.beta2)
+    b1, b2 = np.float32(ADAM_BETA1), np.float32(ADAM_BETA2)
     lr32 = np.float32(lr)
-    bc1 = np.float32(1.0 - state.beta1**state.t)
-    bc2 = np.float32(1.0 - state.beta2**state.t)
+    bc1 = np.float32(1.0 - ADAM_BETA1**state.t)
+    bc2 = np.float32(1.0 - ADAM_BETA2**state.t)
     for name, p in params.items():
         if p.grad is None:
             raise ValueError(f"adam_step: parameter {name} has no gradient")
@@ -76,7 +76,7 @@ def adam_step(params: NetworkParams, state: AdamState, lr: float, weight_decay: 
         v += (np.float32(1.0) - b2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        p.data -= lr32 * m_hat / (np.sqrt(v_hat) + np.float32(state.eps))
+        p.data -= lr32 * m_hat / (np.sqrt(v_hat) + np.float32(ADAM_EPS))
 
 
 def crop_windows(pairs: Sequence[ImagePair], crop: int, stride: int) -> list[tuple[int, int, int]]:
@@ -123,7 +123,6 @@ class LogRecord:
 @dataclass
 class TrainLog:
     records: list[LogRecord] = field(default_factory=list)
-    wall_seconds: float = 0.0
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -147,8 +146,8 @@ def train(
     checkpoint_path: str | Path | None = None,
     max_steps: int | None = None,
     log_every: int | None = None,
-    params: NetworkParams | None = None,
-) -> tuple[NetworkParams, TrainLog]:
+    params: dict[str, Tensor] | None = None,
+) -> tuple[dict[str, Tensor], TrainLog]:
     """Optimize the fusion network on crop batches drawn from ``pairs``.
 
     A checkpoint is rewritten after every epoch when a path is given.
@@ -161,7 +160,6 @@ def train(
     state = init_adam(params)
     wd = config.weight_decay if config.decay_mode == "weight_decay" else 0.0
     train_log = TrainLog()
-    started = time.perf_counter()
     step = 0
     done = False
     for epoch in range(config.epochs):
@@ -202,5 +200,4 @@ def train(
             save_checkpoint(checkpoint_path, params, config)
         if done:
             break
-    train_log.wall_seconds = time.perf_counter() - started
     return params, train_log

@@ -372,7 +372,7 @@ class TestAcceptance:
 
             config = FusionConfig(channels=4, nodes=3, loops=3, reduction=4)
             params = init_params(config, seed=3)
-            for name in params.names():
+            for name in params:
                 if ".ir." in name:
                     twin = name.replace(".ir.", ".vis.")
                     if twin in params:
@@ -526,7 +526,7 @@ class TestAcceptance:
                 paths[0].read_bytes() == paths[1].read_bytes(),
                 "two 50-step runs wrote different checkpoints",
             )
-            for name in runs[0][0].names():
+            for name in runs[0][0]:
                 if not np.array_equal(runs[0][0][name].data, runs[1][0][name].data):
                     c.check(False, f"parameter {name} differs between reruns")
                     break
@@ -556,7 +556,7 @@ class TestAcceptance:
             outputs = {}
             for label, config in variants.items():
                 params = init_params(config, seed=0)
-                names = set(params.names())
+                names = set(params)
                 has_salience = any(n.startswith("salience.") for n in names)
                 has_graph = any(n.startswith("graph.") for n in names)
                 c.check(has_salience == config.use_salience, f"{label}: salience parameters wrong")

@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from graphfusion import cli
+from graphfusion import cli, ops
 from graphfusion.config import FusionConfig
 from graphfusion.images import parse_netpbm, read_image, write_image
 from graphfusion.metrics import METRIC_COLUMNS
 from graphfusion.network import init_params, load_checkpoint, save_checkpoint
+from graphfusion.tensor import accumulate, record_op
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +278,24 @@ class TestGradcheck:
 
     def test_impossible_tolerance_fails_with_exit_1(self, capsys):
         assert cli.main(self.ARGS + ["--tol", "1e-14"]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.out
+        assert "gradcheck FAILED" in captured.err
+
+    def test_wrong_backward_fails_with_exit_1(self, capsys, monkeypatch):
+        # A sigmoid whose backward is 5% too large: the float64 reference is
+        # untouched, so every group that a sigmoid gate feeds must fail.
+        def sigmoid_with_wrong_backward(x):
+            half = np.float32(0.5)
+            out = half * np.tanh(half * x.data) + half
+
+            def backward(g):
+                accumulate(x, np.float32(1.05) * g * out * (1.0 - out))
+
+            return record_op(out, (x,), backward)
+
+        monkeypatch.setattr(ops, "sigmoid", sigmoid_with_wrong_backward)
+        assert cli.main(self.ARGS) == 1
         captured = capsys.readouterr()
         assert "FAIL" in captured.out
         assert "gradcheck FAILED" in captured.err

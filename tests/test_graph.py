@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from graphfusion import ops, reference
+from graphfusion import graph, ops, reference
 from graphfusion.config import FusionConfig
 from graphfusion.graph import (
     build_topology,
@@ -45,6 +45,16 @@ class TestTopology:
         inter = [e for e in edges if e[0][0] != e[1][0]]
         assert len(intra) == 12
         assert len(inter) == 6
+
+    def test_pairs_run_intra_per_modality_then_inter(self):
+        topo = build_topology(2)
+        assert topo.pairs() == [
+            (("ir", 0), ("ir", 1), "intra.ir"),
+            (("vis", 0), ("vis", 1), "intra.vis"),
+            (("ir", 0), ("vis", 0), "inter"),
+            (("ir", 1), ("vis", 1), "inter"),
+        ]
+        assert topo.directed_edges()[:2] == [(("ir", 0), ("ir", 1)), (("ir", 1), ("ir", 0))]
 
     def test_every_directed_edge_has_reverse(self):
         topo = build_topology(4)
@@ -98,6 +108,31 @@ class TestEdgesAndMessages:
         np.testing.assert_allclose(fwd.data, oracle_conv(a.data - b.data, w.data, bias.data, padding=1), atol=1e-5)
         np.testing.assert_allclose(rev.data, oracle_conv(b.data - a.data, w.data, bias.data, padding=1), atol=1e-5)
 
+        # In a whole graph every loop runs each pair once, in topo.pairs()
+        # order and with that pair's edge weight, at one conv per pair.
+        seen = []
+        edges = graph.difference_edges
+
+        def recording_edges(a, b, weight, bias):
+            before = len(calls)
+            out = edges(a, b, weight, bias)
+            assert len(calls) == before + 1
+            seen.append(weight)
+            return out
+
+        monkeypatch.setattr(graph, "difference_edges", recording_edges)
+        config = graph_config()
+        params = init_params(config, seed=0)
+        f_ir, f_vis = ([Tensor(rng.standard_normal((1, 4, 6, 6)).astype(np.float32))] * 3 for _ in range(2))
+        run_graph(f_ir, f_vis, params, config)
+        want = [
+            params[f"graph.loop{i}.{group}.weight"]
+            for i in range(1, config.loops + 1)
+            for _, _, group in build_topology(config.nodes).pairs()
+        ]
+        assert len(seen) == len(want) == 3 * 9
+        assert all(got is w for got, w in zip(seen, want))
+
     def test_message_is_sigmoid_gated_source(self, rng):
         edge = Tensor(rng.standard_normal((1, 2, 3, 3)).astype(np.float32))
         source = Tensor(rng.standard_normal((1, 2, 3, 3)).astype(np.float32))
@@ -109,7 +144,7 @@ class TestEdgesAndMessages:
 
 def _tie_modalities(params, config: FusionConfig) -> None:
     """Copy every infrared-side graph parameter onto the visible side."""
-    for name in params.names():
+    for name in params:
         if ".ir." in name or name.endswith(".ir.weight") or name.endswith(".ir.bias"):
             twin = name.replace(".ir.", ".vis.")
             if twin in params:

@@ -15,6 +15,7 @@ from graphfusion.images import (
     read_image,
     rgb_to_chroma,
     rgb_to_luma,
+    to_gray,
     write_image,
 )
 
@@ -57,6 +58,14 @@ class TestColorTransforms:
     def test_luma_rejects_non_rgb(self):
         with pytest.raises(ValueError):
             rgb_to_luma(np.zeros((3, 3)))
+
+    def test_to_gray_takes_luma_of_p6_and_keeps_p5(self, tmp_path, rng):
+        write_image(tmp_path / "c.ppm", rng.uniform(size=(4, 5, 3)))
+        write_image(tmp_path / "g.pgm", rng.uniform(size=(4, 5)))
+        color = read_image(tmp_path / "c.ppm")
+        gray = read_image(tmp_path / "g.pgm")
+        np.testing.assert_array_equal(to_gray(color), rgb_to_luma(color))
+        assert to_gray(gray) is gray
 
 
 class TestCodec:

@@ -65,14 +65,14 @@ class TestInitialization:
     def test_same_seed_is_bit_identical(self):
         a = init_params(cfg(**SMALL), seed=7)
         b = init_params(cfg(**SMALL), seed=7)
-        assert a.names() == b.names()
-        for name in a.names():
+        assert list(a) == list(b)
+        for name in a:
             np.testing.assert_array_equal(a[name].data, b[name].data)
 
     def test_different_seeds_differ(self):
         a = init_params(cfg(**SMALL), seed=0)
         b = init_params(cfg(**SMALL), seed=1)
-        assert any(not np.array_equal(a[n].data, b[n].data) for n in a.names())
+        assert any(not np.array_equal(a[n].data, b[n].data) for n in a)
 
     def test_biases_start_at_zero(self):
         params = init_params(cfg(**SMALL), seed=0)
@@ -159,8 +159,8 @@ class TestCheckpoint:
         save_checkpoint(path, params, config)
         loaded, loaded_config = load_checkpoint(path)
         assert loaded_config == config
-        assert loaded.names() == params.names()
-        for name in params.names():
+        assert list(loaded) == list(params)
+        for name in params:
             np.testing.assert_array_equal(loaded[name].data, params[name].data)
 
     def test_file_starts_with_magic(self, tmp_path):
@@ -237,7 +237,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, config)
         loaded, _ = load_checkpoint(path)
-        assert loaded.names() == params.names()
+        assert list(loaded) == list(params)
         blob = bytearray(path.read_bytes())
         import json
         import struct
@@ -246,7 +246,7 @@ class TestCheckpoint:
         count_at = 12 + config_len
         count = struct.unpack_from("<I", blob, count_at)[0]
         struct.pack_into("<I", blob, count_at, count - 1)
-        last = params.names()[-1]
+        last = list(params)[-1]
         record = struct.pack("<I", len(last.encode())) + last.encode()
         cut = bytes(blob).rindex(record)
         path.write_bytes(bytes(blob[:cut]))

@@ -8,7 +8,7 @@ import pytest
 from graphfusion import trainer
 from graphfusion.config import FusionConfig
 from graphfusion.images import ImagePair
-from graphfusion.network import NetworkParams, init_params, load_checkpoint
+from graphfusion.network import init_params, load_checkpoint
 from graphfusion.tensor import Tensor
 from graphfusion.trainer import (
     TrainingDiverged,
@@ -95,12 +95,12 @@ class TestCropSampling:
         assert found
 
 
-def single_param(value, grad) -> NetworkParams:
+def single_param(value, grad) -> dict[str, Tensor]:
     # np.array (not asarray): Tensor aliases float32 input, and adam_step
     # mutates in place, so the caller's array must stay untouched.
     t = Tensor(np.array(value, dtype=np.float32), requires_grad=True)
     t.grad = np.asarray(grad, dtype=np.float32)
-    return NetworkParams(tensors={"w": t}, seed=0)
+    return {"w": t}
 
 
 class TestAdam:
@@ -184,7 +184,7 @@ class TestTrainLoop:
         params1, log1 = train([pair], config, checkpoint_path=p1, max_steps=10)
         params2, log2 = train([pair], config, checkpoint_path=p2, max_steps=10)
         assert p1.read_bytes() == p2.read_bytes()
-        for name in params1.names():
+        for name in params1:
             np.testing.assert_array_equal(params1[name].data, params2[name].data)
         assert [r.total for r in log1.records] == [r.total for r in log2.records]
 
@@ -194,7 +194,7 @@ class TestTrainLoop:
         params, _ = train([make_pair()], config, checkpoint_path=path, max_steps=2)
         loaded, loaded_config = load_checkpoint(path)
         assert loaded_config == config
-        for name in params.names():
+        for name in params:
             np.testing.assert_array_equal(loaded[name].data, params[name].data)
 
     def test_resume_continues_from_given_params(self):
@@ -203,7 +203,7 @@ class TestTrainLoop:
         before = {n: t.data.copy() for n, t in params.items()}
         returned, _ = train([make_pair()], config, max_steps=1, params=params)
         assert returned is params
-        assert any(not np.array_equal(before[n], params[n].data) for n in params.names())
+        assert any(not np.array_equal(before[n], params[n].data) for n in params)
 
     def test_loss_decreases_over_short_run(self):
         config = tiny_config(epochs=100, lr=2e-3)
