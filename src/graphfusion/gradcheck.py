@@ -1,4 +1,4 @@
-"""Finite-difference verification of tape gradients.
+"""Numerical verification of tape gradients.
 
 Two entry points:
 
@@ -10,9 +10,10 @@ Two entry points:
   used in the tests.
 
 * :func:`check_parameter_groups` samples elements from each parameter of a
-  full network and compares the float32 tape gradient against central
-  differences of a float64 reference of the same scalar.  Errors are
-  normalized by each group's gradient scale and reported once per group.
+  full network and compares the float32 tape gradient against complex-step
+  derivatives of a float64 reference of the same scalar, one reference call
+  per probed element.  Errors are normalized by each group's gradient scale
+  and reported once per group.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ class GroupReport:
     error: float
     scale: float
     samples: int
-    skipped: int = 0
+    skipped: int = 0  # always 0, as every candidate is probed; perfbench/tracer.py reads it
 
 
 def default_group(name: str) -> str:
@@ -137,40 +138,41 @@ def default_group(name: str) -> str:
     return name.rsplit(".", 1)[0]
 
 
+COMPLEX_STEP = 1e-30
+
+
 def check_parameter_groups(
     f: Callable[[], Tensor],
     params: Mapping[str, Tensor],
-    reference: Callable[[Mapping[str, np.ndarray]], float],
-    epsilon: float = 1e-6,
+    reference: Callable[[Mapping[str, np.ndarray]], complex],
     samples_per_tensor: int = 6,
     seed: int = 0,
 ) -> dict[str, GroupReport]:
-    """Sampled finite-difference check of ``f`` against every parameter.
+    """Sampled complex-step check of ``f`` against every parameter.
 
     Analytic gradients come from one taped backward pass of ``f``.  The
-    numeric side is central differences of ``reference`` -- a float64
-    re-implementation of the same scalar, called with a name -> array
-    mapping -- probed on double-precision copies of the parameters so a
-    step of ``epsilon`` ~ 1e-6 is representable and rounding noise stays
-    far below the 1e-2 tolerances of interest.  Parameters are grouped by
-    layer (:func:`default_group`).
+    numeric side is the complex-step derivative of ``reference`` -- a
+    float64 re-implementation of the same scalar that also runs on complex
+    arrays, called with a name -> array mapping.  Each probe adds
+    ``i * COMPLEX_STEP`` to one element of complex128 copies of the
+    parameters and reads ``reference(arrays).imag / COMPLEX_STEP``: one
+    call, no subtraction and so no rounding noise, and no step size to
+    tune.  The reference takes every ReLU, max-pool, |x| and sqrt branch on
+    the real part with the tape's tie rule, so a probe that sits exactly on
+    a kink measures the slope the tape takes there.  Parameters are grouped
+    by layer (:func:`default_group`).
 
     For each parameter tensor the element with the largest analytic
-    gradient plus seeded random elements are probed until
-    ``samples_per_tensor`` usable probes are collected (or candidates run
-    out).  Within each group the reported error is
+    gradient is probed, then seeded random elements, up to
+    ``samples_per_tensor`` probes.  Within each group the reported error is
     ``max |a - n| / max(group gradient scale, 1e-8)`` where the scale is
-    the largest ``max(|a|, |n|)`` seen in the group.
-
-    A probe is usable only when central differences at ``epsilon`` and
-    ``epsilon / 2`` agree.  Networks with max pooling, ReLU and |x| are
-    piecewise smooth: a probe interval that straddles a kink measures a
-    mixture of two branch slopes and carries no information about the
-    derivative at the point itself, so such elements are skipped (counted
-    in ``GroupReport.skipped``) and replacements drawn.  A wrong analytic
-    gradient is still caught: its finite differences agree with each other
-    while disagreeing with the tape.
+    the largest ``max(|a|, |n|)`` seen in the group.  ``GroupReport.skipped``
+    is always 0: every candidate is probed.
     """
+    if samples_per_tensor < 1:
+        raise ValueError(
+            f"check_parameter_groups: samples_per_tensor must be at least 1, got {samples_per_tensor}"
+        )
     with Tape() as tape:
         out = f()
         if out.data.size != 1:
@@ -182,53 +184,29 @@ def check_parameter_groups(
         }
         tape.clear()
 
-    arrays = {name: t.data.astype(np.float64) for name, t in params.items()}
+    arrays = {name: t.data.astype(np.complex128) for name, t in params.items()}
 
-    def probe(name: str, j: int, eps: float) -> float:
+    def probe(name: str, j: int) -> float:
         flat = arrays[name].reshape(-1)
-        orig = flat[j]
-        flat[j] = orig + eps
-        hi = reference(arrays)
-        flat[j] = orig - eps
-        lo = reference(arrays)
-        flat[j] = orig
-        return (hi - lo) / (2.0 * eps)
+        flat.imag[j] = COMPLEX_STEP
+        slope = reference(arrays).imag / COMPLEX_STEP
+        flat.imag[j] = 0.0
+        return float(slope)
 
     rng = np.random.default_rng(seed)
     pairs: dict[str, list[tuple[float, float]]] = {}
-    counts: dict[str, int] = {}
-    skips: dict[str, int] = {}
     for name, t in params.items():
         grads = analytic[name].reshape(-1)
-        tensor_scale = float(np.max(np.abs(grads))) if grads.size else 0.0
         candidates = [int(np.argmax(np.abs(grads)))]
         if t.size > 1:
             order = rng.permutation(t.size)
             candidates += [int(i) for i in order if int(i) != candidates[0]]
-        group = default_group(name)
-        bucket = pairs.setdefault(group, [])
-        counts.setdefault(group, 0)
-        skips.setdefault(group, 0)
-        taken = 0
-        budget = 3 * samples_per_tensor
-        for j in candidates:
-            if taken >= samples_per_tensor or budget <= 0:
-                break
-            budget -= 1
-            n1 = probe(name, j, epsilon)
-            n2 = probe(name, j, epsilon / 2)
-            gate = max(0.02 * tensor_scale, 0.08 * max(abs(n1), abs(n2)), 1e-9)
-            if abs(n1 - n2) > gate:
-                skips[group] += 1
-                continue
-            bucket.append((float(grads[j]), n1))
-            counts[group] += 1
-            taken += 1
+        bucket = pairs.setdefault(default_group(name), [])
+        bucket += [(float(grads[j]), probe(name, j)) for j in candidates[:samples_per_tensor]]
 
     reports: dict[str, GroupReport] = {}
     for group, ab in pairs.items():
-        scale = max((max(abs(a), abs(n)) for a, n in ab), default=0.0)
-        denom = max(scale, 1e-8)
-        err = max((abs(a - n) for a, n in ab), default=0.0) / denom
-        reports[group] = GroupReport(group, err, scale, counts[group], skips[group])
+        scale = max(max(abs(a), abs(n)) for a, n in ab)
+        err = max(abs(a - n) for a, n in ab) / max(scale, 1e-8)
+        reports[group] = GroupReport(group, err, scale, len(ab))
     return reports

@@ -4,12 +4,15 @@ This mirrors the float32 network (:mod:`graphfusion.network`) and losses
 (:mod:`graphfusion.losses`) with plain numpy in double precision, driven by
 a name -> array mapping instead of the tape machinery.  Two uses:
 
-* Derivative checking.  Central differences on the float32 network need a
-  step large enough to beat rounding noise, but any step that large keeps
-  straddling ReLU and |x| kinks somewhere inside a deep network, which
-  biases the quotient without shrinking as the step does.  Differences
-  taken here at steps around 1e-6 sit far below both effects, so tape
-  gradients can be validated at tight tolerance.
+* Derivative checking by complex step.  Every function here also runs on
+  complex128 parameters, so ``reference_loss(p + i h e_j).imag / h`` is the
+  derivative along parameter element ``j``, with no subtraction and hence
+  no cancellation, even at ``h = 1e-30``.  Each non-smooth point takes its
+  branch on the real part with the tape's tie rule: ReLU and |x| have slope
+  0 at 0, the Sobel magnitude has gradient 0 where it is 0, and max pooling
+  routes to the first maximum of a window in row-major order.  So the probe
+  measures the slope the tape computes, even where a probe sits exactly on
+  a kink, which a finite difference straddles.
 
 * An independent forward oracle: the float32 network must agree with this
   implementation to within accumulated single-precision rounding.
@@ -44,23 +47,24 @@ def _conv(x: np.ndarray, k: np.ndarray, b: np.ndarray, stride: int = 1, padding:
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+    return np.where(x.real > 0, x, 0)
+
+
+def _abs(x: np.ndarray) -> np.ndarray:
+    return x * np.sign(x.real)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return 0.5 * np.tanh(0.5 * x) + 0.5
 
 
 def _maxpool(x: np.ndarray, window: int, stride: int, padding: int) -> np.ndarray:
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), constant_values=-np.inf)
-    win = np.lib.stride_tricks.sliding_window_view(x, (window, window), axis=(2, 3))
-    return win[:, :, ::stride, ::stride].max(axis=(4, 5))
+    win = np.lib.stride_tricks.sliding_window_view(x, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
+    flat = win.reshape(win.shape[:4] + (window * window,))
+    first = np.argmax(flat.real, axis=4)[..., None]
+    return np.take_along_axis(flat, first, axis=4)[..., 0]
 
 
 def _avgpool(x: np.ndarray, window: int, stride: int, padding: int) -> np.ndarray:
@@ -83,7 +87,7 @@ def _adaptive_avgpool(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     def bounds(size: int, out: int) -> list[tuple[int, int]]:
         return [(size * i // out, -(-size * (i + 1) // out)) for i in range(out)]
 
-    res = np.empty((n, c, out_h, out_w), dtype=np.float64)
+    res = np.empty((n, c, out_h, out_w), dtype=x.dtype)
     for i, (r0, r1) in enumerate(bounds(h, out_h)):
         for j, (c0, c1) in enumerate(bounds(w, out_w)):
             res[:, :, i, j] = x[:, :, r0:r1, c0:c1].mean(axis=(2, 3))
@@ -229,7 +233,10 @@ def _run_graph(
 
 def reference_forward(ir: np.ndarray, vis: np.ndarray, arrays: Arrays, config: FusionConfig) -> np.ndarray:
     """Double-precision fused image for (N, 1, H, W) inputs."""
-    p = {name: np.asarray(a, dtype=np.float64) for name, a in arrays.items()}
+    p = {
+        name: np.asarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
+        for name, a in arrays.items()
+    }
     ir = np.asarray(ir, dtype=np.float64)
     vis = np.asarray(vis, dtype=np.float64)
     feats_ir = _extract(ir, p, "ir", config)
@@ -250,10 +257,11 @@ def _sobel_magnitude(img: np.ndarray) -> np.ndarray:
     zero = np.zeros(1)
     gx = _conv(img, sx.reshape(1, 1, 3, 3), zero, 1, 1)
     gy = _conv(img, sy.reshape(1, 1, 3, 3), zero, 1, 1)
-    return np.sqrt(gx * gx + gy * gy)
+    u = gx * gx + gy * gy
+    return np.where(u.real > 0, np.sqrt(u), 0)
 
 
-def _ssim_mean(x: np.ndarray, y: np.ndarray, window: int, sigma: float = 1.5) -> float:
+def _ssim_mean(x: np.ndarray, y: np.ndarray, window: int, sigma: float = 1.5) -> np.float64 | np.complex128:
     half = (window - 1) / 2.0
     coords = np.arange(window, dtype=np.float64) - half
     g = np.exp(-(coords**2) / (2.0 * sigma * sigma))
@@ -271,22 +279,24 @@ def _ssim_mean(x: np.ndarray, y: np.ndarray, window: int, sigma: float = 1.5) ->
     cov = blur(x * y) - mu_x * mu_y
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
     den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
-    return float((num / den).mean())
+    return (num / den).mean()
 
 
 def reference_loss(
     ir: np.ndarray, vis: np.ndarray, arrays: Arrays, config: FusionConfig, ssim_window: int = 11
-) -> float:
-    """Double-precision total training objective (scalar float)."""
+) -> np.float64 | np.complex128:
+    """Double-precision total training objective.
+
+    A scalar ``np.float64`` (a ``float``) for real parameters, and an
+    ``np.complex128`` when any parameter array is complex.
+    """
     ir = np.asarray(ir, dtype=np.float64)
     vis = np.asarray(vis, dtype=np.float64)
     fused = reference_forward(ir, vis, arrays, config)
     target = 0.5 * (ir + vis)
-    total = float(((fused - target) ** 2).mean())
+    total = ((fused - target) ** 2).mean()
     if config.alpha:
-        resid = float(
-            np.abs(_sobel_magnitude(fused) - np.maximum(_sobel_magnitude(ir), _sobel_magnitude(vis))).mean()
-        )
+        resid = _abs(_sobel_magnitude(fused) - np.maximum(_sobel_magnitude(ir), _sobel_magnitude(vis))).mean()
         if config.edge_loss_squared:
             resid = resid * resid
         total += config.alpha * resid

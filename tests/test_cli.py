@@ -7,10 +7,11 @@ import pytest
 
 from graphfusion import cli, ops
 from graphfusion.config import FusionConfig
+from graphfusion.gradcheck import check_parameter_groups
 from graphfusion.images import parse_netpbm, read_image, write_image
 from graphfusion.metrics import METRIC_COLUMNS
 from graphfusion.network import init_params, load_checkpoint, save_checkpoint
-from graphfusion.tensor import accumulate, record_op
+from graphfusion.tensor import Tensor, accumulate, record_op
 
 
 @pytest.fixture(scope="module")
@@ -303,6 +304,25 @@ class TestGradcheck:
     def test_tiny_size_rejected(self, capsys):
         assert cli.main(["gradcheck", "--size", "2"]) == 2
         assert "--size" in capsys.readouterr().err
+
+    def test_zero_samples_rejected(self, capsys):
+        # With no samples a group would be checked against nothing and pass.
+        argv = ["gradcheck", "--size", "5", "--channels", "2", "--nodes", "1", "--loops", "1", "--samples", "0"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--samples" in captured.err
+        assert "passed" not in captured.out
+        params = {"w": Tensor(np.ones(3, dtype=np.float32), requires_grad=True)}
+        with pytest.raises(ValueError, match="samples_per_tensor"):
+            check_parameter_groups(lambda: ops.reduce_sum(params["w"]), params, lambda a: 0.0, samples_per_tensor=0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_two_channel_net_passes(self, seed, capsys):
+        # Two channels leave many ReLU and max-pool inputs exactly tied, so
+        # probes sit on kinks; the reference must take the tape's branch there.
+        argv = ["gradcheck", "--size", "5", "--channels", "2", "--nodes", "1", "--loops", "3",
+                "--samples", "1", "--seed", str(seed)]
+        assert cli.main(argv) == 0, capsys.readouterr().out
 
 
 class TestUsage:
