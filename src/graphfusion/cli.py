@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=3)
     p.add_argument("--loops", type=int, default=3)
     p.add_argument("--samples", type=int, default=6, help="probed elements per parameter tensor")
-    p.add_argument("--tol", type=float, default=1e-2)
+    p.add_argument("--tol", type=float, default=1e-2, help="largest passing error per group, in (0, 1)")
 
     return parser
 
@@ -159,6 +159,10 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         return _fail("--size must be at least 4")
     if args.samples < 1:
         return _fail("--samples must be at least 1")
+    # The error is relative to each group's gradient scale, so a tolerance of
+    # 1 or more accepts derivatives that are entirely wrong.
+    if not 0.0 < args.tol < 1.0:
+        return _fail(f"--tol must be between 0 and 1 (exclusive), got {args.tol:g}")
     config = FusionConfig(
         channels=args.channels,
         nodes=args.nodes,
@@ -180,7 +184,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         fused = forward(ir, vis, params, config)
         return loss_total(fused, ir, vis, config, ssim_window=window)
 
-    def objective64(arrays) -> complex:
+    def objective64(arrays) -> np.ndarray:
         return reference_loss(ir.data, vis.data, arrays, config, ssim_window=window)
 
     reports = check_parameter_groups(

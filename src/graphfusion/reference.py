@@ -14,6 +14,16 @@ a name -> array mapping instead of the tape machinery.  Two uses:
   measures the slope the tape computes, even where a probe sits exactly on
   a kink, which a finite difference straddles.
 
+  Many probes ride one call.  Any parameter array may carry one leading
+  probe axis of length K (or of length 1, which broadcasts); an array
+  without it applies to every probe.  Every helper works on the trailing
+  (N, C, H, W) axes and broadcasts the leading ones, so activations stay
+  unbatched up to the first layer with a probed parameter, and
+  :func:`reference_loss` returns shape ``(K,)``.  With one complex step
+  per row this is vector-mode forward differentiation: K derivatives from
+  one call.  A conv is one ``matmul`` of per-probe kernels with the
+  unrolled windows.
+
 * An independent forward oracle: the float32 network must agree with this
   implementation to within accumulated single-precision rounding.
 
@@ -32,18 +42,49 @@ from .config import FusionConfig
 
 Arrays = Mapping[str, np.ndarray]
 
+# The (N, C, H, W) axes of a map; a loss is reduced over these only.
+_SAMPLE_AXES = (-4, -3, -2, -1)
+
+
+def _pad(x: np.ndarray, padding: int, value: float = 0.0) -> np.ndarray:
+    h, w = x.shape[-2:]
+    out = np.full(x.shape[:-2] + (h + 2 * padding, w + 2 * padding), value, dtype=x.dtype)
+    out[..., padding : padding + h, padding : padding + w] = x
+    return out
+
+
+def _windows(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """``(..., H, W) -> (..., OH, OW, kh, kw)`` view of every window."""
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(-2, -1))
+    return win[..., ::stride, ::stride, :, :]
+
+
+def _bias(b: np.ndarray) -> np.ndarray:
+    """``(..., OC) -> (..., 1, OC, 1, 1)``, to add to a ``(..., N, OC, H, W)`` map."""
+    return b[..., None, :, None, None]
+
+
+def _correlate(x: np.ndarray, k: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
+    """Bias-free cross-correlation of ``(..., N, C, H, W)`` with ``(..., OC, C, kh, kw)``."""
+    oc, c, kh, kw = k.shape[-4:]
+    if padding:
+        x = _pad(x, padding)
+    win = _windows(x, kh, kw, stride)
+    oh, ow = win.shape[-4:-2]
+    # (..., N, C, OH, OW, kh, kw) -> (..., N, C * kh * kw, OH * OW), one matrix per sample.
+    cols = np.moveaxis(win, (-2, -1), (-4, -3)).reshape(win.shape[:-5] + (c * kh * kw, oh * ow))
+    out = k.reshape(k.shape[:-4] + (1, oc, c * kh * kw)) @ cols
+    return out.reshape(out.shape[:-1] + (oh, ow))
+
 
 def _conv(x: np.ndarray, k: np.ndarray, b: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
-    n, c, h, w = x.shape
-    oc, _, kh, kw = k.shape
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh = (x.shape[2] - kh) // stride + 1
-    ow = (x.shape[3] - kw) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    out = np.einsum("nchwij,ocij->nohw", win, k, optimize=True)
-    return out + b.reshape(1, oc, 1, 1)
+    return _correlate(x, k, stride, padding) + _bias(b)
+
+
+def _cat(xs: Sequence[np.ndarray]) -> np.ndarray:
+    """Concatenate on the channel axis, broadcasting the leading probe axes."""
+    lead = np.broadcast_shapes(*(x.shape[:-3] for x in xs))
+    return np.concatenate([np.broadcast_to(x, lead + x.shape[-3:]) for x in xs], axis=-3)
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
@@ -60,42 +101,37 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def _maxpool(x: np.ndarray, window: int, stride: int, padding: int) -> np.ndarray:
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), constant_values=-np.inf)
-    win = np.lib.stride_tricks.sliding_window_view(x, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
-    flat = win.reshape(win.shape[:4] + (window * window,))
-    first = np.argmax(flat.real, axis=4)[..., None]
-    return np.take_along_axis(flat, first, axis=4)[..., 0]
+        x = _pad(x, padding, -np.inf)
+    win = _windows(x, window, window, stride)
+    flat = win.reshape(win.shape[:-2] + (window * window,))
+    first = np.argmax(flat.real, axis=-1)[..., None]
+    return np.take_along_axis(flat, first, axis=-1)[..., 0]
 
 
 def _avgpool(x: np.ndarray, window: int, stride: int, padding: int) -> np.ndarray:
-    n, c, h, w = x.shape
-    if padding:
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x
-    win = np.lib.stride_tricks.sliding_window_view(xp, (window, window), axis=(2, 3))
-    sums = win[:, :, ::stride, ::stride].sum(axis=(4, 5))
-    oh, ow = sums.shape[2], sums.shape[3]
+    h, w = x.shape[-2:]
+    sums = _windows(_pad(x, padding) if padding else x, window, window, stride).sum(axis=(-2, -1))
+    oh, ow = sums.shape[-2:]
     rows = np.minimum(np.arange(oh) * stride + window, h + padding) - np.maximum(np.arange(oh) * stride, padding)
     cols = np.minimum(np.arange(ow) * stride + window, w + padding) - np.maximum(np.arange(ow) * stride, padding)
     return sums / (rows[:, None] * cols[None, :]).astype(np.float64)
 
 
 def _adaptive_avgpool(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    n, c, h, w = x.shape
+    h, w = x.shape[-2:]
 
     def bounds(size: int, out: int) -> list[tuple[int, int]]:
         return [(size * i // out, -(-size * (i + 1) // out)) for i in range(out)]
 
-    res = np.empty((n, c, out_h, out_w), dtype=x.dtype)
+    res = np.empty(x.shape[:-2] + (out_h, out_w), dtype=x.dtype)
     for i, (r0, r1) in enumerate(bounds(h, out_h)):
         for j, (c0, c1) in enumerate(bounds(w, out_w)):
-            res[:, :, i, j] = x[:, :, r0:r1, c0:c1].mean(axis=(2, 3))
+            res[..., i, j] = x[..., r0:r1, c0:c1].mean(axis=(-2, -1))
     return res
 
 
 def _upsample(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    n, c, h, w = x.shape
+    h, w = x.shape[-2:]
 
     def grid(size: int, out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if out == 1 or size == 1:
@@ -107,21 +143,22 @@ def _upsample(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
     r0, r1, tr = grid(h, out_h)
     c0, c1, tc = grid(w, out_w)
-    a = x[:, :, r0, :]
-    rows = a + tr[None, None, :, None] * (x[:, :, r1, :] - a)
-    left = rows[:, :, :, c0]
-    return left + tc[None, None, None, :] * (rows[:, :, :, c1] - left)
+    a = x[..., r0, :]
+    rows = a + tr[:, None] * (x[..., r1, :] - a)
+    left = rows[..., c0]
+    return left + tc * (rows[..., c1] - left)
 
 
 def _fc(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return x.reshape(x.shape[0], -1) @ w.T + b
+    """``(..., N, C)`` through ``(..., O, C)`` weights to ``(..., N, O)``."""
+    return x @ np.swapaxes(w, -1, -2) + b[..., None, :]
 
 
 def _channel_attention(x: np.ndarray, p: Arrays, prefix: str) -> np.ndarray:
-    pooled = _adaptive_avgpool(x, 1, 1)
+    pooled = _adaptive_avgpool(x, 1, 1)[..., 0, 0]
     hidden = _relu(_fc(pooled, p[f"{prefix}.fc1.weight"], p[f"{prefix}.fc1.bias"]))
     raw = _fc(hidden, p[f"{prefix}.fc2.weight"], p[f"{prefix}.fc2.bias"])
-    return _sigmoid(raw).reshape(x.shape[0], x.shape[1], 1, 1)
+    return _sigmoid(raw)[..., None, None]
 
 
 def _salience(x: np.ndarray, p: Arrays, modality: str) -> np.ndarray:
@@ -150,89 +187,105 @@ def _extract(image: np.ndarray, p: Arrays, modality: str, config: FusionConfig) 
     return feats
 
 
+_MODALITIES = ("ir", "vis")
+
+
+def _run_loop(
+    feats: Mapping[str, np.ndarray],
+    injections: dict[str, list[np.ndarray]] | None,
+    p: Arrays,
+    prefix: str,
+    config: FusionConfig,
+    deliver: bool,
+) -> tuple[dict[str, np.ndarray], dict[str, list[np.ndarray]] | None]:
+    """One graph loop: its leader per modality, and the next loop's injections if ``deliver``."""
+    nnodes = config.nodes
+    h, w = feats["ir"].shape[-2:]
+    cap = min(h, w)
+    grids = [min(2**i, cap) for i in range(nnodes)]
+
+    nodes: dict[tuple[str, int], np.ndarray] = {}
+    for m in _MODALITIES:
+        for o, g in enumerate(grids):
+            pooled = _adaptive_avgpool(feats[m], g, g)
+            mixed = _conv(pooled, p[f"{prefix}.node{o}.{m}.weight"], p[f"{prefix}.node{o}.{m}.bias"])
+            node = _upsample(mixed, h, w)
+            if injections is not None:
+                # Popped, so a probe-batched call frees each injection once used.
+                node = node + injections[m].pop(0)
+            nodes[(m, o)] = node
+
+    # Each node sums its gated messages into a running total that starts as
+    # the node.  The conv of b - a is minus the bias-free conv of a - b, so
+    # one correlation serves both directed edges of a pair.  Pairs come intra
+    # first, each in (j, k) order, then inter, so every node adds its sources
+    # in ascending order and its inter message last.
+    totals = dict(nodes)
+
+    def edge_pair(a: tuple[str, int], b: tuple[str, int], name: str) -> None:
+        s = _correlate(nodes[a] - nodes[b], p[f"{prefix}.{name}.weight"], 1, 1)
+        bias = _bias(p[f"{prefix}.{name}.bias"])
+        totals[b] = totals[b] + _sigmoid(s + bias) * nodes[a]
+        totals[a] = totals[a] + _sigmoid(bias - s) * nodes[b]
+
+    for m in _MODALITIES:
+        for j in range(nnodes):
+            for k in range(j + 1, nnodes):
+                edge_pair((m, j), (m, k), f"intra.{m}")
+    for o in range(nnodes):
+        edge_pair(("ir", o), ("vis", o), "inter")
+
+    updated = {
+        (m, o): _relu(_conv(total, p[f"{prefix}.update.{m}.weight"], p[f"{prefix}.update.{m}.bias"], 1, 1))
+        for (m, o), total in totals.items()
+    }
+    leaders = {
+        m: _conv(
+            _cat([updated[(m, o)] for o in range(nnodes)]),
+            p[f"{prefix}.leader.{m}.weight"],
+            p[f"{prefix}.leader.{m}.bias"],
+        )
+        for m in _MODALITIES
+    }
+    if not deliver:
+        return leaders, None
+    injections = {}
+    for m in _MODALITIES:
+        gate = _sigmoid(_adaptive_avgpool(leaders[m], 1, 1))
+        injections[m] = [
+            _conv(updated[(m, o)], p[f"{prefix}.deliver{o}.{m}.weight"], p[f"{prefix}.deliver{o}.{m}.bias"], 1, 1)
+            * gate
+            for o in range(nnodes)
+        ]
+    return leaders, injections
+
+
 def _run_graph(
     feats_ir: Sequence[np.ndarray], feats_vis: Sequence[np.ndarray], p: Arrays, config: FusionConfig
 ) -> dict[str, np.ndarray]:
-    modalities = ("ir", "vis")
-    nnodes = config.nodes
-    intra_pairs = [(j, k) for j in range(nnodes) for k in range(j + 1, nnodes)]
-    leaders: dict[str, list[np.ndarray]] = {m: [] for m in modalities}
-    injections: dict[str, list[np.ndarray]] | None = None
-
+    leaders: dict[str, list[np.ndarray]] = {m: [] for m in _MODALITIES}
+    injections = None
     for loop in range(1, config.loops + 1):
         prefix = f"graph.loop{1 if config.share_loop_params else loop}"
         idx = min(loop, len(feats_ir)) - 1
-        feats = {"ir": feats_ir[idx], "vis": feats_vis[idx]}
-        h, w = feats["ir"].shape[2], feats["ir"].shape[3]
-        cap = min(h, w)
-        grids = [min(2**i, cap) for i in range(nnodes)]
-
-        nodes: dict[tuple[str, int], np.ndarray] = {}
-        for m in modalities:
-            for o, g in enumerate(grids):
-                pooled = _adaptive_avgpool(feats[m], g, g)
-                mixed = _conv(pooled, p[f"{prefix}.node{o}.{m}.weight"], p[f"{prefix}.node{o}.{m}.bias"])
-                node = _upsample(mixed, h, w)
-                if injections is not None:
-                    node = node + injections[m][o]
-                nodes[(m, o)] = node
-
-        edges: dict[tuple, np.ndarray] = {}
-        for m in modalities:
-            for j, k in intra_pairs:
-                d = nodes[(m, j)] - nodes[(m, k)]
-                kw_, kb = p[f"{prefix}.intra.{m}.weight"], p[f"{prefix}.intra.{m}.bias"]
-                edges[((m, j), (m, k))] = _conv(d, kw_, kb, 1, 1)
-                edges[((m, k), (m, j))] = _conv(-d, kw_, kb, 1, 1)
-        for o in range(nnodes):
-            d = nodes[("ir", o)] - nodes[("vis", o)]
-            kw_, kb = p[f"{prefix}.inter.weight"], p[f"{prefix}.inter.bias"]
-            edges[(("ir", o), ("vis", o))] = _conv(d, kw_, kb, 1, 1)
-            edges[(("vis", o), ("ir", o))] = _conv(-d, kw_, kb, 1, 1)
-
-        updated: dict[tuple[str, int], np.ndarray] = {}
-        for m in modalities:
-            other = "vis" if m == "ir" else "ir"
-            for o in range(nnodes):
-                s = nodes[(m, o)].copy()
-                srcs = sorted({j for j, k in intra_pairs if k == o} | {k for j, k in intra_pairs if j == o})
-                for j in srcs:
-                    s += _sigmoid(edges[((m, j), (m, o))]) * nodes[(m, j)]
-                s += _sigmoid(edges[((other, o), (m, o))]) * nodes[(other, o)]
-                updated[(m, o)] = _relu(
-                    _conv(s, p[f"{prefix}.update.{m}.weight"], p[f"{prefix}.update.{m}.bias"], 1, 1)
-                )
-
-        for m in modalities:
-            cat = np.concatenate([updated[(m, o)] for o in range(nnodes)], axis=1)
-            leaders[m].append(_conv(cat, p[f"{prefix}.leader.{m}.weight"], p[f"{prefix}.leader.{m}.bias"]))
-
-        if config.use_leader and loop < config.loops:
-            injections = {}
-            for m in modalities:
-                gate = _sigmoid(_adaptive_avgpool(leaders[m][-1], 1, 1))
-                injections[m] = [
-                    _conv(
-                        updated[(m, o)],
-                        p[f"{prefix}.deliver{o}.{m}.weight"],
-                        p[f"{prefix}.deliver{o}.{m}.bias"],
-                        1,
-                        1,
-                    )
-                    * gate
-                    for o in range(nnodes)
-                ]
-        else:
-            injections = None
-
+        deliver = config.use_leader and loop < config.loops
+        out, injections = _run_loop(
+            {"ir": feats_ir[idx], "vis": feats_vis[idx]}, injections, p, prefix, config, deliver
+        )
+        for m in _MODALITIES:
+            leaders[m].append(out[m])
     return {
-        m: _conv(np.concatenate(leaders[m], axis=1), p[f"graph.mix.{m}.weight"], p[f"graph.mix.{m}.bias"])
-        for m in modalities
+        m: _conv(_cat(leaders[m]), p[f"graph.mix.{m}.weight"], p[f"graph.mix.{m}.bias"])
+        for m in _MODALITIES
     }
 
 
 def reference_forward(ir: np.ndarray, vis: np.ndarray, arrays: Arrays, config: FusionConfig) -> np.ndarray:
-    """Double-precision fused image for (N, 1, H, W) inputs."""
+    """Double-precision fused image for (N, 1, H, W) inputs.
+
+    ``(N, 1, H, W)`` for plain parameter arrays, ``(K, N, 1, H, W)`` when
+    any carries a probe axis of length K.
+    """
     p = {
         name: np.asarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
         for name, a in arrays.items()
@@ -246,7 +299,7 @@ def reference_forward(ir: np.ndarray, vis: np.ndarray, arrays: Arrays, config: F
         g_ir, g_vis = out["ir"], out["vis"]
     else:
         g_ir, g_vis = feats_ir[-1], feats_vis[-1]
-    h = np.concatenate([g_ir, g_vis], axis=1)
+    h = _cat([g_ir, g_vis])
     h = _relu(_conv(h, p["head.conv1.weight"], p["head.conv1.bias"], 1, 1))
     return _sigmoid(_conv(h, p["head.conv2.weight"], p["head.conv2.bias"], 1, 1))
 
@@ -254,23 +307,23 @@ def reference_forward(ir: np.ndarray, vis: np.ndarray, arrays: Arrays, config: F
 def _sobel_magnitude(img: np.ndarray) -> np.ndarray:
     sx = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
     sy = np.array([[1.0, 2.0, 1.0], [0.0, 0.0, 0.0], [-1.0, -2.0, -1.0]])
-    zero = np.zeros(1)
-    gx = _conv(img, sx.reshape(1, 1, 3, 3), zero, 1, 1)
-    gy = _conv(img, sy.reshape(1, 1, 3, 3), zero, 1, 1)
+    gx = _correlate(img, sx.reshape(1, 1, 3, 3), 1, 1)
+    gy = _correlate(img, sy.reshape(1, 1, 3, 3), 1, 1)
     u = gx * gx + gy * gy
     return np.where(u.real > 0, np.sqrt(u), 0)
 
 
-def _ssim_mean(x: np.ndarray, y: np.ndarray, window: int, sigma: float = 1.5) -> np.float64 | np.complex128:
+def _ssim_mean(
+    x: np.ndarray, y: np.ndarray, window: int, sigma: float = 1.5
+) -> np.float64 | np.complex128 | np.ndarray:
     half = (window - 1) / 2.0
     coords = np.arange(window, dtype=np.float64) - half
     g = np.exp(-(coords**2) / (2.0 * sigma * sigma))
     kern = np.outer(g, g)
     kern = (kern / kern.sum()).reshape(1, 1, window, window)
-    zero = np.zeros(1)
 
     def blur(t: np.ndarray) -> np.ndarray:
-        return _conv(t, kern, zero)
+        return _correlate(t, kern)
 
     c1, c2 = 0.01**2, 0.03**2
     mu_x, mu_y = blur(x), blur(y)
@@ -279,28 +332,31 @@ def _ssim_mean(x: np.ndarray, y: np.ndarray, window: int, sigma: float = 1.5) ->
     cov = blur(x * y) - mu_x * mu_y
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
     den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
-    return (num / den).mean()
+    return (num / den).mean(axis=_SAMPLE_AXES)
 
 
 def reference_loss(
     ir: np.ndarray, vis: np.ndarray, arrays: Arrays, config: FusionConfig, ssim_window: int = 11
-) -> np.float64 | np.complex128:
+) -> np.float64 | np.complex128 | np.ndarray:
     """Double-precision total training objective.
 
-    A scalar ``np.float64`` (a ``float``) for real parameters, and an
-    ``np.complex128`` when any parameter array is complex.
+    A scalar ``np.float64`` (a ``float``) for plain real parameters, and an
+    ``np.complex128`` when any parameter array is complex.  When any array
+    carries a leading probe axis of length K the loss is reduced over batch
+    and pixels only and comes back with shape ``(K,)``.
     """
     ir = np.asarray(ir, dtype=np.float64)
     vis = np.asarray(vis, dtype=np.float64)
     fused = reference_forward(ir, vis, arrays, config)
     target = 0.5 * (ir + vis)
-    total = ((fused - target) ** 2).mean()
+    total = ((fused - target) ** 2).mean(axis=_SAMPLE_AXES)
     if config.alpha:
-        resid = _abs(_sobel_magnitude(fused) - np.maximum(_sobel_magnitude(ir), _sobel_magnitude(vis))).mean()
+        edges = np.maximum(_sobel_magnitude(ir), _sobel_magnitude(vis))
+        resid = _abs(_sobel_magnitude(fused) - edges).mean(axis=_SAMPLE_AXES)
         if config.edge_loss_squared:
             resid = resid * resid
-        total += config.alpha * resid
+        total = total + config.alpha * resid
     if config.beta:
         sim = (1.0 - _ssim_mean(fused, ir, ssim_window)) + (1.0 - _ssim_mean(fused, vis, ssim_window))
-        total += config.beta * sim
+        total = total + config.beta * sim
     return total

@@ -283,6 +283,17 @@ class TestGradcheck:
         assert "FAIL" in captured.out
         assert "gradcheck FAILED" in captured.err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "1"])
+    def test_tolerance_outside_unit_interval_rejected(self, tol, capsys):
+        # The error is relative to the group scale, so at 1 or more a check
+        # cannot fail; the usage error comes before any probe.
+        argv = ["gradcheck", "--size", "5", "--channels", "2", "--nodes", "1", "--loops", "1",
+                "--samples", "1", "--tol", tol]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--tol" in captured.err
+        assert captured.out == ""
+
     def test_wrong_backward_fails_with_exit_1(self, capsys, monkeypatch):
         # A sigmoid whose backward is 5% too large: the float64 reference is
         # untouched, so every group that a sigmoid gate feeds must fail.
