@@ -48,7 +48,7 @@ def main() -> int:
     config = replace(
         FusionConfig(),
         channels=args.channels,
-        reduction=min(4, args.channels),
+        reduction=next(r for r in (4, 3, 2, 1) if args.channels % r == 0),
         crop=args.size,
         epochs=args.steps,
         seed=args.seed,

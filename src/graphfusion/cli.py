@@ -141,6 +141,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         pairs = pair_directory(args.ir_dir, args.vis_dir)
     except (OSError, CheckpointError, ValueError) as exc:
         return _fail(str(exc))
+    # SSIM needs a full window; check every pair before fusing any.
+    for pair in pairs:
+        h, w = pair.infrared.shape
+        if min(h, w) < SSIM_WINDOW:
+            return _fail(
+                f"pair {pair.pair_id!r}: image {h}x{w} smaller than the SSIM window {SSIM_WINDOW}x{SSIM_WINDOW}"
+            )
     report = MetricReport()
     for pair in pairs:
         fused = fuse_arrays(pair.infrared, pair.visible, params, config)
@@ -167,7 +174,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         channels=args.channels,
         nodes=args.nodes,
         loops=args.loops,
-        reduction=min(4, args.channels),
+        # The largest bottleneck ratio up to 4 that divides the channel count.
+        reduction=next(r for r in (4, 3, 2, 1) if args.channels % r == 0),
         seed=args.seed,
     )
     try:
@@ -196,6 +204,9 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     )
     worst = 0.0
     failed = 0
+    # A group whose probed derivatives are all exactly 0 on both sides (dead
+    # ReLU units, say) compares nothing: it passes, but is flagged.
+    unchecked = [group for group in sorted(reports) if reports[group].scale == 0.0]
     for group in sorted(reports):
         rep = reports[group]
         status = "PASS" if rep.error < args.tol else "FAIL"
@@ -204,7 +215,10 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         print(
             f"{status} {group:<28s} rel_err {rep.error:.3e}"
             f" (scale {rep.scale:.3e}, {rep.samples} samples)"
+            + (" unchecked: all probed derivatives are 0" if group in unchecked else "")
         )
+    if unchecked:
+        print(f"unchecked, all probed derivatives 0: {', '.join(unchecked)}")
     print(f"worst rel_err {worst:.3e} over {len(reports)} groups, tolerance {args.tol:g}")
     if failed:
         print(f"gradcheck FAILED for {failed} group(s)", file=sys.stderr)

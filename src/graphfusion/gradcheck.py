@@ -185,16 +185,7 @@ def check_parameter_groups(
         raise ValueError(
             f"check_parameter_groups: samples_per_tensor must be at least 1, got {samples_per_tensor}"
         )
-    with Tape() as tape:
-        out = f()
-        if out.data.size != 1:
-            raise ShapeError("check_parameter_groups: function must return a scalar")
-        tape.backward(out)
-        analytic = {
-            name: (np.zeros(t.shape, dtype=np.float64) if t.grad is None else t.grad.astype(np.float64))
-            for name, t in params.items()
-        }
-        tape.clear()
+    analytic = dict(zip(params, _analytic_grads(lambda *_: f(), list(params.values()))))
 
     rng = np.random.default_rng(seed)
     probes: list[tuple[str, int]] = []

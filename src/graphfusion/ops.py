@@ -41,6 +41,26 @@ def _windows(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
 # convolution and pooling
 
 
+def _correlate(xp: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarray:
+    """Strided cross-correlation of an already padded (N, C, H, W) map.
+
+    One channel-contraction GEMM per kernel row over full-width slabs; the
+    column offset becomes a slice of the result.
+    """
+    n = xp.shape[0]
+    oc, _, kh, kw = kernel.shape
+    oh = (xp.shape[2] - kh) // stride + 1
+    ow = (xp.shape[3] - kw) // stride + 1
+    span_h = (oh - 1) * stride + 1
+    span_w = (ow - 1) * stride + 1
+    out = np.zeros((n, oc, oh, ow), dtype=np.float32)
+    for i in range(kh):
+        slab = np.tensordot(kernel[:, :, i, :], xp[:, :, i : i + span_h : stride, :], axes=([1], [1]))
+        for j in range(kw):
+            out += slab[:, j, :, :, j : j + span_w : stride].transpose(1, 0, 2, 3)
+    return out
+
+
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-d cross-correlation with zero padding.
 
@@ -48,11 +68,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     Output spatial size is ``(H + 2*padding - kh) // stride + 1``; with
     ``padding = (k - 1) // 2`` and stride 1 an odd kernel preserves size.
 
-    One code path serves every kernel size and stride.  Kernel tap (i, j)
+    The forward pass and the input gradient run the same correlation
+    routine.  The input gradient is the transposed convolution: the output
+    gradient, spread ``stride`` cells apart and framed by ``kh - 1`` and
+    ``kw - 1`` zeros, correlated with the flipped kernel with its channel
+    axes swapped, then cropped to the unpadded input.  Trailing rows and
+    columns that no window reaches keep a zero gradient.  Kernel tap (i, j)
     reads the padded input at rows ``i : i + (oh-1)*stride + 1 : stride``
-    and the matching columns; the forward pass, the kernel gradient and
-    the input scatter all use these slices.  Trailing rows and columns
-    that no window reaches keep a zero gradient.
+    and the matching columns; the kernel gradient uses these slices.
     """
     _require_4d("conv2d", x)
     if kernel.ndim != 4:
@@ -74,22 +97,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
         xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     else:
         xp = x.data
-    hp, wp = h + 2 * padding, w + 2 * padding
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
+    out = _correlate(xp, kernel.data, stride)
+    out += bias.data.reshape(1, oc, 1, 1)
+    oh, ow = out.shape[2], out.shape[3]
     span_h = (oh - 1) * stride + 1
     span_w = (ow - 1) * stride + 1
-
-    # One channel-contraction GEMM per kernel row over full-width slabs;
-    # the column offset becomes a slice of the result.
-    out = np.zeros((n, oc, oh, ow), dtype=np.float32)
-    for i in range(kh):
-        slab = np.tensordot(
-            kernel.data[:, :, i, :], xp[:, :, i : i + span_h : stride, :], axes=([1], [1])
-        )
-        for j in range(kw):
-            out += slab[:, j, :, :, j : j + span_w : stride].transpose(1, 0, 2, 3)
-    out += bias.data.reshape(1, oc, 1, 1)
 
     def backward(g: np.ndarray) -> None:
         if bias.requires_grad:
@@ -105,14 +117,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
                     )
             accumulate(kernel, gk)
         if x.requires_grad:
-            # (c, kh, kw, n, oh, ow): each kernel tap's contribution,
-            # scattered back onto the padded input by offset.
-            taps = np.tensordot(kernel.data, g, axes=([0], [1]))
-            dxp = np.zeros((n, c, hp, wp), dtype=np.float32)
-            for i in range(kh):
-                for j in range(kw):
-                    tap = taps[:, i, j].transpose(1, 0, 2, 3)
-                    dxp[:, :, i : i + span_h : stride, j : j + span_w : stride] += tap
+            spread = np.zeros((n, oc, h + 2 * padding + kh - 1, w + 2 * padding + kw - 1), dtype=np.float32)
+            spread[:, :, kh - 1 : kh - 1 + span_h : stride, kw - 1 : kw - 1 + span_w : stride] = g
+            dxp = _correlate(spread, kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1)
             accumulate(x, dxp[:, :, padding : padding + h, padding : padding + w])
 
     return record_op(out, (x, kernel, bias), backward)
@@ -162,40 +169,38 @@ def maxpool2d(x: Tensor, window: int, stride: int, padding: int = 0) -> Tensor:
     return record_op(np.ascontiguousarray(out), (x,), backward)
 
 
+def _bins(starts: np.ndarray, stops: np.ndarray, size: int) -> np.ndarray:
+    """0/1 matrix whose row i marks the cells ``starts[i] <= k < stops[i]`` of an axis."""
+    k = np.arange(size)
+    return ((k >= starts[:, None]) & (k < stops[:, None])).astype(np.float32)
+
+
+def _separable(rows: np.ndarray, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Apply ``rows`` along the height axis and ``cols`` along the width axis."""
+    return rows @ x @ cols.T
+
+
+def _mean_pool(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
+    """Mean over the cells each (row, column) bin pair of the 0/1 matrices marks."""
+    counts = np.outer(rows.sum(axis=1), cols.sum(axis=1))
+    out = _separable(rows, x.data, cols) / counts
+
+    def backward(g: np.ndarray) -> None:
+        accumulate(x, _separable(rows.T, g / counts, cols.T))
+
+    return record_op(out, (x,), backward)
+
+
 def avgpool2d(x: Tensor, window: int, stride: int, padding: int = 0) -> Tensor:
     """Average pooling; padded cells are excluded from each window's divisor."""
     _check_pool_args("avgpool2d", x, window, stride, padding)
-    n, c, h, w = x.shape
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
-    win = _windows(xp, window, window, stride)
-    sums = win.sum(axis=(4, 5))
-    oh, ow = sums.shape[2], sums.shape[3]
-    # Valid (non-pad) cell count per window, purely a function of geometry.
-    rows = np.minimum(np.arange(oh) * stride + window, h + padding) - np.maximum(
-        np.arange(oh) * stride, padding
-    )
-    cols = np.minimum(np.arange(ow) * stride + window, w + padding) - np.maximum(
-        np.arange(ow) * stride, padding
-    )
-    counts = (rows[:, None] * cols[None, :]).astype(np.float32)
-    out = sums / counts
 
-    def backward(g: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        gshare = g / counts
-        dxp = np.zeros(xp.shape, dtype=np.float32)
-        for i in range(window):
-            for j in range(window):
-                dxp[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += gshare
-        if padding:
-            dxp = dxp[:, :, padding : padding + h, padding : padding + w]
-        accumulate(x, dxp)
+    def windows(size: int) -> np.ndarray:
+        # Window bounds in unpadded coordinates, so padded cells never count.
+        starts = np.arange((size + 2 * padding - window) // stride + 1) * stride - padding
+        return _bins(starts, starts + window, size)
 
-    return record_op(out, (x,), backward)
+    return _mean_pool(x, windows(x.shape[2]), windows(x.shape[3]))
 
 
 def adaptive_avgpool2d(x: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -206,7 +211,7 @@ def adaptive_avgpool2d(x: Tensor, out_h: int, out_w: int) -> Tensor:
     when sizes do not divide evenly.
     """
     _require_4d("adaptive_avgpool2d", x)
-    n, c, h, w = x.shape
+    h, w = x.shape[2], x.shape[3]
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"adaptive_avgpool2d: output grid must be positive, got ({out_h}, {out_w})")
     if out_h > h or out_w > w:
@@ -214,27 +219,11 @@ def adaptive_avgpool2d(x: Tensor, out_h: int, out_w: int) -> Tensor:
             f"adaptive_avgpool2d: output grid ({out_h}, {out_w}) exceeds input ({h}, {w})"
         )
 
-    def bounds(size: int, out: int) -> list[tuple[int, int]]:
-        return [(size * i // out, -(-size * (i + 1) // out)) for i in range(out)]
+    def bins(size: int, out: int) -> np.ndarray:
+        i = np.arange(out)
+        return _bins(size * i // out, -(-size * (i + 1) // out), size)
 
-    rb = bounds(h, out_h)
-    cb = bounds(w, out_w)
-    out = np.empty((n, c, out_h, out_w), dtype=np.float32)
-    for i, (r0, r1) in enumerate(rb):
-        for j, (c0, c1) in enumerate(cb):
-            out[:, :, i, j] = x.data[:, :, r0:r1, c0:c1].mean(axis=(2, 3))
-
-    def backward(g: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        dx = np.zeros_like(x.data)
-        for i, (r0, r1) in enumerate(rb):
-            for j, (c0, c1) in enumerate(cb):
-                cnt = (r1 - r0) * (c1 - c0)
-                dx[:, :, r0:r1, c0:c1] += g[:, :, i : i + 1, j : j + 1] / np.float32(cnt)
-        accumulate(x, dx)
-
-    return record_op(out, (x,), backward)
+    return _mean_pool(x, bins(h, out_h), bins(w, out_w))
 
 
 def global_avgpool(x: Tensor) -> Tensor:
@@ -275,19 +264,15 @@ def upsample_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     out = left + tc[None, None, None, :] * (right - left)
 
     def backward(g: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        # Separable adjoint: per-axis interpolation matrices carry the same
-        # (1 - t, t) weights as the forward pass, applied as two GEMMs.
+        # Per-axis interpolation matrices carry the same (1 - t, t) weights
+        # as the forward pass; the adjoint applies their transposes.
         ah = np.zeros((out_h, h), dtype=np.float32)
         np.add.at(ah, (np.arange(out_h), r0), 1.0 - tr)
         np.add.at(ah, (np.arange(out_h), r1), tr)
         aw = np.zeros((out_w, w), dtype=np.float32)
         np.add.at(aw, (np.arange(out_w), c0), 1.0 - tc)
         np.add.at(aw, (np.arange(out_w), c1), tc)
-        drows = np.tensordot(g, ah, axes=([2], [0]))  # (n, c, out_w, h)
-        dx = np.tensordot(drows, aw, axes=([2], [0]))  # (n, c, h, w)
-        accumulate(x, np.ascontiguousarray(dx))
+        accumulate(x, _separable(ah.T, g, aw.T))
 
     return record_op(np.ascontiguousarray(out), (x,), backward)
 

@@ -266,6 +266,32 @@ class TestEval:
         )
         assert code == 2
 
+    def test_pairs_below_ssim_window_rejected_before_fusing(self, toy, tmp_path, capsys, monkeypatch):
+        ir_dir, vis_dir = tmp_path / "ir", tmp_path / "vis"
+        ir_dir.mkdir()
+        vis_dir.mkdir()
+        rng = np.random.default_rng(0)
+        for stem in ("a", "tiny"):
+            write_image(ir_dir / f"{stem}.pgm", rng.uniform(size=(8, 8)).astype(np.float32))
+            write_image(vis_dir / f"{stem}.pgm", rng.uniform(size=(8, 8)).astype(np.float32))
+        fused = []
+        monkeypatch.setattr(cli, "fuse_arrays", lambda *args: fused.append(args))
+        report = tmp_path / "r.csv"
+        code = cli.main(
+            [
+                "eval",
+                "--checkpoint", str(toy["ckpt"]),
+                "--ir-dir", str(ir_dir),
+                "--vis-dir", str(vis_dir),
+                "--report", str(report),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "'a'" in captured.err and "8x8" in captured.err and "11x11" in captured.err
+        assert not fused
+        assert not report.exists()
+
 
 class TestGradcheck:
     ARGS = ["gradcheck", "--size", "6", "--channels", "4", "--nodes", "2", "--loops", "2", "--samples", "2"]
@@ -327,13 +353,29 @@ class TestGradcheck:
         with pytest.raises(ValueError, match="samples_per_tensor"):
             check_parameter_groups(lambda: ops.reduce_sum(params["w"]), params, lambda a: 0.0, samples_per_tensor=0)
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_two_channel_net_passes(self, seed, capsys):
+    @pytest.mark.parametrize(
+        "channels,seed", [(2, 1), (2, 2), (2, 3), (6, 1)], ids=["1", "2", "3", "6-channels"]
+    )
+    def test_two_channel_net_passes(self, channels, seed, capsys):
         # Two channels leave many ReLU and max-pool inputs exactly tied, so
         # probes sit on kinks; the reference must take the tape's branch there.
-        argv = ["gradcheck", "--size", "5", "--channels", "2", "--nodes", "1", "--loops", "3",
+        # Six channels take bottleneck ratio 3, the largest up to 4 dividing 6.
+        argv = ["gradcheck", "--size", "5", "--channels", str(channels), "--nodes", "1", "--loops", "3",
                 "--samples", "1", "--seed", str(seed)]
         assert cli.main(argv) == 0, capsys.readouterr().out
+
+    def test_all_zero_group_is_flagged_not_failed(self, capsys):
+        # At seed 0 both hidden units of salience.ir.fc1 are dead, so the tape
+        # and the reference agree on exactly 0 and the layer is never compared.
+        argv = ["gradcheck", "--size", "8", "--channels", "8", "--nodes", "3", "--loops", "3"]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        row = next(line for line in lines if line.split()[1] == "salience.ir.fc1")
+        assert row.startswith("PASS") and row.endswith("unchecked: all probed derivatives are 0")
+        flagged = [line for line in lines if line.startswith("unchecked")]
+        assert len(flagged) == 1 and "salience.ir.fc1" in flagged[0]
+        assert lines.index(flagged[0]) < len(lines) - 2
+        assert lines[-1] == "gradcheck passed"
 
 
 class TestUsage:

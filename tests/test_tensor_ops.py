@@ -95,7 +95,17 @@ class TestConv2d:
 
     @pytest.mark.parametrize(
         "shape,kspec,stride,padding",
-        [((1, 2, 8, 7), (3, 2, 3, 3), 3, 0), ((2, 2, 7, 6), (2, 2, 1, 1), 2, 1)],
+        [
+            ((1, 2, 8, 7), (3, 2, 3, 3), 3, 0),
+            ((2, 2, 7, 6), (2, 2, 1, 1), 2, 1),
+            # The network's convs: 3x3, stride 1, padding 1.
+            ((2, 3, 6, 5), (4, 3, 3, 3), 1, 1),
+            # Padding of kh - 1 or more: the border cells are all padding.
+            ((1, 2, 5, 4), (3, 2, 1, 1), 1, 1),
+            # The SSIM blur: 11x11, no padding.
+            ((1, 1, 13, 12), (1, 1, 11, 11), 1, 0),
+            ((1, 2, 9, 8), (2, 2, 5, 5), 2, 2),
+        ],
     )
     def test_strided_gradients_match_loop_adjoint(self, rng, shape, kspec, stride, padding):
         x = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
