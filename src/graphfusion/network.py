@@ -25,7 +25,7 @@ import numpy as np
 from . import ops
 from .backbone import MODALITIES, extract, feature_depth
 from .config import FusionConfig
-from .graph import run_graph
+from .graph import loop_prefix, run_graph
 from .tensor import ShapeError, Tensor
 
 CHECKPOINT_MAGIC = b"IGN1"
@@ -62,9 +62,10 @@ def parameter_shapes(config: FusionConfig) -> dict[str, tuple[int, ...]]:
             linear(f"salience.{m}.fc1", hidden, c)
             linear(f"salience.{m}.fc2", c, hidden)
     if config.use_graph:
-        stored_loops = 1 if config.share_loop_params else config.loops
-        for i in range(1, stored_loops + 1):
-            prefix = f"graph.loop{i}"
+        # Each loop adds what ``graph._run_loop`` reads; loops that share a
+        # prefix rewrite the same entries, which keep their first position.
+        for loop in range(1, config.loops + 1):
+            prefix = loop_prefix(config, loop)
             for o in range(config.nodes):
                 for m in MODALITIES:
                     conv(f"{prefix}.node{o}.{m}", c, c, 1)
@@ -76,8 +77,7 @@ def parameter_shapes(config: FusionConfig) -> dict[str, tuple[int, ...]]:
                 conv(f"{prefix}.update.{m}", c, c, 3)
             for m in MODALITIES:
                 conv(f"{prefix}.leader.{m}", c, config.nodes * c, 1)
-            delivers = config.use_leader and (i < config.loops or (config.share_loop_params and config.loops > 1))
-            if delivers:
+            if config.use_leader and loop < config.loops:
                 for o in range(config.nodes):
                     for m in MODALITIES:
                         conv(f"{prefix}.deliver{o}.{m}", c, c, 3)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .tensor import ShapeError, Tensor, accumulate, record_op
 
@@ -23,18 +22,9 @@ def _require_4d(name: str, t: Tensor) -> None:
         raise ShapeError(f"{name}: expected a 4-d (N,C,H,W) tensor, got shape {t.shape}")
 
 
-def _windows(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Read-only sliding windows of shape (N, C, oh, ow, kh, kw)."""
-    n, c, h, w = x.shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    sn, sc, sh, sw = x.strides
-    return as_strided(
-        x,
-        shape=(n, c, oh, ow, kh, kw),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
+def _tap(a: np.ndarray, i: int, j: int, stride: int, oh: int, ow: int) -> np.ndarray:
+    """View of the ``oh`` x ``ow`` cells that window tap (i, j) reads in a (N, C, H, W) map."""
+    return a[:, :, i : i + (oh - 1) * stride + 1 : stride, j : j + (ow - 1) * stride + 1 : stride]
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +63,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     gradient, spread ``stride`` cells apart and framed by ``kh - 1`` and
     ``kw - 1`` zeros, correlated with the flipped kernel with its channel
     axes swapped, then cropped to the unpadded input.  Trailing rows and
-    columns that no window reaches keep a zero gradient.  Kernel tap (i, j)
-    reads the padded input at rows ``i : i + (oh-1)*stride + 1 : stride``
-    and the matching columns; the kernel gradient uses these slices.
+    columns that no window reaches keep a zero gradient.  The kernel
+    gradient contracts the output gradient with each tap's view
+    (:func:`_tap`) of the padded input, and the spread map takes the output
+    gradient into its view at tap ``(kh - 1, kw - 1)``.
     """
     _require_4d("conv2d", x)
     if kernel.ndim != 4:
@@ -100,8 +91,6 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     out = _correlate(xp, kernel.data, stride)
     out += bias.data.reshape(1, oc, 1, 1)
     oh, ow = out.shape[2], out.shape[3]
-    span_h = (oh - 1) * stride + 1
-    span_w = (ow - 1) * stride + 1
 
     def backward(g: np.ndarray) -> None:
         if bias.requires_grad:
@@ -110,15 +99,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
             gk = np.empty((oc, c, kh, kw), dtype=np.float32)
             for i in range(kh):
                 for j in range(kw):
-                    gk[:, :, i, j] = np.tensordot(
-                        g,
-                        xp[:, :, i : i + span_h : stride, j : j + span_w : stride],
-                        axes=([0, 2, 3], [0, 2, 3]),
-                    )
+                    gk[:, :, i, j] = np.tensordot(g, _tap(xp, i, j, stride, oh, ow), axes=([0, 2, 3], [0, 2, 3]))
             accumulate(kernel, gk)
         if x.requires_grad:
             spread = np.zeros((n, oc, h + 2 * padding + kh - 1, w + 2 * padding + kw - 1), dtype=np.float32)
-            spread[:, :, kh - 1 : kh - 1 + span_h : stride, kw - 1 : kw - 1 + span_w : stride] = g
+            _tap(spread, kh - 1, kw - 1, stride, oh, ow)[...] = g
             dxp = _correlate(spread, kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1)
             accumulate(x, dxp[:, :, padding : padding + h, padding : padding + w])
 
@@ -133,40 +118,46 @@ def _check_pool_args(name: str, x: Tensor, window: int, stride: int, padding: in
         raise ShapeError(f"{name}: padding must satisfy 0 <= padding < window, got {padding}")
     h, w = x.shape[2], x.shape[3]
     if h + 2 * padding < window or w + 2 * padding < window:
-        raise ShapeError(f"{name}: padded input {h}x{w} smaller than window {window}")
+        raise ShapeError(f"{name}: padded input {h + 2 * padding}x{w + 2 * padding} smaller than window {window}")
 
 
 def maxpool2d(x: Tensor, window: int, stride: int, padding: int = 0) -> Tensor:
-    """Max pooling; ties resolve to the first maximum in row-major scan order."""
+    """Max pooling; ties resolve to the first maximum in row-major scan order.
+
+    The taps are visited in row-major order and each raises a running
+    maximum; a tap's index is stored only where it is strictly greater, so
+    an earlier tap keeps a tie.  The backward pass adds the output gradient
+    into each tap's view where that tap won.  A window holding a NaN outputs
+    NaN, but its gradient goes to the window's first maximum before the NaN
+    (or to the NaN itself when it is the first tap).
+    """
     _check_pool_args("maxpool2d", x, window, stride, padding)
-    n, c, h, w = x.shape
+    h, w = x.shape[2], x.shape[3]
     if padding:
         # -inf padding: padded cells can never win the max.
         xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
                     constant_values=np.float32(-np.inf))
     else:
         xp = x.data
-    win = _windows(xp, window, window, stride)
-    flat = win.reshape(win.shape[:4] + (window * window,))
-    arg = np.argmax(flat, axis=4)
-    out = np.take_along_axis(flat, arg[..., None], axis=4)[..., 0]
-    oh, ow = out.shape[2], out.shape[3]
+    oh = (h + 2 * padding - window) // stride + 1
+    ow = (w + 2 * padding - window) // stride + 1
+    out = _tap(xp, 0, 0, stride, oh, ow).copy()
+    arg = np.zeros(out.shape, dtype=np.min_scalar_type(window * window - 1))
+    for idx in range(1, window * window):
+        tap = _tap(xp, *divmod(idx, window), stride, oh, ow)
+        np.putmask(arg, tap > out, idx)
+        np.maximum(out, tap, out=out)
 
     def backward(g: np.ndarray) -> None:
         if not x.requires_grad:
             return
         dxp = np.zeros(xp.shape, dtype=np.float32)
         for idx in range(window * window):
-            mask = arg == idx
-            if not mask.any():
-                continue
-            i, j = divmod(idx, window)
-            dxp[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += g * mask
-        if padding:
-            dxp = dxp[:, :, padding : padding + h, padding : padding + w]
-        accumulate(x, dxp)
+            tap = _tap(dxp, *divmod(idx, window), stride, oh, ow)
+            tap += g * (arg == idx)
+        accumulate(x, dxp[:, :, padding : padding + h, padding : padding + w])
 
-    return record_op(np.ascontiguousarray(out), (x,), backward)
+    return record_op(out, (x,), backward)
 
 
 def _bins(starts: np.ndarray, stops: np.ndarray, size: int) -> np.ndarray:

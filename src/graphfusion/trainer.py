@@ -151,10 +151,13 @@ def train(
     """Optimize the fusion network on crop batches drawn from ``pairs``.
 
     A checkpoint is rewritten after every epoch when a path is given.
-    ``max_steps`` caps the total number of updates for short runs.  Passing
-    ``params`` resumes from existing weights instead of initializing.
+    ``max_steps`` (at least 1) caps the total number of updates for short
+    runs.  Passing ``params`` resumes from existing weights instead of
+    initializing.
     """
     config.validate()
+    if max_steps is not None and max_steps < 1:
+        raise ValueError(f"train: max_steps must be at least 1, got {max_steps}")
     if params is None:
         params = init_params(config)
     state = init_adam(params)

@@ -61,6 +61,41 @@ class TestParameterTable:
         assert shapes["head.conv2.weight"] == (1, 8, 3, 3)
 
 
+class _ReadRecorder(dict):
+    """Parameter dict that records every name the network reads."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+@pytest.mark.parametrize("use_graph", [True, False])
+@pytest.mark.parametrize("use_salience", [True, False])
+@pytest.mark.parametrize("use_leader", [True, False])
+@pytest.mark.parametrize("share_loop_params", [True, False])
+@pytest.mark.parametrize("loops", [1, 2, 3, 4])
+@pytest.mark.parametrize("nodes", [1, 2, 3])
+def test_forward_reads_exactly_the_parameter_table(
+    nodes, loops, share_loop_params, use_leader, use_salience, use_graph
+):
+    config = cfg(
+        channels=4,
+        nodes=nodes,
+        loops=loops,
+        share_loop_params=share_loop_params,
+        use_leader=use_leader,
+        use_salience=use_salience,
+        use_graph=use_graph,
+    )
+    params = _ReadRecorder(init_params(config, seed=0))
+    forward(Tensor.zeros((1, 1, 8, 8)), Tensor.zeros((1, 1, 8, 8)), params, config)
+    assert params.read == set(parameter_shapes(config))
+
+
 class TestInitialization:
     def test_same_seed_is_bit_identical(self):
         a = init_params(cfg(**SMALL), seed=7)

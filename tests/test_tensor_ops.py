@@ -180,8 +180,59 @@ class TestPooling:
         x = rng.standard_normal((2, 3, 6, 7)).astype(np.float32)
         mx = ops.maxpool2d(Tensor(x), window, stride, padding)
         av = ops.avgpool2d(Tensor(x), window, stride, padding)
-        np.testing.assert_allclose(mx.data, oracle_maxpool(x, window, stride, padding), rtol=1e-6)
+        np.testing.assert_array_equal(mx.data, oracle_maxpool(x, window, stride, padding))
         np.testing.assert_allclose(av.data, oracle_avgpool(x, window, stride, padding), rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "shape,window,stride,padding",
+        [
+            ((2, 2, 6, 7), 2, 1, 0),
+            ((2, 2, 6, 7), 2, 2, 0),
+            ((2, 2, 6, 7), 2, 1, 1),
+            ((2, 2, 6, 7), 2, 2, 1),
+            ((2, 2, 6, 7), 3, 1, 0),
+            ((2, 2, 6, 7), 3, 2, 0),
+            ((2, 2, 6, 7), 3, 1, 1),
+            ((2, 2, 6, 7), 3, 2, 1),
+            # 289 taps: the tap index no longer fits in one byte.
+            ((1, 2, 19, 18), 17, 1, 1),
+        ],
+    )
+    def test_maxpool_gradient_at_ties_goes_to_first_maximum(self, rng, shape, window, stride, padding):
+        # Three levels make ties common; channel 1 is all equal, and its
+        # corner windows also hold -inf padding when padding is 1.
+        x = rng.integers(0, 3, size=shape).astype(np.float32)
+        x[:, 1] = -1.0
+        t = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = ops.maxpool2d(t, window, stride, padding)
+            # Quarter steps keep every float32 sum exact.
+            g = rng.integers(1, 9, size=out.shape).astype(np.float32) / 4
+            tape.backward(ops.reduce_sum(ops.mul(out, Tensor(g))))
+        dx = t.grad.copy()
+        tape.clear()
+
+        n, c, h, w = shape
+        xp = np.full((n, c, h + 2 * padding, w + 2 * padding), -np.inf)
+        xp[:, :, padding : padding + h, padding : padding + w] = x
+        dxp = np.zeros_like(xp)
+        for nn in range(n):
+            for cc in range(c):
+                for y in range(out.shape[2]):
+                    for xx in range(out.shape[3]):
+                        win = xp[nn, cc, y * stride : y * stride + window, xx * stride : xx * stride + window]
+                        i, j = divmod(int(np.argmax(win)), window)  # first maximum in row-major order
+                        dxp[nn, cc, y * stride + i, xx * stride + j] += g[nn, cc, y, xx]
+        np.testing.assert_array_equal(dx, dxp[:, :, padding : padding + h, padding : padding + w])
+
+    def test_maxpool_nan_window_outputs_nan_and_routes_to_earlier_maximum(self):
+        x = tensor([[[[1.0, 2.0], [np.nan, 0.5]]]], requires_grad=True)
+        with Tape() as tape:
+            out = ops.maxpool2d(x, window=2, stride=2)
+            tape.backward(ops.reduce_sum(out))
+        assert np.isnan(out.data[0, 0, 0, 0])
+        np.testing.assert_array_equal(x.grad[0, 0], [[0.0, 1.0], [0.0, 0.0]])
+        tape.clear()
 
     def test_adaptive_ramp_bin_means(self):
         x = tensor([[np.arange(16.0).reshape(4, 4)]])
@@ -208,6 +259,11 @@ class TestPooling:
     def test_pool_rejects_bad_window(self):
         with pytest.raises(ShapeError):
             ops.maxpool2d(Tensor.zeros((1, 1, 4, 4)), window=0, stride=1)
+
+    @pytest.mark.parametrize("op", [ops.maxpool2d, ops.avgpool2d])
+    def test_pool_size_error_names_padded_size(self, op):
+        with pytest.raises(ShapeError, match=r"padded input 4x5 smaller than window 5"):
+            op(Tensor.zeros((1, 1, 2, 3)), window=5, stride=1, padding=1)
 
 
 class TestUpsample:

@@ -227,6 +227,17 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=r"crop \(10\) must be at least the SSIM window \(11\)"):
             train([make_pair()], tiny_config(crop=10), max_steps=1)
 
+    @pytest.mark.parametrize("max_steps", [0, -3])
+    def test_max_steps_below_one_rejected_before_forward(self, monkeypatch, tmp_path, max_steps):
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward ran before max_steps was checked")
+
+        monkeypatch.setattr(trainer, "forward", no_forward)
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match=rf"max_steps must be at least 1, got {max_steps}"):
+            train([make_pair()], tiny_config(), checkpoint_path=path, max_steps=max_steps)
+        assert list(tmp_path.iterdir()) == []
+
     def test_crop_equal_to_ssim_window_trains(self):
         _, log = train([make_pair()], tiny_config(crop=11), max_steps=1)
         assert np.isfinite(log.records[0].total)
