@@ -5,8 +5,10 @@ The autograd model is deliberately small: every differentiable operation
 :class:`Tape`.  Calling ``tape.backward(loss)`` seeds ``d loss = 1`` and
 replays the records in reverse order, accumulating gradients into the
 ``grad`` buffer of every tensor that requires them.  Tensors touched by no
-tape are plain immutable values and are safe to share across threads;
-parallel work, when any, must use independent tapes.
+tape are plain immutable values and are safe to share across threads.
+The tape stack is per thread, so threads record on independent tapes:
+:mod:`graphfusion.trainer` runs each sample of a batch on its own tape and
+thread, through parameter views that share data but not gradients.
 """
 
 from __future__ import annotations
@@ -172,8 +174,11 @@ def accumulate(t: Tensor, delta: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += delta
+        # A copy, not zeros plus delta: one pass instead of two.  It must be
+        # a copy, since ``delta`` may be another tensor's gradient or a view.
+        t.grad = np.array(delta, dtype=np.float32, order="C")
+    else:
+        t.grad += delta
 
 
 def record_op(

@@ -7,6 +7,8 @@ implementations.  They are slow and only ever applied to tiny arrays.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -141,3 +143,13 @@ def oracle_upsample(x, out_h, out_w):
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(0)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail any test that leaves more threads alive than it started with."""
+    before = threading.active_count()
+    yield
+    leaked = threading.active_count() - before
+    if leaked > 0:
+        pytest.fail(f"{leaked} thread(s) still alive after the test: {threading.enumerate()}")
