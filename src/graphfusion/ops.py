@@ -47,8 +47,8 @@ def _correlate(xp: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarray:
 
     One channel-contraction GEMM per kernel row over full-width slabs; the
     column offset becomes a slice of the result.  The GEMMs are the ones
-    ``np.tensordot`` would make, called directly: that saves 20-30 us of
-    Python per call, time during which the interpreter lock is held.
+    ``np.tensordot`` would make, called directly, which saves 20-30 us of
+    Python per call.
     """
     n, c = xp.shape[:2]
     oc, _, kh, kw = kernel.shape

@@ -5,10 +5,8 @@ The autograd model is deliberately small: every differentiable operation
 :class:`Tape`.  Calling ``tape.backward(loss)`` seeds ``d loss = 1`` and
 replays the records in reverse order, accumulating gradients into the
 ``grad`` buffer of every tensor that requires them.  Tensors touched by no
-tape are plain immutable values and are safe to share across threads.
-The tape stack is per thread, so threads record on independent tapes:
-:mod:`graphfusion.trainer` runs each sample of a batch on its own tape and
-thread, through parameter views that share data but not gradients.
+tape are plain immutable values and are safe to share across threads;
+parallel work, when any, must use independent tapes.
 """
 
 from __future__ import annotations

@@ -2,27 +2,21 @@
 
 Each epoch enumerates every crop window of every pair on a fixed stride
 grid, shuffles the list with an epoch-specific seed, and walks it in
-batches.  A batch of several crops runs one tape per sample, on up to
-``min(cores, batch)`` threads, and its gradients are summed in sample
-order; so, with float32 numpy arithmetic throughout, a fixed (config, data)
-pair reproduces checkpoints bit for bit on any number of cores.
+batches.  All arithmetic is float32 numpy with no parallelism, so a fixed
+(config, data) pair reproduces checkpoints bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import ops
 from .config import FusionConfig
 from .images import ImagePair
 from .losses import loss_components
@@ -146,87 +140,6 @@ def learning_rate(config: FusionConfig, step: int) -> float:
     return config.lr
 
 
-def _finite(values: dict[str, float], step: int) -> dict[str, float]:
-    if not all(np.isfinite(v) for v in values.values()):
-        raise TrainingDiverged(f"non-finite loss at step {step}: {values}")
-    return values
-
-
-_Shard = tuple[Tape, dict[str, Tensor], dict[str, Tensor]]
-
-
-def _shard_forward(
-    ir_arr: np.ndarray, vis_arr: np.ndarray, params: Mapping[str, Tensor], config: FusionConfig
-) -> _Shard:
-    """Forward and loss of one sample on its own tape, through views of ``params``.
-
-    A view shares its parameter's data but has its own gradient, so shards
-    never write to the same buffer.
-    """
-    views = {name: Tensor(p.data, requires_grad=True) for name, p in params.items()}
-    ir, vis = Tensor(ir_arr), Tensor(vis_arr)
-    with Tape() as tape:
-        parts = loss_components(forward(ir, vis, views, config), ir, vis, config)
-    return tape, views, parts
-
-
-def _shard_backward(shard: _Shard, weights: dict[str, float]) -> None:
-    """Replay a shard's tape from its share of the batch objective: a weighted sum of its terms."""
-    tape, _, parts = shard
-    with tape:
-        share = ops.scale(parts["mse"], weights["mse"])
-        for term in ("edge", "ssim"):
-            if weights[term]:
-                share = ops.add(share, ops.scale(parts[term], weights[term]))
-        tape.backward(share)
-
-
-def _sharded_gradients(
-    pool: ThreadPoolExecutor,
-    ir_arr: np.ndarray,
-    vis_arr: np.ndarray,
-    params: Mapping[str, Tensor],
-    config: FusionConfig,
-    step: int,
-) -> dict[str, float]:
-    """Put a batch's gradient into ``params`` from one shard per sample; return its losses.
-
-    Every loss term is a mean over equal-size samples, so the batch loss is
-    the mean of the shards' losses, except that the squared edge loss
-    squares the mean of the shards' unsquared residuals.  Hence two phases:
-    every shard's forward, then, once the batch losses are known to be
-    finite, every shard's backward seeded with its share of the batch
-    objective.  The shards' gradients are summed in sample order, so the
-    result does not depend on the number of threads.
-    """
-    n = len(ir_arr)
-    unsquared = dataclasses.replace(config, edge_loss_squared=False)
-    shards = list(pool.map(_shard_forward, ir_arr[:, None], vis_arr[:, None], [params] * n, [unsquared] * n))
-    means = {term: sum(float(parts[term].data) for _, _, parts in shards) / n for term in ("mse", "edge", "ssim")}
-    resid = means["edge"]
-    edge = resid * resid if config.edge_loss_squared else resid
-    values = _finite(
-        {
-            "total": means["mse"] + config.alpha * edge + config.beta * means["ssim"],
-            "mse": means["mse"],
-            "edge": edge,
-            "ssim": means["ssim"],
-        },
-        step,
-    )
-    d_edge = 2.0 * resid if config.edge_loss_squared else 1.0
-    weights = {"mse": 1.0 / n, "edge": config.alpha * d_edge / n, "ssim": config.beta / n}
-    list(pool.map(_shard_backward, shards, [weights] * n))
-    for name, p in params.items():
-        grads = [views[name].grad for _, views, _ in shards if views[name].grad is not None]
-        for g in grads[1:]:
-            grads[0] += g
-        p.grad = grads[0] if grads else None
-    for tape, _, _ in shards:
-        tape.clear()
-    return values
-
-
 def train(
     pairs: Sequence[ImagePair],
     config: FusionConfig,
@@ -240,9 +153,7 @@ def train(
     A checkpoint is rewritten after every epoch when a path is given.
     ``max_steps`` (at least 1) caps the total number of updates for short
     runs.  Passing ``params`` resumes from existing weights instead of
-    initializing.  A batch of one sample runs on the calling thread; a
-    larger one runs one shard per sample on a pool of
-    ``min(cores, batch)`` threads that is shut down before returning.
+    initializing.
     """
     config.validate()
     if max_steps is not None and max_steps < 1:
@@ -254,49 +165,42 @@ def train(
     train_log = TrainLog()
     step = 0
     done = False
-    # sched_getaffinity is missing on macOS and Windows.
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=min(cores, config.batch)) as pool:
-        for epoch in range(config.epochs):
-            batches = sample_crops(pairs, config.crop, config.stride, config.batch, config.seed + epoch)
-            for ir_arr, vis_arr in batches:
-                lr = learning_rate(config, step)
-                if len(ir_arr) == 1:
-                    ir = Tensor(ir_arr)
-                    vis = Tensor(vis_arr)
-                    with Tape() as tape:
-                        fused = forward(ir, vis, params, config)
-                        parts = loss_components(fused, ir, vis, config)
-                        values = _finite({k: float(t.data) for k, t in parts.items()}, step)
-                        tape.backward(parts["total"])
-                        adam_step(params, state, lr, wd)
-                        tape.clear()
-                else:
-                    values = _sharded_gradients(pool, ir_arr, vis_arr, params, config, step)
-                    adam_step(params, state, lr, wd)
-                    for p in params.values():
-                        p.grad = None
-                record = LogRecord(
-                    step=step,
-                    total=values["total"],
-                    mse=values["mse"],
-                    edge=values["edge"],
-                    ssim=values["ssim"],
-                    lr=lr,
+    for epoch in range(config.epochs):
+        batches = sample_crops(pairs, config.crop, config.stride, config.batch, config.seed + epoch)
+        for ir_arr, vis_arr in batches:
+            lr = learning_rate(config, step)
+            ir = Tensor(ir_arr)
+            vis = Tensor(vis_arr)
+            with Tape() as tape:
+                fused = forward(ir, vis, params, config)
+                parts = loss_components(fused, ir, vis, config)
+                values = {k: float(t.data) for k, t in parts.items()}
+                if not all(np.isfinite(v) for v in values.values()):
+                    raise TrainingDiverged(f"non-finite loss at step {step}: {values}")
+                tape.backward(parts["total"])
+                adam_step(params, state, lr, wd)
+                tape.clear()
+            record = LogRecord(
+                step=step,
+                total=values["total"],
+                mse=values["mse"],
+                edge=values["edge"],
+                ssim=values["ssim"],
+                lr=lr,
+            )
+            train_log.records.append(record)
+            if log_every and step % log_every == 0:
+                print(
+                    f"step {record.step} total {record.total:.6f} mse {record.mse:.6f} "
+                    f"edge {record.edge:.6f} ssim {record.ssim:.6f} lr {record.lr:.2e}",
+                    flush=True,
                 )
-                train_log.records.append(record)
-                if log_every and step % log_every == 0:
-                    print(
-                        f"step {record.step} total {record.total:.6f} mse {record.mse:.6f} "
-                        f"edge {record.edge:.6f} ssim {record.ssim:.6f} lr {record.lr:.2e}",
-                        flush=True,
-                    )
-                step += 1
-                if max_steps is not None and step >= max_steps:
-                    done = True
-                    break
-            if checkpoint_path is not None:
-                save_checkpoint(checkpoint_path, params, config)
-            if done:
+            step += 1
+            if max_steps is not None and step >= max_steps:
+                done = True
                 break
+        if checkpoint_path is not None:
+            save_checkpoint(checkpoint_path, params, config)
+        if done:
+            break
     return params, train_log

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphfusion import ops
-from graphfusion.tensor import ShapeError, Tape, Tensor
+from graphfusion.tensor import ShapeError, Tape, Tensor, accumulate
 
 from conftest import (
     oracle_adaptive,
@@ -46,6 +46,16 @@ class TestTensorBasics:
         assert x.grad is not None
         tape.clear()
         assert x.grad is None
+
+    def test_first_gradient_is_a_contiguous_copy_of_its_delta(self):
+        x = Tensor.zeros((3, 2), requires_grad=True)
+        delta = np.arange(6, dtype=np.float32).reshape(2, 3).T
+        accumulate(x, delta)
+        assert x.grad.flags["C_CONTIGUOUS"] and x.grad.dtype == np.float32
+        delta[...] = -1.0
+        np.testing.assert_array_equal(x.grad, [[0.0, 3.0], [1.0, 4.0], [2.0, 5.0]])
+        accumulate(x, np.ones((3, 2), dtype=np.float32))
+        np.testing.assert_array_equal(x.grad, [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
 
 
 class TestConv2d:
@@ -138,6 +148,29 @@ class TestConv2d:
         if stride == 3:
             # Rows 6-7 and column 6 lie past the last window.
             assert not dx[:, :, 6:, :].any() and not dx[:, :, :, 6:].any()
+
+    @pytest.mark.parametrize("padding", [0, 1, 3])
+    @pytest.mark.parametrize("fill", [0.0, -np.inf])
+    def test_framing_matches_np_pad(self, rng, padding, fill):
+        a = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
+        framed = ops._framed(a, padding, fill)
+        width = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+        np.testing.assert_array_equal(framed, np.pad(a, width, constant_values=np.float32(fill)))
+        assert framed.dtype == np.float32
+        assert (framed is a) == (padding == 0)
+
+    @pytest.mark.parametrize("shape,kspec,stride", [((2, 3, 6, 7), (4, 3, 3, 3), 1), ((1, 2, 9, 8), (3, 2, 5, 5), 2)])
+    def test_correlation_gemms_equal_tensordot_bit_for_bit(self, rng, shape, kspec, stride):
+        xp = rng.standard_normal(shape).astype(np.float32)
+        k = rng.standard_normal(kspec).astype(np.float32)
+        kh, kw = kspec[2:]
+        oh, ow = (shape[2] - kh) // stride + 1, (shape[3] - kw) // stride + 1
+        expected = np.zeros((shape[0], kspec[0], oh, ow), dtype=np.float32)
+        for i in range(kh):
+            slab = np.tensordot(k[:, :, i, :], xp[:, :, i : i + (oh - 1) * stride + 1 : stride, :], axes=([1], [1]))
+            for j in range(kw):
+                expected += slab[:, j, :, :, j : j + (ow - 1) * stride + 1 : stride].transpose(1, 0, 2, 3)
+        np.testing.assert_array_equal(ops._correlate(xp, k, stride), expected)
 
     def test_rejects_channel_mismatch(self):
         x = Tensor.zeros((1, 2, 4, 4))

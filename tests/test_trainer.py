@@ -1,8 +1,6 @@
 """Optimizer math, crop sampling, determinism, and the training loop."""
 
 import dataclasses
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,9 +8,8 @@ import pytest
 from graphfusion import trainer
 from graphfusion.config import FusionConfig
 from graphfusion.images import ImagePair
-from graphfusion.losses import loss_components
-from graphfusion.network import forward, init_params, load_checkpoint
-from graphfusion.tensor import Tape, Tensor
+from graphfusion.network import init_params, load_checkpoint
+from graphfusion.tensor import Tensor
 from graphfusion.trainer import (
     TrainingDiverged,
     TrainLog,
@@ -268,119 +265,3 @@ class TestTrainLoop:
         r = log.records[0]
         assert r.total == pytest.approx(r.mse + config.alpha * r.edge + config.beta * r.ssim, rel=1e-5)
         assert r.lr == config.lr
-
-
-def smooth_images(rng: np.random.Generator, n: int, h: int, w: int) -> np.ndarray:
-    """(n, 1, h, w) windowed sine gratings: few pixels near a kink of the loss."""
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float32) / (h - 1)
-    images = []
-    for _ in range(n):
-        cy, cx, fx, fy = rng.uniform(0.2, 0.8, size=4)
-        envelope = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2))
-        images.append(0.5 + 0.3 * np.sin(6.0 * fx * xx + 4.0 * fy * yy) * envelope)
-    return np.stack(images)[:, None].astype(np.float32)
-
-
-def one_tape_step(ir, vis, params, config) -> tuple[dict[str, float], dict[str, np.ndarray]]:
-    """Batch losses and parameter gradients from a single tape over the whole batch."""
-    with Tape() as tape:
-        parts = loss_components(forward(Tensor(ir), Tensor(vis), params, config), Tensor(ir), Tensor(vis), config)
-        tape.backward(parts["total"])
-    values = {k: float(t.data) for k, t in parts.items()}
-    grads = {name: p.grad.copy() for name, p in params.items()}
-    tape.clear()
-    return values, grads
-
-
-def short_last_batch() -> tuple[np.ndarray, np.ndarray]:
-    # A 24x32 pair has 2x3 windows of 16 at stride 8: batch 4 leaves 2.
-    rng = np.random.default_rng(5)
-    pair = ImagePair("short", smooth_images(rng, 1, 24, 32)[0, 0], smooth_images(rng, 1, 24, 32)[0, 0])
-    *_, last = sample_crops([pair], crop=16, stride=8, batch=4, seed=0)
-    return last
-
-
-class TestShardedStep:
-    @pytest.mark.parametrize(
-        "config, batch",
-        [
-            (FusionConfig(), None),
-            (dataclasses.replace(FusionConfig(), batch=3), None),
-            (dataclasses.replace(FusionConfig(), edge_loss_squared=True), None),
-            (tiny_config(batch=4), short_last_batch),
-        ],
-        ids=["default-batch2", "batch3-on-2-threads", "edge-squared", "short-last-batch"],
-    )
-    def test_shards_match_one_tape_over_the_batch(self, config, batch):
-        if batch is None:
-            rng = np.random.default_rng(config.batch)
-            ir, vis = smooth_images(rng, config.batch, 32, 32), smooth_images(rng, config.batch, 32, 32)
-        else:
-            ir, vis = batch()
-        params = init_params(config)
-        want_values, want_grads = one_tape_step(ir, vis, params, config)
-        data = {name: p.data.copy() for name, p in params.items()}
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            values = trainer._sharded_gradients(pool, ir, vis, params, config, step=0)
-        assert values == pytest.approx(want_values, rel=1e-4)
-        for name, p in params.items():
-            np.testing.assert_array_equal(p.data, data[name])
-            # Against the gradient's scale: the loss has kinks (|.|, relu, max,
-            # sqrt at 0) and float32 rounding can move a pixel across one.
-            scale = np.abs(want_grads[name]).max()
-            np.testing.assert_allclose(p.grad, want_grads[name], rtol=0, atol=1e-4 * scale, err_msg=name)
-
-    def test_non_finite_loss_raises_before_any_backward(self, monkeypatch):
-        config = tiny_config()
-        params = init_params(config, seed=0)
-        params["head.conv2.weight"].data[0, 0, 0, 0] = np.nan
-
-        def no_backward(*args):
-            raise AssertionError("a shard ran its backward on a non-finite batch loss")
-
-        monkeypatch.setattr(trainer, "_shard_backward", no_backward)
-        ir, vis = sample_crops([make_pair()], 16, 8, 2, seed=0)[0]
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            with pytest.raises(TrainingDiverged, match="non-finite loss at step 7"):
-                trainer._sharded_gradients(pool, ir, vis, params, config, step=7)
-
-    def test_batch_of_one_runs_on_the_calling_thread(self, monkeypatch):
-        def no_shards(*args):
-            raise AssertionError("a batch of one was sharded")
-
-        monkeypatch.setattr(trainer, "_shard_forward", no_shards)
-        # A 16x16 pair has one 16x16 window, so every batch holds one crop.
-        _, log = train([make_pair(h=16, w=16)], tiny_config(), max_steps=2)
-        assert len(log.records) == 2
-
-    def test_results_do_not_depend_on_core_count(self, monkeypatch, tmp_path):
-        # Criterion 7's config on a 32x32 pair: 9 windows per epoch, so four
-        # batches of two run sharded and the fifth, of one, does not.
-        config = FusionConfig(
-            channels=4, nodes=2, loops=3, reduction=4, crop=16, stride=8, batch=2, epochs=50, seed=11,
-        )
-        rng = np.random.default_rng(0)
-        pair = ImagePair(
-            "p",
-            rng.uniform(0.0, 1.0, size=(32, 32)).astype(np.float32),
-            rng.uniform(0.0, 1.0, size=(32, 32)).astype(np.float32),
-        )
-        workers = []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(trainer, "ThreadPoolExecutor", RecordingPool)
-        runs = []
-        for cores in ({0}, {0, 1}):
-            monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid, cores=cores: cores)
-            path = tmp_path / f"cores{len(cores)}.ckpt"
-            threads = threading.active_count()
-            _, log = train([pair], config, checkpoint_path=path, max_steps=20)
-            assert threading.active_count() == threads
-            runs.append((path.read_bytes(), [(r.total, r.mse, r.edge, r.ssim) for r in log.records]))
-        assert workers == [1, 2]
-        assert runs[0][0] == runs[1][0]
-        assert runs[0][1] == runs[1][1]
