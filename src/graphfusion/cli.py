@@ -16,7 +16,7 @@ import numpy as np
 from .config import SSIM_WINDOW, FusionConfig, write_default_config
 from .gradcheck import check_parameter_groups
 from .images import luma_chroma_to_rgb, pair_directory, read_image, rgb_to_chroma, to_gray, write_image
-from .losses import loss_total
+from .losses import loss_components
 from .metrics import MetricReport, compute_metrics
 from .network import CheckpointError, forward, fuse_arrays, init_params, load_checkpoint
 from .reference import reference_loss
@@ -190,7 +190,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
     def objective() -> Tensor:
         fused = forward(ir, vis, params, config)
-        return loss_total(fused, ir, vis, config, ssim_window=window)
+        return loss_components(fused, ir, vis, config, ssim_window=window)["total"]
 
     def objective64(arrays) -> np.ndarray:
         return reference_loss(ir.data, vis.data, arrays, config, ssim_window=window)

@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 # Side of the Gaussian SSIM window in the loss and the metrics; a training
 # crop must be at least this large.
 SSIM_WINDOW = 11
+
+# Keys that were once fields.  Config files and checkpoints written then hold
+# them, so each is accepted at the one value whose behaviour remains, and
+# dropped; any other value asks for a behaviour that is gone.
+_RETIRED_KEYS = {"decay_mode": "weight_decay", "edge_loss_squared": False}
 
 _FIELD_DOC = {
     "channels": "feature channels C throughout the network",
@@ -22,14 +28,12 @@ _FIELD_DOC = {
     "alpha": "weight of the edge-alignment loss term",
     "beta": "weight of the structural-similarity loss term",
     "lr": "Adam learning rate",
-    "weight_decay": "decay rate; decoupled weight decay, or per-step slope in lr_linear mode",
-    "decay_mode": "'weight_decay' or 'lr_linear'",
+    "weight_decay": "decoupled weight decay rate",
     "batch": "training crops per step",
     "epochs": "passes over the crop grid",
     "crop": "square training crop side",
     "stride": "crop grid stride in pixels",
     "seed": "seed for init, shuffling, and any synthetic data",
-    "edge_loss_squared": "square the mean absolute edge residual instead of using it directly",
     "share_loop_params": "reuse loop 1 graph parameters in every loop",
 }
 
@@ -49,13 +53,11 @@ class FusionConfig:
     beta: float = 0.5
     lr: float = 1e-3
     weight_decay: float = 2e-4
-    decay_mode: str = "weight_decay"
     batch: int = 2
     epochs: int = 100
     crop: int = 64
     stride: int = 8
     seed: int = 0
-    edge_loss_squared: bool = False
     share_loop_params: bool = False
 
     def validate(self) -> "FusionConfig":
@@ -69,14 +71,15 @@ class FusionConfig:
             raise ValueError(
                 f"channels ({self.channels}) must be divisible by reduction ({self.reduction})"
             )
+        for field in ("alpha", "beta", "lr", "weight_decay"):
+            if not math.isfinite(getattr(self, field)):
+                raise ValueError(f"{field} must be finite, got {getattr(self, field)}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError(f"loss weights must be non-negative, got {self.alpha}, {self.beta}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
-        if self.decay_mode not in ("weight_decay", "lr_linear"):
-            raise ValueError(f"decay_mode must be 'weight_decay' or 'lr_linear', got {self.decay_mode!r}")
         for field in ("batch", "epochs", "crop", "stride"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be positive, got {getattr(self, field)}")
@@ -92,12 +95,19 @@ class FusionConfig:
         """Build and validate a config from plain data, such as parsed JSON.
 
         Each value must have the type of its field's default; a bool is not
-        an int, and an int is accepted (as a float) for a float field.
+        an int, and an int is accepted (as a float) for a float field.  A
+        retired key is dropped when it holds its surviving value and is an
+        error otherwise.
         """
         defaults = {f.name: f.default for f in dataclasses.fields(cls)}
         kwargs = {}
         for key, value in data.items():
             if key.startswith("_"):
+                continue
+            if key in _RETIRED_KEYS:
+                kept = _RETIRED_KEYS[key]
+                if type(value) is not type(kept) or value != kept:
+                    raise ValueError(f"config key {key!r} is retired; only {kept!r} is accepted, got {value!r}")
                 continue
             if key not in defaults:
                 raise ValueError(f"unknown config key {key!r}")

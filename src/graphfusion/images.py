@@ -156,16 +156,11 @@ def write_image(path: str | Path, img: np.ndarray) -> None:
 
 @dataclass
 class ImagePair:
-    """One infrared/visible pair, both H x W, floats in [0, 1].
-
-    ``infrared`` and ``visible`` are single-channel; ``visible_rgb`` keeps
-    the color planes when the visible source was P6.
-    """
+    """One infrared/visible pair, both single-channel H x W, floats in [0, 1]."""
 
     pair_id: str
     infrared: np.ndarray
     visible: np.ndarray
-    visible_rgb: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -203,20 +198,11 @@ def pair_directory(ir_dir: str | Path, vis_dir: str | Path) -> list[ImagePair]:
         raise ValueError(f"no matching image pairs between {ir_dir} and {vis_dir}")
     pairs = []
     for stem in common:
-        ir_img = read_image(ir_files[stem])
-        vis_img = read_image(vis_files[stem])
-        ir_gray = to_gray(ir_img)
-        vis_gray = to_gray(vis_img)
+        ir_gray = to_gray(read_image(ir_files[stem]))
+        vis_gray = to_gray(read_image(vis_files[stem]))
         if ir_gray.shape != vis_gray.shape:
             raise ValueError(
                 f"pair {stem!r}: size mismatch, infrared {ir_gray.shape} vs visible {vis_gray.shape}"
             )
-        pairs.append(
-            ImagePair(
-                pair_id=stem,
-                infrared=ir_gray,
-                visible=vis_gray,
-                visible_rgb=vis_img if vis_img.ndim == 3 else None,
-            )
-        )
+        pairs.append(ImagePair(pair_id=stem, infrared=ir_gray, visible=vis_gray))
     return pairs

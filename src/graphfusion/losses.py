@@ -4,7 +4,7 @@ The total objective is ``mse + alpha * edge + beta * ssim`` where
 
 * ``mse`` pulls the fused image toward the per-pixel source mean,
 * ``edge`` aligns the fused Sobel magnitude with the elementwise max of
-  the source magnitudes (mean absolute residual, optionally squared),
+  the source magnitudes (mean absolute residual),
 * ``ssim`` is ``(1 - SSIM(fused, ir)) + (1 - SSIM(fused, vis))`` with the
   standard Gaussian-windowed SSIM (window 11, sigma 1.5, K1=0.01,
   K2=0.03, dynamic range 1).
@@ -97,13 +97,10 @@ def loss_mse(fused: Tensor, ir: Tensor, vis: Tensor) -> Tensor:
     return ops.reduce_mean(ops.mul(d, d))
 
 
-def loss_edge(fused: Tensor, ir: Tensor, vis: Tensor, squared: bool = False) -> Tensor:
-    """Mean |grad(fused) - max(grad(ir), grad(vis))|, optionally squared."""
+def loss_edge(fused: Tensor, ir: Tensor, vis: Tensor) -> Tensor:
+    """Mean |grad(fused) - max(grad(ir), grad(vis))|."""
     target = ops.maximum(gradient_magnitude(ir), gradient_magnitude(vis))
-    resid = ops.reduce_mean(ops.absolute(ops.sub(gradient_magnitude(fused), target)))
-    if squared:
-        return ops.mul(resid, resid)
-    return resid
+    return ops.reduce_mean(ops.absolute(ops.sub(gradient_magnitude(fused), target)))
 
 
 def loss_ssim(fused: Tensor, ir: Tensor, vis: Tensor, window: int = SSIM_WINDOW) -> Tensor:
@@ -118,7 +115,7 @@ def loss_components(
 ) -> dict[str, Tensor]:
     """All loss terms plus their weighted total, on one tape."""
     mse = loss_mse(fused, ir, vis)
-    edge = loss_edge(fused, ir, vis, squared=config.edge_loss_squared)
+    edge = loss_edge(fused, ir, vis)
     sim = loss_ssim(fused, ir, vis, window=ssim_window)
     total = mse
     if config.alpha:
@@ -126,9 +123,3 @@ def loss_components(
     if config.beta:
         total = ops.add(total, ops.scale(sim, config.beta))
     return {"mse": mse, "edge": edge, "ssim": sim, "total": total}
-
-
-def loss_total(
-    fused: Tensor, ir: Tensor, vis: Tensor, config: FusionConfig, ssim_window: int = SSIM_WINDOW
-) -> Tensor:
-    return loss_components(fused, ir, vis, config, ssim_window)["total"]

@@ -353,8 +353,6 @@ def reference_loss(
     if config.alpha:
         edges = np.maximum(_sobel_magnitude(ir), _sobel_magnitude(vis))
         resid = _abs(_sobel_magnitude(fused) - edges).mean(axis=_SAMPLE_AXES)
-        if config.edge_loss_squared:
-            resid = resid * resid
         total = total + config.alpha * resid
     if config.beta:
         sim = (1.0 - _ssim_mean(fused, ir, ssim_window)) + (1.0 - _ssim_mean(fused, vis, ssim_window))

@@ -133,13 +133,6 @@ class TrainLog:
         return buf.getvalue()
 
 
-def learning_rate(config: FusionConfig, step: int) -> float:
-    """LR for a 0-based step: constant, or linearly decayed to zero."""
-    if config.decay_mode == "lr_linear":
-        return config.lr * max(0.0, 1.0 - config.weight_decay * step)
-    return config.lr
-
-
 def train(
     pairs: Sequence[ImagePair],
     config: FusionConfig,
@@ -161,14 +154,12 @@ def train(
     if params is None:
         params = init_params(config)
     state = init_adam(params)
-    wd = config.weight_decay if config.decay_mode == "weight_decay" else 0.0
     train_log = TrainLog()
     step = 0
     done = False
     for epoch in range(config.epochs):
         batches = sample_crops(pairs, config.crop, config.stride, config.batch, config.seed + epoch)
         for ir_arr, vis_arr in batches:
-            lr = learning_rate(config, step)
             ir = Tensor(ir_arr)
             vis = Tensor(vis_arr)
             with Tape() as tape:
@@ -178,7 +169,7 @@ def train(
                 if not all(np.isfinite(v) for v in values.values()):
                     raise TrainingDiverged(f"non-finite loss at step {step}: {values}")
                 tape.backward(parts["total"])
-                adam_step(params, state, lr, wd)
+                adam_step(params, state, config.lr, config.weight_decay)
                 tape.clear()
             record = LogRecord(
                 step=step,
@@ -186,7 +177,7 @@ def train(
                 mse=values["mse"],
                 edge=values["edge"],
                 ssim=values["ssim"],
-                lr=lr,
+                lr=config.lr,
             )
             train_log.records.append(record)
             if log_every and step % log_every == 0:

@@ -7,6 +7,8 @@ implementations.  They are slow and only ever applied to tiny arrays.
 
 from __future__ import annotations
 
+import json
+import struct
 import threading
 
 import numpy as np
@@ -37,6 +39,19 @@ def away_from(rng: np.random.Generator, shape, forbidden: float, margin: float =
     raw = rng.uniform(margin, 1.0, size=shape)
     sign = rng.choice([-1.0, 1.0], size=shape)
     return (forbidden + sign * raw).astype(np.float32)
+
+
+def rewrite_config_blob(src, dst, **keys) -> None:
+    """Copy checkpoint ``src`` to ``dst`` with ``keys`` set in its config blob.
+
+    The blob's u32 length sits after the 4-byte magic and the u32 version.
+    """
+    blob = src.read_bytes()
+    (length,) = struct.unpack_from("<I", blob, 8)
+    config = json.loads(blob[12 : 12 + length])
+    config.update(keys)
+    encoded = json.dumps(config).encode("utf-8")
+    dst.write_bytes(blob[:8] + struct.pack("<I", len(encoded)) + encoded + blob[12 + length :])
 
 
 # ---------------------------------------------------------------------------

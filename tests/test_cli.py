@@ -13,6 +13,8 @@ from graphfusion.metrics import METRIC_COLUMNS
 from graphfusion.network import init_params, load_checkpoint, save_checkpoint
 from graphfusion.tensor import Tensor, accumulate, record_op
 
+from conftest import rewrite_config_blob
+
 
 @pytest.fixture(scope="module")
 def toy(tmp_path_factory):
@@ -110,7 +112,10 @@ class TestTrain:
         assert code == 2
         assert "cannot load config" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key,value", [("use_graph", "false"), ("channels", "16")])
+    @pytest.mark.parametrize(
+        "key,value",
+        [("use_graph", "false"), ("channels", "16"), ("decay_mode", "lr_linear"), ("edge_loss_squared", True)],
+    )
     def test_mistyped_config_value_is_usage_error(self, toy, tmp_path, capsys, key, value):
         data = json.loads(toy["config"].read_text())
         data[key] = value
@@ -127,6 +132,24 @@ class TestTrain:
         )
         assert code == 2
         assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
+    def test_non_finite_config_value_is_usage_error(self, toy, tmp_path, capsys):
+        data = json.loads(toy["config"].read_text())
+        data["lr"] = float("nan")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code = cli.main(
+            [
+                "train",
+                "--config", str(bad),
+                "--ir-dir", str(toy["ir"]),
+                "--vis-dir", str(toy["vis"]),
+                "--out", str(tmp_path / "x.ckpt"),
+            ]
+        )
+        assert code == 2
+        assert "lr must be finite, got nan" in capsys.readouterr().err
         assert not (tmp_path / "x.ckpt").exists()
 
     def test_empty_data_dir_is_usage_error(self, toy, tmp_path, capsys):
@@ -225,6 +248,24 @@ class TestFuse:
         )
         assert code == 2
         assert "cannot load checkpoint" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("key,value", [("decay_mode", "lr_linear"), ("edge_loss_squared", True)])
+    def test_retired_config_value_in_checkpoint_rejected(self, toy, tmp_path, capsys, key, value):
+        bad = tmp_path / "bad.ckpt"
+        rewrite_config_blob(toy["ckpt"], bad, **{key: value})
+        code = cli.main(
+            [
+                "fuse",
+                "--checkpoint", str(bad),
+                "--ir", str(toy["ir"] / "p0.pgm"),
+                "--vis", str(toy["vis"] / "p0.pgm"),
+                "--out", str(tmp_path / "x.pgm"),
+            ]
+        )
+        assert code == 2
+        assert f"config key '{key}' is retired" in capsys.readouterr().err
+        assert not (tmp_path / "x.pgm").exists()
 
 
 class TestEval:

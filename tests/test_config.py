@@ -1,5 +1,7 @@
 """Config parsing: unknown keys and mistyped values fail up front."""
 
+import json
+
 import pytest
 
 from graphfusion.config import FusionConfig
@@ -27,6 +29,39 @@ def test_int_is_accepted_for_a_float_field():
     config = FusionConfig.from_dict({"lr": 1, "alpha": 0})
     assert config.lr == 1.0 and type(config.lr) is float
     assert config.alpha == 0.0 and type(config.alpha) is float
+
+
+@pytest.mark.parametrize(
+    "key,text",
+    [
+        ("lr", "NaN"),
+        ("lr", "Infinity"),
+        ("alpha", "Infinity"),
+        ("beta", "NaN"),
+        ("weight_decay", "NaN"),
+        ("weight_decay", "Infinity"),
+    ],
+)
+def test_non_finite_float_rejected(key, text):
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        FusionConfig.from_json(f'{{"{key}": {text}}}')
+
+
+def test_retired_keys_accepted_at_surviving_values():
+    # Every file init-config wrote before their retirement holds both keys.
+    data = json.loads(FusionConfig().to_json())
+    data.update(_doc={}, decay_mode="weight_decay", edge_loss_squared=False)
+    assert FusionConfig.from_dict(data) == FusionConfig()
+    assert not {"decay_mode", "edge_loss_squared"} & set(FusionConfig().to_dict())
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("decay_mode", "lr_linear"), ("edge_loss_squared", True), ("edge_loss_squared", 0)],
+)
+def test_retired_key_at_another_value_rejected(key, value):
+    with pytest.raises(ValueError, match=f"config key '{key}' is retired"):
+        FusionConfig.from_dict({key: value})
 
 
 def test_unknown_key_rejected():

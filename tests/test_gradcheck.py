@@ -5,7 +5,7 @@ import pytest
 
 from graphfusion import gradcheck, ops
 from graphfusion.config import FusionConfig
-from graphfusion.losses import loss_total
+from graphfusion.losses import loss_components
 from graphfusion.network import forward, init_params
 from graphfusion.reference import reference_loss
 from graphfusion.tensor import ShapeError, Tensor
@@ -29,7 +29,7 @@ def run_check(monkeypatch, chunk: int):
         return out
 
     reports = gradcheck.check_parameter_groups(
-        lambda: loss_total(forward(ir, vis, params, CONFIG), ir, vis, CONFIG, ssim_window=5),
+        lambda: loss_components(forward(ir, vis, params, CONFIG), ir, vis, CONFIG, ssim_window=5)["total"],
         params,
         reference,
         samples_per_tensor=SAMPLES,

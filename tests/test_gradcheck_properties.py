@@ -2,6 +2,7 @@
 
 Each property draws randomized shapes and values, then compares analytic
 gradients against central differences for every element of every input.
+The conv2d properties difference a float64 convolution of their own.
 Inputs to non-smooth ops (relu, absolute, maximum, maxpool, sqrt, div) are
 constructed to keep every probe at least an order of magnitude away from
 the nearest kink or pole, so the finite-difference reference is valid.
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphfusion import ops
 from graphfusion.gradcheck import gradient_check
-from graphfusion.tensor import Tensor
+from graphfusion.tensor import Tape, Tensor
 
 from conftest import away_from, separated_values
 
@@ -34,34 +35,63 @@ def grad_tensor(rng, shape) -> Tensor:
     return Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
 
 
+def conv64(x, kern, bias, stride, padding):
+    """float64 convolution as one einsum over strided windows of the padded input."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, kern.shape[2:], axis=(2, 3))[:, :, ::stride, ::stride]
+    return np.einsum("nchwij,ocij->nohw", win, kern) + bias[None, :, None, None]
+
+
+def conv2d_gradient_error(rng, x_shape, kern_shape, stride, padding) -> float:
+    """Worst error of conv2d's tape gradients against float64 central differences.
+
+    The numeric side differentiates :func:`conv64`, which shares no code with
+    ``ops.conv2d``, so it does not move when conv2d sums its float32 products
+    in another order; a float32 difference quotient sits at the 1e-3 noise
+    floor on these shapes.  The error is measured as in ``gradient_check``:
+    per input, the worst absolute difference over the larger infinity norm.
+    """
+    inputs = [grad_tensor(rng, x_shape), grad_tensor(rng, kern_shape), grad_tensor(rng, kern_shape[:1])]
+    with Tape() as tape:
+        out = ops.conv2d(*inputs, stride=stride, padding=padding)
+        coeffs = rng.standard_normal(out.shape).astype(np.float32)
+        tape.backward(weighted(out, coeffs))
+        analytic = [t.grad.astype(np.float64).reshape(-1) for t in inputs]
+        tape.clear()
+    arrays = [t.data.astype(np.float64) for t in inputs]
+    coeffs64 = coeffs.astype(np.float64)
+    eps = 1e-3
+    worst = 0.0
+    for grad, arr in zip(analytic, arrays):
+        flat = arr.reshape(-1)
+        numeric = np.empty(flat.size)
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + eps
+            hi = np.sum(conv64(*arrays, stride, padding) * coeffs64)
+            flat[j] = orig - eps
+            lo = np.sum(conv64(*arrays, stride, padding) * coeffs64)
+            flat[j] = orig
+            numeric[j] = (hi - lo) / (2.0 * eps)
+        scale = max(np.max(np.abs(grad)), np.max(np.abs(numeric)), 1e-6)
+        worst = max(worst, float(np.max(np.abs(grad - numeric))) / scale)
+    return worst
+
+
 @common
 @given(seed=seeds, n=small, c=small, oc=small, hw=spatial, k=st.sampled_from([1, 3]), padding=st.sampled_from([0, 1]))
 def test_conv2d_gradients(seed, n, c, oc, hw, k, padding):
     if hw + 2 * padding < k:
         return
     rng = np.random.default_rng(seed)
-    x = grad_tensor(rng, (n, c, hw, hw))
-    kern = grad_tensor(rng, (oc, c, k, k))
-    bias = grad_tensor(rng, (oc,))
-    oh = hw + 2 * padding - k + 1
-    coeffs = rng.standard_normal((n, oc, oh, oh)).astype(np.float32)
-    res = gradient_check(lambda a, b, d: weighted(ops.conv2d(a, b, d, padding=padding), coeffs), [x, kern, bias])
-    assert res.max_rel_error < THRESHOLD
+    assert conv2d_gradient_error(rng, (n, c, hw, hw), (oc, c, k, k), 1, padding) < THRESHOLD
 
 
 @common
 @given(seed=seeds, n=small, c=small, hw=st.integers(min_value=3, max_value=6))
 def test_conv2d_stride2_gradients(seed, n, c, hw):
     rng = np.random.default_rng(seed)
-    x = grad_tensor(rng, (n, c, hw, hw))
-    kern = grad_tensor(rng, (2, c, 3, 3))
-    bias = grad_tensor(rng, (2,))
-    oh = (hw + 2 - 3) // 2 + 1
-    coeffs = rng.standard_normal((n, 2, oh, oh)).astype(np.float32)
-    res = gradient_check(
-        lambda a, b, d: weighted(ops.conv2d(a, b, d, stride=2, padding=1), coeffs), [x, kern, bias]
-    )
-    assert res.max_rel_error < THRESHOLD
+    assert conv2d_gradient_error(rng, (n, c, hw, hw), (2, c, 3, 3), 2, 1) < THRESHOLD
 
 
 @common

@@ -166,7 +166,7 @@ class TestFilesAndPairs:
         assert [p.pair_id for p in pairs] == ["a", "b"]
         assert "only_ir" in caplog.text
 
-    def test_color_visible_keeps_rgb_and_converts_to_luma(self, tmp_path):
+    def test_color_visible_converts_to_luma(self, tmp_path):
         ir_dir = tmp_path / "ir"
         vis_dir = tmp_path / "vis"
         ir_dir.mkdir()
@@ -176,8 +176,8 @@ class TestFilesAndPairs:
         rgb[:, :, 1] = 1.0
         write_image(vis_dir / "x.ppm", rgb)
         (pair,) = pair_directory(ir_dir, vis_dir)
-        assert pair.visible_rgb is not None
-        assert pair.visible_rgb.shape == (2, 2, 3)
+        assert pair.visible.shape == pair.infrared.shape == (2, 2)
+        assert pair.visible.dtype == np.float32
         np.testing.assert_allclose(pair.visible, 0.587, atol=1e-3)
 
     def test_empty_intersection_is_error(self, tmp_path):

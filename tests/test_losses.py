@@ -15,7 +15,6 @@ from graphfusion.losses import (
     loss_edge,
     loss_mse,
     loss_ssim,
-    loss_total,
     ssim,
 )
 from graphfusion.tensor import ShapeError, Tensor
@@ -30,8 +29,8 @@ def rand_img(rng, h=12, w=12, lo=0.0, hi=1.0) -> Tensor:
     return img(rng.uniform(lo, hi, size=(h, w)).astype(np.float32))
 
 
-def weights(alpha=10.0, beta=0.5, squared=False) -> FusionConfig:
-    return dataclasses.replace(FusionConfig(), alpha=alpha, beta=beta, edge_loss_squared=squared)
+def weights(alpha=10.0, beta=0.5) -> FusionConfig:
+    return dataclasses.replace(FusionConfig(), alpha=alpha, beta=beta)
 
 
 class TestExactZeros:
@@ -59,7 +58,7 @@ class TestExactZeros:
 class TestWeighting:
     def _inject(self, monkeypatch, p, q, r):
         monkeypatch.setattr(losses, "loss_mse", lambda f, i, v: Tensor(np.float32(p)))
-        monkeypatch.setattr(losses, "loss_edge", lambda f, i, v, squared=False: Tensor(np.float32(q)))
+        monkeypatch.setattr(losses, "loss_edge", lambda f, i, v: Tensor(np.float32(q)))
         monkeypatch.setattr(losses, "loss_ssim", lambda f, i, v, window=11: Tensor(np.float32(r)))
 
     @pytest.mark.parametrize(
@@ -81,13 +80,6 @@ class TestWeighting:
         ir, vis, fused = rand_img(rng), rand_img(rng), rand_img(rng)
         comps = loss_components(fused, ir, vis, weights(alpha=0.0, beta=0.0))
         assert comps["total"] is comps["mse"]
-
-    def test_loss_total_equals_components_total(self, rng):
-        ir, vis, fused = rand_img(rng), rand_img(rng), rand_img(rng)
-        config = weights()
-        total = loss_total(fused, ir, vis, config)
-        comps = loss_components(fused, ir, vis, config)
-        assert total.item() == comps["total"].item()
 
     def test_constant_image_closed_form(self):
         # For constant images every component has a closed form: the MSE is
@@ -112,12 +104,6 @@ class TestWeighting:
         assert comps["edge"].item() == pytest.approx(edge, rel=1e-5)
         assert comps["ssim"].item() == pytest.approx(sim, rel=1e-4, abs=1e-6)
         assert comps["total"].item() == pytest.approx(mse + 10.0 * edge + 0.5 * sim, rel=1e-4)
-
-    def test_squared_edge_loss_squares_the_mean(self, rng):
-        ir, vis, fused = rand_img(rng), rand_img(rng), rand_img(rng)
-        plain = loss_edge(fused, ir, vis, squared=False).item()
-        squared = loss_edge(fused, ir, vis, squared=True).item()
-        assert squared == pytest.approx(plain * plain, rel=1e-6)
 
 
 class TestOracles:
@@ -192,7 +178,7 @@ class TestLossGradients:
         for t in (fused, ir, vis):
             t.requires_grad = True
         with Tape() as tape:
-            tape.backward(loss_total(fused, ir, vis, weights(), ssim_window=11))
+            tape.backward(loss_components(fused, ir, vis, weights(), ssim_window=11)["total"])
         for t in (fused, ir, vis):
             assert t.grad is not None and np.any(t.grad != 0.0)
         tape.clear()

@@ -22,6 +22,8 @@ from graphfusion.network import (
 from graphfusion.reference import reference_forward
 from graphfusion.tensor import ShapeError, Tensor
 
+from conftest import rewrite_config_blob
+
 
 def cfg(**overrides) -> FusionConfig:
     return dataclasses.replace(FusionConfig(), **overrides)
@@ -197,6 +199,25 @@ class TestCheckpoint:
         assert list(loaded) == list(params)
         for name in params:
             np.testing.assert_array_equal(loaded[name].data, params[name].data)
+
+    def test_retired_keys_at_surviving_values_load(self, tmp_path):
+        # Checkpoints written before decay_mode and edge_loss_squared were
+        # retired carry both keys in their config blob.
+        config = cfg(**SMALL)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(config, seed=0), config)
+        rewrite_config_blob(path, path, decay_mode="weight_decay", edge_loss_squared=False)
+        _, loaded_config = load_checkpoint(path)
+        assert loaded_config == config
+
+    @pytest.mark.parametrize("key,value", [("decay_mode", "lr_linear"), ("edge_loss_squared", True)])
+    def test_retired_key_at_another_value_rejected(self, tmp_path, key, value):
+        config = cfg(**SMALL)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(config, seed=0), config)
+        rewrite_config_blob(path, path, **{key: value})
+        with pytest.raises(CheckpointError, match=f"config key '{key}' is retired"):
+            load_checkpoint(path)
 
     def test_file_starts_with_magic(self, tmp_path):
         config = cfg(**SMALL)

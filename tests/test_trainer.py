@@ -17,7 +17,6 @@ from graphfusion.trainer import (
     adam_step,
     crop_windows,
     init_adam,
-    learning_rate,
     sample_crops,
     train,
 )
@@ -150,17 +149,21 @@ class TestAdam:
 
 
 class TestLearningRate:
-    def test_weight_decay_mode_keeps_lr_constant(self):
-        config = tiny_config(lr=1e-3, weight_decay=2e-4, decay_mode="weight_decay")
-        assert learning_rate(config, 0) == 1e-3
-        assert learning_rate(config, 10_000) == 1e-3
+    def test_weight_decay_mode_keeps_lr_constant(self, monkeypatch):
+        # Weight decay is decoupled: Adam gets it as its own rate, and every
+        # step runs at config.lr.
+        calls = []
+        adam = trainer.adam_step
 
-    def test_linear_mode_decays_to_zero(self):
-        config = tiny_config(lr=1e-3, weight_decay=0.01, decay_mode="lr_linear")
-        assert learning_rate(config, 0) == 1e-3
-        assert learning_rate(config, 50) == pytest.approx(1e-3 * 0.5)
-        assert learning_rate(config, 100) == 0.0
-        assert learning_rate(config, 200) == 0.0
+        def spy(params, state, lr, weight_decay=0.0):
+            calls.append((lr, weight_decay))
+            adam(params, state, lr, weight_decay)
+
+        monkeypatch.setattr(trainer, "adam_step", spy)
+        config = tiny_config(lr=1e-3, weight_decay=0.01, epochs=100)
+        _, log = train([make_pair()], config, max_steps=3)
+        assert calls == [(1e-3, 0.01)] * 3
+        assert [r.lr for r in log.records] == [1e-3] * 3
 
 
 class TestTrainLoop:
