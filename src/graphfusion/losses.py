@@ -61,6 +61,9 @@ def ssim(x: Tensor, y: Tensor, window: int = SSIM_WINDOW) -> Tensor:
 
     Both inputs are (N, 1, H, W) with H, W >= window.  Identical inputs
     give exactly 1 (numerator and denominator coincide bitwise).
+    The (co)variances are of each input minus its per-sample mean, a
+    constant added back to the local means: the same function, without
+    float32 ``blur(x^2) - blur(x)^2`` cancelling to +-1e-7 where it is 0.
     """
     _single_channel("ssim", x)
     _single_channel("ssim", y)
@@ -75,16 +78,22 @@ def ssim(x: Tensor, y: Tensor, window: int = SSIM_WINDOW) -> Tensor:
     def blur(t: Tensor) -> Tensor:
         return ops.conv2d(t, kernel, zero)
 
+    def centred(t: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+        """``t`` less its per-sample mean, the blur of that, and the local mean of ``t``."""
+        mean = Tensor(t.data.mean(axis=(1, 2, 3), keepdims=True, dtype=np.float64))
+        tc = ops.sub(t, mean)
+        d = blur(tc)
+        return tc, d, ops.add(d, mean)
+
     c1 = SSIM_K1 * SSIM_K1
     c2 = SSIM_K2 * SSIM_K2
-    mu_x = blur(x)
-    mu_y = blur(y)
+    (xc, dx, mu_x), (yc, dy, mu_y) = centred(x), centred(y)
     mu_xx = ops.mul(mu_x, mu_x)
     mu_yy = ops.mul(mu_y, mu_y)
     mu_xy = ops.mul(mu_x, mu_y)
-    var_x = ops.sub(blur(ops.mul(x, x)), mu_xx)
-    var_y = ops.sub(blur(ops.mul(y, y)), mu_yy)
-    cov = ops.sub(blur(ops.mul(x, y)), mu_xy)
+    var_x = ops.sub(blur(ops.mul(xc, xc)), ops.mul(dx, dx))
+    var_y = ops.sub(blur(ops.mul(yc, yc)), ops.mul(dy, dy))
+    cov = ops.sub(blur(ops.mul(xc, yc)), ops.mul(dx, dy))
     num = ops.mul(ops.shift(ops.scale(mu_xy, 2.0), c1), ops.shift(ops.scale(cov, 2.0), c2))
     den = ops.mul(ops.shift(ops.add(mu_xx, mu_yy), c1), ops.shift(ops.add(var_x, var_y), c2))
     return ops.reduce_mean(ops.div(num, den))

@@ -10,6 +10,7 @@ matching or 1 on one side (this covers per-channel weights of shape
 
 from __future__ import annotations
 
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -34,36 +35,52 @@ def _framed(a: np.ndarray, padding: int, fill: float = 0.0) -> np.ndarray:
 
 
 def _tap(a: np.ndarray, i: int, j: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """View of the ``oh`` x ``ow`` cells that window tap (i, j) reads in a (N, C, H, W) map."""
-    return a[:, :, i : i + (oh - 1) * stride + 1 : stride, j : j + (ow - 1) * stride + 1 : stride]
+    """View of the ``oh`` x ``ow`` cells that window tap (i, j) reads in a (..., H, W) map."""
+    return a[..., i : i + (oh - 1) * stride + 1 : stride, j : j + (ow - 1) * stride + 1 : stride]
 
 
 # ---------------------------------------------------------------------------
 # convolution and pooling
 
+_WORKSPACE_FLOATS = 1 << 20  # 4 MB of float32 taps per band of output rows
+_WORKSPACE = threading.local()
+
+
+def _bands(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int):
+    """Yield ``(sample, columns, taps)`` per band of output rows of a padded (N, C, H, W) map.
+
+    ``taps`` is the band's (c*kh*kw, rows*ow) window cells, gathered into
+    this thread's workspace, which the next band overwrites; ``columns``
+    slices the band out of a flattened output plane.  A band holds the
+    whole output rows that fit in ``_WORKSPACE_FLOATS``, at least one.
+    """
+    n, c = xp.shape[:2]
+    k = c * kh * kw
+    rows = max(1, min(oh, _WORKSPACE_FLOATS // (k * ow)))
+    if getattr(_WORKSPACE, "buf", np.empty(0)).size < k * rows * ow:
+        _WORKSPACE.buf = np.empty(max(_WORKSPACE_FLOATS, k * rows * ow), dtype=np.float32)
+    for s in range(n):
+        for r0 in range(0, oh, rows):
+            r = min(rows, oh - r0)
+            taps = _WORKSPACE.buf[: k * r * ow].reshape(c, kh * kw, r, ow)
+            for t in range(kh * kw):
+                taps[:, t] = _tap(xp[s, :, r0 * stride :], *divmod(t, kw), stride, r, ow)
+            yield s, slice(r0 * ow, (r0 + r) * ow), taps.reshape(k, r * ow)
+
 
 def _correlate(xp: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarray:
     """Strided cross-correlation of an already padded (N, C, H, W) map.
 
-    One channel-contraction GEMM per kernel row over full-width slabs; the
-    column offset becomes a slice of the result.  The GEMMs are the ones
-    ``np.tensordot`` would make, called directly, which saves 20-30 us of
-    Python per call.
+    One ``(oc, c*kh*kw) @ (c*kh*kw, rows*ow)`` GEMM per band of output rows
+    (:func:`_bands`), written into the output, the only full-frame array made.
     """
-    n, c = xp.shape[:2]
-    oc, _, kh, kw = kernel.shape
-    oh = (xp.shape[2] - kh) // stride + 1
-    ow = (xp.shape[3] - kw) // stride + 1
-    span_h = (oh - 1) * stride + 1
-    span_w = (ow - 1) * stride + 1
-    out = np.zeros((n, oc, oh, ow), dtype=np.float32)
-    kernel_rows = kernel.transpose(2, 0, 3, 1).reshape(kh, oc * kw, c)
-    for i in range(kh):
-        rows = xp[:, :, i : i + span_h : stride, :].transpose(1, 0, 2, 3).reshape(c, -1)
-        slab = np.dot(kernel_rows[i], rows).reshape(oc, kw, n, oh, xp.shape[3])
-        for j in range(kw):
-            out += slab[:, j, :, :, j : j + span_w : stride].transpose(1, 0, 2, 3)
-    return out
+    (n, _, h, w), (oc, _, kh, kw) = xp.shape, kernel.shape
+    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+    out = np.empty((n, oc, oh * ow), dtype=np.float32)
+    weights = kernel.reshape(oc, -1)
+    for s, columns, taps in _bands(xp, kh, kw, stride, oh, ow):
+        np.matmul(weights, taps, out=out[s, :, columns])
+    return out.reshape(n, oc, oh, ow)
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -73,16 +90,13 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     Output spatial size is ``(H + 2*padding - kh) // stride + 1``; with
     ``padding = (k - 1) // 2`` and stride 1 an odd kernel preserves size.
 
-    The forward pass and the input gradient run the same correlation
-    routine.  The input gradient is the transposed convolution: the output
-    gradient, spread ``stride`` cells apart and framed by ``kh - 1`` and
-    ``kw - 1`` zeros, correlated with the flipped kernel with its channel
-    axes swapped, then cropped to the unpadded input.  Trailing rows and
-    columns that no window reaches keep a zero gradient.  The kernel
-    gradient contracts the output gradient with each tap's view
-    (:func:`_tap`) of the padded input, and the spread map takes the output
-    gradient into its view at tap ``(kh - 1, kw - 1)``; like
-    :func:`_correlate`, it calls the GEMMs ``np.tensordot`` would make.
+    The forward pass and the input gradient are :func:`_correlate`.  The
+    input gradient is the transposed convolution: the output gradient,
+    spread ``stride`` cells apart and framed by ``kh - 1`` and ``kw - 1``
+    zeros, correlated with the flipped, channel-swapped kernel, then
+    cropped (rows and columns no window reaches get zero gradient).  The
+    transposed kernel gradient is one ``taps @ g_band.T`` GEMM per band of
+    the same gather (:func:`_bands`); BLAS runs it faster than the untransposed one.
     """
     _require_4d("conv2d", x)
     if kernel.ndim != 4:
@@ -109,13 +123,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
         if bias.requires_grad:
             accumulate(bias, g.sum(axis=(0, 2, 3)))
         if kernel.requires_grad:
-            gk = np.empty((oc, c, kh, kw), dtype=np.float32)
-            gm = g.transpose(1, 0, 2, 3).reshape(oc, -1)
-            for i in range(kh):
-                for j in range(kw):
-                    tap = _tap(xp, i, j, stride, oh, ow).transpose(0, 2, 3, 1).reshape(-1, c)
-                    gk[:, :, i, j] = np.dot(gm, tap)
-            accumulate(kernel, gk)
+            gk, gm = np.zeros((c * kh * kw, oc), dtype=np.float32), g.reshape(n, oc, oh * ow)
+            for s, columns, taps in _bands(xp, kh, kw, stride, oh, ow):
+                gk += taps @ gm[s, :, columns].T
+            accumulate(kernel, gk.T.reshape(oc, c, kh, kw))
         if x.requires_grad:
             spread = np.zeros((n, oc, h + 2 * padding + kh - 1, w + 2 * padding + kw - 1), dtype=np.float32)
             _tap(spread, kh - 1, kw - 1, stride, oh, ow)[...] = g

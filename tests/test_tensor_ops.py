@@ -1,5 +1,9 @@
 """Hand-verifiable values and exactness guarantees for the tensor ops."""
 
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,61 @@ from conftest import (
     oracle_upsample,
     tensor,
 )
+
+
+def loop_conv64(x, k, g, stride, padding):
+    """Float64 conv output, input gradient and kernel gradient, one output cell at a time.
+
+    Each output cell (y, xx) reads padded rows y*stride + i and columns
+    xx*stride + j; ``g`` is the output gradient.
+    """
+    n, c, h, w = x.shape
+    oc, _, kh, kw = k.shape
+    k = k.astype(np.float64)
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    out = np.zeros((n, oc, oh, ow))
+    dxp = np.zeros_like(xp)
+    dk = np.zeros(k.shape)
+    for y in range(oh):
+        for xx in range(ow):
+            window = xp[:, :, y * stride : y * stride + kh, xx * stride : xx * stride + kw]
+            gy = g[:, :, y, xx].astype(np.float64)
+            out[:, :, y, xx] = np.einsum("ncij,ocij->no", window, k)
+            dxp[:, :, y * stride : y * stride + kh, xx * stride : xx * stride + kw] += np.einsum("no,ocij->ncij", gy, k)
+            dk += np.einsum("no,ncij->ocij", gy, window)
+    return out, dxp[:, :, padding : padding + h, padding : padding + w], dk
+
+
+def taped_conv(x, k, g, stride, padding):
+    """conv2d's output and its input and kernel gradients for output gradient ``g``."""
+    xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+    with Tape() as tape:
+        out = ops.conv2d(xt, kt, Tensor.zeros((k.shape[0],)), stride=stride, padding=padding)
+        tape.backward(ops.reduce_sum(ops.mul(out, Tensor(g))))
+    result = out.data, xt.grad, kt.grad
+    tape.clear()
+    return result
+
+
+def run_in_thread(fn):
+    """``fn()`` run on a new thread, which starts with no conv workspace."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and result
+    return result[0]
+
+
+def conv_case(rng, shape, kspec, stride, padding):
+    x = rng.standard_normal(shape).astype(np.float32)
+    k = rng.standard_normal(kspec).astype(np.float32)
+    oh = (shape[2] + 2 * padding - kspec[2]) // stride + 1
+    ow = (shape[3] + 2 * padding - kspec[3]) // stride + 1
+    g = rng.standard_normal((shape[0], kspec[0], oh, ow)).astype(np.float32)
+    return x, k, g
 
 
 class TestTensorBasics:
@@ -128,20 +187,7 @@ class TestConv2d:
         dx, dk, db = x.grad.copy(), k.grad.copy(), b.grad.copy()
         tape.clear()
 
-        # Each output cell (y, xx) reads padded rows y*stride + i, cols xx*stride + j.
-        kh, kw = kspec[2], kspec[3]
-        xp = np.pad(x.data.astype(np.float64), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        dxp = np.zeros_like(xp)
-        dk_ref = np.zeros(kspec)
-        for y in range(out.shape[2]):
-            for xx in range(out.shape[3]):
-                rows = slice(y * stride, y * stride + kh)
-                cols = slice(xx * stride, xx * stride + kw)
-                gy = g[:, :, y, xx].astype(np.float64)
-                dxp[:, :, rows, cols] += np.einsum("no,ocij->ncij", gy, k.data.astype(np.float64))
-                dk_ref += np.einsum("no,ncij->ocij", gy, xp[:, :, rows, cols])
-        h, w = shape[2], shape[3]
-        dx_ref = dxp[:, :, padding : padding + h, padding : padding + w]
+        _, dx_ref, dk_ref = loop_conv64(x.data, k.data, g, stride, padding)
         np.testing.assert_allclose(dx, dx_ref, rtol=1e-5, atol=1e-5)
         np.testing.assert_allclose(dk, dk_ref, rtol=1e-5, atol=1e-5)
         np.testing.assert_allclose(db, g.sum(axis=(0, 2, 3)), rtol=1e-5, atol=1e-5)
@@ -159,19 +205,6 @@ class TestConv2d:
         assert framed.dtype == np.float32
         assert (framed is a) == (padding == 0)
 
-    @pytest.mark.parametrize("shape,kspec,stride", [((2, 3, 6, 7), (4, 3, 3, 3), 1), ((1, 2, 9, 8), (3, 2, 5, 5), 2)])
-    def test_correlation_gemms_equal_tensordot_bit_for_bit(self, rng, shape, kspec, stride):
-        xp = rng.standard_normal(shape).astype(np.float32)
-        k = rng.standard_normal(kspec).astype(np.float32)
-        kh, kw = kspec[2:]
-        oh, ow = (shape[2] - kh) // stride + 1, (shape[3] - kw) // stride + 1
-        expected = np.zeros((shape[0], kspec[0], oh, ow), dtype=np.float32)
-        for i in range(kh):
-            slab = np.tensordot(k[:, :, i, :], xp[:, :, i : i + (oh - 1) * stride + 1 : stride, :], axes=([1], [1]))
-            for j in range(kw):
-                expected += slab[:, j, :, :, j : j + (ow - 1) * stride + 1 : stride].transpose(1, 0, 2, 3)
-        np.testing.assert_array_equal(ops._correlate(xp, k, stride), expected)
-
     def test_rejects_channel_mismatch(self):
         x = Tensor.zeros((1, 2, 4, 4))
         k = Tensor.zeros((1, 3, 3, 3))
@@ -183,6 +216,122 @@ class TestConv2d:
         k = Tensor.zeros((1, 1, 5, 5))
         with pytest.raises(ShapeError):
             ops.conv2d(x, k, Tensor.zeros((1,)))
+
+
+class TestBandedConv:
+    """The banded tap gather behind conv2d: every band, stride and kernel size, and the per-thread workspace."""
+
+    CASES = [
+        ((2, 3, 9, 7), (4, 3, 3, 3), 1, 1),
+        ((1, 2, 9, 8), (2, 2, 5, 5), 2, 2),
+        # No window reaches the last two rows and the last column.
+        ((1, 2, 8, 7), (3, 2, 3, 3), 3, 0),
+        ((2, 3, 7, 6), (2, 3, 1, 1), 1, 0),
+        ((2, 3, 7, 6), (2, 3, 1, 1), 2, 1),
+        # The SSIM blur: 11x11, single channel, no padding.
+        ((2, 1, 15, 13), (1, 1, 11, 11), 1, 0),
+    ]
+
+    @pytest.mark.parametrize("cap", [2, 1])
+    @pytest.mark.parametrize("shape,kspec,stride,padding", CASES)
+    def test_matches_float64_loop(self, rng, monkeypatch, shape, kspec, stride, padding, cap):
+        # The workspace shrunk to ``cap`` output rows of the forward gather,
+        # so every pass runs several bands and most end on a short one
+        # (TestConv2d covers the default workspace, one band per sample).
+        c, kh, kw = kspec[1:]
+        ow = (shape[3] + 2 * padding - kw) // stride + 1
+        monkeypatch.setattr(ops, "_WORKSPACE_FLOATS", cap * c * kh * kw * ow)
+        x, k, g = conv_case(rng, shape, kspec, stride, padding)
+        out, dx, dk = taped_conv(x, k, g, stride, padding)
+        out_ref, dx_ref, dk_ref = loop_conv64(x, k, g, stride, padding)
+        np.testing.assert_allclose(out, out_ref, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(dx, dx_ref, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(dk, dk_ref, rtol=1e-5, atol=1e-5)
+        if stride == 3:
+            assert not dx[:, :, 6:, :].any() and not dx[:, :, :, 6:].any()
+
+    def test_bands_cover_each_sample_in_order_with_a_short_last_band(self, rng, monkeypatch):
+        # Output 7x5 from a 9x7 map; a cap of 3 rows of 27 taps x 5 columns
+        # gives bands of 3, 3 and 1 rows per sample.
+        monkeypatch.setattr(ops, "_WORKSPACE_FLOATS", 3 * 27 * 5)
+        xp = rng.standard_normal((2, 3, 9, 7)).astype(np.float32)
+        bands = [(s, cols.start, cols.stop, taps.shape) for s, cols, taps in ops._bands(xp, 3, 3, 1, 7, 5)]
+        rows = [(0, 15, (27, 15)), (15, 30, (27, 15)), (30, 35, (27, 5))]
+        assert bands == [(s, *r) for s in range(2) for r in rows]
+
+    def test_workspace_cap_bounds_the_band_but_never_below_one_row(self, rng, monkeypatch):
+        monkeypatch.setattr(ops, "_WORKSPACE_FLOATS", 10)
+        xp = rng.standard_normal((1, 2, 4, 6)).astype(np.float32)
+        shapes = [taps.shape for _, _, taps in ops._bands(xp, 3, 3, 1, 2, 4)]
+        assert shapes == [(18, 4), (18, 4)]
+
+    def test_no_stale_workspace_after_a_larger_call(self, rng, monkeypatch):
+        # The larger call fills the workspace with bands of 4 rows x 12
+        # columns x 27 taps; NaN then stands for its stale rows.  The smaller
+        # call's bands are 12 rows x 4 columns, then a short one of 2 rows,
+        # and each must write every tap it reads.
+        monkeypatch.setattr(ops, "_WORKSPACE_FLOATS", 4 * 27 * 12)
+        big = conv_case(rng, (1, 3, 12, 12), (2, 3, 3, 3), 1, 1)
+        small = conv_case(rng, (2, 3, 14, 4), (2, 3, 3, 3), 1, 1)
+        taped_conv(*big, 1, 1)
+        ops._WORKSPACE.buf[...] = np.nan
+        got = taped_conv(*small, 1, 1)
+        fresh = run_in_thread(lambda: taped_conv(*small, 1, 1))
+        for a, b, ref in zip(got, fresh, loop_conv64(*small, 1, 1)):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_allclose(a, ref, rtol=1e-5, atol=1e-5)
+
+    def test_workspace_is_per_thread(self, rng, monkeypatch):
+        # Four threads on different shapes, more than there are cores, with
+        # small bands and a short switch interval, so their gathers interleave.
+        monkeypatch.setattr(ops, "_WORKSPACE_FLOATS", 2 * 36 * 12)
+        cases = [
+            (conv_case(rng, (2, 4, 12, 12), (3, 4, 3, 3), 1, 1), 1, 1),
+            (conv_case(rng, (1, 2, 17, 9), (5, 2, 5, 5), 2, 2), 2, 2),
+            (conv_case(rng, (2, 3, 10, 7), (2, 3, 1, 1), 1, 0), 1, 0),
+            (conv_case(rng, (1, 1, 14, 13), (1, 1, 11, 11), 1, 0), 1, 0),
+        ]
+        serial = [taped_conv(*case, stride, padding) for case, stride, padding in cases]
+        start = threading.Barrier(len(cases), timeout=60)
+        results: list = [None] * len(cases)
+
+        def work(i):
+            case, stride, padding = cases[i]
+            start.wait()
+            results[i] = [taped_conv(*case, stride, padding) for _ in range(20)]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for want, runs in zip(serial, results):
+            assert runs is not None
+            for got in runs:
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a, b)
+
+    def test_vga_forward_makes_no_full_frame_temporary(self):
+        # No tape: the padded input and the output are the only full-frame
+        # arrays besides the input; 8 MB covers the workspace and the rest.
+        n, c, h, w = 1, 16, 480, 640
+        k = Tensor(np.full((c, c, 3, 3), 0.01, dtype=np.float32))
+        b = Tensor.zeros((c,))
+        tracemalloc.start()
+        try:
+            x = Tensor(np.ones((n, c, h, w), dtype=np.float32))
+            ops.conv2d(x, k, b, padding=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        frame = 4 * n * c
+        assert peak < frame * h * w + frame * (h + 2) * (w + 2) + frame * h * w + (8 << 20)
 
 
 class TestPooling:
