@@ -42,7 +42,17 @@ def _tap(a: np.ndarray, i: int, j: int, stride: int, oh: int, ow: int) -> np.nda
 # ---------------------------------------------------------------------------
 # convolution and pooling
 
-_WORKSPACE_FLOATS = 1 << 20  # 4 MB of float32 taps per band of output rows
+# Float32 taps per band of output rows: 1 MB, so a band's gather is still in
+# a 2 MB per-core L2 cache when its GEMM reads it.  On a Xeon with 2 MB of L2
+# per core (OpenBLAS 0.3.31, one thread), a 1x16x480x640 16->16 3x3 conv took
+# 62-65 ms with 1 MB bands, 70 ms with 256 KB and 97-114 ms with 4 MB bands,
+# which spill out of L2; a 32->16 conv took 128-130 ms against 176-178 ms.
+# A multi-channel conv's forward is bit-identical across band sizes, as each
+# output cell is the same c*kh*kw-long dot product of a GEMM.  A conv with
+# one output channel is a matrix-vector product, whose summation order BLAS
+# may change with the band width: a 2x1x64x64 11x11 blur moved by up to
+# 7.6e-6 between 10-row and 40-row bands.
+_WORKSPACE_FLOATS = 1 << 18
 _WORKSPACE = threading.local()
 
 
@@ -52,7 +62,8 @@ def _bands(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int):
     ``taps`` is the band's (c*kh*kw, rows*ow) window cells, gathered into
     this thread's workspace, which the next band overwrites; ``columns``
     slices the band out of a flattened output plane.  A band holds the
-    whole output rows that fit in ``_WORKSPACE_FLOATS``, at least one.
+    whole output rows that fit in ``_WORKSPACE_FLOATS``, at least one, so
+    the gather is still in cache when the band's GEMM reads it.
     """
     n, c = xp.shape[:2]
     k = c * kh * kw
@@ -150,12 +161,13 @@ def _check_pool_args(name: str, x: Tensor, window: int, stride: int, padding: in
 def maxpool2d(x: Tensor, window: int, stride: int, padding: int = 0) -> Tensor:
     """Max pooling; ties resolve to the first maximum in row-major scan order.
 
-    The taps are visited in row-major order and each raises a running
-    maximum; a tap's index is stored only where it is strictly greater, so
-    an earlier tap keeps a tie.  The backward pass adds the output gradient
-    into each tap's view where that tap won.  A window holding a NaN outputs
-    NaN, but its gradient goes to the window's first maximum before the NaN
-    (or to the NaN itself when it is the first tap).
+    The forward visits the taps in row-major order and keeps only their
+    running maximum.  The backward replays that scan to find each window's
+    winning tap: a tap's index is stored only where it is strictly greater
+    than the running maximum, so an earlier tap keeps a tie.  It then adds
+    the output gradient into each tap's view where that tap won.  A window
+    holding a NaN outputs NaN, but its gradient goes to the window's first
+    maximum before the NaN (or to the NaN itself when it is the first tap).
     """
     _check_pool_args("maxpool2d", x, window, stride, padding)
     h, w = x.shape[2], x.shape[3]
@@ -163,15 +175,18 @@ def maxpool2d(x: Tensor, window: int, stride: int, padding: int = 0) -> Tensor:
     oh = (h + 2 * padding - window) // stride + 1
     ow = (w + 2 * padding - window) // stride + 1
     out = _tap(xp, 0, 0, stride, oh, ow).copy()
-    arg = np.zeros(out.shape, dtype=np.min_scalar_type(window * window - 1))
     for idx in range(1, window * window):
-        tap = _tap(xp, *divmod(idx, window), stride, oh, ow)
-        np.putmask(arg, tap > out, idx)
-        np.maximum(out, tap, out=out)
+        np.maximum(out, _tap(xp, *divmod(idx, window), stride, oh, ow), out=out)
 
     def backward(g: np.ndarray) -> None:
         if not x.requires_grad:
             return
+        best = _tap(xp, 0, 0, stride, oh, ow).copy()
+        arg = np.zeros(best.shape, dtype=np.min_scalar_type(window * window - 1))
+        for idx in range(1, window * window):
+            tap = _tap(xp, *divmod(idx, window), stride, oh, ow)
+            np.putmask(arg, tap > best, idx)
+            np.maximum(best, tap, out=best)
         dxp = np.zeros(xp.shape, dtype=np.float32)
         for idx in range(window * window):
             tap = _tap(dxp, *divmod(idx, window), stride, oh, ow)
@@ -248,7 +263,10 @@ def upsample_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
 
     Output pixel ``o`` samples input coordinate ``o * (in - 1) / (out - 1)``
     (coordinate 0 when ``out == 1``).  Interpolation uses the form
-    ``a + t * (b - a)`` so constant inputs reproduce exactly.
+    ``a + t * (b - a)`` so constant inputs reproduce exactly.  Each axis is
+    one ``np.take`` of the far neighbours, updated in place, and one of the
+    near neighbours, so the output and one temporary of its size are the
+    only full-size arrays made.
     """
     _require_4d("upsample_bilinear", x)
     n, c, h, w = x.shape
@@ -268,12 +286,15 @@ def upsample_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     r0, r1, tr = grid(h, out_h)
     c0, c1, tc = grid(w, out_w)
 
-    a = x.data[:, :, r0, :]
-    b = x.data[:, :, r1, :]
-    rows = a + tr[None, None, :, None] * (b - a)
-    left = rows[:, :, :, c0]
-    right = rows[:, :, :, c1]
-    out = left + tc[None, None, None, :] * (right - left)
+    def lerp(a: np.ndarray, i0: np.ndarray, i1: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
+        near = np.take(a, i0, axis=axis)
+        out = np.take(a, i1, axis=axis)
+        out -= near
+        out *= t
+        out += near
+        return out
+
+    out = lerp(lerp(x.data, r0, r1, tr[:, None], 2), c0, c1, tc, 3)
 
     def backward(g: np.ndarray) -> None:
         # Per-axis interpolation matrices carry the same (1 - t, t) weights
@@ -286,7 +307,7 @@ def upsample_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
         np.add.at(aw, (np.arange(out_w), c1), tc)
         accumulate(x, _separable(ah.T, g, aw.T))
 
-    return record_op(np.ascontiguousarray(out), (x,), backward)
+    return record_op(out, (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +492,10 @@ def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
 def sigmoid(x: Tensor) -> Tensor:
     """Logistic function as ``0.5 * tanh(0.5 x) + 0.5``, which cannot overflow."""
     half = np.float32(0.5)
-    out = half * np.tanh(half * x.data) + half
+    out = np.multiply(x.data, half, out=np.empty_like(x.data))  # an array even when 0-d
+    np.tanh(out, out=out)
+    out *= half
+    out += half
 
     def backward(g: np.ndarray) -> None:
         accumulate(x, g * out * (1.0 - out))

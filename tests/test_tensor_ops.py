@@ -75,6 +75,54 @@ def conv_case(rng, shape, kspec, stride, padding):
     return x, k, g
 
 
+def fancy_index_upsample(x, out_h, out_w):
+    """Corner-aligned bilinear upsampling by fancy-index gathers, ``a + t * (b - a)`` per axis."""
+    n, c, h, w = x.shape
+
+    def grid(size, out):
+        if out == 1 or size == 1:
+            idx = np.zeros(out, dtype=np.intp)
+            return idx, idx.copy(), np.zeros(out, dtype=np.float32)
+        pos = np.arange(out, dtype=np.float64) * (size - 1) / (out - 1)
+        i0 = np.minimum(np.floor(pos).astype(np.intp), size - 2)
+        return i0, i0 + 1, (pos - i0).astype(np.float32)
+
+    r0, r1, tr = grid(h, out_h)
+    c0, c1, tc = grid(w, out_w)
+    a, b = x[:, :, r0, :], x[:, :, r1, :]
+    rows = a + tr[None, None, :, None] * (b - a)
+    left, right = rows[:, :, :, c0], rows[:, :, :, c1]
+    return left + tc[None, None, None, :] * (right - left)
+
+
+def eager_maxpool(x, g, window, stride, padding):
+    """Max pooling output and input gradient, with the winning-tap map built alongside the maximum.
+
+    The taps are scanned in row-major order; a tap wins a cell only where it
+    is strictly greater than the running maximum.  ``g`` is the output
+    gradient, added into each winning tap's cell.
+    """
+    n, c, h, w = x.shape
+    xp = np.full((n, c, h + 2 * padding, w + 2 * padding), -np.inf, dtype=np.float32)
+    xp[:, :, padding : padding + h, padding : padding + w] = x
+    oh = (h + 2 * padding - window) // stride + 1
+    ow = (w + 2 * padding - window) // stride + 1
+
+    def tap(a, idx):
+        i, j = divmod(idx, window)
+        return a[:, :, i : i + (oh - 1) * stride + 1 : stride, j : j + (ow - 1) * stride + 1 : stride]
+
+    out = tap(xp, 0).copy()
+    arg = np.zeros(out.shape, dtype=np.int64)
+    for idx in range(1, window * window):
+        arg[tap(xp, idx) > out] = idx
+        out = np.maximum(out, tap(xp, idx))
+    dxp = np.zeros(xp.shape, dtype=np.float32)
+    for idx in range(window * window):
+        tap(dxp, idx)[...] += g * (arg == idx)
+    return out, dxp[:, :, padding : padding + h, padding : padding + w]
+
+
 class TestTensorBasics:
     def test_scalar_tensor_keeps_zero_dim_shape(self):
         t = Tensor(np.float32(3.5))
@@ -317,6 +365,18 @@ class TestBandedConv:
                 for a, b in zip(got, want):
                     np.testing.assert_array_equal(a, b)
 
+    def test_forward_does_not_depend_on_band_height(self, rng, monkeypatch):
+        # Each output cell is the same 144-long dot product whatever the band
+        # height, so one-row, two-row and default bands agree bit for bit.
+        x, k, _ = conv_case(rng, (1, 16, 48, 64), (16, 16, 3, 3), 1, 1)
+        b = Tensor(rng.standard_normal(16).astype(np.float32))
+        want = ops.conv2d(Tensor(x), Tensor(k), b, padding=1).data
+        xp = np.zeros((1, 16, 50, 66), dtype=np.float32)
+        for rows in (1, 2):
+            monkeypatch.setattr(ops, "_WORKSPACE_FLOATS", rows * 144 * 64)
+            assert next(ops._bands(xp, 3, 3, 1, 48, 64))[2].shape == (144, rows * 64)
+            np.testing.assert_array_equal(ops.conv2d(Tensor(x), Tensor(k), b, padding=1).data, want)
+
     def test_vga_forward_makes_no_full_frame_temporary(self):
         # No tape: the padded input and the output are the only full-frame
         # arrays besides the input; 8 MB covers the workspace and the rest.
@@ -416,6 +476,39 @@ class TestPooling:
         np.testing.assert_array_equal(x.grad[0, 0], [[0.0, 1.0], [0.0, 0.0]])
         tape.clear()
 
+    @pytest.mark.parametrize("window,stride,padding", [(2, 1, 0), (2, 2, 1), (3, 1, 1), (3, 2, 0), (3, 2, 1)])
+    def test_maxpool_equals_eager_scan_with_ties_and_nans(self, rng, window, stride, padding):
+        # Three levels make ties common; NaNs land anywhere in a window,
+        # including its first tap, and channel 1 is all equal.
+        x = rng.integers(0, 3, size=(2, 3, 7, 8)).astype(np.float32)
+        x[rng.random(x.shape) < 0.08] = np.nan
+        x[:, 1] = 1.0
+        t = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = ops.maxpool2d(t, window, stride, padding)
+            g = rng.standard_normal(out.shape).astype(np.float32)
+            tape.backward(ops.reduce_sum(ops.mul(out, Tensor(g))))
+        dx = t.grad.copy()
+        tape.clear()
+        want_out, want_dx = eager_maxpool(x, g, window, stride, padding)
+        assert np.isnan(want_out).any()
+        np.testing.assert_array_equal(out.data, want_out)
+        np.testing.assert_array_equal(dx, want_dx)
+
+    def test_vga_maxpool_keeps_no_index_map(self):
+        # No tape: the framed input and the output are the only arrays made,
+        # with no winning-tap map or comparison mask beside them.
+        n, c, h, w = 1, 16, 480, 640
+        x = Tensor(np.ones((n, c, h, w), dtype=np.float32))
+        tracemalloc.start()
+        try:
+            ops.maxpool2d(x, 3, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        frame = 4 * n * c
+        assert peak < frame * (h + 2) * (w + 2) + frame * h * w + (1 << 20)
+
     def test_adaptive_ramp_bin_means(self):
         x = tensor([[np.arange(16.0).reshape(4, 4)]])
         out = ops.adaptive_avgpool2d(x, 2, 2)
@@ -480,6 +573,38 @@ class TestUpsample:
         x = tensor([[[[2.5]]]])
         out = ops.upsample_bilinear(x, 3, 3)
         np.testing.assert_array_equal(out.data, np.full((1, 1, 3, 3), 2.5))
+
+    def test_equals_fancy_index_formula(self, rng):
+        # One input row, one input column, one output row, equal sizes and
+        # non-integer scales, then random shapes with batch 1 and 2.
+        cases = [
+            ((2, 3, 1, 5), (4, 13)),
+            ((2, 3, 6, 1), (17, 3)),
+            ((1, 2, 1, 1), (1, 7)),
+            ((2, 2, 3, 4), (3, 4)),
+            ((2, 2, 3, 7), (10, 11)),
+            ((2, 4, 5, 5), (480, 33)),
+        ]
+        for _ in range(40):
+            n, c, h, w = (int(v) for v in rng.integers(1, [3, 4, 7, 7]))
+            cases.append(((n, c, h, w), (h + int(rng.integers(0, 20)), w + int(rng.integers(0, 20)))))
+        for shape, out_hw in cases:
+            x = rng.standard_normal(shape).astype(np.float32)
+            out = ops.upsample_bilinear(Tensor(x), *out_hw).data
+            assert out.flags.c_contiguous
+            np.testing.assert_array_equal(out, fancy_index_upsample(x, *out_hw), err_msg=f"{shape} -> {out_hw}")
+
+    def test_vga_upsample_makes_one_full_frame_temporary(self):
+        # No tape: the output and one gather of its size, plus 1 MB for the
+        # row pass and the interpolation grids.
+        x = Tensor(np.random.default_rng(0).standard_normal((1, 16, 4, 4)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            ops.upsample_bilinear(x, 480, 640)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 4 * 16 * 480 * 640 + (1 << 20)
 
 
 class TestElementwiseAndReductions:
