@@ -18,6 +18,14 @@ between loops the leader's pooled activation gates a per-node 3x3 conv
 of the current state, and the gated result is injected into the next
 loop's freshly generated nodes.  The branch output concatenates all loop
 leaders through a final 1x1 conv.
+
+Lifetimes: outside a tape every full-resolution map is dropped once its
+last reader has run, without changing the op order or the arithmetic.  A
+loop holds its own stage and the previous loop's injections only until
+its nodes are built, each pair's edges only until their messages are
+summed, and each running sum only until its node's update; the loop's
+leaders live until the final mix.  Sequences a caller passes in are only
+read, never modified.  Under a tape the records keep every map alive.
 """
 
 from __future__ import annotations
@@ -171,37 +179,50 @@ def _run_loop(
     into their destinations' running sums, which start as the nodes
     themselves.  Pairs arrive in ``topo.pairs()`` order, intra and then
     inter, so every node sums its messages intra by scale, then inter.
+
+    The loop takes ``features`` and ``injections`` over and empties both
+    while it builds the nodes, so a modality's stage and injections are
+    freed once its nodes exist (unless the caller still holds the stage for
+    a later loop).  Through the edge phase only the nodes, their running
+    sums and the current pair's edges and messages live; each sum is freed
+    by its one update, and a modality's updated nodes once its leader and
+    injections are formed.
     """
     prefix = loop_prefix(config, loop)
     h, w = features["ir"].shape[2], features["ir"].shape[3]
     grids = node_grids(config.nodes, h, w)
 
-    nodes: dict[NodeId, Tensor] = {
-        (m, o): ops.add(t, injections[m][o]) if injections else t
-        for m in MODALITIES
-        for o, t in enumerate(generate_nodes(features[m], grids, params, prefix, m))
-    }
+    nodes: dict[NodeId, Tensor] = {}
+    for m in MODALITIES:
+        carried = injections.pop(m, None)
+        fresh = generate_nodes(features.pop(m), grids, params, prefix, m)
+        for o, t in enumerate(fresh):
+            nodes[(m, o)] = ops.add(t, carried[o]) if carried else t
+        # With injections, ``t`` is a fresh map that no node holds.
+        del carried, fresh, t
 
     totals = dict(nodes)
     for a, b, group in topo.pairs():
         name = f"{prefix}.{group}"
         into_b, into_a = difference_edges(nodes[a], nodes[b], params[f"{name}.weight"], params[f"{name}.bias"])
         totals[b] = ops.add(totals[b], pass_message(into_b, nodes[a]))
+        del into_b
         totals[a] = ops.add(totals[a], pass_message(into_a, nodes[b]))
-    # Every total has replaced its node: drop the nodes and the last pair's
-    # edges before the updates.  The injections stay held by the caller.
-    del nodes, into_b, into_a
+        del into_a
+    # Every node is in some pair, so every total has replaced its node.
+    del nodes
 
     leaders: dict[str, Tensor] = {}
     delivered: dict[str, list[Tensor]] = {}
     for m in MODALITIES:
         weight, bias = params[f"{prefix}.update.{m}.weight"], params[f"{prefix}.update.{m}.bias"]
-        updated = [update_node(totals[(m, o)], weight, bias) for o in range(topo.nodes)]
+        updated = [update_node(totals.pop((m, o)), weight, bias) for o in range(topo.nodes)]
         leaders[m] = form_leader(
             updated, params[f"{prefix}.leader.{m}.weight"], params[f"{prefix}.leader.{m}.bias"]
         )
         if config.use_leader and loop < config.loops:
             delivered[m] = deliver(leaders[m], updated, params, prefix, m)
+        del updated
     return leaders, delivered
 
 
@@ -217,15 +238,26 @@ def run_graph(
     count reuse the deepest feature.  Only the leaders and the next loop's
     injections outlive a loop.  With ``use_graph`` off this function is not
     called; the network passes deep features through unchanged.
+
+    The caller's sequences are only read, never modified.  This function
+    keeps its own copies and drops its names for the caller's, and hands
+    each stage to the last loop that reads it.  So when the caller holds no
+    other reference, as when it passes the lists as call temporaries, each
+    stage is freed once that loop has built its nodes.  That relies on
+    CPython 3.11+, which lets a callee free a temporary argument by dropping
+    its name; CPython 3.10 keeps the lists until this function returns.
     """
     if len(features_ir) != len(features_vis) or not features_ir:
         raise ShapeError("run_graph: need equally many features per branch")
+    stages = {"ir": list(features_ir[: config.loops]), "vis": list(features_vis[: config.loops])}
+    del features_ir, features_vis
     topo = build_topology(config.nodes)
     leaders: dict[str, list[Tensor]] = {m: [] for m in MODALITIES}
     injections: dict[str, list[Tensor]] = {}
     for loop in range(1, config.loops + 1):
-        idx = min(loop, len(features_ir)) - 1
-        feats = {"ir": features_ir[idx], "vis": features_vis[idx]}
+        final = loop == config.loops
+        # A stage leaves ``stages`` with the last loop that reads it.
+        feats = {m: s.pop(0) if len(s) > 1 or final else s[0] for m, s in stages.items()}
         loop_leaders, injections = _run_loop(loop, feats, injections, params, config, topo)
         for m in MODALITIES:
             leaders[m].append(loop_leaders[m])

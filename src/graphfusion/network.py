@@ -124,16 +124,21 @@ def init_params(config: FusionConfig, seed: int | None = None) -> dict[str, Tens
 
 
 def forward(ir: Tensor, vis: Tensor, params: Mapping[str, Tensor], config: FusionConfig) -> Tensor:
-    """Fuse a batch of image pairs; returns (N, 1, H, W) in (0, 1)."""
+    """Fuse a batch of image pairs; returns (N, 1, H, W) in (0, 1).
+
+    Outside a tape every full-resolution map is freed after its last
+    reader.  The backbone stages go to ``run_graph`` as call temporaries,
+    so it can free each stage after the last loop that reads it; on
+    CPython 3.10 they live until ``run_graph`` returns (see there).  Under
+    a tape the records keep every map alive until the tape is cleared.
+    """
     if ir.shape != vis.shape:
         raise ShapeError(f"forward: input shapes differ, {ir.shape} vs {vis.shape}")
-    feats_ir = extract(ir, params, "ir", config)
-    feats_vis = extract(vis, params, "vis", config)
     if config.use_graph:
-        result = run_graph(feats_ir, feats_vis, params, config)
+        result = run_graph(extract(ir, params, "ir", config), extract(vis, params, "vis", config), params, config)
         g_ir, g_vis = result.g_ir, result.g_vis
     else:
-        g_ir, g_vis = feats_ir[-1], feats_vis[-1]
+        g_ir, g_vis = extract(ir, params, "ir", config)[-1], extract(vis, params, "vis", config)[-1]
     h = ops.concat_channels([g_ir, g_vis])
     h = ops.relu(ops.conv2d(h, params["head.conv1.weight"], params["head.conv1.bias"], 1, 1))
     return ops.sigmoid(ops.conv2d(h, params["head.conv2.weight"], params["head.conv2.bias"], 1, 1))

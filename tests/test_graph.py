@@ -203,12 +203,27 @@ class TestRunGraph:
         long = run_graph(f_ir * 3, f_vis * 3, params, config)
         np.testing.assert_array_equal(short.g_ir.data, long.g_ir.data)
 
-    def test_rejects_mismatched_feature_lists(self, rng):
+    def test_rejects_mismatched_feature_lists(self, rng, monkeypatch):
         config = graph_config()
         params = init_params(config, seed=0)
         f = self._features(rng, config)
+
+        def no_loop(*args, **kwargs):
+            raise AssertionError("a loop ran before the stage count was checked")
+
+        monkeypatch.setattr(graph, "generate_nodes", no_loop)
         with pytest.raises(ShapeError):
             run_graph(f, f[:2], params, config)
+
+    def test_features_beyond_loops_are_unread(self, rng):
+        config = graph_config(loops=2)
+        params = init_params(config, seed=2)
+        f_ir = self._features(rng, config)
+        f_vis = self._features(rng, config)
+        full = run_graph(f_ir, f_vis, params, config)
+        cut = run_graph(tuple(f_ir[:2]), tuple(f_vis[:2]), params, config)
+        np.testing.assert_array_equal(full.g_ir.data, cut.g_ir.data)
+        np.testing.assert_array_equal(full.g_vis.data, cut.g_vis.data)
 
     def test_share_loop_params_uses_single_bank(self, rng):
         shared = graph_config(share_loop_params=True)
@@ -260,13 +275,16 @@ class TestSingleNodeLoopByHand:
 
 
 def test_untaped_run_graph_keeps_few_maps_alive(rng):
-    # Outside a tape only the current loop's nodes, their running message
-    # sums and the next loop's injections need to live; a graph that held
-    # every edge and message of a loop would keep over a hundred maps.
+    # Outside a tape a loop's peak is its last pair's messages: the six
+    # nodes, their six running sums, the earlier loops' leaders (four in
+    # loop 3) and the pair's edges and message temporaries, about 20 maps.
+    # Injections, edges and sums are freed after their last reader, and the
+    # caller's stages were allocated before tracing started.
     config = graph_config()
     params = init_params(config, seed=0)
     shape = (1, config.channels, 96, 128)
     f_ir, f_vis = ([Tensor(rng.standard_normal(shape).astype(np.float32)) for _ in range(3)] for _ in range(2))
+    held_ir, held_vis = list(f_ir), list(f_vis)
     run_graph(f_ir, f_vis, params, config)
     tracemalloc.start()
     try:
@@ -274,4 +292,7 @@ def test_untaped_run_graph_keeps_few_maps_alive(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 50 * 4 * np.prod(shape)
+    assert peak < 21 * 4 * np.prod(shape)
+    # The caller's lists are read, never modified.
+    assert len(f_ir) == len(held_ir) and all(a is b for a, b in zip(f_ir, held_ir))
+    assert len(f_vis) == len(held_vis) and all(a is b for a, b in zip(f_vis, held_vis))
