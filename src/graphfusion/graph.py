@@ -8,11 +8,12 @@ modality every node pair is connected; across modalities node o of one
 branch connects to node o of the other.  A directed edge j -> k carries a
 3x3 conv of the node difference plus a bias.  Reversing an edge negates
 its pre-bias response, so each pair runs the conv once and its two
-directions add the bias to that response and to its negation.  Messages
-are sigmoid-gated copies of the source node, computed from the pre-update
-state and added into their destination's running sum as soon as their
-pair has run; the nodes then update simultaneously (Jacobi style) through
-a shared 3x3 conv and ReLU of that sum.  A per-loop leader
+directions add the bias to that response and to its negation.  A message
+gates the source node elementwise by the sigmoid of its edge; it is
+computed from the pre-update state and added into its destination's
+running sum as soon as its pair has run, in one op that stores neither
+the gate nor the message.  The nodes then update simultaneously (Jacobi
+style) through a shared 3x3 conv and ReLU of that sum.  A per-loop leader
 summarizes the updated nodes with a 1x1 conv over their concatenation;
 between loops the leader's pooled activation gates a per-node 3x3 conv
 of the current state, and the gated result is injected into the next
@@ -22,10 +23,12 @@ leaders through a final 1x1 conv.
 Lifetimes: outside a tape every full-resolution map is dropped once its
 last reader has run, without changing the op order or the arithmetic.  A
 loop holds its own stage and the previous loop's injections only until
-its nodes are built, each pair's edges only until their messages are
-summed, and each running sum only until its node's update; the loop's
-leaders live until the final mix.  Sequences a caller passes in are only
-read, never modified.  Under a tape the records keep every map alive.
+its nodes are built, each pair's edges only until both their messages are
+in the running sums, and each running sum only until its node's update;
+the loop's leaders live until the final mix.  A message is never a map of
+its own: each replaces its destination's running sum by a new one.
+Sequences a caller passes in are only read, never modified.  Under a tape
+the records keep every map alive.
 """
 
 from __future__ import annotations
@@ -122,9 +125,9 @@ def difference_edges(
     return ops.add(s, b4), ops.sub(b4, s)
 
 
-def pass_message(edge: Tensor, source: Tensor) -> Tensor:
-    """Gate the source node elementwise by the edge activation."""
-    return ops.mul(ops.sigmoid(edge), source)
+def pass_message(total: Tensor, edge: Tensor, source: Tensor) -> Tensor:
+    """``total`` plus the source node, gated elementwise by the edge activation."""
+    return ops.gate_add(total, edge, source)
 
 
 def update_node(total: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -175,18 +178,19 @@ def _run_loop(
 ) -> tuple[dict[str, Tensor], dict[str, list[Tensor]]]:
     """One loop: each modality's leader and the next loop's injections.
 
-    Every edge pair runs once: its two gated messages are added straight
-    into their destinations' running sums, which start as the nodes
-    themselves.  Pairs arrive in ``topo.pairs()`` order, intra and then
-    inter, so every node sums its messages intra by scale, then inter.
+    Every edge pair runs once: each of its two directions passes one gated
+    message, which replaces its destination's running sum (at first the
+    node itself) by the sum plus the message, so no message is a map of its
+    own.  Pairs arrive in ``topo.pairs()`` order, intra and then inter, so
+    every node sums its messages intra by scale, then inter.
 
     The loop takes ``features`` and ``injections`` over and empties both
     while it builds the nodes, so a modality's stage and injections are
     freed once its nodes exist (unless the caller still holds the stage for
     a later loop).  Through the edge phase only the nodes, their running
-    sums and the current pair's edges and messages live; each sum is freed
-    by its one update, and a modality's updated nodes once its leader and
-    injections are formed.
+    sums and the current pair's edges live, plus a destination's new sum
+    while its message is added; each sum is freed by its one update, and a
+    modality's updated nodes once its leader and injections are formed.
     """
     prefix = loop_prefix(config, loop)
     h, w = features["ir"].shape[2], features["ir"].shape[3]
@@ -205,9 +209,9 @@ def _run_loop(
     for a, b, group in topo.pairs():
         name = f"{prefix}.{group}"
         into_b, into_a = difference_edges(nodes[a], nodes[b], params[f"{name}.weight"], params[f"{name}.bias"])
-        totals[b] = ops.add(totals[b], pass_message(into_b, nodes[a]))
+        totals[b] = pass_message(totals[b], into_b, nodes[a])
         del into_b
-        totals[a] = ops.add(totals[a], pass_message(into_a, nodes[b]))
+        totals[a] = pass_message(totals[a], into_a, nodes[b])
         del into_a
     # Every node is in some pair, so every total has replaced its node.
     del nodes

@@ -489,18 +489,85 @@ def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
 # nonlinearities
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """Logistic function as ``0.5 * tanh(0.5 x) + 0.5``, which cannot overflow."""
+def _logistic(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``0.5 * tanh(0.5 x) + 0.5``, which cannot overflow, into ``out``."""
     half = np.float32(0.5)
-    out = np.multiply(x.data, half, out=np.empty_like(x.data))  # an array even when 0-d
+    np.multiply(x, half, out=out)
     np.tanh(out, out=out)
     out *= half
     out += half
+    return out
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    """Logistic function (:func:`_logistic`)."""
+    out = _logistic(x.data, np.empty_like(x.data))  # an array even when 0-d
 
     def backward(g: np.ndarray) -> None:
         accumulate(x, g * out * (1.0 - out))
 
     return record_op(out, (x,), backward)
+
+
+# Float32 elements per chunk of gate_add: 128 KB, so each operand's chunk and
+# the chunk's gate stay in a 2 MB per-core L2 cache between their passes.
+_CHUNK_FLOATS = 1 << 15
+
+
+def gate_add(total: Tensor, edge: Tensor, source: Tensor) -> Tensor:
+    """``total + sigmoid(edge) * source``, one graph message added into a sum.
+
+    All three operands have one shape.  The forward walks the flattened
+    arrays in chunks of ``_CHUNK_FLOATS``, so the output is the only
+    full-size array made: neither the gate nor the message is stored, and
+    the backward recomputes the gate chunk by chunk.  Every element rounds
+    as in ``add(total, mul(sigmoid(edge), source))``, and the gradients
+    accumulate in that composition's order (total, source, edge), so the
+    results are bit-identical to it.
+    """
+    for name, t in (("edge", edge), ("source", source)):
+        if t.shape != total.shape:
+            raise ShapeError(f"gate_add: {name} shape {t.shape} differs from total shape {total.shape}")
+    out = np.empty_like(total.data)
+    t_flat, e_flat, s_flat, o_flat = (a.reshape(-1) for a in (total.data, edge.data, source.data, out))
+    gate = np.empty(min(_CHUNK_FLOATS, out.size), dtype=np.float32)
+    for lo in range(0, out.size, _CHUNK_FLOATS):
+        part = slice(lo, lo + _CHUNK_FLOATS)
+        message = _logistic(e_flat[part], gate[: o_flat[part].size])
+        message *= s_flat[part]
+        np.add(t_flat[part], message, out=o_flat[part])
+
+    def backward(g: np.ndarray) -> None:
+        accumulate(total, g)
+        # (is the edge, flat gradient, fresh): a gradient made here is written, not added to.
+        sinks = []
+        for is_edge, t in ((False, source), (True, edge)):
+            if t.requires_grad:
+                fresh = t.grad is None
+                if fresh:
+                    t.grad = np.empty_like(t.data)
+                sinks.append((is_edge, t.grad.reshape(-1), fresh))
+        if not sinks:
+            return
+        g_flat = g.reshape(-1)
+        buf = np.empty((2, min(_CHUNK_FLOATS, g_flat.size)), dtype=np.float32)
+        for lo in range(0, g_flat.size, _CHUNK_FLOATS):
+            part = slice(lo, lo + _CHUNK_FLOATS)
+            gc = g_flat[part]
+            sig, d = _logistic(e_flat[part], buf[0, : gc.size]), buf[1, : gc.size]
+            for is_edge, grad, fresh in sinks:
+                if is_edge:
+                    np.multiply(gc, s_flat[part], out=d)
+                    d *= sig
+                    d *= 1.0 - sig
+                else:
+                    np.multiply(gc, sig, out=d)
+                if fresh:
+                    grad[part] = d
+                else:
+                    grad[part] += d
+
+    return record_op(out, (total, edge, source), backward)
 
 
 def relu(x: Tensor) -> Tensor:

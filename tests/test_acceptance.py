@@ -193,6 +193,12 @@ def _case_sigmoid(rng):
     return lambda: ops.sigmoid(x), [x]
 
 
+def _case_gate_add(rng):
+    total, source = _u(rng, (2, 3, 4, 4)), _u(rng, (2, 3, 4, 4))
+    edge = _u(rng, (2, 3, 4, 4), -3.0, 3.0)
+    return lambda: ops.gate_add(total, edge, source), [total, edge, source]
+
+
 def _case_relu(rng):
     x = Tensor(conftest.away_from(rng, (2, 3, 4, 4), 0.0), requires_grad=True)
     return lambda: ops.relu(x), [x]
@@ -237,6 +243,7 @@ OP_CASES = {
     "reshape": _case_reshape,
     "concat_channels": _case_concat_channels,
     "sigmoid": _case_sigmoid,
+    "gate_add": _case_gate_add,
     "relu": _case_relu,
     "sqrt": _case_sqrt,
     "absolute": _case_absolute,

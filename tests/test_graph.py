@@ -134,12 +134,11 @@ class TestEdgesAndMessages:
         assert all(got is w for got, w in zip(seen, want))
 
     def test_message_is_sigmoid_gated_source(self, rng):
-        edge = Tensor(rng.standard_normal((1, 2, 3, 3)).astype(np.float32))
-        source = Tensor(rng.standard_normal((1, 2, 3, 3)).astype(np.float32))
-        msg = pass_message(edge, source)
+        total, edge, source = (Tensor(rng.standard_normal((1, 2, 3, 3)).astype(np.float32)) for _ in range(3))
+        out = pass_message(total, edge, source)
         gate = 1.0 / (1.0 + np.exp(-edge.data.astype(np.float64)))
-        np.testing.assert_allclose(msg.data, gate * source.data, rtol=1e-5, atol=1e-6)
-        assert np.all(np.abs(msg.data) <= np.abs(source.data) + 1e-7)
+        np.testing.assert_allclose(out.data, total.data + gate * source.data, rtol=1e-5, atol=1e-6)
+        assert np.all(np.abs(out.data.astype(np.float64) - total.data) <= np.abs(source.data) + 1e-6)
 
 
 def _tie_modalities(params, config: FusionConfig) -> None:

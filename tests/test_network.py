@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from graphfusion.config import FusionConfig
+from graphfusion.losses import loss_components
 from graphfusion.network import (
     CHECKPOINT_MAGIC,
     CheckpointError,
@@ -22,7 +23,7 @@ from graphfusion.network import (
     save_checkpoint,
 )
 from graphfusion.reference import reference_forward
-from graphfusion.tensor import ShapeError, Tensor
+from graphfusion.tensor import ShapeError, Tape, Tensor
 
 from conftest import rewrite_config_blob
 
@@ -195,9 +196,10 @@ class TestForward:
 )
 def test_untaped_forward_keeps_few_maps_alive(rng):
     # Each backbone stage is freed after the last graph loop that reads it,
-    # and every loop frees its injections, edges and message sums after
-    # their last reader, so the graph's edge phase sets the peak at about
-    # 20 maps.
+    # and every loop frees its injections, edges and running sums after
+    # their last reader.  A message is added into its destination's sum
+    # without a map of its own, so the graph's edge phase sets the peak at
+    # about 19 maps.
     config = FusionConfig()
     params = init_params(config, seed=0)
     ir = rng.uniform(size=(96, 128)).astype(np.float32)
@@ -209,7 +211,34 @@ def test_untaped_forward_keeps_few_maps_alive(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 22 * 4 * config.channels * 96 * 128
+    assert peak < 20 * 4 * config.channels * 96 * 128
+
+
+def test_taped_step_records_and_peak(rng):
+    # One record per graph message (54 with 3 nodes and 3 loops), and no
+    # gate or message map or gradient held for the backward: about 708
+    # maps of 1x16x32x32 at the peak, against 925 with three ops a message.
+    config = FusionConfig()
+    params = init_params(config, seed=0)
+    ir, vis = (Tensor(rng.uniform(size=(1, 1, 32, 32)).astype(np.float32)) for _ in range(2))
+
+    def step() -> int:
+        with Tape() as tape:
+            loss = loss_components(forward(ir, vis, params, config), ir, vis, config)["total"]
+            records = len(tape)
+            tape.backward(loss)
+        tape.clear()
+        return records
+
+    step()
+    tracemalloc.start()
+    try:
+        records = step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert records == 445
+    assert peak < 800 * 4 * config.channels * 32 * 32
 
 
 class TestCheckpoint:

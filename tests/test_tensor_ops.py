@@ -696,6 +696,114 @@ class TestElementwiseAndReductions:
         assert out.shape == (2, 4)
 
 
+def composed_gate_add(total, edge, source):
+    return ops.add(total, ops.mul(ops.sigmoid(edge), source))
+
+
+def gate_operands(rng, shape):
+    """Total, edge and source arrays; the edge holds 0 and both saturated ends."""
+    total, edge, source = (rng.standard_normal(shape).astype(np.float32) for _ in range(3))
+    edge *= 4.0
+    edge.reshape(-1)[:3] = (0.0, 50.0, -50.0)
+    return total, edge, source
+
+
+def taped_gate(fn, arrays, requires, coeffs, reread):
+    """Output and input gradients of ``fn`` under a weighted sum.
+
+    With ``reread`` a later op also reads the edge and the source, so their
+    gradients exist before ``fn``'s backward adds into them.
+    """
+    ts = [Tensor(a, requires_grad=r) for a, r in zip(arrays, requires)]
+    with Tape() as tape:
+        out = fn(*ts)
+        loss = ops.reduce_sum(ops.mul(out, Tensor(coeffs)))
+        if reread:
+            loss = ops.add(loss, ops.reduce_sum(ops.mul(ts[1], ts[2])))
+        tape.backward(loss)
+    grads = [t.grad for t in ts]
+    tape.clear()
+    return out.data, grads
+
+
+class TestGateAdd:
+    @pytest.mark.parametrize("chunk", [11, None])
+    @pytest.mark.parametrize("requires", [(1, 1, 1), (0, 1, 0), (0, 0, 1), (1, 0, 0), (0, 1, 1)])
+    @pytest.mark.parametrize("reread", [False, True])
+    def test_equals_composed_ops_bit_for_bit(self, rng, monkeypatch, chunk, requires, reread):
+        # 37800 elements: two default chunks, or 3437 chunks of 11 with a
+        # short last one.
+        if chunk is not None:
+            monkeypatch.setattr(ops, "_CHUNK_FLOATS", chunk)
+        shape = (2, 3, 70, 90)
+        arrays = gate_operands(rng, shape)
+        coeffs = rng.uniform(-1.0, 1.0, size=shape).astype(np.float32)
+        want, want_grads = taped_gate(composed_gate_add, arrays, requires, coeffs, reread)
+        got, got_grads = taped_gate(ops.gate_add, arrays, requires, coeffs, reread)
+        np.testing.assert_array_equal(got, want)
+        for name, g, w in zip(("total", "edge", "source"), got_grads, want_grads):
+            assert (g is None) == (w is None), name
+            if w is not None:
+                np.testing.assert_array_equal(g, w, err_msg=name)
+
+    def test_one_operand_in_every_role_equals_composed_ops(self, rng, monkeypatch):
+        # Gradients accumulate as in the composition: total, source, edge.
+        monkeypatch.setattr(ops, "_CHUNK_FLOATS", 7)
+        x = gate_operands(rng, (1, 2, 5, 9))[1]
+        coeffs = rng.uniform(-1.0, 1.0, size=x.shape).astype(np.float32)
+        want, (want_grad,) = taped_gate(lambda t: composed_gate_add(t, t, t), [x], [1], coeffs, False)
+        got, (got_grad,) = taped_gate(lambda t: ops.gate_add(t, t, t), [x], [1], coeffs, False)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_grad, want_grad)
+
+    def test_zero_total_and_unit_source_give_the_sigmoid(self, rng):
+        x = Tensor(gate_operands(rng, (3, 50))[1])
+        got = ops.gate_add(Tensor.zeros(x.shape), x, Tensor.full(x.shape, 1.0))
+        np.testing.assert_array_equal(got.data, ops.sigmoid(x).data)
+
+    def test_one_record_and_no_public_sigmoid(self, rng, monkeypatch):
+        # A profiler wraps the public ops, so a gate recomputed through
+        # ops.sigmoid would count as an extra sigmoid forward.
+        def no_sigmoid(x):
+            raise AssertionError("gate_add called ops.sigmoid")
+
+        monkeypatch.setattr(ops, "sigmoid", no_sigmoid)
+        total, edge, source = (Tensor(a, requires_grad=True) for a in gate_operands(rng, (1, 2, 4, 4)))
+        with Tape() as tape:
+            out = ops.gate_add(total, edge, source)
+            assert len(tape) == 1
+            tape.backward(ops.reduce_sum(out))
+        assert all(t.grad is not None for t in (total, edge, source))
+        tape.clear()
+
+    @pytest.mark.parametrize("operand", ["edge", "source"])
+    def test_rejects_a_mismatched_operand_before_allocating(self, operand):
+        shapes = dict.fromkeys(("total", "edge", "source"), (1, 16, 480, 640))
+        shapes[operand] = (1, 16, 480, 641)
+        operands = {name: Tensor.zeros(shape) for name, shape in shapes.items()}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShapeError, match=f"gate_add: {operand} shape"):
+                ops.gate_add(**operands)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_vga_call_keeps_no_gate_or_message_map(self):
+        # No tape: the output, one chunk of gate and 1 MB for the rest.  The
+        # composed ops make a gate map and a message map besides the output.
+        shape = (1, 16, 480, 640)
+        total, edge, source = (Tensor.full(shape, v) for v in (1.0, 0.5, 2.0))
+        tracemalloc.start()
+        try:
+            ops.gate_add(total, edge, source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * total.size + 4 * ops._CHUNK_FLOATS + (1 << 20)
+
+
 class TestNoRecording:
     def test_probe_leaves_tape_empty(self):
         from graphfusion.tensor import no_recording
