@@ -34,6 +34,22 @@ def _framed(a: np.ndarray, padding: int, fill: float = 0.0) -> np.ndarray:
     return out
 
 
+def _pitched(a: np.ndarray, padding: int, tail: int) -> np.ndarray:
+    """``_framed(a, padding)`` with each plane flattened and followed by ``tail`` zeros.
+
+    The result is (N, C, Hp*Wp + tail), with framed cell (y, x) of a plane
+    at ``y * Wp + x``: a kernel tap over whole rows of the frame is then a
+    2-d slice, and the tail keeps the slices of the last rows in bounds.
+    """
+    n, c, h, w = a.shape
+    if not (padding or tail):
+        return a.reshape(n, c, h * w)
+    hp, wp = h + 2 * padding, w + 2 * padding
+    out = np.zeros((n, c, hp * wp + tail), dtype=a.dtype)
+    out[:, :, : hp * wp].reshape(n, c, hp, wp)[:, :, padding : padding + h, padding : padding + w] = a
+    return out
+
+
 def _tap(a: np.ndarray, i: int, j: int, stride: int, oh: int, ow: int) -> np.ndarray:
     """View of the ``oh`` x ``ow`` cells that window tap (i, j) reads in a (..., H, W) map."""
     return a[..., i : i + (oh - 1) * stride + 1 : stride, j : j + (ow - 1) * stride + 1 : stride]
@@ -42,56 +58,133 @@ def _tap(a: np.ndarray, i: int, j: int, stride: int, oh: int, ow: int) -> np.nda
 # ---------------------------------------------------------------------------
 # convolution and pooling
 
-# Float32 taps per band of output rows: 1 MB, so a band's gather is still in
-# a 2 MB per-core L2 cache when its GEMM reads it.  On a Xeon with 2 MB of L2
-# per core (OpenBLAS 0.3.31, one thread), a 1x16x480x640 16->16 3x3 conv took
-# 62-65 ms with 1 MB bands, 70 ms with 256 KB and 97-114 ms with 4 MB bands,
-# which spill out of L2; a 32->16 conv took 128-130 ms against 176-178 ms.
-# A multi-channel conv's forward is bit-identical across band sizes, as each
-# output cell is the same c*kh*kw-long dot product of a GEMM.  A conv with
-# one output channel is a matrix-vector product, whose summation order BLAS
+# conv2d computes a band of output rows at a time, in one of two ways that the
+# input's channel count picks.  From _VIEW_CHANNELS input channels up, each
+# kernel tap is one (oc x c) GEMM over a shifted view of the framed input,
+# summed into a band buffer (kn2row: Vasudevan, Anderson & Gregg, ASAP 2017),
+# so BLAS's own packing is the only copy of the input.  Thinner inputs gather
+# all c*kh*kw taps of a band into a workspace and make one GEMM (im2col), as
+# GEMMs with K = c are then too small.  One OpenBLAS 0.3.31 thread on a Xeon
+# with 2 MB of L2 per core, 480x640 3x3 convs to 16 channels, gather against
+# views (best of 5-7): from 1 channel 10.4 against 153 ms, from 4 17.0
+# against 23.6, from 8 35.2 against 34.6, from 15 75.2 against 44.4, from 16
+# 80.7 against 45.7 and from 32 155 against 80 ms; the 11x11 SSIM blur of a
+# 2x1x64x64 map 0.84 against 3.99 ms.  The network convolves 1 or at least
+# 16 channels, so the threshold sits at its width.
+_VIEW_CHANNELS = 16
+
+# Output floats per band of the per-tap sums, bounded by the larger of the
+# two channel counts: 64K, so the band, the tap product added into it and
+# the view a GEMM reads stay in L2.  A 16->16 conv's tap GEMMs then also
+# stay under OpenBLAS's small-matrix size, where it reads the view without
+# packing it.  On the Xeon above, a 1x16x480x640 16->16 3x3 conv took
+# 52-54 ms with 16K and 32K bands, 43.7 and 43.8 ms with 48K and 64K, and
+# 56-57 ms with 96K and 128K (best of 7).
+_BAND_FLOATS = 1 << 16
+
+# Float32 taps per band of the gather: 1 MB, so a band's gather is still in
+# a 2 MB per-core L2 cache when its GEMM reads it.  On the same Xeon a
+# 1x16x480x640 16->16 3x3 conv took 62-65 ms with 1 MB bands, 70 ms with
+# 256 KB and 97-114 ms with 4 MB bands, which spill out of L2.  A gathered
+# multi-channel conv is bit-identical across band sizes, as each output
+# cell is the same c*kh*kw-long dot product of a GEMM.  A conv with one
+# output channel is a matrix-vector product, whose summation order BLAS
 # may change with the band width: a 2x1x64x64 11x11 blur moved by up to
 # 7.6e-6 between 10-row and 40-row bands.
 _WORKSPACE_FLOATS = 1 << 18
 _WORKSPACE = threading.local()
 
 
-def _bands(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int):
-    """Yield ``(sample, columns, taps)`` per band of output rows of a padded (N, C, H, W) map.
+def _scratch(name: str, size: int) -> np.ndarray:
+    """The first ``size`` floats of this thread's buffer ``name``, which the next band overwrites."""
+    buf = getattr(_WORKSPACE, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype=np.float32)
+        setattr(_WORKSPACE, name, buf)
+    return buf[:size]
 
-    ``taps`` is the band's (c*kh*kw, rows*ow) window cells, gathered into
-    this thread's workspace, which the next band overwrites; ``columns``
-    slices the band out of a flattened output plane.  A band holds the
-    whole output rows that fit in ``_WORKSPACE_FLOATS``, at least one, so
-    the gather is still in cache when the band's GEMM reads it.
-    """
-    n, c = xp.shape[:2]
-    k = c * kh * kw
-    rows = max(1, min(oh, _WORKSPACE_FLOATS // (k * ow)))
-    if getattr(_WORKSPACE, "buf", np.empty(0)).size < k * rows * ow:
-        _WORKSPACE.buf = np.empty(max(_WORKSPACE_FLOATS, k * rows * ow), dtype=np.float32)
+
+def _bands(n: int, oh: int, rows: int):
+    """Yield ``(sample, first row, rows)`` per band of at most ``rows`` output rows, at least one."""
+    rows = max(1, min(oh, rows))
     for s in range(n):
         for r0 in range(0, oh, rows):
-            r = min(rows, oh - r0)
-            taps = _WORKSPACE.buf[: k * r * ow].reshape(c, kh * kw, r, ow)
-            for t in range(kh * kw):
-                taps[:, t] = _tap(xp[s, :, r0 * stride :], *divmod(t, kw), stride, r, ow)
-            yield s, slice(r0 * ow, (r0 + r) * ow), taps.reshape(k, r * ow)
+            yield s, r0, min(rows, oh - r0)
 
 
-def _correlate(xp: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarray:
-    """Strided cross-correlation of an already padded (N, C, H, W) map.
+def _gather_rows(c: int, kh: int, kw: int, ow: int) -> int:
+    """Output rows per band of the gather: as many as fit in ``_WORKSPACE_FLOATS``."""
+    return _WORKSPACE_FLOATS // (c * kh * kw * ow)
 
-    One ``(oc, c*kh*kw) @ (c*kh*kw, rows*ow)`` GEMM per band of output rows
-    (:func:`_bands`), written into the output, the only full-frame array made.
+
+def _gather(xp: np.ndarray, s: int, r0: int, r: int, kh: int, kw: int, stride: int, ow: int) -> np.ndarray:
+    """The (c*kh*kw, r*ow) window taps of output rows ``r0 .. r0+r-1`` of sample ``s`` of a framed map.
+
+    One strided copy into this thread's workspace, in the row order of
+    ``kernel.reshape(oc, -1)``.
     """
-    (n, _, h, w), (oc, _, kh, kw) = xp.shape, kernel.shape
-    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
-    out = np.empty((n, oc, oh * ow), dtype=np.float32)
-    weights = kernel.reshape(oc, -1)
-    for s, columns, taps in _bands(xp, kh, kw, stride, oh, ow):
-        np.matmul(weights, taps, out=out[s, :, columns])
-    return out.reshape(n, oc, oh, ow)
+    c = xp.shape[1]
+    taps = _scratch("taps", c * kh * kw * r * ow).reshape(c, kh, kw, r, ow)
+    rows = xp[s, :, r0 * stride : (r0 + r - 1) * stride + kh]
+    windows = np.lib.stride_tricks.sliding_window_view(rows, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    taps[...] = windows.transpose(0, 3, 4, 1, 2)
+    return taps.reshape(c * kh * kw, r * ow)
+
+
+def _correlate(
+    a: np.ndarray, kernel: np.ndarray, stride: int, padding: int, bias: np.ndarray | None = None
+) -> np.ndarray:
+    """Strided cross-correlation of a (N, C, H, W) map framed by ``padding`` zeros, plus ``bias``.
+
+    A band of output rows is, from ``_VIEW_CHANNELS`` input channels up,
+    the sum over kernel taps of one ``(oc, c) @ (c, rows*Wp)`` GEMM each,
+    whose right side is a slice of the row-pitched frame (:func:`_pitched`)
+    at stride 1 and a copied step-``stride`` view otherwise.  It is
+    computed on the band's pitched grid of ``Wp`` columns per row and
+    copied into the output without the columns past ``ow``.  Thinner
+    inputs make one ``(oc, c*kh*kw) @ (c*kh*kw, rows*ow)`` GEMM per band of
+    gathered taps (:func:`_gather`), straight into the output.  The bias is
+    added band by band, and the frame lives only as long as this call.
+    """
+    (n, c, h, w), (oc, _, kh, kw) = a.shape, kernel.shape
+    wp = w + 2 * padding
+    oh, ow = (h + 2 * padding - kh) // stride + 1, (wp - kw) // stride + 1
+    out = np.empty((n, oc, oh, ow), dtype=np.float32)
+    if c < _VIEW_CHANNELS:
+        xp, weights = _framed(a, padding), kernel.reshape(oc, -1)
+        for s, r0, r in _bands(n, oh, _gather_rows(c, kh, kw, ow)):
+            band = out[s, :, r0 : r0 + r]
+            np.matmul(weights, _gather(xp, s, r0, r, kh, kw, stride, ow), out=band.reshape(oc, r * ow))
+            if bias is not None:
+                band += bias.reshape(oc, 1, 1)
+        return out
+
+    weights = kernel.transpose(2, 3, 0, 1).reshape(kh * kw, oc, c)
+    if stride == 1:
+        flat, pitch = _pitched(a, padding, kw - 1), wp
+    else:
+        xp, pitch = _framed(a, padding), ow
+    # Bands of one height: a short last band costs as many GEMM calls as a
+    # full one (2x16x64x64: 1.78 ms with bands of 62 and 2 rows, 1.26 ms with 32).
+    bands = -(-oh // max(1, _BAND_FLOATS // (max(oc, c) * pitch)))
+    for s, r0, r in _bands(n, oh, -(-oh // bands)):
+        total, part = (_scratch(name, oc * r * pitch).reshape(oc, r * pitch) for name in ("total", "part"))
+        if bias is not None:
+            total[...] = bias.reshape(oc, 1)
+        for t in range(kh * kw):
+            i, j = divmod(t, kw)
+            if stride == 1:
+                start = (r0 + i) * wp + j
+                view = flat[s, :, start : start + r * wp]
+            else:
+                view = _tap(xp[s, :, r0 * stride :], i, j, stride, r, ow).reshape(c, r * ow)
+            if t == 0 and bias is None:
+                np.matmul(weights[t], view, out=total)
+            else:
+                np.matmul(weights[t], view, out=part)
+                total += part
+        out[s, :, r0 : r0 + r] = total.reshape(oc, r, pitch)[:, :, :ow]
+    return out
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -102,12 +195,15 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     ``padding = (k - 1) // 2`` and stride 1 an odd kernel preserves size.
 
     The forward pass and the input gradient are :func:`_correlate`.  The
-    input gradient is the transposed convolution: the output gradient,
+    input gradient is the transposed convolution, a correlation with the
+    flipped, channel-swapped kernel: at stride 1 of the output gradient
+    framed by ``kh - 1 - padding`` zeros; otherwise of the output gradient
     spread ``stride`` cells apart and framed by ``kh - 1`` and ``kw - 1``
-    zeros, correlated with the flipped, channel-swapped kernel, then
-    cropped (rows and columns no window reaches get zero gradient).  The
-    transposed kernel gradient is one ``taps @ g_band.T`` GEMM per band of
-    the same gather (:func:`_bands`); BLAS runs it faster than the untransposed one.
+    zeros, then cropped (rows and columns no window reaches get zero
+    gradient).  The transposed kernel gradient is one ``taps @ g_band.T``
+    GEMM per band of gathered taps (:func:`_gather`) of ``x`` framed again;
+    BLAS runs it faster than the untransposed one.  The op keeps ``x``, not
+    its frame.
     """
     _require_4d("conv2d", x)
     if kernel.ndim != 4:
@@ -125,24 +221,27 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
             f"conv2d: padded input {h + 2 * padding}x{w + 2 * padding} smaller than kernel {kh}x{kw}"
         )
 
-    xp = _framed(x.data, padding)
-    out = _correlate(xp, kernel.data, stride)
-    out += bias.data.reshape(1, oc, 1, 1)
+    out = _correlate(x.data, kernel.data, stride, padding, bias.data)
     oh, ow = out.shape[2], out.shape[3]
 
     def backward(g: np.ndarray) -> None:
         if bias.requires_grad:
             accumulate(bias, g.sum(axis=(0, 2, 3)))
         if kernel.requires_grad:
-            gk, gm = np.zeros((c * kh * kw, oc), dtype=np.float32), g.reshape(n, oc, oh * ow)
-            for s, columns, taps in _bands(xp, kh, kw, stride, oh, ow):
-                gk += taps @ gm[s, :, columns].T
+            xp, gm = _framed(x.data, padding), g.reshape(n, oc, oh * ow)
+            gk = np.zeros((c * kh * kw, oc), dtype=np.float32)
+            for s, r0, r in _bands(n, oh, _gather_rows(c, kh, kw, ow)):
+                gk += _gather(xp, s, r0, r, kh, kw, stride, ow) @ gm[s, :, r0 * ow : (r0 + r) * ow].T
             accumulate(kernel, gk.T.reshape(oc, c, kh, kw))
         if x.requires_grad:
-            spread = np.zeros((n, oc, h + 2 * padding + kh - 1, w + 2 * padding + kw - 1), dtype=np.float32)
-            _tap(spread, kh - 1, kw - 1, stride, oh, ow)[...] = g
-            dxp = _correlate(spread, kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1)
-            accumulate(x, dxp[:, :, padding : padding + h, padding : padding + w])
+            flipped = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            if stride == 1 and kh == kw and padding < kh:
+                accumulate(x, _correlate(g, flipped, 1, kh - 1 - padding))
+            else:
+                spread = np.zeros((n, oc, h + 2 * padding + kh - 1, w + 2 * padding + kw - 1), dtype=np.float32)
+                _tap(spread, kh - 1, kw - 1, stride, oh, ow)[...] = g
+                dxp = _correlate(spread, flipped, 1, 0)
+                accumulate(x, dxp[:, :, padding : padding + h, padding : padding + w])
 
     return record_op(out, (x, kernel, bias), backward)
 
@@ -218,16 +317,55 @@ def _mean_pool(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     return record_op(out, (x,), backward)
 
 
+def _window_taps(size: int, window: int, stride: int, padding: int) -> list[tuple[slice, slice]]:
+    """``(windows, cells)`` slice pairs along an axis of ``size`` cells, one per window tap.
+
+    Tap ``d`` of window ``o`` reads cell ``o * stride - padding + d``; each
+    pair selects the windows whose tap ``d`` is a cell of the axis, not
+    padding, and those cells.
+    """
+    count = (size + 2 * padding - window) // stride + 1
+    pairs = []
+    for d in range(window):
+        lo = max(0, -(-(padding - d) // stride))
+        hi = min(count, (size - 1 + padding - d) // stride + 1)
+        if lo < hi:
+            start = lo * stride - padding + d
+            pairs.append((slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)))
+    return pairs
+
+
+def _add_slices(a: np.ndarray, axis: int, size: int, pairs: list[tuple[slice, slice]]) -> np.ndarray:
+    """Sum, into zeros with ``size`` cells along ``axis``, of ``a[read]`` at ``write`` for each pair."""
+    shape = list(a.shape)
+    shape[axis] = size
+    out = np.zeros(shape, dtype=np.float32)
+    src, dst = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
+    for write, read in pairs:
+        dst[write] += src[read]
+    return out
+
+
 def avgpool2d(x: Tensor, window: int, stride: int, padding: int = 0) -> Tensor:
-    """Average pooling; padded cells are excluded from each window's divisor."""
+    """Average pooling; padded cells are excluded from each window's divisor.
+
+    Each axis in turn sums its window taps that fall inside the map
+    (:func:`_window_taps`); the backward is the adjoint of those sums.
+    """
     _check_pool_args("avgpool2d", x, window, stride, padding)
+    h, w = x.shape[2], x.shape[3]
+    oh, ow = (h + 2 * padding - window) // stride + 1, (w + 2 * padding - window) // stride + 1
+    rows, cols = _window_taps(h, window, stride, padding), _window_taps(w, window, stride, padding)
+    row_counts = _add_slices(np.ones(h, dtype=np.float32), 0, oh, rows)
+    counts = np.outer(row_counts, _add_slices(np.ones(w, dtype=np.float32), 0, ow, cols))
+    out = _add_slices(_add_slices(x.data, 2, oh, rows), 3, ow, cols)
+    out /= counts
 
-    def windows(size: int) -> np.ndarray:
-        # Window bounds in unpadded coordinates, so padded cells never count.
-        starts = np.arange((size + 2 * padding - window) // stride + 1) * stride - padding
-        return _bins(starts, starts + window, size)
+    def backward(g: np.ndarray) -> None:
+        rows_t, cols_t = ([(cells, windows) for windows, cells in taps] for taps in (rows, cols))
+        accumulate(x, _add_slices(_add_slices(g / counts, 3, w, cols_t), 2, h, rows_t))
 
-    return _mean_pool(x, windows(x.shape[2]), windows(x.shape[3]))
+    return record_op(out, (x,), backward)
 
 
 def adaptive_avgpool2d(x: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -263,10 +401,10 @@ def upsample_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
 
     Output pixel ``o`` samples input coordinate ``o * (in - 1) / (out - 1)``
     (coordinate 0 when ``out == 1``).  Interpolation uses the form
-    ``a + t * (b - a)`` so constant inputs reproduce exactly.  Each axis is
-    one ``np.take`` of the far neighbours, updated in place, and one of the
-    near neighbours, so the output and one temporary of its size are the
-    only full-size arrays made.
+    ``a + t * (b - a)`` so constant inputs reproduce exactly.  Each axis
+    takes ``b - a`` of every pair of neighbouring input cells, then writes
+    the outputs between each pair as ``(b - a) * t`` and adds ``a`` in
+    place, so the output is the only full-size array made.
     """
     _require_4d("upsample_bilinear", x)
     n, c, h, w = x.shape
@@ -286,15 +424,18 @@ def upsample_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     r0, r1, tr = grid(h, out_h)
     c0, c1, tc = grid(w, out_w)
 
-    def lerp(a: np.ndarray, i0: np.ndarray, i1: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
-        near = np.take(a, i0, axis=axis)
-        out = np.take(a, i1, axis=axis)
-        out -= near
-        out *= t
-        out += near
-        return out
+    def lerp(a: np.ndarray, i0: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
+        src = np.moveaxis(a, axis, -1)
+        diff = src[..., 1:] - src[..., :-1] if src.shape[-1] > 1 else src - src
+        out = np.empty(src.shape[:-1] + (t.size,), dtype=np.float32)
+        # Outputs lo:hi of interval q lie between input cells q and q + 1.
+        bounds = np.searchsorted(i0, np.arange(diff.shape[-1] + 1))
+        for q, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            np.multiply(diff[..., q, None], t[lo:hi], out=out[..., lo:hi])
+            out[..., lo:hi] += src[..., q, None]
+        return np.moveaxis(out, -1, axis)
 
-    out = lerp(lerp(x.data, r0, r1, tr[:, None], 2), c0, c1, tc, 3)
+    out = lerp(lerp(x.data, r0, tr, 2), c0, tc, 3)
 
     def backward(g: np.ndarray) -> None:
         # Per-axis interpolation matrices carry the same (1 - t, t) weights
