@@ -59,18 +59,19 @@ def _tap(a: np.ndarray, i: int, j: int, stride: int, oh: int, ow: int) -> np.nda
 # convolution and pooling
 
 # conv2d computes a band of output rows at a time, in one of two ways that the
-# input's channel count picks.  From _VIEW_CHANNELS input channels up, each
-# kernel tap is one (oc x c) GEMM over a shifted view of the framed input,
-# summed into a band buffer (kn2row: Vasudevan, Anderson & Gregg, ASAP 2017),
-# so BLAS's own packing is the only copy of the input.  Thinner inputs gather
-# all c*kh*kw taps of a band into a workspace and make one GEMM (im2col), as
-# GEMMs with K = c are then too small.  One OpenBLAS 0.3.31 thread on a Xeon
-# with 2 MB of L2 per core, 480x640 3x3 convs to 16 channels, gather against
-# views (best of 5-7): from 1 channel 10.4 against 153 ms, from 4 17.0
-# against 23.6, from 8 35.2 against 34.6, from 15 75.2 against 44.4, from 16
-# 80.7 against 45.7 and from 32 155 against 80 ms; the 11x11 SSIM blur of a
-# 2x1x64x64 map 0.84 against 3.99 ms.  The network convolves 1 or at least
-# 16 channels, so the threshold sits at its width.
+# input's channel count picks.  From _VIEW_CHANNELS input channels up, a
+# stride-1 conv makes each kernel tap one (oc x c) GEMM over a shifted view
+# of the framed input, summed into a band buffer (kn2row: Vasudevan, Anderson
+# & Gregg, ASAP 2017), so BLAS's own packing is the only copy of the input.
+# Thinner inputs gather all c*kh*kw taps of a band into a workspace and make
+# one GEMM (im2col), as GEMMs with K = c are then too small.  Strided convs
+# gather at any width; the network runs none.  One OpenBLAS 0.3.31 thread
+# on a Xeon with 2 MB of L2 per core, 480x640 3x3 convs to 16 channels,
+# gather against views (best of 5-7): from 1 channel 10.4 against 153 ms,
+# from 4 17.0 against 23.6, from 8 35.2 against 34.6, from 15 75.2 against
+# 44.4, from 16 80.7 against 45.7 and from 32 155 against 80 ms; the 11x11
+# SSIM blur of a 2x1x64x64 map 0.84 against 3.99 ms.  The network convolves
+# 1 or at least 16 channels, so the threshold sits at its width.
 _VIEW_CHANNELS = 16
 
 # Output floats per band of the per-tap sums, bounded by the larger of the
@@ -136,21 +137,21 @@ def _correlate(
 ) -> np.ndarray:
     """Strided cross-correlation of a (N, C, H, W) map framed by ``padding`` zeros, plus ``bias``.
 
-    A band of output rows is, from ``_VIEW_CHANNELS`` input channels up,
-    the sum over kernel taps of one ``(oc, c) @ (c, rows*Wp)`` GEMM each,
-    whose right side is a slice of the row-pitched frame (:func:`_pitched`)
-    at stride 1 and a copied step-``stride`` view otherwise.  It is
-    computed on the band's pitched grid of ``Wp`` columns per row and
-    copied into the output without the columns past ``ow``.  Thinner
-    inputs make one ``(oc, c*kh*kw) @ (c*kh*kw, rows*ow)`` GEMM per band of
-    gathered taps (:func:`_gather`), straight into the output.  The bias is
-    added band by band, and the frame lives only as long as this call.
+    At stride 1 from ``_VIEW_CHANNELS`` input channels up, a band of
+    output rows is the sum over kernel taps of one ``(oc, c) @ (c, rows*Wp)``
+    GEMM each, whose right side is a slice of the row-pitched frame
+    (:func:`_pitched`).  It is computed on the band's pitched grid of ``Wp``
+    columns per row and copied into the output without the columns past
+    ``ow``.  Thinner or strided inputs make one
+    ``(oc, c*kh*kw) @ (c*kh*kw, rows*ow)`` GEMM per band of gathered taps
+    (:func:`_gather`), straight into the output.  The bias is added band by
+    band, and the frame lives only as long as this call.
     """
     (n, c, h, w), (oc, _, kh, kw) = a.shape, kernel.shape
     wp = w + 2 * padding
     oh, ow = (h + 2 * padding - kh) // stride + 1, (wp - kw) // stride + 1
     out = np.empty((n, oc, oh, ow), dtype=np.float32)
-    if c < _VIEW_CHANNELS:
+    if c < _VIEW_CHANNELS or stride > 1:
         xp, weights = _framed(a, padding), kernel.reshape(oc, -1)
         for s, r0, r in _bands(n, oh, _gather_rows(c, kh, kw, ow)):
             band = out[s, :, r0 : r0 + r]
@@ -160,30 +161,24 @@ def _correlate(
         return out
 
     weights = kernel.transpose(2, 3, 0, 1).reshape(kh * kw, oc, c)
-    if stride == 1:
-        flat, pitch = _pitched(a, padding, kw - 1), wp
-    else:
-        xp, pitch = _framed(a, padding), ow
+    flat = _pitched(a, padding, kw - 1)
     # Bands of one height: a short last band costs as many GEMM calls as a
     # full one (2x16x64x64: 1.78 ms with bands of 62 and 2 rows, 1.26 ms with 32).
-    bands = -(-oh // max(1, _BAND_FLOATS // (max(oc, c) * pitch)))
+    bands = -(-oh // max(1, _BAND_FLOATS // (max(oc, c) * wp)))
     for s, r0, r in _bands(n, oh, -(-oh // bands)):
-        total, part = (_scratch(name, oc * r * pitch).reshape(oc, r * pitch) for name in ("total", "part"))
+        total, part = (_scratch(name, oc * r * wp).reshape(oc, r * wp) for name in ("total", "part"))
         if bias is not None:
             total[...] = bias.reshape(oc, 1)
         for t in range(kh * kw):
             i, j = divmod(t, kw)
-            if stride == 1:
-                start = (r0 + i) * wp + j
-                view = flat[s, :, start : start + r * wp]
-            else:
-                view = _tap(xp[s, :, r0 * stride :], i, j, stride, r, ow).reshape(c, r * ow)
+            start = (r0 + i) * wp + j
+            view = flat[s, :, start : start + r * wp]
             if t == 0 and bias is None:
                 np.matmul(weights[t], view, out=total)
             else:
                 np.matmul(weights[t], view, out=part)
                 total += part
-        out[s, :, r0 : r0 + r] = total.reshape(oc, r, pitch)[:, :, :ow]
+        out[s, :, r0 : r0 + r] = total.reshape(oc, r, wp)[:, :, :ow]
     return out
 
 
@@ -404,7 +399,10 @@ def upsample_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
     ``a + t * (b - a)`` so constant inputs reproduce exactly.  Each axis
     takes ``b - a`` of every pair of neighbouring input cells, then writes
     the outputs between each pair as ``(b - a) * t`` and adds ``a`` in
-    place, so the output is the only full-size array made.
+    place, so the output is the only full-size array made.  That costs two
+    ufunc calls per input interval, so it suits the small pooled grids the
+    network upsamples from (1, 2 and 4 cells a side): from an 8x8 grid to
+    480x640 it is already slower than a full-size gather (21.5 against 19.7 ms).
     """
     _require_4d("upsample_bilinear", x)
     n, c, h, w = x.shape

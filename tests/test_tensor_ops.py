@@ -287,25 +287,26 @@ class TestBandedConv:
         ((1, 17, 9, 8), (15, 17, 3, 3), 1, 1),
         # The graph's leader conv: 48 channels, 1x1.
         ((2, 48, 7, 6), (16, 48, 1, 1), 1, 0),
-        # Strided views, and a non-square kernel.
+        # Strided convs of 16 channels gather; and a non-square kernel.
         ((1, 16, 9, 8), (3, 16, 5, 5), 2, 2),
         ((1, 16, 8, 7), (3, 16, 3, 3), 3, 0),
         ((2, 16, 6, 5), (3, 16, 3, 2), 1, 1),
     ]
 
     @staticmethod
-    def shrink_bands(monkeypatch, rows, shape, kspec, padding):
-        """Bands of about ``rows`` output rows on both sides, so most passes end on a short band."""
-        c, kh, kw = kspec[1:]
+    def shrink_bands(monkeypatch, rows, shape, kspec, stride, padding):
+        """Forward bands of ``rows`` output rows on either side, so most forwards end on a short band."""
+        oc, c, kh, kw = kspec
         wp = shape[3] + 2 * padding
-        monkeypatch.setattr(ops, "_WORKSPACE_FLOATS", rows * max(c, kspec[0]) * kh * kw * wp)
-        monkeypatch.setattr(ops, "_BAND_FLOATS", rows * max(c, kspec[0]) * wp)
+        ow = (wp - kw) // stride + 1
+        monkeypatch.setattr(ops, "_WORKSPACE_FLOATS", rows * c * kh * kw * ow)
+        monkeypatch.setattr(ops, "_BAND_FLOATS", rows * max(c, oc) * wp)
 
     @pytest.mark.parametrize("cap", [2, 1])
     @pytest.mark.parametrize("shape,kspec,stride,padding", CASES)
     def test_matches_float64_loop(self, rng, monkeypatch, shape, kspec, stride, padding, cap):
         # TestConv2d covers the default band sizes, one band per sample.
-        self.shrink_bands(monkeypatch, cap, shape, kspec, padding)
+        self.shrink_bands(monkeypatch, cap, shape, kspec, stride, padding)
         x, k, g = conv_case(rng, shape, kspec, stride, padding)
         out, dx, dk = taped_conv(x, k, g, stride, padding)
         out_ref, dx_ref, dk_ref = loop_conv64(x, k, g, stride, padding)
@@ -360,13 +361,13 @@ class TestBandedConv:
     def test_workspace_is_per_thread(self, rng, monkeypatch):
         # Four threads on different shapes, more than there are cores, with
         # small bands and a short switch interval, so their bands interleave;
-        # two run on the view side and two gather.
+        # two run forward on the view side and two gather, one of them strided.
         monkeypatch.setattr(ops, "_WORKSPACE_FLOATS", 2 * 36 * 12)
         monkeypatch.setattr(ops, "_BAND_FLOATS", 2 * 16 * 14)
         cases = [
             (conv_case(rng, (2, 16, 12, 12), (3, 16, 3, 3), 1, 1), 1, 1),
-            (conv_case(rng, (1, 17, 17, 9), (5, 17, 5, 5), 2, 2), 2, 2),
-            (conv_case(rng, (2, 3, 10, 7), (2, 3, 1, 1), 1, 0), 1, 0),
+            (conv_case(rng, (1, 17, 17, 9), (5, 17, 5, 5), 1, 2), 1, 2),
+            (conv_case(rng, (2, 3, 10, 7), (2, 3, 1, 1), 2, 0), 2, 0),
             (conv_case(rng, (1, 1, 14, 13), (1, 1, 11, 11), 1, 0), 1, 0),
         ]
         serial = [taped_conv(*case, stride, padding) for case, stride, padding in cases]
