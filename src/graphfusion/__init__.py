@@ -7,7 +7,7 @@ and quality metrics, a deterministic trainer, and a CLI (``graphfusion``).
 """
 
 from .config import FusionConfig, write_default_config
-from .gradcheck import check_parameter_groups, gradient_check
+from .gradcheck import check_parameter_groups
 from .images import ImagePair, pair_directory, read_image, write_image
 from .network import (
     count_parameters,
@@ -36,7 +36,6 @@ __all__ = [
     "count_parameters",
     "forward",
     "fuse_arrays",
-    "gradient_check",
     "init_params",
     "load_checkpoint",
     "no_recording",

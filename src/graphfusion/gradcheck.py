@@ -1,20 +1,14 @@
-"""Numerical verification of tape gradients.
+"""Numerical verification of tape gradients by complex step.
 
-Two entry points:
-
-* :func:`gradient_check` compares every element of the analytic gradient of
-  a scalar function against central differences and reports the worst
-  per-element relative error.  Meaningful when the finite-difference noise
-  floor (float32 rounding of the scalar, divided by ``2 * epsilon``) is well
-  below the gradient magnitudes, which holds for the small single-op probes
-  used in the tests.
-
-* :func:`check_parameter_groups` samples elements from each parameter of a
-  full network and compares the float32 tape gradient against complex-step
-  derivatives of a float64 reference of the same scalar.  Probes run
-  ``PROBE_CHUNK`` at a time as the rows of a leading probe axis, each row
-  still one complex step on one element.  Errors are normalized by each
-  group's gradient scale and reported once per group.
+:func:`check_parameter_groups` compares the float32 tape gradient of a
+scalar with complex-step derivatives of a float64 reference of the same
+scalar (Squire & Trapp, 1998): no subtraction, so no rounding noise and no
+step size to tune.  Probes run ``PROBE_CHUNK`` at a time as the rows of a
+leading probe axis, each row one complex step on one element.  Errors are
+normalized by each group's gradient scale and reported once per group.
+The ``gradcheck`` CLI samples a few elements of every network parameter
+against :func:`graphfusion.reference.reference_loss`; the op and loss tests
+probe every element of their inputs against float64 re-implementations.
 """
 
 from __future__ import annotations
@@ -24,34 +18,14 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .tensor import ShapeError, Tape, Tensor, no_recording
-
-
-@dataclass
-class GradCheckResult:
-    """Worst-case outcome of a per-element gradient check."""
-
-    max_rel_error: float
-    abs_error: float
-    input_index: int
-    element_index: int
-    analytic: float
-    numeric: float
-
-
-def _scalar(f: Callable[..., Tensor], inputs: Sequence[Tensor]) -> float:
-    with no_recording():
-        out = f(*inputs)
-    if out.data.size != 1:
-        raise ShapeError(f"gradient_check: function must return a scalar, got shape {out.shape}")
-    return float(out.data.reshape(()))
+from .tensor import ShapeError, Tape, Tensor
 
 
 def _analytic_grads(f: Callable[..., Tensor], inputs: Sequence[Tensor]) -> list[np.ndarray]:
     with Tape() as tape:
         out = f(*inputs)
         if out.data.size != 1:
-            raise ShapeError(f"gradient_check: function must return a scalar, got shape {out.shape}")
+            raise ShapeError(f"check_parameter_groups: function must return a scalar, got shape {out.shape}")
         tape.backward(out)
         grads = []
         for t in inputs:
@@ -61,66 +35,6 @@ def _analytic_grads(f: Callable[..., Tensor], inputs: Sequence[Tensor]) -> list[
                 grads.append(t.grad.astype(np.float64))
         tape.clear()
     return grads
-
-
-def _central_difference(
-    f: Callable[..., Tensor], inputs: Sequence[Tensor], which: int, flat_index: int, epsilon: float
-) -> float:
-    data = inputs[which].data
-    orig = data.flat[flat_index]
-    data.flat[flat_index] = orig + np.float32(epsilon)
-    hi = float(data.flat[flat_index])
-    f_hi = _scalar(f, inputs)
-    data.flat[flat_index] = orig - np.float32(epsilon)
-    lo = float(data.flat[flat_index])
-    f_lo = _scalar(f, inputs)
-    data.flat[flat_index] = orig
-    # Divide by the realized float32 step, not the nominal one.
-    return (f_hi - f_lo) / (hi - lo)
-
-
-def gradient_check(
-    f: Callable[..., Tensor],
-    inputs: Sequence[Tensor],
-    epsilon: float = 1e-3,
-) -> GradCheckResult:
-    """Check d(f)/d(input) for every element of every input.
-
-    ``f`` must map the given tensors to a single-element tensor.  Each input
-    must have ``requires_grad`` set.  The per-element error is
-
-        ``|a - n| / max(|a|, |n|, scale, 1e-6)``
-
-    where ``scale`` is the infinity norm of that input's gradient (analytic
-    or numeric, whichever is larger).  Elements well below an input's
-    gradient scale sit under the float32 central-difference noise floor, so
-    they are measured against the scale rather than their own magnitude.
-    The worst error is returned, with ties broken by absolute error; inputs
-    are restored on exit.
-    """
-    for t in inputs:
-        if not t.requires_grad:
-            raise ValueError("gradient_check: every probed input needs requires_grad=True")
-    analytic = _analytic_grads(f, inputs)
-    numeric = [np.zeros(t.shape, dtype=np.float64).reshape(-1) for t in inputs]
-    for which, t in enumerate(inputs):
-        for j in range(t.size):
-            numeric[which][j] = _central_difference(f, inputs, which, j, epsilon)
-    worst = GradCheckResult(0.0, 0.0, -1, -1, 0.0, 0.0)
-    for which, t in enumerate(inputs):
-        a_all = analytic[which].reshape(-1)
-        n_all = numeric[which]
-        scale = max(np.max(np.abs(a_all)), np.max(np.abs(n_all)), 1e-6)
-        for j in range(t.size):
-            a = float(a_all[j])
-            n = float(n_all[j])
-            abs_err = abs(a - n)
-            rel = abs_err / max(abs(a), abs(n), scale)
-            if rel > worst.max_rel_error or (
-                rel == worst.max_rel_error and abs_err > worst.abs_error
-            ):
-                worst = GradCheckResult(rel, abs_err, which, j, a, n)
-    return worst
 
 
 @dataclass

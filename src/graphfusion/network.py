@@ -145,9 +145,13 @@ def forward(ir: Tensor, vis: Tensor, params: Mapping[str, Tensor], config: Fusio
 
 
 def fuse_arrays(ir: np.ndarray, vis: np.ndarray, params: Mapping[str, Tensor], config: FusionConfig) -> np.ndarray:
-    """Fuse two (H, W) float arrays outside any tape; returns (H, W)."""
+    """Fuse two finite (H, W) float arrays outside any tape; returns (H, W)."""
     if ir.shape != vis.shape or ir.ndim != 2:
         raise ShapeError(f"fuse_arrays: need two equal (H, W) arrays, got {ir.shape} and {vis.shape}")
+    for name, arr in (("ir", ir), ("vis", vis)):
+        # One NaN would reach every output pixel through the global pools.
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"fuse_arrays: {name} holds non-finite values")
     out = forward(
         Tensor(ir.reshape(1, 1, *ir.shape)),
         Tensor(vis.reshape(1, 1, *vis.shape)),
@@ -215,7 +219,8 @@ def load_checkpoint(
     The stored tensor set is always validated against the stored config's
     parameter table; with ``expected_config`` it must also fit that table,
     so loading into an incompatible architecture fails, naming the first
-    offending parameter.
+    offending parameter.  A parameter holding a NaN or an infinity is
+    rejected by name as well.
     """
     reader = _Reader(Path(path).read_bytes())
     magic = reader.take(4, "magic")
@@ -241,6 +246,8 @@ def load_checkpoint(
         data = np.frombuffer(reader.take(n_bytes, f"data of {name}"), dtype="<f4").reshape(shape)
         if name in params:
             raise CheckpointError(f"duplicate parameter {name}")
+        if not np.all(np.isfinite(data)):
+            raise CheckpointError(f"parameter {name} holds non-finite values")
         params[name] = Tensor(data.astype(np.float32), requires_grad=True)
     if reader.pos != len(reader.blob):
         raise CheckpointError(f"trailing bytes after tensor data (byte {reader.pos})")

@@ -1,8 +1,10 @@
-"""Shared helpers: independent loop-based oracles and probe-safe inputs.
+"""Shared helpers: independent loop-based oracles, a gradient oracle, and kink-free inputs.
 
 The oracle functions here deliberately use plain Python loops over float64
 so they share no code (and no bugs) with the library's vectorized float32
 implementations.  They are slow and only ever applied to tiny arrays.
+:func:`oracle_error` checks tape gradients by complex step against a
+float64 re-implementation that the caller supplies.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import threading
 import numpy as np
 import pytest
 
+from graphfusion.gradcheck import check_parameter_groups
 from graphfusion.tensor import Tensor
 
 
@@ -24,8 +27,8 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
 def separated_values(rng: np.random.Generator, shape, gap: float = 0.05) -> np.ndarray:
     """Random array whose values are pairwise at least ``gap`` apart.
 
-    Used as input to max pooling and ``maximum`` so that a finite-difference
-    probe of +-1e-3 can never change which element wins.
+    Used as input to max pooling and ``maximum`` so that no two operands tie
+    and every probe sees one clear winner.
     """
     n = int(np.prod(shape))
     base = rng.permutation(n).astype(np.float64) * (2.0 * gap)
@@ -52,6 +55,25 @@ def rewrite_config_blob(src, dst, **keys) -> None:
     config.update(keys)
     encoded = json.dumps(config).encode("utf-8")
     dst.write_bytes(blob[:8] + struct.pack("<I", len(encoded)) + encoded + blob[12 + length :])
+
+
+def oracle_error(f, inputs, f64) -> float:
+    """Worst error of the tape gradients of ``f(*inputs)`` against complex step through ``f64``.
+
+    ``f64`` is a float64 re-implementation of the scalar ``f`` that also runs
+    on complex arrays; any argument may carry a leading probe axis, and it
+    returns one value per probe.  Every element of every input is probed.
+    Per input the error is the worst ``|a - n|`` over the input's largest
+    gradient (see ``check_parameter_groups``); the worst input's is returned.
+    """
+    params = {str(i): t for i, t in enumerate(inputs)}
+    reports = check_parameter_groups(
+        lambda: f(*inputs),
+        params,
+        lambda arrays: f64(*(arrays[name] for name in params)),
+        samples_per_tensor=max(t.size for t in inputs),
+    )
+    return max(r.error for r in reports.values())
 
 
 # ---------------------------------------------------------------------------

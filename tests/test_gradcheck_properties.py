@@ -1,23 +1,26 @@
-"""Property-based finite-difference checks for every differentiable op.
+"""Property-based complex-step checks for every differentiable op.
 
-Each property draws randomized shapes and values, then compares analytic
-gradients against central differences for every element of every input.
-The conv2d properties difference a float64 convolution of their own.
-Inputs to non-smooth ops (relu, absolute, maximum, maxpool, sqrt, div) are
-constructed to keep every probe at least an order of magnitude away from
-the nearest kink or pole, so the finite-difference reference is valid.
+Each property draws randomized shapes and values, then compares the tape
+gradient of every element of every input against the complex-step
+derivative of a float64 re-implementation of the same scalar: the
+``reference.py`` helpers, which share no code with ``ops``, or plain numpy.
+The float64 side takes every kink on the real part, as the tape does.
+Inputs to non-smooth ops (relu, absolute, maximum, maxpool, sqrt, div)
+still keep every element away from the nearest kink, tie or pole.
 """
+
+from functools import partial
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from graphfusion import ops
-from graphfusion.gradcheck import gradient_check
-from graphfusion.tensor import Tape, Tensor
+from graphfusion import ops, reference as ref
+from graphfusion.reference import _SAMPLE_AXES
+from graphfusion.tensor import Tensor, accumulate, record_op
 
-from conftest import away_from, separated_values
+from conftest import away_from, oracle_error, separated_values
 
-THRESHOLD = 1e-3
+THRESHOLD = 1e-5
 
 common = settings(max_examples=30, deadline=None, derandomize=True)
 
@@ -31,51 +34,43 @@ def weighted(out: Tensor, coeffs: np.ndarray) -> Tensor:
     return ops.reduce_sum(ops.mul(out, Tensor(coeffs)))
 
 
+def weighted64(out: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """:func:`weighted` in float64, summing the trailing axes so a probe axis stays."""
+    return (out * coeffs).sum(axis=tuple(range(-coeffs.ndim, 0)))
+
+
+def weighted_error(op, op64, inputs, coeffs) -> float:
+    """:func:`oracle_error` of ``op`` against its float64 form ``op64``, both scalarized by ``coeffs``."""
+    return oracle_error(lambda *ts: weighted(op(*ts), coeffs), inputs, lambda *xs: weighted64(op64(*xs), coeffs))
+
+
 def grad_tensor(rng, shape) -> Tensor:
     return Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
 
 
-def conv64(x, kern, bias, stride, padding):
-    """float64 convolution as one einsum over strided windows of the padded input."""
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, kern.shape[2:], axis=(2, 3))[:, :, ::stride, ::stride]
-    return np.einsum("nchwij,ocij->nohw", win, kern) + bias[None, :, None, None]
-
-
 def conv2d_gradient_error(rng, x_shape, kern_shape, stride, padding) -> float:
-    """Worst error of conv2d's tape gradients against float64 central differences.
-
-    The numeric side differentiates :func:`conv64`, which shares no code with
-    ``ops.conv2d``, so it does not move when conv2d sums its float32 products
-    in another order; a float32 difference quotient sits at the 1e-3 noise
-    floor on these shapes.  The error is measured as in ``gradient_check``:
-    per input, the worst absolute difference over the larger infinity norm.
-    """
+    """Worst error of conv2d's tape gradients against complex step through ``reference._conv``."""
     inputs = [grad_tensor(rng, x_shape), grad_tensor(rng, kern_shape), grad_tensor(rng, kern_shape[:1])]
-    with Tape() as tape:
-        out = ops.conv2d(*inputs, stride=stride, padding=padding)
-        coeffs = rng.standard_normal(out.shape).astype(np.float32)
-        tape.backward(weighted(out, coeffs))
-        analytic = [t.grad.astype(np.float64).reshape(-1) for t in inputs]
-        tape.clear()
-    arrays = [t.data.astype(np.float64) for t in inputs]
-    coeffs64 = coeffs.astype(np.float64)
-    eps = 1e-3
-    worst = 0.0
-    for grad, arr in zip(analytic, arrays):
-        flat = arr.reshape(-1)
-        numeric = np.empty(flat.size)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + eps
-            hi = np.sum(conv64(*arrays, stride, padding) * coeffs64)
-            flat[j] = orig - eps
-            lo = np.sum(conv64(*arrays, stride, padding) * coeffs64)
-            flat[j] = orig
-            numeric[j] = (hi - lo) / (2.0 * eps)
-        scale = max(np.max(np.abs(grad)), np.max(np.abs(numeric)), 1e-6)
-        worst = max(worst, float(np.max(np.abs(grad - numeric))) / scale)
-    return worst
+    coeffs = rng.standard_normal(ops.conv2d(*inputs, stride=stride, padding=padding).shape).astype(np.float32)
+    conv, conv_ref = (partial(f, stride=stride, padding=padding) for f in (ops.conv2d, ref._conv))
+    return weighted_error(conv, conv_ref, inputs, coeffs)
+
+
+def scaled_square(x: Tensor, factor: float) -> Tensor:
+    """``x * x`` whose backward is ``factor`` times the true one."""
+
+    def backward(g: np.ndarray) -> None:
+        accumulate(x, g * (2 * factor) * x.data)
+
+    return record_op(x.data * x.data, (x,), backward)
+
+
+def test_oracle_rejects_a_backward_off_by_five_percent():
+    rng = np.random.default_rng(0)
+    x = grad_tensor(rng, (2, 3, 4, 4))
+    coeffs = rng.standard_normal(x.shape).astype(np.float32)
+    errors = [weighted_error(lambda a: scaled_square(a, factor), np.square, [x], coeffs) for factor in (1.0, 1.05)]
+    assert errors[0] < THRESHOLD < errors[1]
 
 
 @common
@@ -101,8 +96,8 @@ def test_maxpool_gradients(seed, n, c, hw, window):
     x = Tensor(separated_values(rng, (n, c, hw, hw)), requires_grad=True)
     out_shape = ops.maxpool2d(x, window, 1, 1).shape
     coeffs = rng.standard_normal(out_shape).astype(np.float32)
-    res = gradient_check(lambda a: weighted(ops.maxpool2d(a, window, 1, 1), coeffs), [x])
-    assert res.max_rel_error < THRESHOLD
+    err = weighted_error(lambda a: ops.maxpool2d(a, window, 1, 1), lambda a: ref._maxpool(a, window, 1, 1), [x], coeffs)
+    assert err < THRESHOLD
 
 
 @common
@@ -112,8 +107,8 @@ def test_avgpool_gradients(seed, n, c, hw, stride):
     x = grad_tensor(rng, (n, c, hw, hw))
     out_shape = ops.avgpool2d(x, 3, stride, 1).shape
     coeffs = rng.standard_normal(out_shape).astype(np.float32)
-    res = gradient_check(lambda a: weighted(ops.avgpool2d(a, 3, stride, 1), coeffs), [x])
-    assert res.max_rel_error < THRESHOLD
+    err = weighted_error(lambda a: ops.avgpool2d(a, 3, stride, 1), lambda a: ref._avgpool(a, 3, stride, 1), [x], coeffs)
+    assert err < THRESHOLD
 
 
 @common
@@ -123,8 +118,10 @@ def test_adaptive_avgpool_gradients(seed, n, c, hw, out):
     rng = np.random.default_rng(seed)
     x = grad_tensor(rng, (n, c, hw, hw))
     coeffs = rng.standard_normal((n, c, out, out)).astype(np.float32)
-    res = gradient_check(lambda a: weighted(ops.adaptive_avgpool2d(a, out, out), coeffs), [x])
-    assert res.max_rel_error < THRESHOLD
+    err = weighted_error(
+        lambda a: ops.adaptive_avgpool2d(a, out, out), lambda a: ref._adaptive_avgpool(a, out, out), [x], coeffs
+    )
+    assert err < THRESHOLD
 
 
 @common
@@ -132,9 +129,10 @@ def test_adaptive_avgpool_gradients(seed, n, c, hw, out):
 def test_upsample_gradients(seed, n, c, hw, scale):
     rng = np.random.default_rng(seed)
     x = grad_tensor(rng, (n, c, hw, hw))
-    coeffs = rng.standard_normal((n, c, hw * scale, hw * scale)).astype(np.float32)
-    res = gradient_check(lambda a: weighted(ops.upsample_bilinear(a, hw * scale, hw * scale), coeffs), [x])
-    assert res.max_rel_error < THRESHOLD
+    size = hw * scale
+    coeffs = rng.standard_normal((n, c, size, size)).astype(np.float32)
+    err = weighted_error(lambda a: ops.upsample_bilinear(a, size, size), lambda a: ref._upsample(a, size, size), [x], coeffs)
+    assert err < THRESHOLD
 
 
 @common
@@ -145,8 +143,7 @@ def test_fully_connected_gradients(seed, n, feat, out):
     w = grad_tensor(rng, (out, feat))
     b = grad_tensor(rng, (out,))
     coeffs = rng.standard_normal((n, out)).astype(np.float32)
-    res = gradient_check(lambda a, ww, bb: weighted(ops.fully_connected(a, ww, bb), coeffs), [x, w, b])
-    assert res.max_rel_error < THRESHOLD
+    assert weighted_error(ops.fully_connected, ref._fc, [x, w, b], coeffs) < THRESHOLD
 
 
 @common
@@ -155,8 +152,7 @@ def test_sigmoid_gradients(seed, n):
     rng = np.random.default_rng(seed)
     x = Tensor(rng.uniform(-4.0, 4.0, size=n).astype(np.float32), requires_grad=True)
     coeffs = rng.standard_normal(n).astype(np.float32)
-    res = gradient_check(lambda a: weighted(ops.sigmoid(a), coeffs), [x])
-    assert res.max_rel_error < THRESHOLD
+    assert weighted_error(ops.sigmoid, ref._sigmoid, [x], coeffs) < THRESHOLD
 
 
 @common
@@ -165,8 +161,7 @@ def test_relu_gradients_away_from_kink(seed, n):
     rng = np.random.default_rng(seed)
     x = Tensor(away_from(rng, (n,), 0.0), requires_grad=True)
     coeffs = rng.standard_normal(n).astype(np.float32)
-    res = gradient_check(lambda a: weighted(ops.relu(a), coeffs), [x])
-    assert res.max_rel_error < THRESHOLD
+    assert weighted_error(ops.relu, ref._relu, [x], coeffs) < THRESHOLD
 
 
 @common
@@ -175,8 +170,7 @@ def test_absolute_gradients_away_from_kink(seed, n):
     rng = np.random.default_rng(seed)
     x = Tensor(away_from(rng, (n,), 0.0), requires_grad=True)
     coeffs = rng.standard_normal(n).astype(np.float32)
-    res = gradient_check(lambda a: weighted(ops.absolute(a), coeffs), [x])
-    assert res.max_rel_error < THRESHOLD
+    assert weighted_error(ops.absolute, ref._abs, [x], coeffs) < THRESHOLD
 
 
 @common
@@ -185,8 +179,7 @@ def test_sqrt_gradients(seed, n):
     rng = np.random.default_rng(seed)
     x = Tensor(rng.uniform(0.2, 2.0, size=n).astype(np.float32), requires_grad=True)
     coeffs = rng.standard_normal(n).astype(np.float32)
-    res = gradient_check(lambda a: weighted(ops.sqrt(a), coeffs), [x])
-    assert res.max_rel_error < THRESHOLD
+    assert weighted_error(ops.sqrt, np.sqrt, [x], coeffs) < THRESHOLD
 
 
 @common
@@ -197,9 +190,8 @@ def test_binary_arithmetic_gradients(seed, n):
     b = Tensor(away_from(rng, (n,), 0.0, margin=0.3), requires_grad=True)
     coeffs = rng.standard_normal(n).astype(np.float32)
 
-    for op in (ops.add, ops.sub, ops.mul, ops.div):
-        res = gradient_check(lambda u, v, op=op: weighted(op(u, v), coeffs), [a, b])
-        assert res.max_rel_error < THRESHOLD, op.__name__
+    for op, op64 in ((ops.add, np.add), (ops.sub, np.subtract), (ops.mul, np.multiply), (ops.div, np.divide)):
+        assert weighted_error(op, op64, [a, b], coeffs) < THRESHOLD, op.__name__
 
 
 @common
@@ -210,8 +202,8 @@ def test_maximum_gradients_with_separated_operands(seed, n):
     a = Tensor(vals[0], requires_grad=True)
     b = Tensor(vals[1], requires_grad=True)
     coeffs = rng.standard_normal(n).astype(np.float32)
-    res = gradient_check(lambda u, v: weighted(ops.maximum(u, v), coeffs), [a, b])
-    assert res.max_rel_error < THRESHOLD
+    # The float64 side takes its branch on the real part, with ties to u, as the tape does.
+    assert weighted_error(ops.maximum, lambda u, v: np.where(u.real >= v.real, u, v), [a, b], coeffs) < THRESHOLD
 
 
 @common
@@ -221,8 +213,7 @@ def test_broadcast_mul_gradients(seed, n, c, hw):
     x = grad_tensor(rng, (n, c, hw, hw))
     gate = grad_tensor(rng, (n, c, 1, 1))
     coeffs = rng.standard_normal((n, c, hw, hw)).astype(np.float32)
-    res = gradient_check(lambda a, g: weighted(ops.mul(a, g), coeffs), [x, gate])
-    assert res.max_rel_error < THRESHOLD
+    assert weighted_error(ops.mul, np.multiply, [x, gate], coeffs) < THRESHOLD
 
 
 @common
@@ -236,10 +227,12 @@ def test_concat_reshape_scale_shift_gradients(seed, n, hw, parts):
         cat = ops.concat_channels(list(ts))
         flat = ops.reshape(cat, (cat.size,))
         back = ops.reshape(flat, cat.shape)
-        return weighted(ops.shift(ops.scale(ops.negate(back), -0.7), 0.3), coeffs)
+        return ops.shift(ops.scale(ops.negate(back), -0.7), 0.3)
 
-    res = gradient_check(f, pieces)
-    assert res.max_rel_error < THRESHOLD
+    def f64(*arrays):
+        return -ref._cat(arrays) * np.float32(-0.7) + np.float32(0.3)
+
+    assert weighted_error(f, f64, pieces, coeffs) < THRESHOLD
 
 
 @common
@@ -247,10 +240,13 @@ def test_concat_reshape_scale_shift_gradients(seed, n, hw, parts):
 def test_reductions_and_global_pool_gradients(seed, n, c, hw):
     rng = np.random.default_rng(seed)
     x = grad_tensor(rng, (n, c, hw, hw))
-    res = gradient_check(lambda a: ops.reduce_mean(a), [x])
-    assert res.max_rel_error < THRESHOLD
-    res = gradient_check(lambda a: ops.reduce_sum(ops.global_avgpool(a)), [x])
-    assert res.max_rel_error < THRESHOLD
+    assert oracle_error(ops.reduce_mean, [x], lambda a: a.mean(axis=_SAMPLE_AXES)) < THRESHOLD
+    err = oracle_error(
+        lambda a: ops.reduce_sum(ops.global_avgpool(a)),
+        [x],
+        lambda a: ref._adaptive_avgpool(a, 1, 1).sum(axis=_SAMPLE_AXES),
+    )
+    assert err < THRESHOLD
 
 
 @common
@@ -269,8 +265,10 @@ def test_smooth_composite_pipeline_gradients(seed, hw):
         y = ops.upsample_bilinear(y, hw * 2, hw * 2)
         return ops.reduce_mean(ops.mul(y, y))
 
-    # The four-op chain accumulates more float32 rounding than a single op,
-    # so probe with a larger step: noise scales down with epsilon while the
-    # smooth composite keeps truncation error negligible at this size.
-    res = gradient_check(f, [x, kern, bias], epsilon=3e-3)
-    assert res.max_rel_error < THRESHOLD
+    def f64(a, k, b):
+        y = ref._sigmoid(ref._conv(a, k, b, 1, 1))
+        y = ref._avgpool(y, 3, 1, 1)
+        y = ref._upsample(y, hw * 2, hw * 2)
+        return (y * y).mean(axis=_SAMPLE_AXES)
+
+    assert oracle_error(f, [x, kern, bias], f64) < THRESHOLD

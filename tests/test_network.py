@@ -190,6 +190,15 @@ class TestForward:
         with pytest.raises(ShapeError):
             fuse_arrays(np.zeros((1, 8, 8), np.float32), np.zeros((1, 8, 8), np.float32), params, config)
 
+    @pytest.mark.parametrize("which", ["ir", "vis"])
+    def test_fuse_arrays_rejects_non_finite_input(self, rng, which):
+        config = cfg(**SMALL)
+        params = init_params(config, seed=0)
+        arrays = {m: rng.uniform(size=(16, 16)).astype(np.float32) for m in ("ir", "vis")}
+        arrays[which][3, 5] = np.nan
+        with pytest.raises(ValueError, match=f"fuse_arrays: {which} holds non-finite"):
+            fuse_arrays(arrays["ir"], arrays["vis"], params, config)
+
 
 @pytest.mark.skipif(
     sys.version_info < (3, 11), reason="CPython 3.10 keeps call arguments alive until the call returns"
@@ -303,6 +312,15 @@ class TestCheckpoint:
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_non_finite_weight_rejected_by_name(self, tmp_path):
+        config = cfg(**SMALL)
+        params = init_params(config, seed=0)
+        params["head.conv2.bias"].data[0] = np.nan
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, config)
+        with pytest.raises(CheckpointError, match="parameter head.conv2.bias holds non-finite"):
+            load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         config = cfg(**SMALL)

@@ -20,7 +20,7 @@ from conftest import (
 )
 
 
-def loop_conv64(x, k, g, stride, padding):
+def loop_conv_f64(x, k, g, stride, padding):
     """Float64 conv output, input gradient and kernel gradient, one output cell at a time.
 
     Each output cell (y, xx) reads padded rows y*stride + i and columns
@@ -235,7 +235,7 @@ class TestConv2d:
         dx, dk, db = x.grad.copy(), k.grad.copy(), b.grad.copy()
         tape.clear()
 
-        _, dx_ref, dk_ref = loop_conv64(x.data, k.data, g, stride, padding)
+        _, dx_ref, dk_ref = loop_conv_f64(x.data, k.data, g, stride, padding)
         np.testing.assert_allclose(dx, dx_ref, rtol=1e-5, atol=1e-5)
         np.testing.assert_allclose(dk, dk_ref, rtol=1e-5, atol=1e-5)
         np.testing.assert_allclose(db, g.sum(axis=(0, 2, 3)), rtol=1e-5, atol=1e-5)
@@ -309,7 +309,7 @@ class TestBandedConv:
         self.shrink_bands(monkeypatch, cap, shape, kspec, stride, padding)
         x, k, g = conv_case(rng, shape, kspec, stride, padding)
         out, dx, dk = taped_conv(x, k, g, stride, padding)
-        out_ref, dx_ref, dk_ref = loop_conv64(x, k, g, stride, padding)
+        out_ref, dx_ref, dk_ref = loop_conv_f64(x, k, g, stride, padding)
         np.testing.assert_allclose(out, out_ref, rtol=1e-5, atol=1e-5)
         np.testing.assert_allclose(dx, dx_ref, rtol=1e-5, atol=1e-5)
         np.testing.assert_allclose(dk, dk_ref, rtol=1e-5, atol=1e-5)
@@ -354,7 +354,7 @@ class TestBandedConv:
                 buf[...] = np.nan
             got = taped_conv(*small, 1, 1)
             fresh = run_in_thread(lambda: taped_conv(*small, 1, 1))
-            for a, b, ref in zip(got, fresh, loop_conv64(*small, 1, 1)):
+            for a, b, ref in zip(got, fresh, loop_conv_f64(*small, 1, 1)):
                 np.testing.assert_array_equal(a, b)
                 np.testing.assert_allclose(a, ref, rtol=1e-5, atol=1e-5)
 
