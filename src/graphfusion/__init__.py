@@ -19,7 +19,7 @@ from .network import (
     save_checkpoint,
 )
 from .reference import reference_forward, reference_loss
-from .tensor import ShapeError, Tape, Tensor, no_recording
+from .tensor import ShapeError, Tape, Tensor
 from .trainer import TrainLog, TrainingDiverged, sample_crops, train
 
 __version__ = "0.1.0"
@@ -38,7 +38,6 @@ __all__ = [
     "fuse_arrays",
     "init_params",
     "load_checkpoint",
-    "no_recording",
     "pair_directory",
     "parameter_shapes",
     "read_image",

@@ -56,6 +56,46 @@ def gaussian_window(window: int, sigma: float) -> np.ndarray:
     return (k / k.sum()).astype(np.float32)
 
 
+def _ssim_kernel(window: int, x: Tensor, *others: Tensor) -> Tensor:
+    """The Gaussian window as a conv kernel, once ``x`` and ``others`` are checked against it."""
+    _single_channel("ssim", x)
+    for y in others:
+        _single_channel("ssim", y)
+        if x.shape != y.shape:
+            raise ShapeError(f"ssim: shape mismatch {x.shape} vs {y.shape}")
+    h, w = x.shape[2], x.shape[3]
+    if h < window or w < window:
+        raise ShapeError(f"ssim: image {h}x{w} smaller than window {window}")
+    return Tensor(gaussian_window(window, SSIM_SIGMA).reshape(1, 1, window, window))
+
+
+def _blur(t: Tensor, kernel: Tensor) -> Tensor:
+    return ops.conv2d(t, kernel, Tensor(np.zeros(1, dtype=np.float32)))
+
+
+def _ssim_stats(t: Tensor, kernel: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor, Tensor]:
+    """``t`` less its per-sample mean, the blur of that, and ``t``'s local mean, squared mean and variance."""
+    mean = Tensor(t.data.mean(axis=(1, 2, 3), keepdims=True, dtype=np.float64))
+    tc = ops.sub(t, mean)
+    d = _blur(tc, kernel)
+    mu = ops.add(d, mean)
+    var = ops.sub(_blur(ops.mul(tc, tc), kernel), ops.mul(d, d))
+    return tc, d, mu, ops.mul(mu, mu), var
+
+
+def _ssim_of(stats_x: tuple[Tensor, ...], stats_y: tuple[Tensor, ...], kernel: Tensor) -> Tensor:
+    """Mean SSIM from the :func:`_ssim_stats` of its two inputs."""
+    xc, dx, mu_x, mu_xx, var_x = stats_x
+    yc, dy, mu_y, mu_yy, var_y = stats_y
+    c1 = SSIM_K1 * SSIM_K1
+    c2 = SSIM_K2 * SSIM_K2
+    mu_xy = ops.mul(mu_x, mu_y)
+    cov = ops.sub(_blur(ops.mul(xc, yc), kernel), ops.mul(dx, dy))
+    num = ops.mul(ops.shift(ops.scale(mu_xy, 2.0), c1), ops.shift(ops.scale(cov, 2.0), c2))
+    den = ops.mul(ops.shift(ops.add(mu_xx, mu_yy), c1), ops.shift(ops.add(var_x, var_y), c2))
+    return ops.reduce_mean(ops.div(num, den))
+
+
 def ssim(x: Tensor, y: Tensor, window: int = SSIM_WINDOW) -> Tensor:
     """Mean structural similarity over valid Gaussian windows, as a scalar.
 
@@ -65,38 +105,8 @@ def ssim(x: Tensor, y: Tensor, window: int = SSIM_WINDOW) -> Tensor:
     constant added back to the local means: the same function, without
     float32 ``blur(x^2) - blur(x)^2`` cancelling to +-1e-7 where it is 0.
     """
-    _single_channel("ssim", x)
-    _single_channel("ssim", y)
-    if x.shape != y.shape:
-        raise ShapeError(f"ssim: shape mismatch {x.shape} vs {y.shape}")
-    h, w = x.shape[2], x.shape[3]
-    if h < window or w < window:
-        raise ShapeError(f"ssim: image {h}x{w} smaller than window {window}")
-    kernel = Tensor(gaussian_window(window, SSIM_SIGMA).reshape(1, 1, window, window))
-    zero = Tensor(np.zeros(1, dtype=np.float32))
-
-    def blur(t: Tensor) -> Tensor:
-        return ops.conv2d(t, kernel, zero)
-
-    def centred(t: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """``t`` less its per-sample mean, the blur of that, and the local mean of ``t``."""
-        mean = Tensor(t.data.mean(axis=(1, 2, 3), keepdims=True, dtype=np.float64))
-        tc = ops.sub(t, mean)
-        d = blur(tc)
-        return tc, d, ops.add(d, mean)
-
-    c1 = SSIM_K1 * SSIM_K1
-    c2 = SSIM_K2 * SSIM_K2
-    (xc, dx, mu_x), (yc, dy, mu_y) = centred(x), centred(y)
-    mu_xx = ops.mul(mu_x, mu_x)
-    mu_yy = ops.mul(mu_y, mu_y)
-    mu_xy = ops.mul(mu_x, mu_y)
-    var_x = ops.sub(blur(ops.mul(xc, xc)), ops.mul(dx, dx))
-    var_y = ops.sub(blur(ops.mul(yc, yc)), ops.mul(dy, dy))
-    cov = ops.sub(blur(ops.mul(xc, yc)), ops.mul(dx, dy))
-    num = ops.mul(ops.shift(ops.scale(mu_xy, 2.0), c1), ops.shift(ops.scale(cov, 2.0), c2))
-    den = ops.mul(ops.shift(ops.add(mu_xx, mu_yy), c1), ops.shift(ops.add(var_x, var_y), c2))
-    return ops.reduce_mean(ops.div(num, den))
+    kernel = _ssim_kernel(window, x, y)
+    return _ssim_of(_ssim_stats(x, kernel), _ssim_stats(y, kernel), kernel)
 
 
 def loss_mse(fused: Tensor, ir: Tensor, vis: Tensor) -> Tensor:
@@ -113,9 +123,14 @@ def loss_edge(fused: Tensor, ir: Tensor, vis: Tensor) -> Tensor:
 
 
 def loss_ssim(fused: Tensor, ir: Tensor, vis: Tensor, window: int = SSIM_WINDOW) -> Tensor:
-    """(1 - SSIM(fused, ir)) + (1 - SSIM(fused, vis)); zero at equality."""
-    a = ops.shift(ops.negate(ssim(fused, ir, window)), 1.0)
-    b = ops.shift(ops.negate(ssim(fused, vis, window)), 1.0)
+    """(1 - SSIM(fused, ir)) + (1 - SSIM(fused, vis)); zero at equality.
+
+    The fused image's statistics are built once and serve both terms.
+    """
+    kernel = _ssim_kernel(window, fused, ir, vis)
+    stats = _ssim_stats(fused, kernel)
+    a = ops.shift(ops.negate(_ssim_of(stats, _ssim_stats(ir, kernel), kernel)), 1.0)
+    b = ops.shift(ops.negate(_ssim_of(stats, _ssim_stats(vis, kernel), kernel)), 1.0)
     return ops.add(a, b)
 
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import SSIM_WINDOW
 from .images import quantize
@@ -82,11 +81,23 @@ def metric_scd(ir, vis, fused) -> float:
     return _pearson(f - a, b) + _pearson(f - b, a)
 
 
+def _correlate_valid(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Valid correlation ``sum k[i, j] * img[i : i + oh, j : j + ow]``, float64, one tap at a time.
+
+    Summing shifted slices holds two output-sized arrays; a tensordot over
+    a sliding window view would copy every window first.
+    """
+    kh, kw = kernel.shape
+    oh, ow = img.shape[0] - kh + 1, img.shape[1] - kw + 1
+    out = np.zeros((oh, ow))
+    for i, j in np.ndindex(kh, kw):
+        out += kernel[i, j] * img[i : i + oh, j : j + ow]
+    return out
+
+
 def _sobel_full(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Zero-padded same-size correlation with a 3x3 kernel, float64."""
-    padded = np.pad(img, 1)
-    wins = sliding_window_view(padded, (3, 3))
-    return np.tensordot(wins, kernel.astype(np.float64), axes=([2, 3], [0, 1]))
+    return _correlate_valid(np.pad(img, 1), kernel)
 
 
 def _strength_angle(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,17 +153,13 @@ def metric_ssim(x, y, window: int = SSIM_WINDOW) -> float:
     if h < window or w < window:
         raise ValueError(f"ssim: image {h}x{w} smaller than window {window}")
     kern = gaussian_window(window, SSIM_SIGMA).astype(np.float64)
-
-    def blur(img: np.ndarray) -> np.ndarray:
-        return np.tensordot(sliding_window_view(img, (window, window)), kern, axes=([2, 3], [0, 1]))
-
     c1 = SSIM_K1 * SSIM_K1
     c2 = SSIM_K2 * SSIM_K2
-    mu_x = blur(a)
-    mu_y = blur(b)
-    var_x = blur(a * a) - mu_x * mu_x
-    var_y = blur(b * b) - mu_y * mu_y
-    cov = blur(a * b) - mu_x * mu_y
+    mu_x = _correlate_valid(a, kern)
+    mu_y = _correlate_valid(b, kern)
+    var_x = _correlate_valid(a * a, kern) - mu_x * mu_x
+    var_y = _correlate_valid(b * b, kern) - mu_y * mu_y
+    cov = _correlate_valid(a * b, kern) - mu_x * mu_y
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
     den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
     return float((num / den).mean())

@@ -753,8 +753,7 @@ def reduce_sum(x: Tensor) -> Tensor:
     """Sum of all elements as a 0-d tensor.
 
     The accumulation runs in float64 and rounds once at the end, keeping the
-    stored scalar within one float32 ulp of the true sum (finite-difference
-    checks rely on this).
+    stored scalar within one float32 ulp of the true sum.
     """
     out = np.float32(np.sum(x.data, dtype=np.float64))
 

@@ -1,17 +1,19 @@
 """Dense float32 tensors and a replayable gradient tape.
 
 The autograd model is deliberately small: every differentiable operation
-(see :mod:`graphfusion.ops`) records one entry on the currently active
-:class:`Tape`.  Calling ``tape.backward(loss)`` seeds ``d loss = 1`` and
-replays the records in reverse order, accumulating gradients into the
-``grad`` buffer of every tensor that requires them.  Tensors touched by no
-tape are plain immutable values and are safe to share across threads;
-parallel work, when any, must use independent tapes.
+(see :mod:`graphfusion.ops`) records one entry on the :class:`Tape` that
+is recording on the calling thread, and records nothing when none is.
+Calling ``tape.backward(loss)`` seeds ``d loss = 1`` and replays the
+records in reverse order, accumulating gradients into the ``grad`` buffer
+of every tensor that requires them.  One tape records per thread at a
+time: entering a second one on a thread that already has one raises
+``RuntimeError``.  Tensors touched by no tape are plain immutable values
+and are safe to share across threads; parallel work, when any, must use
+one tape per thread.
 """
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from typing import Callable, Sequence
 
@@ -25,29 +27,9 @@ class ShapeError(ValueError):
 _TLS = threading.local()
 
 
-def _tape_stack() -> list["Tape"]:
-    stack = getattr(_TLS, "stack", None)
-    if stack is None:
-        stack = []
-        _TLS.stack = stack
-    return stack
-
-
 def active_tape() -> "Tape | None":
-    """The innermost tape currently entered on this thread, if any."""
-    stack = _tape_stack()
-    return stack[-1] if stack else None
-
-
-@contextlib.contextmanager
-def no_recording():
-    """Suspend recording on this thread, e.g. for finite-difference probes."""
-    stack = _tape_stack()
-    stack.append(None)
-    try:
-        yield
-    finally:
-        stack.pop()
+    """The tape recording on this thread, if any."""
+    return getattr(_TLS, "tape", None)
 
 
 class Tensor:
@@ -124,14 +106,13 @@ class Tape:
         self._touched: list[Tensor] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        if active_tape() is not None:
+            raise RuntimeError("a tape is already recording on this thread")
+        _TLS.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        stack = _tape_stack()
-        if not stack or stack[-1] is not self:
-            raise RuntimeError("tape context exited out of order")
-        stack.pop()
+        _TLS.tape = None
 
     def __len__(self) -> int:
         return len(self._records)

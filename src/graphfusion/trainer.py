@@ -2,8 +2,9 @@
 
 Each epoch enumerates every crop window of every pair on a fixed stride
 grid, shuffles the list with an epoch-specific seed, and walks it in
-batches.  All arithmetic is float32 numpy with no parallelism, so a fixed
-(config, data) pair reproduces checkpoints bit for bit.
+batches, cropping each batch as the loop reaches it.  All arithmetic is
+float32 numpy with no parallelism, so a fixed (config, data) pair
+reproduces checkpoints bit for bit.
 """
 
 from __future__ import annotations
@@ -93,21 +94,35 @@ def crop_windows(pairs: Sequence[ImagePair], crop: int, stride: int) -> list[tup
     return windows
 
 
-def sample_crops(
-    pairs: Sequence[ImagePair], crop: int, stride: int, batch: int, seed: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
+class CropBatches(Sequence[tuple[np.ndarray, np.ndarray]]):
+    """An epoch's (ir, vis) crop batches, each (n, 1, crop, crop), stacked when read.
+
+    Only the shuffled window index is held, so an epoch over many large
+    pairs holds one batch of crops at a time.
+    """
+
+    def __init__(self, pairs: Sequence[ImagePair], windows: list[tuple[int, int, int]], crop: int, batch: int):
+        self._pairs, self._windows, self._crop = pairs, windows, crop
+        self._starts = range(0, len(windows), batch)
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __getitem__(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        start, crop = self._starts[k], self._crop
+        chunk = self._windows[start : start + self._starts.step]
+        ir = np.stack([self._pairs[p].infrared[y : y + crop, x : x + crop] for p, y, x in chunk])
+        vis = np.stack([self._pairs[p].visible[y : y + crop, x : x + crop] for p, y, x in chunk])
+        return ir[:, None], vis[:, None]
+
+
+def sample_crops(pairs: Sequence[ImagePair], crop: int, stride: int, batch: int, seed: int) -> CropBatches:
     """One shuffled epoch of (ir, vis) crop batches, each (n, 1, crop, crop)."""
     windows = crop_windows(pairs, crop, stride)
     if not windows:
         raise ValueError(f"no {crop}x{crop} windows available in any pair")
     order = np.random.default_rng(seed).permutation(len(windows))
-    batches = []
-    for start in range(0, len(order), batch):
-        chunk = [windows[i] for i in order[start : start + batch]]
-        ir = np.stack([pairs[p].infrared[y : y + crop, x : x + crop] for p, y, x in chunk])
-        vis = np.stack([pairs[p].visible[y : y + crop, x : x + crop] for p, y, x in chunk])
-        batches.append((ir[:, None], vis[:, None]))
-    return batches
+    return CropBatches(pairs, [windows[i] for i in order], crop, batch)
 
 
 @dataclass

@@ -16,6 +16,7 @@ import threading
 import numpy as np
 import pytest
 
+from graphfusion import ops
 from graphfusion.gradcheck import check_parameter_groups
 from graphfusion.tensor import Tensor
 
@@ -74,6 +75,21 @@ def oracle_error(f, inputs, f64) -> float:
         samples_per_tensor=max(t.size for t in inputs),
     )
     return max(r.error for r in reports.values())
+
+
+def weighted(out: Tensor, coeffs: np.ndarray) -> Tensor:
+    """Scalarize with fixed random coefficients so output grads vary."""
+    return ops.reduce_sum(ops.mul(out, Tensor(coeffs)))
+
+
+def weighted64(out: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """:func:`weighted` in float64, summing the trailing axes so a probe axis stays."""
+    return (out * coeffs).sum(axis=tuple(range(-coeffs.ndim, 0)))
+
+
+def weighted_error(op, op64, inputs, coeffs) -> float:
+    """:func:`oracle_error` of ``op`` against its float64 form ``op64``, both scalarized by ``coeffs``."""
+    return oracle_error(lambda *ts: weighted(op(*ts), coeffs), inputs, lambda *xs: weighted64(op64(*xs), coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from graphfusion import ops, reference as ref
 from graphfusion.reference import _SAMPLE_AXES
 from graphfusion.tensor import Tensor, accumulate, record_op
 
-from conftest import away_from, oracle_error, separated_values
+from conftest import away_from, oracle_error, separated_values, weighted_error
 
 THRESHOLD = 1e-5
 
@@ -27,21 +27,6 @@ common = settings(max_examples=30, deadline=None, derandomize=True)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 small = st.integers(min_value=1, max_value=4)
 spatial = st.integers(min_value=2, max_value=6)
-
-
-def weighted(out: Tensor, coeffs: np.ndarray) -> Tensor:
-    """Scalarize with fixed random coefficients so output grads vary."""
-    return ops.reduce_sum(ops.mul(out, Tensor(coeffs)))
-
-
-def weighted64(out: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """:func:`weighted` in float64, summing the trailing axes so a probe axis stays."""
-    return (out * coeffs).sum(axis=tuple(range(-coeffs.ndim, 0)))
-
-
-def weighted_error(op, op64, inputs, coeffs) -> float:
-    """:func:`oracle_error` of ``op`` against its float64 form ``op64``, both scalarized by ``coeffs``."""
-    return oracle_error(lambda *ts: weighted(op(*ts), coeffs), inputs, lambda *xs: weighted64(op64(*xs), coeffs))
 
 
 def grad_tensor(rng, shape) -> Tensor:

@@ -6,6 +6,7 @@ constants.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,18 @@ class TestMetricSSIM:
     def test_rejects_small_images(self):
         with pytest.raises(ValueError, match="smaller than window"):
             metric_ssim(np.zeros((8, 8)), np.zeros((8, 8)))
+
+    def test_vga_ssim_copies_no_windows(self, rng):
+        # About 10 float64 frames live at once: the two inputs, the five blurred
+        # statistics and their temporaries.  Copying every 11x11 window took 119.
+        x, y = (rng.uniform(size=(480, 640)).astype(np.float32) for _ in range(2))
+        tracemalloc.start()
+        try:
+            metric_ssim(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 8 * 480 * 640
 
 
 class TestComputeMetrics:

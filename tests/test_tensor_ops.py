@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from graphfusion import ops
-from graphfusion.tensor import ShapeError, Tape, Tensor, accumulate
+from graphfusion.tensor import ShapeError, Tape, Tensor, accumulate, active_tape
 
 from conftest import (
     oracle_adaptive,
@@ -891,16 +891,51 @@ class TestGateAdd:
         assert peak < 4 * total.size + 4 * ops._CHUNK_FLOATS + (1 << 20)
 
 
-class TestNoRecording:
-    def test_probe_leaves_tape_empty(self):
-        from graphfusion.tensor import no_recording
+class TestOneTapePerThread:
+    def test_second_tape_on_a_thread_raises_and_the_first_keeps_recording(self):
+        x = tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            ops.scale(x, 2.0)
+            with pytest.raises(RuntimeError, match="already recording"):
+                with Tape():
+                    pass
+            assert active_tape() is tape
+            y = ops.scale(x, 3.0)
+            assert len(tape) == 2
+            tape.backward(ops.reduce_sum(y))
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+        tape.clear()
+        assert active_tape() is None
 
+    def test_two_threads_each_record_on_their_own_tape(self):
+        # The barrier holds both tapes open at once; each records only its own thread's ops.
+        barrier = threading.Barrier(2, timeout=30)
+        xs = [tensor([1.0, 2.0], requires_grad=True) for _ in range(2)]
+        counts = {}
+
+        def record(i):
+            with Tape() as tape:
+                barrier.wait()
+                y = ops.scale(xs[i], i + 2.0)
+                for _ in range(i):
+                    y = ops.negate(y)
+                barrier.wait()
+                counts[i] = len(tape)
+                tape.backward(ops.reduce_sum(y))
+
+        threads = [threading.Thread(target=record, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert counts == {0: 1, 1: 2}
+        np.testing.assert_array_equal(xs[0].grad, [2.0, 2.0])
+        np.testing.assert_array_equal(xs[1].grad, [-3.0, -3.0])
+
+    def test_op_with_no_active_tape_records_nothing(self):
         x = tensor([1.0], requires_grad=True)
         with Tape() as tape:
-            with no_recording():
-                ops.scale(x, 2.0)
-            assert len(tape) == 0
-            y = ops.scale(x, 2.0)
-            assert len(tape) == 1
-            tape.backward(ops.reduce_sum(y))
-        tape.clear()
+            pass
+        y = ops.scale(x, 2.0)
+        assert active_tape() is None
+        assert len(tape) == 0 and not y.requires_grad

@@ -1,6 +1,7 @@
 """Optimizer math, crop sampling, determinism, and the training loop."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,40 @@ class TestCropSampling:
     def test_no_windows_is_error(self):
         with pytest.raises(ValueError, match="no 64x64 windows"):
             sample_crops([make_pair(h=32, w=32)], 64, 8, 2, seed=0)
+
+    def test_batches_are_the_windows_in_seeded_order(self):
+        pair = make_pair(h=40, w=32)
+        windows = crop_windows([pair], 16, 8)
+        order = np.random.default_rng(3).permutation(len(windows))
+        batches = sample_crops([pair], 16, 8, 4, seed=3)
+        assert len(batches) == 3  # 12 windows in batches of 4
+        for k, (ir, vis) in enumerate(batches):
+            for row, i in enumerate(order[4 * k : 4 * k + 4]):
+                _, y, x = windows[i]
+                np.testing.assert_array_equal(ir[row, 0], pair.infrared[y : y + 16, x : x + 16])
+                np.testing.assert_array_equal(vis[row, 0], pair.visible[y : y + 16, x : x + 16])
+            for got, want in zip(batches[k - 3], (ir, vis)):
+                np.testing.assert_array_equal(got, want)
+        with pytest.raises(IndexError):
+            batches[3]
+
+    def test_epoch_holds_one_batch_at_a_time(self):
+        # 12769 windows of 32x32 in batches of 16: 105 MB of crops, 131 KB a batch.
+        pair = make_pair(h=144, w=144)
+        batch_bytes = 2 * 16 * 32 * 32 * 4
+        tracemalloc.start()
+        try:
+            batches = sample_crops([pair], crop=32, stride=1, batch=16, seed=0)
+            index = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for ir, vis in batches:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(batches) == 799
+        assert index < 100 * 12769
+        assert peak - index < 3 * batch_bytes
 
     def test_crops_slice_the_source_images(self):
         pair = make_pair(h=24, w=24)
