@@ -7,13 +7,14 @@ grids 1, 2, 4, ... (capped at the input size), passed through a per-scale
 modality every node pair is connected; across modalities node o of one
 branch connects to node o of the other.  A directed edge j -> k carries a
 3x3 conv of the node difference plus a bias.  Reversing an edge negates
-its pre-bias response, so each pair runs the conv once and its two
-directions add the bias to that response and to its negation.  A message
-gates the source node elementwise by the sigmoid of its edge; it is
-computed from the pre-update state and added into its destination's
+its pre-bias response, so each pair runs the conv once, on a difference
+formed only inside the conv's frame, and keeps only that response ``s``.
+A message gates the source node elementwise by the sigmoid of its edge,
+``s + bias`` into the pair's second node and ``bias - s`` into its first;
+it is computed from the pre-update state and added into its destination's
 running sum as soon as its pair has run, in one op that stores neither
-the gate nor the message.  The nodes then update simultaneously (Jacobi
-style) through a shared 3x3 conv and ReLU of that sum.  A per-loop leader
+the edge, the gate nor the message.  The nodes then update simultaneously
+(Jacobi style) through a shared 3x3 conv and ReLU of that sum.  A per-loop leader
 summarizes the updated nodes with a 1x1 conv over their concatenation;
 between loops the leader's pooled activation gates a per-node 3x3 conv
 of the current state, and the gated result is injected into the next
@@ -23,12 +24,15 @@ leaders through a final 1x1 conv.
 Lifetimes: outside a tape every full-resolution map is dropped once its
 last reader has run, without changing the op order or the arithmetic.  A
 loop holds its own stage and the previous loop's injections only until
-its nodes are built, each pair's edges only until both their messages are
-in the running sums, and each running sum only until its node's update;
-the loop's leaders live until the final mix.  A message is never a map of
-its own: each replaces its destination's running sum by a new one.
+its nodes are built, each pair's response ``s`` only until both its
+messages are in the running sums, and each running sum only until its
+node's update; the loop's leaders live until the final mix.  Neither a
+pair's difference nor its edges nor a message is ever a map of its own:
+each message replaces its destination's running sum by a new one.
 Sequences a caller passes in are only read, never modified.  Under a tape
-the records keep every map alive.
+the records keep every map alive; a pair makes three records, its conv
+and its two messages, and holds one map of its own, ``s``, with its
+gradient.
 """
 
 from __future__ import annotations
@@ -111,23 +115,20 @@ def generate_nodes(
     return nodes
 
 
-def difference_edges(
-    a: Tensor, b: Tensor, weight: Tensor, bias: Tensor
-) -> tuple[Tensor, Tensor]:
-    """Both directed edges of a pair: ``s + bias`` and ``bias - s``.
+def difference_edges(a: Tensor, b: Tensor, weight: Tensor) -> Tensor:
+    """The bias-free response ``s`` of a pair: the conv of ``a - b``.
 
-    ``s`` is the bias-free conv of ``a - b``; the reverse edge's conv of
-    ``b - a`` is exactly ``-s``, so one conv serves both directions.
+    The edge into ``b`` is ``s + bias`` and the edge into ``a`` is
+    ``bias - s``, since the reverse edge's conv of ``b - a`` is exactly
+    ``-s``; so one conv serves both directions.  The difference is formed
+    inside the conv's frame, never as a map of its own.
     """
-    oc = bias.shape[0]
-    s = ops.conv2d(ops.sub(a, b), weight, Tensor.zeros((oc,)), 1, 1)
-    b4 = ops.reshape(bias, (1, oc, 1, 1))
-    return ops.add(s, b4), ops.sub(b4, s)
+    return ops.conv2d(a, weight, None, 1, 1, minus=b)
 
 
-def pass_message(total: Tensor, edge: Tensor, source: Tensor) -> Tensor:
-    """``total`` plus the source node, gated elementwise by the edge activation."""
-    return ops.gate_add(total, edge, source)
+def pass_message(total: Tensor, s: Tensor, bias: Tensor, sign: int, source: Tensor) -> Tensor:
+    """``total`` plus the source node, gated elementwise by the edge ``sign * s + bias``."""
+    return ops.gate_add(total, s, bias, sign, source)
 
 
 def update_node(total: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -188,7 +189,7 @@ def _run_loop(
     while it builds the nodes, so a modality's stage and injections are
     freed once its nodes exist (unless the caller still holds the stage for
     a later loop).  Through the edge phase only the nodes, their running
-    sums and the current pair's edges live, plus a destination's new sum
+    sums and the current pair's response live, plus a destination's new sum
     while its message is added; each sum is freed by its one update, and a
     modality's updated nodes once its leader and injections are formed.
     """
@@ -208,11 +209,10 @@ def _run_loop(
     totals = dict(nodes)
     for a, b, group in topo.pairs():
         name = f"{prefix}.{group}"
-        into_b, into_a = difference_edges(nodes[a], nodes[b], params[f"{name}.weight"], params[f"{name}.bias"])
-        totals[b] = pass_message(totals[b], into_b, nodes[a])
-        del into_b
-        totals[a] = pass_message(totals[a], into_a, nodes[b])
-        del into_a
+        s, bias = difference_edges(nodes[a], nodes[b], params[f"{name}.weight"]), params[f"{name}.bias"]
+        totals[b] = pass_message(totals[b], s, bias, 1, nodes[a])
+        totals[a] = pass_message(totals[a], s, bias, -1, nodes[b])
+        del s
     # Every node is in some pair, so every total has replaced its node.
     del nodes
 

@@ -16,7 +16,7 @@ from graphfusion.graph import (
     run_graph,
 )
 from graphfusion.network import init_params
-from graphfusion.tensor import ShapeError, Tensor
+from graphfusion.tensor import ShapeError, Tape, Tensor
 
 from conftest import oracle_conv
 
@@ -72,23 +72,50 @@ class TestTopology:
         assert node_grids(2, 1, 1) == [1, 1]
 
 
+def unfused_pair(a, b, weight, bias, total_a, total_b):
+    """A pair's two messages with the difference and both edges as maps of their own.
+
+    ``gate_add`` with a zero bias and sign 1 gates by its ``s`` argument
+    unchanged, so here it takes the edge maps.  Returns the new totals of
+    ``b`` and ``a`` and the bias-free response ``s``.
+    """
+    oc = bias.shape[0]
+    s = ops.conv2d(ops.sub(a, b), weight, Tensor.zeros((oc,)), 1, 1)
+    b4 = ops.reshape(bias, (1, oc, 1, 1))
+    into_b, into_a = ops.add(s, b4), ops.sub(b4, s)
+    no_bias = Tensor.zeros((oc,))
+    return ops.gate_add(total_b, into_b, no_bias, 1, a), ops.gate_add(total_a, into_a, no_bias, 1, b), s
+
+
+def fused_pair(a, b, weight, bias, total_a, total_b):
+    """The same pair as ``run_graph`` runs it: one conv and two messages."""
+    s = difference_edges(a, b, weight)
+    return pass_message(total_b, s, bias, 1, a), pass_message(total_a, s, bias, -1, b), s
+
+
 class TestEdgesAndMessages:
     def test_reversed_edge_negates_prebias_response(self, rng):
         a = Tensor(rng.standard_normal((1, 2, 4, 4)).astype(np.float32))
         b = Tensor(rng.standard_normal((1, 2, 4, 4)).astype(np.float32))
         w = Tensor(rng.standard_normal((2, 2, 3, 3)).astype(np.float32))
-        zero_bias = Tensor.zeros((2,))
-        fwd, rev = difference_edges(a, b, w, zero_bias)
-        np.testing.assert_array_equal(rev.data, -fwd.data)
+        np.testing.assert_array_equal(difference_edges(b, a, w).data, -difference_edges(a, b, w).data)
 
     def test_bias_breaks_antisymmetry(self, rng):
+        # The two messages gate by sigmoid(s + bias) and sigmoid(bias - s).
         a = Tensor(rng.standard_normal((1, 2, 4, 4)).astype(np.float32))
         b = Tensor(rng.standard_normal((1, 2, 4, 4)).astype(np.float32))
         w = Tensor(rng.standard_normal((2, 2, 3, 3)).astype(np.float32))
         bias = Tensor(np.array([0.5, -0.25], dtype=np.float32))
-        fwd, rev = difference_edges(a, b, w, bias)
-        expected = np.broadcast_to(2.0 * bias.data.reshape(1, 2, 1, 1), fwd.shape)
-        np.testing.assert_allclose(fwd.data + rev.data, expected, atol=1e-5)
+        zeros, ones = Tensor.zeros(a.shape), Tensor.full(a.shape, 1.0)
+        into_b, into_a, s = fused_pair(ones, ones, w, bias, zeros, zeros)
+        np.testing.assert_array_equal(s.data, 0.0)
+        gates = np.broadcast_to(1.0 / (1.0 + np.exp(-bias.data.reshape(1, 2, 1, 1))), a.shape)
+        np.testing.assert_allclose(into_b.data, gates, rtol=1e-6)
+        np.testing.assert_allclose(into_a.data, gates, rtol=1e-6)
+        into_b, into_a, s = fused_pair(a, b, w, bias, zeros, ones)
+        b64 = bias.data.astype(np.float64).reshape(1, 2, 1, 1)
+        np.testing.assert_allclose(into_b.data, 1.0 + a.data / (1.0 + np.exp(-(s.data + b64))), rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(into_a.data, b.data / (1.0 + np.exp(-(b64 - s.data))), rtol=1e-5, atol=1e-6)
 
     def test_pair_runs_one_conv(self, rng, monkeypatch):
         calls = []
@@ -102,20 +129,18 @@ class TestEdgesAndMessages:
         a = Tensor(rng.standard_normal((1, 2, 4, 4)).astype(np.float32))
         b = Tensor(rng.standard_normal((1, 2, 4, 4)).astype(np.float32))
         w = Tensor(rng.standard_normal((2, 2, 3, 3)).astype(np.float32))
-        bias = Tensor(np.array([0.5, -0.25], dtype=np.float32))
-        fwd, rev = difference_edges(a, b, w, bias)
+        s = difference_edges(a, b, w)
         assert calls == [(1, 2, 4, 4)]
-        np.testing.assert_allclose(fwd.data, oracle_conv(a.data - b.data, w.data, bias.data, padding=1), atol=1e-5)
-        np.testing.assert_allclose(rev.data, oracle_conv(b.data - a.data, w.data, bias.data, padding=1), atol=1e-5)
+        np.testing.assert_allclose(s.data, oracle_conv(a.data - b.data, w.data, np.zeros(2), padding=1), atol=1e-5)
 
         # In a whole graph every loop runs each pair once, in topo.pairs()
         # order and with that pair's edge weight, at one conv per pair.
         seen = []
         edges = graph.difference_edges
 
-        def recording_edges(a, b, weight, bias):
+        def recording_edges(a, b, weight):
             before = len(calls)
-            out = edges(a, b, weight, bias)
+            out = edges(a, b, weight)
             assert len(calls) == before + 1
             seen.append(weight)
             return out
@@ -134,11 +159,46 @@ class TestEdgesAndMessages:
         assert all(got is w for got, w in zip(seen, want))
 
     def test_message_is_sigmoid_gated_source(self, rng):
-        total, edge, source = (Tensor(rng.standard_normal((1, 2, 3, 3)).astype(np.float32)) for _ in range(3))
-        out = pass_message(total, edge, source)
-        gate = 1.0 / (1.0 + np.exp(-edge.data.astype(np.float64)))
-        np.testing.assert_allclose(out.data, total.data + gate * source.data, rtol=1e-5, atol=1e-6)
-        assert np.all(np.abs(out.data.astype(np.float64) - total.data) <= np.abs(source.data) + 1e-6)
+        total, s, source = (Tensor(rng.standard_normal((1, 2, 3, 3)).astype(np.float32)) for _ in range(3))
+        bias = Tensor(np.array([0.5, -0.25], dtype=np.float32))
+        for sign in (1, -1):
+            out = pass_message(total, s, bias, sign, source)
+            edge = sign * s.data.astype(np.float64) + bias.data.reshape(1, 2, 1, 1)
+            gate = 1.0 / (1.0 + np.exp(-edge))
+            np.testing.assert_allclose(out.data, total.data + gate * source.data, rtol=1e-5, atol=1e-6)
+            assert np.all(np.abs(out.data.astype(np.float64) - total.data) <= np.abs(source.data) + 1e-6)
+
+    @pytest.mark.parametrize("channels", [16, 4])
+    def test_fused_pair_equals_unfused_composition(self, rng, channels):
+        # Both sides of conv2d's channel threshold, batch 2.  The new totals,
+        # s's gradient and every map's gradient are bit-identical; only the
+        # edge bias's gradient, summed per chunk, may differ in rounding.
+        shape = (2, channels, 12, 10)
+        arrays = [rng.standard_normal(shape).astype(np.float32) for _ in range(4)]
+        w = (0.3 * rng.standard_normal((channels, channels, 3, 3))).astype(np.float32)
+        bias = rng.uniform(-1.0, 1.0, size=channels).astype(np.float32)
+        coeffs = [rng.uniform(-1.0, 1.0, size=shape).astype(np.float32) for _ in range(2)]
+
+        def run(pair):
+            ts = [Tensor(x, requires_grad=True) for x in arrays + [w, bias]]
+            with Tape() as tape:
+                into_b, into_a, s = pair(*ts[:2], *ts[4:], *ts[2:4])
+                loss = ops.add(
+                    ops.reduce_sum(ops.mul(into_b, Tensor(coeffs[0]))),
+                    ops.reduce_sum(ops.mul(into_a, Tensor(coeffs[1]))),
+                )
+                tape.backward(loss)
+            result = [into_b.data, into_a.data, s.grad] + [t.grad for t in ts]
+            tape.clear()
+            return result
+
+        got, want = run(fused_pair), run(unfused_pair)
+        names = ("into b", "into a", "s.grad", "a", "b", "total a", "total b", "weight", "bias")
+        for name, g, x in zip(names, got, want):
+            if name == "bias":
+                np.testing.assert_allclose(g, x, rtol=0, atol=1e-6 * np.abs(x).max(), err_msg=name)
+            else:
+                np.testing.assert_array_equal(g, x, err_msg=name)
 
 
 def _tie_modalities(params, config: FusionConfig) -> None:

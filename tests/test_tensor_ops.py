@@ -253,6 +253,68 @@ class TestConv2d:
         assert framed.dtype == np.float32
         assert (framed is a) == (padding == 0)
 
+    @pytest.mark.parametrize(
+        "shape,kspec,stride,padding",
+        [
+            # The graph's edge conv, on both sides of _VIEW_CHANNELS.
+            ((2, 16, 9, 7), (16, 16, 3, 3), 1, 1),
+            ((2, 4, 9, 7), (4, 4, 3, 3), 1, 1),
+            # No frame, and a strided conv whose input gradient is spread.
+            ((2, 16, 6, 5), (3, 16, 1, 1), 1, 0),
+            ((1, 3, 8, 7), (2, 3, 3, 3), 2, 1),
+        ],
+    )
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_minus_equals_sub_then_conv_bit_for_bit(self, rng, shape, kspec, stride, padding, with_bias):
+        # The difference is formed in the frame, not on the tape; the output
+        # and every gradient equal those of ``conv2d(sub(x, m), ...)``.
+        # ``None`` for the bias equals a bias of zeros.
+        x, k, g = conv_case(rng, shape, kspec, stride, padding)
+        m = rng.standard_normal(shape).astype(np.float32)
+        b = rng.standard_normal(kspec[0]).astype(np.float32) if with_bias else np.zeros(kspec[0], np.float32)
+
+        def run(fused):
+            ts = [Tensor(a, requires_grad=True) for a in (x, m, k, b)]
+            xt, mt, kt, bt = ts
+            with Tape() as tape:
+                if fused:
+                    out = ops.conv2d(xt, kt, bt if with_bias else None, stride, padding, minus=mt)
+                else:
+                    out = ops.conv2d(ops.sub(xt, mt), kt, bt, stride, padding)
+                records = len(tape)
+                tape.backward(ops.reduce_sum(ops.mul(out, Tensor(g))))
+            result = [out.data] + [t.grad for t in ts]
+            tape.clear()
+            return records, result
+
+        (fused_records, got), (_, want) = run(True), run(False)
+        assert fused_records == 1
+        for name, a, w in zip(("out", "x", "minus", "kernel", "bias"), got, want):
+            if name == "bias" and not with_bias:
+                assert a is None
+            else:
+                np.testing.assert_array_equal(a, w, err_msg=name)
+
+    def test_minus_frees_no_difference_map(self, rng):
+        # Taped, the output is the only new array held, as without ``minus``.
+        x, m = (Tensor(rng.standard_normal((1, 16, 64, 64)).astype(np.float32), requires_grad=True) for _ in range(2))
+        k = Tensor(rng.standard_normal((16, 16, 3, 3)).astype(np.float32), requires_grad=True)
+        ops.conv2d(x, k, None, padding=1, minus=m)
+        with Tape() as tape:
+            tracemalloc.start()
+            try:
+                out = ops.conv2d(x, k, None, padding=1, minus=m)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            tape.backward(ops.reduce_sum(out))
+        tape.clear()
+        assert held < out.data.nbytes + (64 << 10)
+
+    def test_rejects_a_minus_of_another_shape(self):
+        with pytest.raises(ShapeError, match="conv2d: minus shape"):
+            ops.conv2d(Tensor.zeros((1, 2, 4, 4)), Tensor.zeros((1, 2, 3, 3)), None, minus=Tensor.zeros((1, 2, 4, 5)))
+
     def test_rejects_channel_mismatch(self):
         x = Tensor.zeros((1, 2, 4, 4))
         k = Tensor.zeros((1, 3, 3, 3))
@@ -332,11 +394,14 @@ class TestBandedConv:
     @pytest.mark.parametrize("padding,tail", [(0, 0), (1, 2), (2, 0), (0, 4)])
     def test_pitched_frame_is_the_framed_map_flattened(self, rng, padding, tail):
         a = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
-        flat = ops._pitched(a, padding, tail)
-        hp, wp = 4 + 2 * padding, 5 + 2 * padding
-        assert flat.shape == (2, 3, hp * wp + tail)
-        np.testing.assert_array_equal(flat[:, :, : hp * wp], ops._framed(a, padding).reshape(2, 3, -1))
-        assert not flat[:, :, hp * wp :].any()
+        m = rng.standard_normal(a.shape).astype(np.float32)
+        for minus, inner in ((None, a), (m, a - m)):
+            flat = ops._pitched(a, padding, tail, minus)
+            hp, wp = 4 + 2 * padding, 5 + 2 * padding
+            assert flat.shape == (2, 3, hp * wp + tail)
+            np.testing.assert_array_equal(flat[:, :, : hp * wp], ops._framed(inner, padding).reshape(2, 3, -1))
+            np.testing.assert_array_equal(ops._framed(a, padding, minus=minus), ops._framed(inner, padding))
+            assert not flat[:, :, hp * wp :].any()
 
     def test_no_stale_workspace_after_a_larger_call(self, rng, monkeypatch):
         # On each side of the channel threshold, the larger call fills the
@@ -783,70 +848,105 @@ class TestElementwiseAndReductions:
         assert out.shape == (2, 4)
 
 
-def composed_gate_add(total, edge, source):
+def composed_gate_add(total, s, bias, sign, source):
+    """``gate_add`` from the public ops, with the edge as a map of its own."""
+    b4 = ops.reshape(bias, (1, bias.shape[0], 1, 1))
+    edge = ops.add(s, b4) if sign > 0 else ops.sub(b4, s)
     return ops.add(total, ops.mul(ops.sigmoid(edge), source))
 
 
 def gate_operands(rng, shape):
-    """Total, edge and source arrays; the edge holds 0 and both saturated ends."""
-    total, edge, source = (rng.standard_normal(shape).astype(np.float32) for _ in range(3))
-    edge *= 4.0
-    edge.reshape(-1)[:3] = (0.0, 50.0, -50.0)
-    return total, edge, source
+    """Total, pre-bias response, bias and source arrays.
+
+    The response holds 0 and both saturated ends; the bias is per channel.
+    """
+    total, s, source = (rng.standard_normal(shape).astype(np.float32) for _ in range(3))
+    s *= 4.0
+    s.reshape(-1)[:3] = (0.0, 50.0, -50.0)
+    bias = rng.uniform(-1.0, 1.0, size=shape[1]).astype(np.float32)
+    return total, s, bias, source
 
 
 def taped_gate(fn, arrays, requires, coeffs, reread):
     """Output and input gradients of ``fn`` under a weighted sum.
 
-    With ``reread`` a later op also reads the edge and the source, so their
-    gradients exist before ``fn``'s backward adds into them.
+    With ``reread`` a later op also reads ``s``, the bias and the source, so
+    their gradients exist before ``fn``'s backward adds into them.
     """
     ts = [Tensor(a, requires_grad=r) for a, r in zip(arrays, requires)]
     with Tape() as tape:
         out = fn(*ts)
         loss = ops.reduce_sum(ops.mul(out, Tensor(coeffs)))
         if reread:
-            loss = ops.add(loss, ops.reduce_sum(ops.mul(ts[1], ts[2])))
+            loss = ops.add(loss, ops.reduce_sum(ops.mul(ts[1], ts[3])))
+            loss = ops.add(loss, ops.reduce_sum(ts[2]))
         tape.backward(loss)
     grads = [t.grad for t in ts]
     tape.clear()
     return out.data, grads
 
 
+def assert_gate_grads_match(got_grads, want_grads):
+    """Map gradients bit for bit; the bias, summed in another order, to 1e-6 of its largest entry."""
+    for name, g, w in zip(("total", "s", "bias", "source"), got_grads, want_grads):
+        assert (g is None) == (w is None), name
+        if w is None:
+            continue
+        if name == "bias":
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-6 * np.abs(w).max(), err_msg=name)
+        else:
+            np.testing.assert_array_equal(g, w, err_msg=name)
+
+
 class TestGateAdd:
     @pytest.mark.parametrize("chunk", [11, None])
-    @pytest.mark.parametrize("requires", [(1, 1, 1), (0, 1, 0), (0, 0, 1), (1, 0, 0), (0, 1, 1)])
+    @pytest.mark.parametrize(
+        "requires", [(1, 1, 1, 1), (0, 1, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 1, 1), (0, 0, 1, 0)]
+    )
     @pytest.mark.parametrize("reread", [False, True])
     def test_equals_composed_ops_bit_for_bit(self, rng, monkeypatch, chunk, requires, reread):
-        # 37800 elements: two default chunks, or 3437 chunks of 11 with a
-        # short last one.
+        # 6 planes of 6300 elements: by default two chunks of 5 planes and 1,
+        # or chunks of 11 within each plane, with a short last one.
         if chunk is not None:
             monkeypatch.setattr(ops, "_CHUNK_FLOATS", chunk)
         shape = (2, 3, 70, 90)
         arrays = gate_operands(rng, shape)
         coeffs = rng.uniform(-1.0, 1.0, size=shape).astype(np.float32)
-        want, want_grads = taped_gate(composed_gate_add, arrays, requires, coeffs, reread)
-        got, got_grads = taped_gate(ops.gate_add, arrays, requires, coeffs, reread)
-        np.testing.assert_array_equal(got, want)
-        for name, g, w in zip(("total", "edge", "source"), got_grads, want_grads):
-            assert (g is None) == (w is None), name
-            if w is not None:
-                np.testing.assert_array_equal(g, w, err_msg=name)
+        for sign in (1, -1):
+            want, want_grads = taped_gate(
+                lambda t, s, b, src: composed_gate_add(t, s, b, sign, src), arrays, requires, coeffs, reread
+            )
+            got, got_grads = taped_gate(
+                lambda t, s, b, src: ops.gate_add(t, s, b, sign, src), arrays, requires, coeffs, reread
+            )
+            np.testing.assert_array_equal(got, want)
+            assert_gate_grads_match(got_grads, want_grads)
 
     def test_one_operand_in_every_role_equals_composed_ops(self, rng, monkeypatch):
-        # Gradients accumulate as in the composition: total, source, edge.
+        # One map as total, s and source: gradients accumulate as in the
+        # composition, total, source, s.
         monkeypatch.setattr(ops, "_CHUNK_FLOATS", 7)
-        x = gate_operands(rng, (1, 2, 5, 9))[1]
+        _, x, bias, _ = gate_operands(rng, (1, 2, 5, 9))
         coeffs = rng.uniform(-1.0, 1.0, size=x.shape).astype(np.float32)
-        want, (want_grad,) = taped_gate(lambda t: composed_gate_add(t, t, t), [x], [1], coeffs, False)
-        got, (got_grad,) = taped_gate(lambda t: ops.gate_add(t, t, t), [x], [1], coeffs, False)
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(got_grad, want_grad)
+        for sign in (1, -1):
+            want, want_grads = taped_gate(
+                lambda t, b: composed_gate_add(t, t, b, sign, t), [x, bias], [1, 1], coeffs, False
+            )
+            got, got_grads = taped_gate(
+                lambda t, b: ops.gate_add(t, t, b, sign, t), [x, bias], [1, 1], coeffs, False
+            )
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got_grads[0], want_grads[0])
+            bound = 1e-6 * np.abs(want_grads[1]).max()
+            np.testing.assert_allclose(got_grads[1], want_grads[1], rtol=0, atol=bound)
 
     def test_zero_total_and_unit_source_give_the_sigmoid(self, rng):
-        x = Tensor(gate_operands(rng, (3, 50))[1])
-        got = ops.gate_add(Tensor.zeros(x.shape), x, Tensor.full(x.shape, 1.0))
-        np.testing.assert_array_equal(got.data, ops.sigmoid(x).data)
+        x = Tensor(gate_operands(rng, (1, 3, 5, 10))[1])
+        zeros, ones, no_bias = Tensor.zeros(x.shape), Tensor.full(x.shape, 1.0), Tensor.zeros((3,))
+        np.testing.assert_array_equal(ops.gate_add(zeros, x, no_bias, 1, ones).data, ops.sigmoid(x).data)
+        np.testing.assert_array_equal(
+            ops.gate_add(zeros, x, no_bias, -1, ones).data, ops.sigmoid(ops.negate(x)).data
+        )
 
     def test_one_record_and_no_public_sigmoid(self, rng, monkeypatch):
         # A profiler wraps the public ops, so a gate recomputed through
@@ -855,22 +955,25 @@ class TestGateAdd:
             raise AssertionError("gate_add called ops.sigmoid")
 
         monkeypatch.setattr(ops, "sigmoid", no_sigmoid)
-        total, edge, source = (Tensor(a, requires_grad=True) for a in gate_operands(rng, (1, 2, 4, 4)))
+        total, s, bias, source = (Tensor(a, requires_grad=True) for a in gate_operands(rng, (1, 2, 4, 4)))
         with Tape() as tape:
-            out = ops.gate_add(total, edge, source)
+            out = ops.gate_add(total, s, bias, -1, source)
             assert len(tape) == 1
             tape.backward(ops.reduce_sum(out))
-        assert all(t.grad is not None for t in (total, edge, source))
+        assert all(t.grad is not None for t in (total, s, bias, source))
         tape.clear()
 
-    @pytest.mark.parametrize("operand", ["edge", "source"])
+    @pytest.mark.parametrize("operand", ["s", "source", "bias", "sign"])
     def test_rejects_a_mismatched_operand_before_allocating(self, operand):
-        shapes = dict.fromkeys(("total", "edge", "source"), (1, 16, 480, 640))
-        shapes[operand] = (1, 16, 480, 641)
-        operands = {name: Tensor.zeros(shape) for name, shape in shapes.items()}
+        shape = (1, 16, 480, 640)
+        operands = {name: Tensor.zeros(shape) for name in ("total", "s", "source")}
+        operands.update(bias=Tensor.zeros((16,)), sign=1)
+        bad = {"s": Tensor.zeros((1, 16, 480, 641)), "bias": Tensor.zeros((15,)), "sign": 0}
+        operands[operand] = bad.get(operand, bad["s"])
+        message = "sign must be" if operand == "sign" else f"{operand} shape"
         tracemalloc.start()
         try:
-            with pytest.raises(ShapeError, match=f"gate_add: {operand} shape"):
+            with pytest.raises(ShapeError, match=f"gate_add: {message}"):
                 ops.gate_add(**operands)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -879,16 +982,32 @@ class TestGateAdd:
 
     def test_vga_call_keeps_no_gate_or_message_map(self):
         # No tape: the output, one chunk of gate and 1 MB for the rest.  The
-        # composed ops make a gate map and a message map besides the output.
+        # composed ops make an edge map, a gate map and a message map
+        # besides the output.
         shape = (1, 16, 480, 640)
-        total, edge, source = (Tensor.full(shape, v) for v in (1.0, 0.5, 2.0))
+        total, s, source = (Tensor.full(shape, v) for v in (1.0, 0.5, 2.0))
+        bias = Tensor.full((16,), 0.25)
         tracemalloc.start()
         try:
-            ops.gate_add(total, edge, source)
+            ops.gate_add(total, s, bias, -1, source)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * total.size + 4 * ops._CHUNK_FLOATS + (1 << 20)
+
+    @pytest.mark.parametrize("planes,size,chunk", [(6, 6300, 32768), (6, 6300, 11), (5, 4, 8), (3, 10, 10)])
+    def test_chunks_tile_the_planes_in_order(self, monkeypatch, planes, size, chunk):
+        monkeypatch.setattr(ops, "_CHUNK_FLOATS", chunk)
+        seen = np.zeros((planes, size), dtype=int)
+        order = np.arange(planes * size).reshape(planes, size)
+        last = -1
+        for rows, cols in ops._chunks(planes, size):
+            part = order[rows, cols]
+            assert 0 < part.size <= chunk and part.flags.c_contiguous
+            assert part.reshape(-1)[0] == last + 1
+            last = part.reshape(-1)[-1]
+            seen[rows, cols] += 1
+        assert (seen == 1).all()
 
 
 class TestOneTapePerThread:
