@@ -45,9 +45,9 @@ def salience(x: Tensor, params: Mapping[str, Tensor], modality: str) -> Tensor:
     if modality not in MODALITIES:
         raise ValueError(f"unknown modality {modality!r}")
     prefix = f"salience.{modality}"
-    y = ops.conv2d(x, params[f"{prefix}.conv.weight"], params[f"{prefix}.conv.bias"], 1, 1)
-    peaks = ops.maxpool2d(y, 3, 1, 1)
-    smooth = ops.avgpool2d(y, 3, 1, 1)
+    y = ops.conv2d(x, params[f"{prefix}.conv.weight"], params[f"{prefix}.conv.bias"], padding=1)
+    peaks = ops.maxpool2d(y, 3, padding=1)
+    smooth = ops.avgpool2d(y, 3, padding=1)
     if modality == "ir":
         combined = ops.mul(peaks, smooth)
     else:
@@ -70,7 +70,7 @@ def extract(image: Tensor, params: Mapping[str, Tensor], modality: str, config: 
     feats = []
     x = image
     for name in ("conv1", "conv2")[:depth]:
-        x = ops.relu(ops.conv2d(x, params[f"{prefix}.{name}.weight"], params[f"{prefix}.{name}.bias"], 1, 1))
+        x = ops.relu(ops.conv2d(x, params[f"{prefix}.{name}.weight"], params[f"{prefix}.{name}.bias"], padding=1))
         feats.append(x)
     if depth > 2:
         feats.append(salience(x, params, modality))

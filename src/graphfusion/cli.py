@@ -73,6 +73,14 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _missing_directory(*outputs: Path | None) -> str | None:
+    """A message naming the first output's directory that does not exist, or None when all do."""
+    for path in outputs:
+        if path is not None and not path.parent.is_dir():
+            return f"cannot write {path}: directory {path.parent} does not exist"
+    return None
+
+
 def cmd_init_config(args: argparse.Namespace) -> int:
     if args.path.exists() and not args.force:
         return _fail(f"{args.path} exists, pass --force to overwrite")
@@ -82,6 +90,8 @@ def cmd_init_config(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    if missing := _missing_directory(args.out, args.log):
+        return _fail(missing)
     try:
         config = FusionConfig.load(args.config)
     except (OSError, ValueError) as exc:
@@ -111,6 +121,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_fuse(args: argparse.Namespace) -> int:
+    if missing := _missing_directory(args.out):
+        return _fail(missing)
     try:
         params, config = load_checkpoint(args.checkpoint)
     except (OSError, CheckpointError, ValueError) as exc:
@@ -136,6 +148,8 @@ def cmd_fuse(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if missing := _missing_directory(args.report, args.json):
+        return _fail(missing)
     try:
         params, config = load_checkpoint(args.checkpoint)
         pairs = pair_directory(args.ir_dir, args.vis_dir)

@@ -123,7 +123,7 @@ def difference_edges(a: Tensor, b: Tensor, weight: Tensor) -> Tensor:
     ``-s``; so one conv serves both directions.  The difference is formed
     inside the conv's frame, never as a map of its own.
     """
-    return ops.conv2d(a, weight, None, 1, 1, minus=b)
+    return ops.conv2d(a, weight, None, padding=1, minus=b)
 
 
 def pass_message(total: Tensor, s: Tensor, bias: Tensor, sign: int, source: Tensor) -> Tensor:
@@ -133,7 +133,7 @@ def pass_message(total: Tensor, s: Tensor, bias: Tensor, sign: int, source: Tens
 
 def update_node(total: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """New node state from ``total``, the node plus its incoming messages."""
-    return ops.relu(ops.conv2d(total, weight, bias, 1, 1))
+    return ops.relu(ops.conv2d(total, weight, bias, padding=1))
 
 
 def form_leader(nodes: Sequence[Tensor], weight: Tensor, bias: Tensor) -> Tensor:
@@ -156,8 +156,7 @@ def deliver(
             node,
             params[f"{prefix}.deliver{o}.{modality}.weight"],
             params[f"{prefix}.deliver{o}.{modality}.bias"],
-            1,
-            1,
+            padding=1,
         )
         out.append(ops.mul(conv, gate))
     return out

@@ -41,9 +41,8 @@ def gradient_magnitude(img: Tensor) -> Tensor:
     zero, so the result stays differentiable for training).
     """
     _single_channel("gradient_magnitude", img)
-    zero = Tensor(np.zeros(1, dtype=np.float32))
-    gx = ops.conv2d(img, Tensor(SOBEL_X.reshape(1, 1, 3, 3)), zero, 1, 1)
-    gy = ops.conv2d(img, Tensor(SOBEL_Y.reshape(1, 1, 3, 3)), zero, 1, 1)
+    gx = ops.conv2d(img, Tensor(SOBEL_X.reshape(1, 1, 3, 3)), None, padding=1)
+    gy = ops.conv2d(img, Tensor(SOBEL_Y.reshape(1, 1, 3, 3)), None, padding=1)
     return ops.sqrt(ops.add(ops.mul(gx, gx), ops.mul(gy, gy)))
 
 
@@ -70,7 +69,7 @@ def _ssim_kernel(window: int, x: Tensor, *others: Tensor) -> Tensor:
 
 
 def _blur(t: Tensor, kernel: Tensor) -> Tensor:
-    return ops.conv2d(t, kernel, Tensor(np.zeros(1, dtype=np.float32)))
+    return ops.conv2d(t, kernel, None)
 
 
 def _ssim_stats(t: Tensor, kernel: Tensor) -> tuple[Tensor, Tensor, Tensor, Tensor, Tensor]:

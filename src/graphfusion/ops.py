@@ -23,58 +23,52 @@ def _require_4d(name: str, t: Tensor) -> None:
         raise ShapeError(f"{name}: expected a 4-d (N,C,H,W) tensor, got shape {t.shape}")
 
 
-def _fill(out: np.ndarray, a: np.ndarray, minus: np.ndarray | None) -> np.ndarray:
-    """Write ``a``, or ``a - minus`` when ``minus`` is given, into ``out``."""
-    if minus is None:
-        out[...] = a
-    else:
-        np.subtract(a, minus, out=out)
-    return out
-
-
-def _framed(a: np.ndarray, padding: int, fill: float = 0.0, minus: np.ndarray | None = None) -> np.ndarray:
-    """A (N, C, H, W) map, less ``minus`` if given, inside a border of ``padding`` cells of ``fill``."""
+def _framed(a: np.ndarray, padding: int) -> np.ndarray:
+    """A (N, C, H, W) map inside a border of ``padding`` cells of -inf, which never win a max."""
     if not padding:
-        return a if minus is None else a - minus
+        return a
     n, c, h, w = a.shape
-    shape = (n, c, h + 2 * padding, w + 2 * padding)
-    out = np.zeros(shape, dtype=a.dtype) if fill == 0.0 else np.full(shape, fill, dtype=a.dtype)
-    _fill(out[:, :, padding : padding + h, padding : padding + w], a, minus)
+    out = np.full((n, c, h + 2 * padding, w + 2 * padding), -np.inf, dtype=a.dtype)
+    out[:, :, padding : padding + h, padding : padding + w] = a
     return out
 
 
-def _pitched(a: np.ndarray, padding: int, tail: int, minus: np.ndarray | None = None) -> np.ndarray:
-    """``_framed(a, padding, minus=minus)`` with each plane flattened and followed by ``tail`` zeros.
+def _pitched(a: np.ndarray, padding: int, tail: int = 0, minus: np.ndarray | None = None) -> np.ndarray:
+    """Each plane of ``a`` (less ``minus``) framed by ``padding`` zeros, flattened and followed by ``tail`` zeros.
 
     The result is (N, C, Hp*Wp + tail), with framed cell (y, x) of a plane
     at ``y * Wp + x``: a kernel tap over whole rows of the frame is then a
     2-d slice, and the tail keeps the slices of the last rows in bounds.
+    Without a tail it reshapes to the (N, C, Hp, Wp) frame.
     """
     n, c, h, w = a.shape
     if not (padding or tail):
-        return _framed(a, 0, minus=minus).reshape(n, c, h * w)
+        return (a if minus is None else a - minus).reshape(n, c, h * w)
     hp, wp = h + 2 * padding, w + 2 * padding
     out = np.zeros((n, c, hp * wp + tail), dtype=a.dtype)
-    _fill(out[:, :, : hp * wp].reshape(n, c, hp, wp)[:, :, padding : padding + h, padding : padding + w], a, minus)
+    inner = out[:, :, : hp * wp].reshape(n, c, hp, wp)[:, :, padding : padding + h, padding : padding + w]
+    if minus is None:
+        inner[...] = a
+    else:
+        np.subtract(a, minus, out=inner)
     return out
 
 
-def _tap(a: np.ndarray, i: int, j: int, stride: int, oh: int, ow: int) -> np.ndarray:
+def _tap(a: np.ndarray, i: int, j: int, oh: int, ow: int) -> np.ndarray:
     """View of the ``oh`` x ``ow`` cells that window tap (i, j) reads in a (..., H, W) map."""
-    return a[..., i : i + (oh - 1) * stride + 1 : stride, j : j + (ow - 1) * stride + 1 : stride]
+    return a[..., i : i + oh, j : j + ow]
 
 
 # ---------------------------------------------------------------------------
 # convolution and pooling
 
 # conv2d computes a band of output rows at a time, in one of two ways that the
-# input's channel count picks.  From _VIEW_CHANNELS input channels up, a
-# stride-1 conv makes each kernel tap one (oc x c) GEMM over a shifted view
-# of the framed input, summed into a band buffer (kn2row: Vasudevan, Anderson
-# & Gregg, ASAP 2017), so BLAS's own packing is the only copy of the input.
-# Thinner inputs gather all c*kh*kw taps of a band into a workspace and make
-# one GEMM (im2col), as GEMMs with K = c are then too small.  Strided convs
-# gather at any width; the network runs none.  One OpenBLAS 0.3.31 thread
+# input's channel count picks.  From _VIEW_CHANNELS input channels up, each
+# kernel tap is one (oc x c) GEMM over a shifted view of the framed input,
+# summed into a band buffer (kn2row: Vasudevan, Anderson & Gregg, ASAP
+# 2017), so BLAS's own packing is the only copy of the input.  Thinner
+# inputs gather all c*k*k taps of a band into a workspace and make one GEMM
+# (im2col), as GEMMs with K = c are then too small.  One OpenBLAS 0.3.31 thread
 # on a Xeon with 2 MB of L2 per core, 480x640 3x3 convs to 16 channels,
 # gather against views (best of 5-7): from 1 channel 10.4 against 153 ms,
 # from 4 17.0 against 23.6, from 8 35.2 against 34.6, from 15 75.2 against
@@ -122,63 +116,60 @@ def _bands(n: int, oh: int, rows: int):
             yield s, r0, min(rows, oh - r0)
 
 
-def _gather_rows(c: int, kh: int, kw: int, ow: int) -> int:
+def _gather_rows(c: int, k: int, ow: int) -> int:
     """Output rows per band of the gather: as many as fit in ``_WORKSPACE_FLOATS``."""
-    return _WORKSPACE_FLOATS // (c * kh * kw * ow)
+    return _WORKSPACE_FLOATS // (c * k * k * ow)
 
 
-def _gather(xp: np.ndarray, s: int, r0: int, r: int, kh: int, kw: int, stride: int, ow: int) -> np.ndarray:
-    """The (c*kh*kw, r*ow) window taps of output rows ``r0 .. r0+r-1`` of sample ``s`` of a framed map.
+def _gather(xp: np.ndarray, s: int, r0: int, r: int, k: int, ow: int) -> np.ndarray:
+    """The (c*k*k, r*ow) window taps of output rows ``r0 .. r0+r-1`` of sample ``s`` of a framed map.
 
     One strided copy into this thread's workspace, in the row order of
     ``kernel.reshape(oc, -1)``.
     """
     c = xp.shape[1]
-    taps = _scratch("taps", c * kh * kw * r * ow).reshape(c, kh, kw, r, ow)
-    rows = xp[s, :, r0 * stride : (r0 + r - 1) * stride + kh]
-    windows = np.lib.stride_tricks.sliding_window_view(rows, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    taps = _scratch("taps", c * k * k * r * ow).reshape(c, k, k, r, ow)
+    windows = np.lib.stride_tricks.sliding_window_view(xp[s, :, r0 : r0 + r - 1 + k], (k, k), axis=(1, 2))
     taps[...] = windows.transpose(0, 3, 4, 1, 2)
-    return taps.reshape(c * kh * kw, r * ow)
+    return taps.reshape(c * k * k, r * ow)
 
 
 def _correlate(
     a: np.ndarray,
     kernel: np.ndarray,
-    stride: int,
     padding: int,
     bias: np.ndarray | None = None,
     minus: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Strided cross-correlation of a (N, C, H, W) map framed by ``padding`` zeros, plus ``bias``.
+    """Cross-correlation of a (N, C, H, W) map framed by ``padding`` zeros with a square kernel, plus ``bias``.
 
     With ``minus`` it correlates ``a - minus``, which is formed only inside
     the frame.
 
-    At stride 1 from ``_VIEW_CHANNELS`` input channels up, a band of
-    output rows is the sum over kernel taps of one ``(oc, c) @ (c, rows*Wp)``
-    GEMM each, whose right side is a slice of the row-pitched frame
-    (:func:`_pitched`).  It is computed on the band's pitched grid of ``Wp``
-    columns per row and copied into the output without the columns past
-    ``ow``.  Thinner or strided inputs make one
-    ``(oc, c*kh*kw) @ (c*kh*kw, rows*ow)`` GEMM per band of gathered taps
-    (:func:`_gather`), straight into the output.  The bias is added band by
-    band, and the frame lives only as long as this call.
+    From ``_VIEW_CHANNELS`` input channels up, a band of output rows is the
+    sum over kernel taps of one ``(oc, c) @ (c, rows*Wp)`` GEMM each, whose
+    right side is a slice of the row-pitched frame (:func:`_pitched`).  It
+    is computed on the band's pitched grid of ``Wp`` columns per row and
+    copied into the output without the columns past ``ow``.  Thinner inputs
+    make one ``(oc, c*k*k) @ (c*k*k, rows*ow)`` GEMM per band of gathered
+    taps (:func:`_gather`), straight into the output.  The bias is added
+    band by band, and the frame lives only as long as this call.
     """
-    (n, c, h, w), (oc, _, kh, kw) = a.shape, kernel.shape
-    wp = w + 2 * padding
-    oh, ow = (h + 2 * padding - kh) // stride + 1, (wp - kw) // stride + 1
+    (n, c, h, w), (oc, _, k, _) = a.shape, kernel.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    oh, ow = hp - k + 1, wp - k + 1
     out = np.empty((n, oc, oh, ow), dtype=np.float32)
-    if c < _VIEW_CHANNELS or stride > 1:
-        xp, weights = _framed(a, padding, minus=minus), kernel.reshape(oc, -1)
-        for s, r0, r in _bands(n, oh, _gather_rows(c, kh, kw, ow)):
+    if c < _VIEW_CHANNELS:
+        xp, weights = _pitched(a, padding, minus=minus).reshape(n, c, hp, wp), kernel.reshape(oc, -1)
+        for s, r0, r in _bands(n, oh, _gather_rows(c, k, ow)):
             band = out[s, :, r0 : r0 + r]
-            np.matmul(weights, _gather(xp, s, r0, r, kh, kw, stride, ow), out=band.reshape(oc, r * ow))
+            np.matmul(weights, _gather(xp, s, r0, r, k, ow), out=band.reshape(oc, r * ow))
             if bias is not None:
                 band += bias.reshape(oc, 1, 1)
         return out
 
-    weights = kernel.transpose(2, 3, 0, 1).reshape(kh * kw, oc, c)
-    flat = _pitched(a, padding, kw - 1, minus)
+    weights = kernel.transpose(2, 3, 0, 1).reshape(k * k, oc, c)
+    flat = _pitched(a, padding, k - 1, minus)
     # Bands of one height: a short last band costs as many GEMM calls as a
     # full one (2x16x64x64: 1.78 ms with bands of 62 and 2 rows, 1.26 ms with 32).
     bands = -(-oh // max(1, _BAND_FLOATS // (max(oc, c) * wp)))
@@ -186,8 +177,8 @@ def _correlate(
         total, part = (_scratch(name, oc * r * wp).reshape(oc, r * wp) for name in ("total", "part"))
         if bias is not None:
             total[...] = bias.reshape(oc, 1)
-        for t in range(kh * kw):
-            i, j = divmod(t, kw)
+        for t in range(k * k):
+            i, j = divmod(t, k)
             start = (r0 + i) * wp + j
             view = flat[s, :, start : start + r * wp]
             if t == 0 and bias is None:
@@ -203,51 +194,46 @@ def conv2d(
     x: Tensor,
     kernel: Tensor,
     bias: Tensor | None,
-    stride: int = 1,
+    *,
     padding: int = 0,
     minus: Tensor | None = None,
 ) -> Tensor:
-    """2-d cross-correlation of ``x``, or of ``x - minus``, with zero padding.
+    """2-d stride-1 cross-correlation of ``x``, or of ``x - minus``, with a square kernel and zero padding.
 
-    ``kernel`` has shape (out_ch, in_ch, kh, kw), ``bias`` shape (out_ch,)
-    or None for none.  Output spatial size is
-    ``(H + 2*padding - kh) // stride + 1``; with ``padding = (k - 1) // 2``
-    and stride 1 an odd kernel preserves size.  ``minus``, of ``x``'s shape,
-    is subtracted from ``x`` inside the frame the correlation reads, so the
-    difference is never a map of its own; it rounds as ``sub(x, minus)``.
+    ``kernel`` has shape (out_ch, in_ch, k, k) with ``0 <= padding < k``,
+    ``bias`` shape (out_ch,) or None for none.  Output spatial size is
+    ``H + 2*padding - k + 1``; with ``padding = (k - 1) // 2`` an odd kernel
+    preserves size.  ``minus``, of ``x``'s shape, is subtracted from ``x``
+    inside the frame the correlation reads, so the difference is never a
+    map of its own; it rounds as ``sub(x, minus)``.
 
     The forward pass and the input gradient are :func:`_correlate`.  The
-    input gradient is the transposed convolution, a correlation with the
-    flipped, channel-swapped kernel: at stride 1 of the output gradient
-    framed by ``kh - 1 - padding`` zeros; otherwise of the output gradient
-    spread ``stride`` cells apart and framed by ``kh - 1`` and ``kw - 1``
-    zeros, then cropped (rows and columns no window reaches get zero
-    gradient).  It is made once, added to ``x`` and its negation to
-    ``minus``.  The transposed kernel gradient is one ``taps @ g_band.T``
-    GEMM per band of gathered taps (:func:`_gather`) of ``x`` (less
-    ``minus``) framed again; BLAS runs it faster than the untransposed one.
-    The op keeps ``x`` and ``minus``, not their frame.
+    input gradient is the transposed convolution: a correlation of the
+    output gradient, framed by ``k - 1 - padding`` zeros, with the flipped,
+    channel-swapped kernel.  It is made once, added to ``x`` and its
+    negation to ``minus``.  The transposed kernel gradient is one
+    ``taps @ g_band.T`` GEMM per band of gathered taps (:func:`_gather`) of
+    ``x`` (less ``minus``) framed again; BLAS runs it faster than the
+    untransposed one.  The op keeps ``x`` and ``minus``, not their frame.
     """
     _require_4d("conv2d", x)
     if kernel.ndim != 4:
         raise ShapeError(f"conv2d: kernel must be 4-d, got shape {kernel.shape}")
     n, c, h, w = x.shape
-    oc, kc, kh, kw = kernel.shape
+    oc, kc, k, kw = kernel.shape
     if kc != c:
         raise ShapeError(f"conv2d: input has {c} channels (dim 1) but kernel expects {kc}")
+    if kw != k or not 0 <= padding < k:
+        raise ShapeError(f"conv2d: kernel shape {kernel.shape} needs square taps and 0 <= padding < {k}, got {padding}")
     if bias is not None and bias.shape != (oc,):
         raise ShapeError(f"conv2d: bias shape {bias.shape} != ({oc},)")
     if minus is not None and minus.shape != x.shape:
         raise ShapeError(f"conv2d: minus shape {minus.shape} differs from input shape {x.shape}")
-    if stride < 1 or padding < 0:
-        raise ShapeError(f"conv2d: bad stride/padding ({stride}, {padding})")
-    if h + 2 * padding < kh or w + 2 * padding < kw:
-        raise ShapeError(
-            f"conv2d: padded input {h + 2 * padding}x{w + 2 * padding} smaller than kernel {kh}x{kw}"
-        )
+    if h + 2 * padding < k or w + 2 * padding < k:
+        raise ShapeError(f"conv2d: padded input {h + 2 * padding}x{w + 2 * padding} smaller than kernel {k}x{k}")
 
     minus_data = None if minus is None else minus.data
-    out = _correlate(x.data, kernel.data, stride, padding, None if bias is None else bias.data, minus_data)
+    out = _correlate(x.data, kernel.data, padding, None if bias is None else bias.data, minus_data)
     oh, ow = out.shape[2], out.shape[3]
     inputs = tuple(t for t in (x, kernel, bias, minus) if t is not None)
 
@@ -255,19 +241,14 @@ def conv2d(
         if bias is not None and bias.requires_grad:
             accumulate(bias, g.sum(axis=(0, 2, 3)))
         if kernel.requires_grad:
-            xp, gm = _framed(x.data, padding, minus=minus_data), g.reshape(n, oc, oh * ow)
-            gk = np.zeros((c * kh * kw, oc), dtype=np.float32)
-            for s, r0, r in _bands(n, oh, _gather_rows(c, kh, kw, ow)):
-                gk += _gather(xp, s, r0, r, kh, kw, stride, ow) @ gm[s, :, r0 * ow : (r0 + r) * ow].T
-            accumulate(kernel, gk.T.reshape(oc, c, kh, kw))
+            xp = _pitched(x.data, padding, minus=minus_data).reshape(n, c, h + 2 * padding, w + 2 * padding)
+            gm = g.reshape(n, oc, oh * ow)
+            gk = np.zeros((c * k * k, oc), dtype=np.float32)
+            for s, r0, r in _bands(n, oh, _gather_rows(c, k, ow)):
+                gk += _gather(xp, s, r0, r, k, ow) @ gm[s, :, r0 * ow : (r0 + r) * ow].T
+            accumulate(kernel, gk.T.reshape(oc, c, k, k))
         if x.requires_grad or (minus is not None and minus.requires_grad):
-            flipped = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            if stride == 1 and kh == kw and padding < kh:
-                dx = _correlate(g, flipped, 1, kh - 1 - padding)
-            else:
-                spread = np.zeros((n, oc, h + 2 * padding + kh - 1, w + 2 * padding + kw - 1), dtype=np.float32)
-                _tap(spread, kh - 1, kw - 1, stride, oh, ow)[...] = g
-                dx = _correlate(spread, flipped, 1, 0)[:, :, padding : padding + h, padding : padding + w]
+            dx = _correlate(g, kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), k - 1 - padding)
             accumulate(x, dx)
             if minus is not None and minus.requires_grad:
                 accumulate(minus, -dx)
@@ -275,10 +256,10 @@ def conv2d(
     return record_op(out, inputs, backward)
 
 
-def _check_pool_args(name: str, x: Tensor, window: int, stride: int, padding: int) -> None:
+def _check_pool_args(name: str, x: Tensor, window: int, padding: int) -> None:
     _require_4d(name, x)
-    if window < 1 or stride < 1:
-        raise ShapeError(f"{name}: window and stride must be positive, got ({window}, {stride})")
+    if window < 1:
+        raise ShapeError(f"{name}: window must be positive, got {window}")
     if padding < 0 or padding >= window:
         raise ShapeError(f"{name}: padding must satisfy 0 <= padding < window, got {padding}")
     h, w = x.shape[2], x.shape[3]
@@ -286,8 +267,8 @@ def _check_pool_args(name: str, x: Tensor, window: int, stride: int, padding: in
         raise ShapeError(f"{name}: padded input {h + 2 * padding}x{w + 2 * padding} smaller than window {window}")
 
 
-def maxpool2d(x: Tensor, window: int, stride: int, padding: int = 0) -> Tensor:
-    """Max pooling; ties resolve to the first maximum in row-major scan order.
+def maxpool2d(x: Tensor, window: int, *, padding: int = 0) -> Tensor:
+    """Stride-1 max pooling; ties resolve to the first maximum in row-major scan order.
 
     The forward visits the taps in row-major order and keeps only their
     running maximum.  The backward replays that scan to find each window's
@@ -298,23 +279,22 @@ def maxpool2d(x: Tensor, window: int, stride: int, padding: int = 0) -> Tensor:
     holding a NaN outputs NaN, but its gradient goes to the window's first
     maximum before the NaN (or to the NaN itself when it is the first tap).
     """
-    _check_pool_args("maxpool2d", x, window, stride, padding)
+    _check_pool_args("maxpool2d", x, window, padding)
     h, w = x.shape[2], x.shape[3]
-    xp = _framed(x.data, padding, -np.inf)  # padded cells can never win the max
-    oh = (h + 2 * padding - window) // stride + 1
-    ow = (w + 2 * padding - window) // stride + 1
-    out = _tap(xp, 0, 0, stride, oh, ow).copy()
+    xp = _framed(x.data, padding)
+    oh, ow = h + 2 * padding - window + 1, w + 2 * padding - window + 1
+    out = _tap(xp, 0, 0, oh, ow).copy()
     for idx in range(1, window * window):
-        np.maximum(out, _tap(xp, *divmod(idx, window), stride, oh, ow), out=out)
+        np.maximum(out, _tap(xp, *divmod(idx, window), oh, ow), out=out)
 
     def backward(g: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        best = _tap(xp, 0, 0, stride, oh, ow).copy()
+        best = _tap(xp, 0, 0, oh, ow).copy()
         arg = np.zeros(best.shape, dtype=np.min_scalar_type(window * window - 1))
         won, step = np.empty(best.shape, dtype=bool), np.empty_like(arg)
         for idx in range(1, window * window):
-            tap = _tap(xp, *divmod(idx, window), stride, oh, ow)
+            tap = _tap(xp, *divmod(idx, window), oh, ow)
             # ``arg`` is below ``idx`` everywhere, so a maximum sets it to
             # ``idx`` exactly where the tap wins.  At 2x16x64x64 np.putmask
             # took 0.88 ms a tap, these two calls 0.03 ms.
@@ -324,7 +304,7 @@ def maxpool2d(x: Tensor, window: int, stride: int, padding: int = 0) -> Tensor:
         dxp = np.zeros(xp.shape, dtype=np.float32)
         routed = np.empty_like(g)
         for idx in range(window * window):
-            tap = _tap(dxp, *divmod(idx, window), stride, oh, ow)
+            tap = _tap(dxp, *divmod(idx, window), oh, ow)
             # A masked ``np.add(tap, g, out=tap, where=...)`` into the strided
             # view was 6x slower than this product (12.4 against 2.0 ms).
             tap += np.multiply(g, np.equal(arg, idx, out=won), out=routed)
@@ -355,21 +335,18 @@ def _mean_pool(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     return record_op(out, (x,), backward)
 
 
-def _window_taps(size: int, window: int, stride: int, padding: int) -> list[tuple[slice, slice]]:
+def _window_taps(size: int, window: int, padding: int) -> list[tuple[slice, slice]]:
     """``(windows, cells)`` slice pairs along an axis of ``size`` cells, one per window tap.
 
-    Tap ``d`` of window ``o`` reads cell ``o * stride - padding + d``; each
-    pair selects the windows whose tap ``d`` is a cell of the axis, not
-    padding, and those cells.
+    Tap ``d`` of window ``o`` reads cell ``o - padding + d``; each pair
+    selects the windows whose tap ``d`` is a cell of the axis, not padding,
+    and those cells.
     """
-    count = (size + 2 * padding - window) // stride + 1
     pairs = []
     for d in range(window):
-        lo = max(0, -(-(padding - d) // stride))
-        hi = min(count, (size - 1 + padding - d) // stride + 1)
+        lo, hi = max(0, padding - d), min(size + 2 * padding - window + 1, size + padding - d)
         if lo < hi:
-            start = lo * stride - padding + d
-            pairs.append((slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)))
+            pairs.append((slice(lo, hi), slice(lo - padding + d, hi - padding + d)))
     return pairs
 
 
@@ -384,16 +361,16 @@ def _add_slices(a: np.ndarray, axis: int, size: int, pairs: list[tuple[slice, sl
     return out
 
 
-def avgpool2d(x: Tensor, window: int, stride: int, padding: int = 0) -> Tensor:
-    """Average pooling; padded cells are excluded from each window's divisor.
+def avgpool2d(x: Tensor, window: int, *, padding: int = 0) -> Tensor:
+    """Stride-1 average pooling; padded cells are excluded from each window's divisor.
 
     Each axis in turn sums its window taps that fall inside the map
     (:func:`_window_taps`); the backward is the adjoint of those sums.
     """
-    _check_pool_args("avgpool2d", x, window, stride, padding)
+    _check_pool_args("avgpool2d", x, window, padding)
     h, w = x.shape[2], x.shape[3]
-    oh, ow = (h + 2 * padding - window) // stride + 1, (w + 2 * padding - window) // stride + 1
-    rows, cols = _window_taps(h, window, stride, padding), _window_taps(w, window, stride, padding)
+    oh, ow = h + 2 * padding - window + 1, w + 2 * padding - window + 1
+    rows, cols = _window_taps(h, window, padding), _window_taps(w, window, padding)
     row_counts = _add_slices(np.ones(h, dtype=np.float32), 0, oh, rows)
     counts = np.outer(row_counts, _add_slices(np.ones(w, dtype=np.float32), 0, ow, cols))
     out = _add_slices(_add_slices(x.data, 2, oh, rows), 3, ow, cols)

@@ -53,10 +53,9 @@ def _pad(x: np.ndarray, padding: int, value: float = 0.0) -> np.ndarray:
     return out
 
 
-def _windows(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """``(..., H, W) -> (..., OH, OW, kh, kw)`` view of every window."""
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(-2, -1))
-    return win[..., ::stride, ::stride, :, :]
+def _windows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """``(..., H, W) -> (..., OH, OW, kh, kw)`` view of every stride-1 window."""
+    return np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(-2, -1))
 
 
 def _bias(b: np.ndarray) -> np.ndarray:
@@ -64,12 +63,12 @@ def _bias(b: np.ndarray) -> np.ndarray:
     return b[..., None, :, None, None]
 
 
-def _correlate(x: np.ndarray, k: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
+def _correlate(x: np.ndarray, k: np.ndarray, *, padding: int = 0) -> np.ndarray:
     """Bias-free cross-correlation of ``(..., N, C, H, W)`` with ``(..., OC, C, kh, kw)``."""
     oc, c, kh, kw = k.shape[-4:]
     if padding:
         x = _pad(x, padding)
-    win = _windows(x, kh, kw, stride)
+    win = _windows(x, kh, kw)
     oh, ow = win.shape[-4:-2]
     # (..., N, C, OH, OW, kh, kw) -> (..., N, C * kh * kw, OH * OW), one matrix per sample.
     cols = np.moveaxis(win, (-2, -1), (-4, -3)).reshape(win.shape[:-5] + (c * kh * kw, oh * ow))
@@ -77,8 +76,8 @@ def _correlate(x: np.ndarray, k: np.ndarray, stride: int = 1, padding: int = 0) 
     return out.reshape(out.shape[:-1] + (oh, ow))
 
 
-def _conv(x: np.ndarray, k: np.ndarray, b: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
-    return _correlate(x, k, stride, padding) + _bias(b)
+def _conv(x: np.ndarray, k: np.ndarray, b: np.ndarray, *, padding: int = 0) -> np.ndarray:
+    return _correlate(x, k, padding=padding) + _bias(b)
 
 
 def _cat(xs: Sequence[np.ndarray]) -> np.ndarray:
@@ -99,21 +98,21 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * np.tanh(0.5 * x) + 0.5
 
 
-def _maxpool(x: np.ndarray, window: int, stride: int, padding: int) -> np.ndarray:
+def _maxpool(x: np.ndarray, window: int, *, padding: int = 0) -> np.ndarray:
     if padding:
         x = _pad(x, padding, -np.inf)
-    win = _windows(x, window, window, stride)
+    win = _windows(x, window, window)
     flat = win.reshape(win.shape[:-2] + (window * window,))
     first = np.argmax(flat.real, axis=-1)[..., None]
     return np.take_along_axis(flat, first, axis=-1)[..., 0]
 
 
-def _avgpool(x: np.ndarray, window: int, stride: int, padding: int) -> np.ndarray:
+def _avgpool(x: np.ndarray, window: int, *, padding: int = 0) -> np.ndarray:
     h, w = x.shape[-2:]
-    sums = _windows(_pad(x, padding) if padding else x, window, window, stride).sum(axis=(-2, -1))
+    sums = _windows(_pad(x, padding) if padding else x, window, window).sum(axis=(-2, -1))
     oh, ow = sums.shape[-2:]
-    rows = np.minimum(np.arange(oh) * stride + window, h + padding) - np.maximum(np.arange(oh) * stride, padding)
-    cols = np.minimum(np.arange(ow) * stride + window, w + padding) - np.maximum(np.arange(ow) * stride, padding)
+    rows = np.minimum(np.arange(oh) + window, h + padding) - np.maximum(np.arange(oh), padding)
+    cols = np.minimum(np.arange(ow) + window, w + padding) - np.maximum(np.arange(ow), padding)
     return sums / (rows[:, None] * cols[None, :]).astype(np.float64)
 
 
@@ -163,9 +162,9 @@ def _channel_attention(x: np.ndarray, p: Arrays, prefix: str) -> np.ndarray:
 
 def _salience(x: np.ndarray, p: Arrays, modality: str) -> np.ndarray:
     prefix = f"salience.{modality}"
-    y = _conv(x, p[f"{prefix}.conv.weight"], p[f"{prefix}.conv.bias"], 1, 1)
-    peaks = _maxpool(y, 3, 1, 1)
-    smooth = _avgpool(y, 3, 1, 1)
+    y = _conv(x, p[f"{prefix}.conv.weight"], p[f"{prefix}.conv.bias"], padding=1)
+    peaks = _maxpool(y, 3, padding=1)
+    smooth = _avgpool(y, 3, padding=1)
     combined = peaks * smooth if modality == "ir" else peaks + smooth
     return combined * _channel_attention(combined, p, prefix)
 
@@ -180,7 +179,7 @@ def _extract(image: np.ndarray, p: Arrays, modality: str, config: FusionConfig) 
     feats = []
     x = image
     for name in ("conv1", "conv2")[:depth]:
-        x = _relu(_conv(x, p[f"{prefix}.{name}.weight"], p[f"{prefix}.{name}.bias"], 1, 1))
+        x = _relu(_conv(x, p[f"{prefix}.{name}.weight"], p[f"{prefix}.{name}.bias"], padding=1))
         feats.append(x)
     if depth > 2:
         feats.append(_salience(x, p, modality))
@@ -223,7 +222,7 @@ def _run_loop(
     totals = dict(nodes)
 
     def edge_pair(a: tuple[str, int], b: tuple[str, int], name: str) -> None:
-        s = _correlate(nodes[a] - nodes[b], p[f"{prefix}.{name}.weight"], 1, 1)
+        s = _correlate(nodes[a] - nodes[b], p[f"{prefix}.{name}.weight"], padding=1)
         bias = _bias(p[f"{prefix}.{name}.bias"])
         totals[b] = totals[b] + _sigmoid(s + bias) * nodes[a]
         totals[a] = totals[a] + _sigmoid(bias - s) * nodes[b]
@@ -236,7 +235,7 @@ def _run_loop(
         edge_pair(("ir", o), ("vis", o), "inter")
 
     updated = {
-        (m, o): _relu(_conv(total, p[f"{prefix}.update.{m}.weight"], p[f"{prefix}.update.{m}.bias"], 1, 1))
+        (m, o): _relu(_conv(total, p[f"{prefix}.update.{m}.weight"], p[f"{prefix}.update.{m}.bias"], padding=1))
         for (m, o), total in totals.items()
     }
     leaders = {
@@ -253,7 +252,7 @@ def _run_loop(
     for m in _MODALITIES:
         gate = _sigmoid(_adaptive_avgpool(leaders[m], 1, 1))
         injections[m] = [
-            _conv(updated[(m, o)], p[f"{prefix}.deliver{o}.{m}.weight"], p[f"{prefix}.deliver{o}.{m}.bias"], 1, 1)
+            _conv(updated[(m, o)], p[f"{prefix}.deliver{o}.{m}.weight"], p[f"{prefix}.deliver{o}.{m}.bias"], padding=1)
             * gate
             for o in range(nnodes)
         ]
@@ -300,15 +299,15 @@ def reference_forward(ir: np.ndarray, vis: np.ndarray, arrays: Arrays, config: F
     else:
         g_ir, g_vis = feats_ir[-1], feats_vis[-1]
     h = _cat([g_ir, g_vis])
-    h = _relu(_conv(h, p["head.conv1.weight"], p["head.conv1.bias"], 1, 1))
-    return _sigmoid(_conv(h, p["head.conv2.weight"], p["head.conv2.bias"], 1, 1))
+    h = _relu(_conv(h, p["head.conv1.weight"], p["head.conv1.bias"], padding=1))
+    return _sigmoid(_conv(h, p["head.conv2.weight"], p["head.conv2.bias"], padding=1))
 
 
 def _sobel_magnitude(img: np.ndarray) -> np.ndarray:
     sx = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
     sy = np.array([[1.0, 2.0, 1.0], [0.0, 0.0, 0.0], [-1.0, -2.0, -1.0]])
-    gx = _correlate(img, sx.reshape(1, 1, 3, 3), 1, 1)
-    gy = _correlate(img, sy.reshape(1, 1, 3, 3), 1, 1)
+    gx = _correlate(img, sx.reshape(1, 1, 3, 3), padding=1)
+    gy = _correlate(img, sy.reshape(1, 1, 3, 3), padding=1)
     u = gx * gx + gy * gy
     return np.where(u.real > 0, np.sqrt(u), 0)
 

@@ -96,53 +96,58 @@ def weighted_error(op, op64, inputs, coeffs) -> float:
 # float64 loop oracles
 
 
-def oracle_conv(x, k, b, stride=1, padding=0):
-    x = np.asarray(x, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+def loop_conv_f64(x, k, g, padding=0):
+    """Float64 stride-1 conv output, input gradient and kernel gradient, one output cell at a time.
+
+    Each output cell (y, xx) reads padded rows y + i and columns xx + j;
+    ``g`` is the output gradient.
+    """
+    x, k, g = (np.asarray(a, dtype=np.float64) for a in (x, k, g))
     n, c, h, w = x.shape
     oc, _, kh, kw = k.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
+    oh, ow = h + 2 * padding - kh + 1, w + 2 * padding - kw + 1
     out = np.zeros((n, oc, oh, ow))
-    for nn in range(n):
-        for o in range(oc):
-            for y in range(oh):
-                for xx in range(ow):
-                    acc = 0.0
-                    for cc in range(c):
-                        for i in range(kh):
-                            for j in range(kw):
-                                acc += xp[nn, cc, y * stride + i, xx * stride + j] * k[o, cc, i, j]
-                    out[nn, o, y, xx] = acc + b[o]
-    return out
+    dxp = np.zeros_like(xp)
+    dk = np.zeros(k.shape)
+    for y in range(oh):
+        for xx in range(ow):
+            window = xp[:, :, y : y + kh, xx : xx + kw]
+            gy = g[:, :, y, xx]
+            out[:, :, y, xx] = np.einsum("ncij,ocij->no", window, k)
+            dxp[:, :, y : y + kh, xx : xx + kw] += np.einsum("no,ocij->ncij", gy, k)
+            dk += np.einsum("no,ncij->ocij", gy, window)
+    return out, dxp[:, :, padding : padding + h, padding : padding + w], dk
 
 
-def oracle_maxpool(x, window, stride, padding=0):
+def oracle_conv(x, k, b, padding=0):
+    """Float64 stride-1 conv plus a per-output-channel bias: :func:`loop_conv_f64`'s output."""
+    x, k = np.asarray(x), np.asarray(k)
+    oh, ow = (x.shape[d] + 2 * padding - k.shape[d] + 1 for d in (2, 3))
+    g = np.zeros((x.shape[0], k.shape[0], oh, ow))
+    return loop_conv_f64(x, k, g, padding)[0] + np.asarray(b, dtype=np.float64).reshape(1, -1, 1, 1)
+
+
+def oracle_maxpool(x, window, padding=0):
     x = np.asarray(x, dtype=np.float64)
     n, c, h, w = x.shape
     xp = np.full((n, c, h + 2 * padding, w + 2 * padding), -np.inf)
     xp[:, :, padding : padding + h, padding : padding + w] = x
-    oh = (h + 2 * padding - window) // stride + 1
-    ow = (w + 2 * padding - window) // stride + 1
+    oh, ow = h + 2 * padding - window + 1, w + 2 * padding - window + 1
     out = np.zeros((n, c, oh, ow))
     for nn in range(n):
         for cc in range(c):
             for y in range(oh):
                 for xx in range(ow):
-                    out[nn, cc, y, xx] = xp[
-                        nn, cc, y * stride : y * stride + window, xx * stride : xx * stride + window
-                    ].max()
+                    out[nn, cc, y, xx] = xp[nn, cc, y : y + window, xx : xx + window].max()
     return out
 
 
-def oracle_avgpool(x, window, stride, padding=0):
-    """Average over the valid (non-padding) cells of each window."""
+def oracle_avgpool(x, window, padding=0):
+    """Average over the valid (non-padding) cells of each stride-1 window."""
     x = np.asarray(x, dtype=np.float64)
     n, c, h, w = x.shape
-    oh = (h + 2 * padding - window) // stride + 1
-    ow = (w + 2 * padding - window) // stride + 1
+    oh, ow = h + 2 * padding - window + 1, w + 2 * padding - window + 1
     out = np.zeros((n, c, oh, ow))
     for nn in range(n):
         for cc in range(c):
@@ -151,8 +156,8 @@ def oracle_avgpool(x, window, stride, padding=0):
                     vals = []
                     for i in range(window):
                         for j in range(window):
-                            r = y * stride + i - padding
-                            s = xx * stride + j - padding
+                            r = y + i - padding
+                            s = xx + j - padding
                             if 0 <= r < h and 0 <= s < w:
                                 vals.append(x[nn, cc, r, s])
                     out[nn, cc, y, xx] = sum(vals) / len(vals)

@@ -90,11 +90,10 @@ def _case_conv2d(rng):
     x = _u(rng, (1, 2, 5, 5), 0.0, 1.0)
     k = _u(rng, (3, 2, 3, 3), -0.5, 0.5)
     b = _u(rng, (3,), -0.2, 0.2)
-    stride = int(rng.integers(1, 3))
     padding = int(rng.integers(0, 2))
     return (
-        lambda x, k, b: ops.conv2d(x, k, b, stride=stride, padding=padding),
-        lambda x, k, b: ref._conv(x, k, b, stride, padding),
+        lambda x, k, b: ops.conv2d(x, k, b, padding=padding),
+        lambda x, k, b: ref._conv(x, k, b, padding=padding),
         [x, k, b],
     )
 
@@ -103,34 +102,31 @@ def _case_conv2d_minus(rng):
     # The graph's edge form: the conv of x - m, with or without a bias.
     x, m = _u(rng, (1, 2, 5, 5), 0.0, 1.0), _u(rng, (1, 2, 5, 5), 0.0, 1.0)
     k = _u(rng, (3, 2, 3, 3), -0.5, 0.5)
-    stride = int(rng.integers(1, 3))
     padding = int(rng.integers(0, 2))
     if rng.integers(0, 2):
         b = _u(rng, (3,), -0.2, 0.2)
         return (
-            lambda x, m, k, b: ops.conv2d(x, k, b, stride, padding, minus=m),
-            lambda x, m, k, b: ref._conv(x - m, k, b, stride, padding),
+            lambda x, m, k, b: ops.conv2d(x, k, b, padding=padding, minus=m),
+            lambda x, m, k, b: ref._conv(x - m, k, b, padding=padding),
             [x, m, k, b],
         )
     return (
-        lambda x, m, k: ops.conv2d(x, k, None, stride, padding, minus=m),
-        lambda x, m, k: ref._correlate(x - m, k, stride, padding),
+        lambda x, m, k: ops.conv2d(x, k, None, padding=padding, minus=m),
+        lambda x, m, k: ref._correlate(x - m, k, padding=padding),
         [x, m, k],
     )
 
 
 def _case_maxpool2d(rng):
     x = Tensor(conftest.separated_values(rng, (1, 2, 6, 6)), requires_grad=True)
-    stride = int(rng.integers(1, 3))
     padding = int(rng.integers(0, 2))
-    return lambda x: ops.maxpool2d(x, 3, stride, padding), lambda x: ref._maxpool(x, 3, stride, padding), [x]
+    return lambda x: ops.maxpool2d(x, 3, padding=padding), lambda x: ref._maxpool(x, 3, padding=padding), [x]
 
 
 def _case_avgpool2d(rng):
     x = _u(rng, (1, 2, 6, 6), 0.0, 1.0)
-    stride = int(rng.integers(1, 3))
     padding = int(rng.integers(0, 2))
-    return lambda x: ops.avgpool2d(x, 3, stride, padding), lambda x: ref._avgpool(x, 3, stride, padding), [x]
+    return lambda x: ops.avgpool2d(x, 3, padding=padding), lambda x: ref._avgpool(x, 3, padding=padding), [x]
 
 
 def _case_adaptive_avgpool2d(rng):
@@ -346,8 +342,8 @@ class TestAcceptance:
             # Identity and constant-field cases must be exact, not just close.
             rng = np.random.default_rng(7)
             ones = Tensor(np.ones((1, 2, 6, 6), dtype=np.float32))
-            c.check(bool(np.all(ops.maxpool2d(ones, 3, 1, 1).data == 1.0)), "maxpool constant not exact")
-            c.check(bool(np.all(ops.avgpool2d(ones, 3, 1, 1).data == 1.0)), "avgpool constant not exact")
+            c.check(bool(np.all(ops.maxpool2d(ones, 3, padding=1).data == 1.0)), "maxpool constant not exact")
+            c.check(bool(np.all(ops.avgpool2d(ones, 3, padding=1).data == 1.0)), "avgpool constant not exact")
             c.check(bool(np.all(ops.adaptive_avgpool2d(ones, 3, 3).data == 1.0)), "adaptive constant not exact")
             c.check(bool(np.all(ops.global_avgpool(ones).data == 1.0)), "global pool constant not exact")
             x = _u(rng, (1, 2, 5, 5), 0.0, 1.0)

@@ -34,7 +34,7 @@ def test_extract_without_salience_passes_f2_through():
     params = init_params(config, seed=0)
     image = Tensor(np.random.default_rng(2).uniform(size=(1, 1, 5, 5)).astype(np.float32))
     f1, f2 = extract(image, params, "vis", config)
-    conv2 = ops.conv2d(f1, params["extract.vis.conv2.weight"], params["extract.vis.conv2.bias"], 1, 1)
+    conv2 = ops.conv2d(f1, params["extract.vis.conv2.weight"], params["extract.vis.conv2.bias"], padding=1)
     np.testing.assert_array_equal(f2.data, ops.relu(conv2).data)
 
 

@@ -419,6 +419,42 @@ class TestGradcheck:
         assert lines[-1] == "gradcheck passed"
 
 
+class TestOutputDirectories:
+    """A missing output directory is a usage error, found before any training or fusing."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: calls.append("train"))
+        monkeypatch.setattr(cli, "fuse_arrays", lambda *args: calls.append("fuse_arrays"))
+        return calls
+
+    @staticmethod
+    def commands(toy, good, missing):
+        train = ["train", "--config", str(toy["config"]), "--ir-dir", str(toy["ir"]), "--vis-dir", str(toy["vis"])]
+        fuse = ["fuse", "--checkpoint", str(toy["ckpt"]), "--ir", str(toy["ir"] / "p0.pgm")]
+        fuse += ["--vis", str(toy["vis"] / "p0.pgm")]
+        evaluate = ["eval", "--checkpoint", str(toy["ckpt"]), "--ir-dir", str(toy["ir"]), "--vis-dir", str(toy["vis"])]
+        return {
+            "train --out": train + ["--out", str(missing / "m.ckpt")],
+            "train --log": train + ["--out", str(good / "m.ckpt"), "--log", str(missing / "log.csv")],
+            "fuse --out": fuse + ["--out", str(missing / "f.pgm")],
+            "eval --report": evaluate + ["--report", str(missing / "r.csv")],
+            "eval --json": evaluate + ["--report", str(good / "r.csv"), "--json", str(missing / "r.json")],
+        }
+
+    @pytest.mark.parametrize("flag", ["train --out", "train --log", "fuse --out", "eval --report", "eval --json"])
+    def test_missing_directory_exits_2(self, toy, tmp_path, capsys, work, flag):
+        missing = tmp_path / "missing" / "dir"
+        code = cli.main(self.commands(toy, tmp_path, missing)[flag])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"directory {missing} does not exist" in err
+        assert "Traceback" not in err
+        assert work == []
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestUsage:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:

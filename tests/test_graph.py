@@ -80,7 +80,7 @@ def unfused_pair(a, b, weight, bias, total_a, total_b):
     ``b`` and ``a`` and the bias-free response ``s``.
     """
     oc = bias.shape[0]
-    s = ops.conv2d(ops.sub(a, b), weight, Tensor.zeros((oc,)), 1, 1)
+    s = ops.conv2d(ops.sub(a, b), weight, Tensor.zeros((oc,)), padding=1)
     b4 = ops.reshape(bias, (1, oc, 1, 1))
     into_b, into_a = ops.add(s, b4), ops.sub(b4, s)
     no_bias = Tensor.zeros((oc,))

@@ -11,6 +11,7 @@ from graphfusion import ops
 from graphfusion.tensor import ShapeError, Tape, Tensor, accumulate, active_tape
 
 from conftest import (
+    loop_conv_f64,
     oracle_adaptive,
     oracle_avgpool,
     oracle_conv,
@@ -20,36 +21,11 @@ from conftest import (
 )
 
 
-def loop_conv_f64(x, k, g, stride, padding):
-    """Float64 conv output, input gradient and kernel gradient, one output cell at a time.
-
-    Each output cell (y, xx) reads padded rows y*stride + i and columns
-    xx*stride + j; ``g`` is the output gradient.
-    """
-    n, c, h, w = x.shape
-    oc, _, kh, kw = k.shape
-    k = k.astype(np.float64)
-    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
-    out = np.zeros((n, oc, oh, ow))
-    dxp = np.zeros_like(xp)
-    dk = np.zeros(k.shape)
-    for y in range(oh):
-        for xx in range(ow):
-            window = xp[:, :, y * stride : y * stride + kh, xx * stride : xx * stride + kw]
-            gy = g[:, :, y, xx].astype(np.float64)
-            out[:, :, y, xx] = np.einsum("ncij,ocij->no", window, k)
-            dxp[:, :, y * stride : y * stride + kh, xx * stride : xx * stride + kw] += np.einsum("no,ocij->ncij", gy, k)
-            dk += np.einsum("no,ncij->ocij", gy, window)
-    return out, dxp[:, :, padding : padding + h, padding : padding + w], dk
-
-
-def taped_conv(x, k, g, stride, padding):
+def taped_conv(x, k, g, padding):
     """conv2d's output and its input and kernel gradients for output gradient ``g``."""
     xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
     with Tape() as tape:
-        out = ops.conv2d(xt, kt, Tensor.zeros((k.shape[0],)), stride=stride, padding=padding)
+        out = ops.conv2d(xt, kt, Tensor.zeros((k.shape[0],)), padding=padding)
         tape.backward(ops.reduce_sum(ops.mul(out, Tensor(g))))
     result = out.data, xt.grad, kt.grad
     tape.clear()
@@ -66,11 +42,10 @@ def run_in_thread(fn):
     return result[0]
 
 
-def conv_case(rng, shape, kspec, stride, padding):
+def conv_case(rng, shape, kspec, padding):
     x = rng.standard_normal(shape).astype(np.float32)
     k = rng.standard_normal(kspec).astype(np.float32)
-    oh = (shape[2] + 2 * padding - kspec[2]) // stride + 1
-    ow = (shape[3] + 2 * padding - kspec[3]) // stride + 1
+    oh, ow = (shape[d] + 2 * padding - kspec[d] + 1 for d in (2, 3))
     g = rng.standard_normal((shape[0], kspec[0], oh, ow)).astype(np.float32)
     return x, k, g
 
@@ -95,7 +70,7 @@ def fancy_index_upsample(x, out_h, out_w):
     return left + tc[None, None, None, :] * (right - left)
 
 
-def eager_maxpool(x, g, window, stride, padding):
+def eager_maxpool(x, g, window, padding):
     """Max pooling output and input gradient, with the winning-tap map built alongside the maximum.
 
     The taps are scanned in row-major order; a tap wins a cell only where it
@@ -105,12 +80,11 @@ def eager_maxpool(x, g, window, stride, padding):
     n, c, h, w = x.shape
     xp = np.full((n, c, h + 2 * padding, w + 2 * padding), -np.inf, dtype=np.float32)
     xp[:, :, padding : padding + h, padding : padding + w] = x
-    oh = (h + 2 * padding - window) // stride + 1
-    ow = (w + 2 * padding - window) // stride + 1
+    oh, ow = h + 2 * padding - window + 1, w + 2 * padding - window + 1
 
     def tap(a, idx):
         i, j = divmod(idx, window)
-        return a[:, :, i : i + (oh - 1) * stride + 1 : stride, j : j + (ow - 1) * stride + 1 : stride]
+        return a[:, :, i : i + oh, j : j + ow]
 
     out = tap(xp, 0).copy()
     arg = np.zeros(out.shape, dtype=np.int64)
@@ -190,86 +164,74 @@ class TestConv2d:
         np.testing.assert_array_equal(out.data[0, :, 0, 0], [1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize(
-        "shape,kspec,stride,padding",
+        "shape,kspec,padding",
         [
-            ((1, 1, 4, 4), (1, 1, 3, 3), 1, 0),
-            ((2, 3, 5, 6), (4, 3, 3, 3), 1, 1),
-            ((1, 2, 7, 5), (3, 2, 1, 1), 1, 0),
-            ((1, 2, 8, 8), (2, 2, 3, 3), 2, 1),
-            ((1, 1, 9, 9), (1, 1, 5, 5), 2, 2),
-            ((2, 3, 7, 6), (2, 3, 1, 1), 2, 0),
-            # No window reaches the last two rows and the last column.
-            ((1, 2, 8, 7), (3, 2, 3, 3), 3, 0),
+            ((1, 1, 4, 4), (1, 1, 3, 3), 0),
+            ((2, 3, 5, 6), (4, 3, 3, 3), 1),
+            ((1, 2, 7, 5), (3, 2, 1, 1), 0),
         ],
     )
-    def test_matches_loop_oracle(self, rng, shape, kspec, stride, padding):
+    def test_matches_loop_oracle(self, rng, shape, kspec, padding):
         x = rng.standard_normal(shape).astype(np.float32)
         k = rng.standard_normal(kspec).astype(np.float32)
         b = rng.standard_normal(kspec[0]).astype(np.float32)
-        out = ops.conv2d(Tensor(x), Tensor(k), Tensor(b), stride=stride, padding=padding)
-        expected = oracle_conv(x, k, b, stride=stride, padding=padding)
+        out = ops.conv2d(Tensor(x), Tensor(k), Tensor(b), padding=padding)
+        expected = oracle_conv(x, k, b, padding=padding)
         np.testing.assert_allclose(out.data, expected, rtol=1e-5, atol=1e-5)
 
     @pytest.mark.parametrize(
-        "shape,kspec,stride,padding",
+        "shape,kspec,padding",
         [
-            ((1, 2, 8, 7), (3, 2, 3, 3), 3, 0),
-            ((2, 2, 7, 6), (2, 2, 1, 1), 2, 1),
-            # The network's convs: 3x3, stride 1, padding 1.
-            ((2, 3, 6, 5), (4, 3, 3, 3), 1, 1),
-            # Padding of kh - 1 or more: the border cells are all padding.
-            ((1, 2, 5, 4), (3, 2, 1, 1), 1, 1),
+            # The network's convs: 3x3, padding 1.
+            ((2, 3, 6, 5), (4, 3, 3, 3), 1),
             # The SSIM blur: 11x11, no padding.
-            ((1, 1, 13, 12), (1, 1, 11, 11), 1, 0),
-            ((1, 2, 9, 8), (2, 2, 5, 5), 2, 2),
+            ((1, 1, 13, 12), (1, 1, 11, 11), 0),
         ],
     )
-    def test_strided_gradients_match_loop_adjoint(self, rng, shape, kspec, stride, padding):
+    def test_gradients_match_loop_adjoint(self, rng, shape, kspec, padding):
         x = Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
         k = Tensor(rng.standard_normal(kspec).astype(np.float32), requires_grad=True)
         b = Tensor(rng.standard_normal(kspec[0]).astype(np.float32), requires_grad=True)
         with Tape() as tape:
-            out = ops.conv2d(x, k, b, stride=stride, padding=padding)
+            out = ops.conv2d(x, k, b, padding=padding)
             g = rng.standard_normal(out.shape).astype(np.float32)
             tape.backward(ops.reduce_sum(ops.mul(out, Tensor(g))))
         dx, dk, db = x.grad.copy(), k.grad.copy(), b.grad.copy()
         tape.clear()
 
-        _, dx_ref, dk_ref = loop_conv_f64(x.data, k.data, g, stride, padding)
+        _, dx_ref, dk_ref = loop_conv_f64(x.data, k.data, g, padding)
         np.testing.assert_allclose(dx, dx_ref, rtol=1e-5, atol=1e-5)
         np.testing.assert_allclose(dk, dk_ref, rtol=1e-5, atol=1e-5)
         np.testing.assert_allclose(db, g.sum(axis=(0, 2, 3)), rtol=1e-5, atol=1e-5)
-        if stride == 3:
-            # Rows 6-7 and column 6 lie past the last window.
-            assert not dx[:, :, 6:, :].any() and not dx[:, :, :, 6:].any()
 
     @pytest.mark.parametrize("padding", [0, 1, 3])
     @pytest.mark.parametrize("fill", [0.0, -np.inf])
     def test_framing_matches_np_pad(self, rng, padding, fill):
+        # Convs read a frame of zeros (the pitched frame without a tail),
+        # max pooling one of -inf.
         a = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
-        framed = ops._framed(a, padding, fill)
+        framed = ops._framed(a, padding) if fill else ops._pitched(a, padding).reshape(2, 3, 4 + 2 * padding, -1)
         width = ((0, 0), (0, 0), (padding, padding), (padding, padding))
         np.testing.assert_array_equal(framed, np.pad(a, width, constant_values=np.float32(fill)))
         assert framed.dtype == np.float32
-        assert (framed is a) == (padding == 0)
+        assert np.shares_memory(framed, a) == (padding == 0)
 
     @pytest.mark.parametrize(
-        "shape,kspec,stride,padding",
+        "shape,kspec,padding",
         [
             # The graph's edge conv, on both sides of _VIEW_CHANNELS.
-            ((2, 16, 9, 7), (16, 16, 3, 3), 1, 1),
-            ((2, 4, 9, 7), (4, 4, 3, 3), 1, 1),
-            # No frame, and a strided conv whose input gradient is spread.
-            ((2, 16, 6, 5), (3, 16, 1, 1), 1, 0),
-            ((1, 3, 8, 7), (2, 3, 3, 3), 2, 1),
+            ((2, 16, 9, 7), (16, 16, 3, 3), 1),
+            ((2, 4, 9, 7), (4, 4, 3, 3), 1),
+            # No frame.
+            ((2, 16, 6, 5), (3, 16, 1, 1), 0),
         ],
     )
     @pytest.mark.parametrize("with_bias", [True, False])
-    def test_minus_equals_sub_then_conv_bit_for_bit(self, rng, shape, kspec, stride, padding, with_bias):
+    def test_minus_equals_sub_then_conv_bit_for_bit(self, rng, shape, kspec, padding, with_bias):
         # The difference is formed in the frame, not on the tape; the output
         # and every gradient equal those of ``conv2d(sub(x, m), ...)``.
         # ``None`` for the bias equals a bias of zeros.
-        x, k, g = conv_case(rng, shape, kspec, stride, padding)
+        x, k, g = conv_case(rng, shape, kspec, padding)
         m = rng.standard_normal(shape).astype(np.float32)
         b = rng.standard_normal(kspec[0]).astype(np.float32) if with_bias else np.zeros(kspec[0], np.float32)
 
@@ -278,9 +240,9 @@ class TestConv2d:
             xt, mt, kt, bt = ts
             with Tape() as tape:
                 if fused:
-                    out = ops.conv2d(xt, kt, bt if with_bias else None, stride, padding, minus=mt)
+                    out = ops.conv2d(xt, kt, bt if with_bias else None, padding=padding, minus=mt)
                 else:
-                    out = ops.conv2d(ops.sub(xt, mt), kt, bt, stride, padding)
+                    out = ops.conv2d(ops.sub(xt, mt), kt, bt, padding=padding)
                 records = len(tape)
                 tape.backward(ops.reduce_sum(ops.mul(out, Tensor(g))))
             result = [out.data] + [t.grad for t in ts]
@@ -327,56 +289,80 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             ops.conv2d(x, k, Tensor.zeros((1,)))
 
+    @pytest.mark.parametrize(
+        "kspec,padding",
+        [
+            ((2, 2, 3, 2), 0),
+            ((2, 2, 3, 2), 1),
+            # Padding of k or more: the border outputs read only padding.
+            ((2, 2, 1, 1), 1),
+            ((2, 2, 3, 3), 3),
+            ((2, 2, 3, 3), -1),
+        ],
+    )
+    def test_rejects_a_bad_kernel_before_allocating(self, kspec, padding):
+        # A 1x2x512x512 input: its frame or output would be megabytes.
+        x, k = Tensor.zeros((1, 2, 512, 512)), Tensor.zeros(kspec)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShapeError, match=rf"conv2d: kernel shape \({', '.join(map(str, kspec))}\)"):
+                ops.conv2d(x, k, None, padding=padding)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
+    def test_padding_is_keyword_only(self):
+        x, k, b = Tensor.zeros((1, 2, 4, 4)), Tensor.zeros((2, 2, 3, 3)), Tensor.zeros((2,))
+        with pytest.raises(TypeError):
+            ops.conv2d(x, k, b, 1, 1)
+        with pytest.raises(TypeError):
+            ops.conv2d(x, k, b, 1)
+        for pool in (ops.maxpool2d, ops.avgpool2d):
+            with pytest.raises(TypeError):
+                pool(x, 3, 1, 1)
+            with pytest.raises(TypeError):
+                pool(x, 3, 1)
+
 
 class TestBandedConv:
     """The band loop behind conv2d on both sides of ``_VIEW_CHANNELS``: per-tap GEMMs over
     views of the row-pitched frame, and one GEMM over gathered taps for thin inputs."""
 
     CASES = [
-        ((2, 3, 9, 7), (4, 3, 3, 3), 1, 1),
-        ((1, 2, 9, 8), (2, 2, 5, 5), 2, 2),
-        # No window reaches the last two rows and the last column.
-        ((1, 2, 8, 7), (3, 2, 3, 3), 3, 0),
-        ((2, 3, 7, 6), (2, 3, 1, 1), 1, 0),
-        ((2, 3, 7, 6), (2, 3, 1, 1), 2, 1),
+        ((2, 3, 9, 7), (4, 3, 3, 3), 1),
+        ((2, 3, 7, 6), (2, 3, 1, 1), 0),
         # The SSIM blur: 11x11, single channel, no padding.
-        ((2, 1, 15, 13), (1, 1, 11, 11), 1, 0),
+        ((2, 1, 15, 13), (1, 1, 11, 11), 0),
         # Either side of the channel threshold; the input gradient of the
         # 15-channel case runs on the view side, and of the 17-channel one
         # on the gather side.
-        ((2, 15, 9, 7), (17, 15, 3, 3), 1, 1),
-        ((2, 16, 9, 7), (4, 16, 3, 3), 1, 1),
-        ((1, 17, 9, 8), (15, 17, 3, 3), 1, 1),
+        ((2, 15, 9, 7), (17, 15, 3, 3), 1),
+        ((2, 16, 9, 7), (4, 16, 3, 3), 1),
+        ((1, 17, 9, 8), (15, 17, 3, 3), 1),
         # The graph's leader conv: 48 channels, 1x1.
-        ((2, 48, 7, 6), (16, 48, 1, 1), 1, 0),
-        # Strided convs of 16 channels gather; and a non-square kernel.
-        ((1, 16, 9, 8), (3, 16, 5, 5), 2, 2),
-        ((1, 16, 8, 7), (3, 16, 3, 3), 3, 0),
-        ((2, 16, 6, 5), (3, 16, 3, 2), 1, 1),
+        ((2, 48, 7, 6), (16, 48, 1, 1), 0),
     ]
 
     @staticmethod
-    def shrink_bands(monkeypatch, rows, shape, kspec, stride, padding):
+    def shrink_bands(monkeypatch, rows, shape, kspec, padding):
         """Forward bands of ``rows`` output rows on either side, so most forwards end on a short band."""
-        oc, c, kh, kw = kspec
+        oc, c, k, _ = kspec
         wp = shape[3] + 2 * padding
-        ow = (wp - kw) // stride + 1
-        monkeypatch.setattr(ops, "_WORKSPACE_FLOATS", rows * c * kh * kw * ow)
+        monkeypatch.setattr(ops, "_WORKSPACE_FLOATS", rows * c * k * k * (wp - k + 1))
         monkeypatch.setattr(ops, "_BAND_FLOATS", rows * max(c, oc) * wp)
 
     @pytest.mark.parametrize("cap", [2, 1])
-    @pytest.mark.parametrize("shape,kspec,stride,padding", CASES)
-    def test_matches_float64_loop(self, rng, monkeypatch, shape, kspec, stride, padding, cap):
+    @pytest.mark.parametrize("shape,kspec,padding", CASES)
+    def test_matches_float64_loop(self, rng, monkeypatch, shape, kspec, padding, cap):
         # TestConv2d covers the default band sizes, one band per sample.
-        self.shrink_bands(monkeypatch, cap, shape, kspec, stride, padding)
-        x, k, g = conv_case(rng, shape, kspec, stride, padding)
-        out, dx, dk = taped_conv(x, k, g, stride, padding)
-        out_ref, dx_ref, dk_ref = loop_conv_f64(x, k, g, stride, padding)
+        self.shrink_bands(monkeypatch, cap, shape, kspec, padding)
+        x, k, g = conv_case(rng, shape, kspec, padding)
+        out, dx, dk = taped_conv(x, k, g, padding)
+        out_ref, dx_ref, dk_ref = loop_conv_f64(x, k, g, padding)
         np.testing.assert_allclose(out, out_ref, rtol=1e-5, atol=1e-5)
         np.testing.assert_allclose(dx, dx_ref, rtol=1e-5, atol=1e-5)
         np.testing.assert_allclose(dk, dk_ref, rtol=1e-5, atol=1e-5)
-        if stride == 3:
-            assert not dx[:, :, 6:, :].any() and not dx[:, :, :, 6:].any()
 
     def test_bands_cover_each_sample_in_order_with_a_short_last_band(self):
         bands = list(ops._bands(2, 7, 3))
@@ -384,9 +370,9 @@ class TestBandedConv:
 
     def test_workspace_cap_bounds_the_band_but_never_below_one_row(self, rng, monkeypatch):
         monkeypatch.setattr(ops, "_WORKSPACE_FLOATS", 10)
-        assert [r for _, _, r in ops._bands(1, 2, ops._gather_rows(2, 3, 3, 4))] == [1, 1]
+        assert [r for _, _, r in ops._bands(1, 2, ops._gather_rows(2, 3, 4))] == [1, 1]
         xp = rng.standard_normal((1, 2, 4, 6)).astype(np.float32)
-        taps = ops._gather(xp, 0, 1, 1, 3, 3, 1, 4)
+        taps = ops._gather(xp, 0, 1, 1, 3, 4)
         assert taps.shape == (18, 4)
         want = np.stack([xp[0, :, 1 + i, j : j + 4] for i in range(3) for j in range(3)], axis=1)
         np.testing.assert_array_equal(taps, want.reshape(18, 4))
@@ -395,12 +381,12 @@ class TestBandedConv:
     def test_pitched_frame_is_the_framed_map_flattened(self, rng, padding, tail):
         a = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
         m = rng.standard_normal(a.shape).astype(np.float32)
+        width = ((0, 0), (0, 0), (padding, padding), (padding, padding))
         for minus, inner in ((None, a), (m, a - m)):
             flat = ops._pitched(a, padding, tail, minus)
             hp, wp = 4 + 2 * padding, 5 + 2 * padding
             assert flat.shape == (2, 3, hp * wp + tail)
-            np.testing.assert_array_equal(flat[:, :, : hp * wp], ops._framed(inner, padding).reshape(2, 3, -1))
-            np.testing.assert_array_equal(ops._framed(a, padding, minus=minus), ops._framed(inner, padding))
+            np.testing.assert_array_equal(flat[:, :, : hp * wp], np.pad(inner, width).reshape(2, 3, -1))
             assert not flat[:, :, hp * wp :].any()
 
     def test_no_stale_workspace_after_a_larger_call(self, rng, monkeypatch):
@@ -412,37 +398,37 @@ class TestBandedConv:
         for channels in (3, 16):
             monkeypatch.setattr(ops, "_WORKSPACE_FLOATS", 4 * channels * 9 * 12)
             monkeypatch.setattr(ops, "_BAND_FLOATS", 4 * channels * 14)
-            big = conv_case(rng, (1, channels, 12, 12), (2, channels, 3, 3), 1, 1)
-            small = conv_case(rng, (2, channels, 14, 4), (2, channels, 3, 3), 1, 1)
-            taped_conv(*big, 1, 1)
+            big = conv_case(rng, (1, channels, 12, 12), (2, channels, 3, 3), 1)
+            small = conv_case(rng, (2, channels, 14, 4), (2, channels, 3, 3), 1)
+            taped_conv(*big, 1)
             for buf in vars(ops._WORKSPACE).values():
                 buf[...] = np.nan
-            got = taped_conv(*small, 1, 1)
-            fresh = run_in_thread(lambda: taped_conv(*small, 1, 1))
-            for a, b, ref in zip(got, fresh, loop_conv_f64(*small, 1, 1)):
+            got = taped_conv(*small, 1)
+            fresh = run_in_thread(lambda: taped_conv(*small, 1))
+            for a, b, ref in zip(got, fresh, loop_conv_f64(*small, 1)):
                 np.testing.assert_array_equal(a, b)
                 np.testing.assert_allclose(a, ref, rtol=1e-5, atol=1e-5)
 
     def test_workspace_is_per_thread(self, rng, monkeypatch):
         # Four threads on different shapes, more than there are cores, with
         # small bands and a short switch interval, so their bands interleave;
-        # two run forward on the view side and two gather, one of them strided.
+        # two run forward on the view side and two gather.
         monkeypatch.setattr(ops, "_WORKSPACE_FLOATS", 2 * 36 * 12)
         monkeypatch.setattr(ops, "_BAND_FLOATS", 2 * 16 * 14)
         cases = [
-            (conv_case(rng, (2, 16, 12, 12), (3, 16, 3, 3), 1, 1), 1, 1),
-            (conv_case(rng, (1, 17, 17, 9), (5, 17, 5, 5), 1, 2), 1, 2),
-            (conv_case(rng, (2, 3, 10, 7), (2, 3, 1, 1), 2, 0), 2, 0),
-            (conv_case(rng, (1, 1, 14, 13), (1, 1, 11, 11), 1, 0), 1, 0),
+            (conv_case(rng, (2, 16, 12, 12), (3, 16, 3, 3), 1), 1),
+            (conv_case(rng, (1, 17, 17, 9), (5, 17, 5, 5), 2), 2),
+            (conv_case(rng, (2, 3, 10, 7), (2, 3, 1, 1), 0), 0),
+            (conv_case(rng, (1, 1, 14, 13), (1, 1, 11, 11), 0), 0),
         ]
-        serial = [taped_conv(*case, stride, padding) for case, stride, padding in cases]
+        serial = [taped_conv(*case, padding) for case, padding in cases]
         start = threading.Barrier(len(cases), timeout=60)
         results: list = [None] * len(cases)
 
         def work(i):
-            case, stride, padding = cases[i]
+            case, padding = cases[i]
             start.wait()
-            results[i] = [taped_conv(*case, stride, padding) for _ in range(20)]
+            results[i] = [taped_conv(*case, padding) for _ in range(20)]
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
         interval = sys.getswitchinterval()
@@ -468,7 +454,7 @@ class TestBandedConv:
         # promised for every conv: a 32->16 conv moved by up to 1e-5 (of
         # outputs up to about 60) between 2-row and 7-row bands.
         for c, bound in ((16, 0.0), (32, 1e-6)):
-            x, k, _ = conv_case(rng, (1, c, 48, 64), (16, c, 3, 3), 1, 1)
+            x, k, _ = conv_case(rng, (1, c, 48, 64), (16, c, 3, 3), 1)
             b = Tensor(rng.standard_normal(16).astype(np.float32))
             want = ops.conv2d(Tensor(x), Tensor(k), b, padding=1).data
             for rows in (1, 2, 3, 7):
@@ -479,9 +465,9 @@ class TestBandedConv:
     def test_thin_input_equals_one_gathered_gemm(self, rng):
         # Below _VIEW_CHANNELS the forward is one GEMM of gathered taps
         # plus the bias, exactly.
-        x, k, _ = conv_case(rng, (2, 15, 10, 9), (16, 15, 3, 3), 1, 1)
+        x, k, _ = conv_case(rng, (2, 15, 10, 9), (16, 15, 3, 3), 1)
         b = rng.standard_normal(16).astype(np.float32)
-        xp = ops._framed(x, 1)
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
         taps = np.stack([xp[:, :, i : i + 10, j : j + 9] for i in range(3) for j in range(3)], axis=2)
         want = np.matmul(k.reshape(16, -1), taps.reshape(2, 15 * 9, 90)).reshape(2, 16, 10, 9)
         want += b.reshape(1, 16, 1, 1)
@@ -526,80 +512,73 @@ class TestBandedConv:
 class TestPooling:
     def test_maxpool_picks_window_max(self):
         x = tensor([[[[1.0, 3.0], [4.0, 2.0]]]])
-        out = ops.maxpool2d(x, window=2, stride=2)
+        out = ops.maxpool2d(x, window=2)
         assert out.data[0, 0, 0, 0] == 4.0
 
     def test_maxpool_padding_never_wins(self):
         x = Tensor.full((1, 1, 3, 3), -5.0)
-        out = ops.maxpool2d(x, window=3, stride=1, padding=1)
+        out = ops.maxpool2d(x, window=3, padding=1)
         np.testing.assert_array_equal(out.data, np.full((1, 1, 3, 3), -5.0))
 
     def test_avgpool_constant_field_exact_through_padding(self):
         x = Tensor.full((1, 2, 5, 5), 0.73)
-        out = ops.avgpool2d(x, window=3, stride=1, padding=1)
+        out = ops.avgpool2d(x, window=3, padding=1)
         np.testing.assert_array_equal(out.data, np.full((1, 2, 5, 5), np.float32(0.73)))
 
     def test_avgpool_corner_averages_valid_cells_only(self):
         x = tensor([[np.arange(1.0, 10.0).reshape(3, 3)]])
-        out = ops.avgpool2d(x, window=3, stride=1, padding=1)
+        out = ops.avgpool2d(x, window=3, padding=1)
         # Top-left window sees cells {1, 2, 4, 5}: mean 3, not (1+2+4+5)/9.
         assert out.data[0, 0, 0, 0] == 3.0
         assert out.data[0, 0, 1, 1] == 5.0
 
-    @pytest.mark.parametrize("window,stride,padding", [(2, 2, 0), (3, 1, 1), (3, 2, 1), (2, 1, 0)])
-    def test_pools_match_loop_oracles(self, rng, window, stride, padding):
+    @pytest.mark.parametrize("window,padding", [(3, 1), (2, 0)])
+    def test_pools_match_loop_oracles(self, rng, window, padding):
         x = rng.standard_normal((2, 3, 6, 7)).astype(np.float32)
-        mx = ops.maxpool2d(Tensor(x), window, stride, padding)
-        av = ops.avgpool2d(Tensor(x), window, stride, padding)
-        np.testing.assert_array_equal(mx.data, oracle_maxpool(x, window, stride, padding))
-        np.testing.assert_allclose(av.data, oracle_avgpool(x, window, stride, padding), rtol=1e-5, atol=1e-6)
+        mx = ops.maxpool2d(Tensor(x), window, padding=padding)
+        av = ops.avgpool2d(Tensor(x), window, padding=padding)
+        np.testing.assert_array_equal(mx.data, oracle_maxpool(x, window, padding))
+        np.testing.assert_allclose(av.data, oracle_avgpool(x, window, padding), rtol=1e-5, atol=1e-6)
 
-    @pytest.mark.parametrize(
-        "hw,window,stride,padding",
-        [((1, 1), 3, 1, 1), ((1, 1), 2, 1, 1), ((1, 2), 3, 1, 1), ((1, 2), 3, 2, 1), ((1, 2), 2, 2, 1)],
-    )
-    def test_avgpool_on_one_row_maps_matches_loop_oracle(self, rng, hw, window, stride, padding):
+    @pytest.mark.parametrize("hw,window,padding", [((1, 1), 3, 1), ((1, 1), 2, 1), ((1, 2), 3, 1)])
+    def test_avgpool_on_one_row_maps_matches_loop_oracle(self, rng, hw, window, padding):
         # Windows overhang the map on every side, so each axis sums only
         # its in-map taps; the gradient is the oracle's adjoint, cell by cell.
         x = rng.standard_normal((2, 3, *hw)).astype(np.float32)
         t = Tensor(x, requires_grad=True)
         with Tape() as tape:
-            out = ops.avgpool2d(t, window, stride, padding)
+            out = ops.avgpool2d(t, window, padding=padding)
             g = rng.standard_normal(out.shape).astype(np.float32)
             tape.backward(ops.reduce_sum(ops.mul(out, Tensor(g))))
         dx = t.grad.copy()
         tape.clear()
-        np.testing.assert_allclose(out.data, oracle_avgpool(x, window, stride, padding), rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(out.data, oracle_avgpool(x, window, padding), rtol=1e-5, atol=1e-6)
         want = np.zeros(x.shape)
         for k in np.ndindex(*x.shape):
             unit = np.zeros(x.shape)
             unit[k] = 1.0
-            want[k] = np.sum(oracle_avgpool(unit, window, stride, padding) * g)
+            want[k] = np.sum(oracle_avgpool(unit, window, padding) * g)
         np.testing.assert_allclose(dx, want, rtol=1e-5, atol=1e-6)
 
     @pytest.mark.parametrize(
-        "shape,window,stride,padding",
+        "shape,window,padding",
         [
-            ((2, 2, 6, 7), 2, 1, 0),
-            ((2, 2, 6, 7), 2, 2, 0),
-            ((2, 2, 6, 7), 2, 1, 1),
-            ((2, 2, 6, 7), 2, 2, 1),
-            ((2, 2, 6, 7), 3, 1, 0),
-            ((2, 2, 6, 7), 3, 2, 0),
-            ((2, 2, 6, 7), 3, 1, 1),
-            ((2, 2, 6, 7), 3, 2, 1),
+            ((2, 2, 6, 7), 2, 0),
+            ((2, 2, 6, 7), 2, 1),
+            ((2, 2, 6, 7), 3, 0),
+            ((2, 2, 6, 7), 3, 1),
             # 289 taps: the tap index no longer fits in one byte.
-            ((1, 2, 19, 18), 17, 1, 1),
+            ((1, 2, 19, 18), 17, 1),
         ],
     )
-    def test_maxpool_gradient_at_ties_goes_to_first_maximum(self, rng, shape, window, stride, padding):
+    def test_maxpool_gradient_at_ties_goes_to_first_maximum(self, rng, shape, window, padding):
         # Three levels make ties common; channel 1 is all equal, and its
         # corner windows also hold -inf padding when padding is 1.
         x = rng.integers(0, 3, size=shape).astype(np.float32)
         x[:, 1] = -1.0
         t = Tensor(x, requires_grad=True)
         with Tape() as tape:
-            out = ops.maxpool2d(t, window, stride, padding)
+            out = ops.maxpool2d(t, window, padding=padding)
             # Quarter steps keep every float32 sum exact.
             g = rng.integers(1, 9, size=out.shape).astype(np.float32) / 4
             tape.backward(ops.reduce_sum(ops.mul(out, Tensor(g))))
@@ -614,22 +593,22 @@ class TestPooling:
             for cc in range(c):
                 for y in range(out.shape[2]):
                     for xx in range(out.shape[3]):
-                        win = xp[nn, cc, y * stride : y * stride + window, xx * stride : xx * stride + window]
+                        win = xp[nn, cc, y : y + window, xx : xx + window]
                         i, j = divmod(int(np.argmax(win)), window)  # first maximum in row-major order
-                        dxp[nn, cc, y * stride + i, xx * stride + j] += g[nn, cc, y, xx]
+                        dxp[nn, cc, y + i, xx + j] += g[nn, cc, y, xx]
         np.testing.assert_array_equal(dx, dxp[:, :, padding : padding + h, padding : padding + w])
 
     def test_maxpool_nan_window_outputs_nan_and_routes_to_earlier_maximum(self):
         x = tensor([[[[1.0, 2.0], [np.nan, 0.5]]]], requires_grad=True)
         with Tape() as tape:
-            out = ops.maxpool2d(x, window=2, stride=2)
+            out = ops.maxpool2d(x, window=2)
             tape.backward(ops.reduce_sum(out))
         assert np.isnan(out.data[0, 0, 0, 0])
         np.testing.assert_array_equal(x.grad[0, 0], [[0.0, 1.0], [0.0, 0.0]])
         tape.clear()
 
-    @pytest.mark.parametrize("window,stride,padding", [(2, 1, 0), (2, 2, 1), (3, 1, 1), (3, 2, 0), (3, 2, 1)])
-    def test_maxpool_equals_eager_scan_with_ties_and_nans(self, rng, window, stride, padding):
+    @pytest.mark.parametrize("window,padding", [(2, 0), (3, 1)])
+    def test_maxpool_equals_eager_scan_with_ties_and_nans(self, rng, window, padding):
         # Three levels make ties common; NaNs land anywhere in a window,
         # including its first tap, and channel 1 is all equal.
         x = rng.integers(0, 3, size=(2, 3, 7, 8)).astype(np.float32)
@@ -637,12 +616,12 @@ class TestPooling:
         x[:, 1] = 1.0
         t = Tensor(x, requires_grad=True)
         with Tape() as tape:
-            out = ops.maxpool2d(t, window, stride, padding)
+            out = ops.maxpool2d(t, window, padding=padding)
             g = rng.standard_normal(out.shape).astype(np.float32)
             tape.backward(ops.reduce_sum(ops.mul(out, Tensor(g))))
         dx = t.grad.copy()
         tape.clear()
-        want_out, want_dx = eager_maxpool(x, g, window, stride, padding)
+        want_out, want_dx = eager_maxpool(x, g, window, padding)
         assert np.isnan(want_out).any()
         np.testing.assert_array_equal(out.data, want_out)
         np.testing.assert_array_equal(dx, want_dx)
@@ -654,7 +633,7 @@ class TestPooling:
         x = Tensor(np.ones((n, c, h, w), dtype=np.float32))
         tracemalloc.start()
         try:
-            ops.maxpool2d(x, 3, 1, 1)
+            ops.maxpool2d(x, 3, padding=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -685,12 +664,12 @@ class TestPooling:
 
     def test_pool_rejects_bad_window(self):
         with pytest.raises(ShapeError):
-            ops.maxpool2d(Tensor.zeros((1, 1, 4, 4)), window=0, stride=1)
+            ops.maxpool2d(Tensor.zeros((1, 1, 4, 4)), window=0)
 
     @pytest.mark.parametrize("op", [ops.maxpool2d, ops.avgpool2d])
     def test_pool_size_error_names_padded_size(self, op):
         with pytest.raises(ShapeError, match=r"padded input 4x5 smaller than window 5"):
-            op(Tensor.zeros((1, 1, 2, 3)), window=5, stride=1, padding=1)
+            op(Tensor.zeros((1, 1, 2, 3)), window=5, padding=1)
 
 
 class TestUpsample:
