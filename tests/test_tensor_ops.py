@@ -170,6 +170,8 @@ class TestConv2d:
             ((2, 3, 5, 6), (4, 3, 3, 3), 1),
             ((1, 2, 7, 5), (3, 2, 1, 1), 0),
         ],
+        # Fixed ids keep each case's name as rows come and go.
+        ids=["shape0-kspec0-1-0", "shape1-kspec1-1-1", "shape2-kspec2-1-0"],
     )
     def test_matches_loop_oracle(self, rng, shape, kspec, padding):
         x = rng.standard_normal(shape).astype(np.float32)
@@ -225,6 +227,7 @@ class TestConv2d:
             # No frame.
             ((2, 16, 6, 5), (3, 16, 1, 1), 0),
         ],
+        ids=["shape0-kspec0-1-1", "shape1-kspec1-1-1", "shape2-kspec2-1-0"],
     )
     @pytest.mark.parametrize("with_bias", [True, False])
     def test_minus_equals_sub_then_conv_bit_for_bit(self, rng, shape, kspec, padding, with_bias):
@@ -329,19 +332,20 @@ class TestBandedConv:
     """The band loop behind conv2d on both sides of ``_VIEW_CHANNELS``: per-tap GEMMs over
     views of the row-pitched frame, and one GEMM over gathered taps for thin inputs."""
 
+    # Fixed ids keep each case's name as rows come and go.
     CASES = [
-        ((2, 3, 9, 7), (4, 3, 3, 3), 1),
-        ((2, 3, 7, 6), (2, 3, 1, 1), 0),
+        pytest.param((2, 3, 9, 7), (4, 3, 3, 3), 1, id="shape0-kspec0-1-1"),
+        pytest.param((2, 3, 7, 6), (2, 3, 1, 1), 0, id="shape3-kspec3-1-0"),
         # The SSIM blur: 11x11, single channel, no padding.
-        ((2, 1, 15, 13), (1, 1, 11, 11), 0),
+        pytest.param((2, 1, 15, 13), (1, 1, 11, 11), 0, id="shape5-kspec5-1-0"),
         # Either side of the channel threshold; the input gradient of the
         # 15-channel case runs on the view side, and of the 17-channel one
         # on the gather side.
-        ((2, 15, 9, 7), (17, 15, 3, 3), 1),
-        ((2, 16, 9, 7), (4, 16, 3, 3), 1),
-        ((1, 17, 9, 8), (15, 17, 3, 3), 1),
+        pytest.param((2, 15, 9, 7), (17, 15, 3, 3), 1, id="shape6-kspec6-1-1"),
+        pytest.param((2, 16, 9, 7), (4, 16, 3, 3), 1, id="shape7-kspec7-1-1"),
+        pytest.param((1, 17, 9, 8), (15, 17, 3, 3), 1, id="shape8-kspec8-1-1"),
         # The graph's leader conv: 48 channels, 1x1.
-        ((2, 48, 7, 6), (16, 48, 1, 1), 0),
+        pytest.param((2, 48, 7, 6), (16, 48, 1, 1), 0, id="shape9-kspec9-1-0"),
     ]
 
     @staticmethod
@@ -532,7 +536,8 @@ class TestPooling:
         assert out.data[0, 0, 0, 0] == 3.0
         assert out.data[0, 0, 1, 1] == 5.0
 
-    @pytest.mark.parametrize("window,padding", [(3, 1), (2, 0)])
+    # Fixed ids keep each case's name as rows come and go.
+    @pytest.mark.parametrize("window,padding", [(3, 1), (2, 0)], ids=["3-1-1", "2-1-0"])
     def test_pools_match_loop_oracles(self, rng, window, padding):
         x = rng.standard_normal((2, 3, 6, 7)).astype(np.float32)
         mx = ops.maxpool2d(Tensor(x), window, padding=padding)
@@ -540,7 +545,11 @@ class TestPooling:
         np.testing.assert_array_equal(mx.data, oracle_maxpool(x, window, padding))
         np.testing.assert_allclose(av.data, oracle_avgpool(x, window, padding), rtol=1e-5, atol=1e-6)
 
-    @pytest.mark.parametrize("hw,window,padding", [((1, 1), 3, 1), ((1, 1), 2, 1), ((1, 2), 3, 1)])
+    @pytest.mark.parametrize(
+        "hw,window,padding",
+        [((1, 1), 3, 1), ((1, 1), 2, 1), ((1, 2), 3, 1)],
+        ids=["hw0-3-1-1", "hw1-2-1-1", "hw2-3-1-1"],
+    )
     def test_avgpool_on_one_row_maps_matches_loop_oracle(self, rng, hw, window, padding):
         # Windows overhang the map on every side, so each axis sums only
         # its in-map taps; the gradient is the oracle's adjoint, cell by cell.
@@ -570,6 +579,7 @@ class TestPooling:
             # 289 taps: the tap index no longer fits in one byte.
             ((1, 2, 19, 18), 17, 1),
         ],
+        ids=["shape0-2-1-0", "shape2-2-1-1", "shape4-3-1-0", "shape6-3-1-1", "shape8-17-1-1"],
     )
     def test_maxpool_gradient_at_ties_goes_to_first_maximum(self, rng, shape, window, padding):
         # Three levels make ties common; channel 1 is all equal, and its
@@ -607,7 +617,7 @@ class TestPooling:
         np.testing.assert_array_equal(x.grad[0, 0], [[0.0, 1.0], [0.0, 0.0]])
         tape.clear()
 
-    @pytest.mark.parametrize("window,padding", [(2, 0), (3, 1)])
+    @pytest.mark.parametrize("window,padding", [(2, 0), (3, 1)], ids=["2-1-0", "3-1-1"])
     def test_maxpool_equals_eager_scan_with_ties_and_nans(self, rng, window, padding):
         # Three levels make ties common; NaNs land anywhere in a window,
         # including its first tap, and channel 1 is all equal.
