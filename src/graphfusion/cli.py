@@ -82,6 +82,8 @@ def _missing_directory(*outputs: Path | None) -> str | None:
 
 
 def cmd_init_config(args: argparse.Namespace) -> int:
+    if missing := _missing_directory(args.path):
+        return _fail(missing)
     if args.path.exists() and not args.force:
         return _fail(f"{args.path} exists, pass --force to overwrite")
     write_default_config(args.path)

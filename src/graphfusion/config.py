@@ -83,6 +83,8 @@ class FusionConfig:
         for field in ("batch", "epochs", "crop", "stride"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be positive, got {getattr(self, field)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.crop < SSIM_WINDOW:
             raise ValueError(f"crop ({self.crop}) must be at least the SSIM window ({SSIM_WINDOW})")
         return self

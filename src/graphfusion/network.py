@@ -168,8 +168,9 @@ def fuse_arrays(ir: np.ndarray, vis: np.ndarray, params: Mapping[str, Tensor], c
 def save_checkpoint(path: str | Path, params: Mapping[str, Tensor], config: FusionConfig) -> None:
     """Write a checkpoint atomically.
 
-    The bytes go to a temporary file next to ``path`` that then replaces
-    it, so an interrupted write leaves the previous checkpoint intact.
+    The bytes go to a temporary file next to ``path``, reach the disk
+    (``os.fsync``) and only then replace it, so neither an interrupted write
+    nor a power cut after the rename leaves a partial file under ``path``.
     """
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
@@ -189,7 +190,10 @@ def save_checkpoint(path: str | Path, params: Mapping[str, Tensor], config: Fusi
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_bytes(bytes(blob))
+        with tmp.open("wb") as f:
+            f.write(blob)
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

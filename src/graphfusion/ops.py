@@ -267,11 +267,20 @@ def _check_pool_args(name: str, x: Tensor, window: int, padding: int) -> None:
         raise ShapeError(f"{name}: padded input {h + 2 * padding}x{w + 2 * padding} smaller than window {window}")
 
 
+def _scan(ap: np.ndarray, window: int, combine: np.ufunc) -> np.ndarray:
+    """``combine`` over the window taps of a framed (N, C, Hp, Wp) map, in row-major tap order."""
+    oh, ow = ap.shape[2] - window + 1, ap.shape[3] - window + 1
+    out = _tap(ap, 0, 0, oh, ow).copy()
+    for idx in range(1, window * window):
+        combine(out, _tap(ap, *divmod(idx, window), oh, ow), out=out)
+    return out
+
+
 def maxpool2d(x: Tensor, window: int, *, padding: int = 0) -> Tensor:
     """Stride-1 max pooling; ties resolve to the first maximum in row-major scan order.
 
-    The forward visits the taps in row-major order and keeps only their
-    running maximum.  The backward replays that scan to find each window's
+    The forward is the :func:`_scan` of ``np.maximum`` over the map framed
+    by -inf.  The backward replays that scan to find each window's
     winning tap: a tap's index is stored only where it is strictly greater
     than the running maximum, so an earlier tap keeps a tie.  It then adds
     the output gradient, masked to where each tap won, into that tap's view
@@ -282,10 +291,8 @@ def maxpool2d(x: Tensor, window: int, *, padding: int = 0) -> Tensor:
     _check_pool_args("maxpool2d", x, window, padding)
     h, w = x.shape[2], x.shape[3]
     xp = _framed(x.data, padding)
-    oh, ow = h + 2 * padding - window + 1, w + 2 * padding - window + 1
-    out = _tap(xp, 0, 0, oh, ow).copy()
-    for idx in range(1, window * window):
-        np.maximum(out, _tap(xp, *divmod(idx, window), oh, ow), out=out)
+    out = _scan(xp, window, np.maximum)
+    oh, ow = out.shape[2], out.shape[3]
 
     def backward(g: np.ndarray) -> None:
         if not x.requires_grad:
@@ -335,50 +342,31 @@ def _mean_pool(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     return record_op(out, (x,), backward)
 
 
-def _window_taps(size: int, window: int, padding: int) -> list[tuple[slice, slice]]:
-    """``(windows, cells)`` slice pairs along an axis of ``size`` cells, one per window tap.
-
-    Tap ``d`` of window ``o`` reads cell ``o - padding + d``; each pair
-    selects the windows whose tap ``d`` is a cell of the axis, not padding,
-    and those cells.
-    """
-    pairs = []
-    for d in range(window):
-        lo, hi = max(0, padding - d), min(size + 2 * padding - window + 1, size + padding - d)
-        if lo < hi:
-            pairs.append((slice(lo, hi), slice(lo - padding + d, hi - padding + d)))
-    return pairs
-
-
-def _add_slices(a: np.ndarray, axis: int, size: int, pairs: list[tuple[slice, slice]]) -> np.ndarray:
-    """Sum, into zeros with ``size`` cells along ``axis``, of ``a[read]`` at ``write`` for each pair."""
-    shape = list(a.shape)
-    shape[axis] = size
-    out = np.zeros(shape, dtype=np.float32)
-    src, dst = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
-    for write, read in pairs:
-        dst[write] += src[read]
-    return out
-
-
 def avgpool2d(x: Tensor, window: int, *, padding: int = 0) -> Tensor:
     """Stride-1 average pooling; padded cells are excluded from each window's divisor.
 
-    Each axis in turn sums its window taps that fall inside the map
-    (:func:`_window_taps`); the backward is the adjoint of those sums.
+    The forward is the :func:`_scan` of ``np.add`` over the zero-framed map,
+    divided by the same scan over a zero-framed plane of ones: each window's
+    count of cells inside the map, an exact small integer.  The backward
+    adds the output gradient over those counts into every tap's view of a
+    zero frame and crops it.
     """
     _check_pool_args("avgpool2d", x, window, padding)
-    h, w = x.shape[2], x.shape[3]
-    oh, ow = h + 2 * padding - window + 1, w + 2 * padding - window + 1
-    rows, cols = _window_taps(h, window, padding), _window_taps(w, window, padding)
-    row_counts = _add_slices(np.ones(h, dtype=np.float32), 0, oh, rows)
-    counts = np.outer(row_counts, _add_slices(np.ones(w, dtype=np.float32), 0, ow, cols))
-    out = _add_slices(_add_slices(x.data, 2, oh, rows), 3, ow, cols)
+    n, c, h, w = x.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    ones = _pitched(np.ones((1, 1, h, w), dtype=np.float32), padding).reshape(1, 1, hp, wp)
+    counts = _scan(ones, window, np.add)
+    out = _scan(_pitched(x.data, padding).reshape(n, c, hp, wp), window, np.add)
     out /= counts
 
     def backward(g: np.ndarray) -> None:
-        rows_t, cols_t = ([(cells, windows) for windows, cells in taps] for taps in (rows, cols))
-        accumulate(x, _add_slices(_add_slices(g / counts, 3, w, cols_t), 2, h, rows_t))
+        share = g / counts
+        oh, ow = share.shape[2], share.shape[3]
+        dxp = np.zeros((n, c, hp, wp), dtype=np.float32)
+        for idx in range(window * window):
+            tap = _tap(dxp, *divmod(idx, window), oh, ow)
+            tap += share
+        accumulate(x, dxp[:, :, padding : padding + h, padding : padding + w])
 
     return record_op(out, (x,), backward)
 

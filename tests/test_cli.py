@@ -383,6 +383,13 @@ class TestGradcheck:
         assert cli.main(["gradcheck", "--size", "2"]) == 2
         assert "--size" in capsys.readouterr().err
 
+    def test_negative_seed_rejected(self, capsys):
+        argv = ["gradcheck", "--size", "5", "--channels", "2", "--nodes", "1", "--loops", "1", "--seed", "-1"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "seed must be non-negative, got -1" in err
+        assert "Traceback" not in err
+
     def test_zero_samples_rejected(self, capsys):
         # With no samples a group would be checked against nothing and pass.
         argv = ["gradcheck", "--size", "5", "--channels", "2", "--nodes", "1", "--loops", "1", "--samples", "0"]
@@ -441,9 +448,12 @@ class TestOutputDirectories:
             "fuse --out": fuse + ["--out", str(missing / "f.pgm")],
             "eval --report": evaluate + ["--report", str(missing / "r.csv")],
             "eval --json": evaluate + ["--report", str(good / "r.csv"), "--json", str(missing / "r.json")],
+            "init-config": ["init-config", str(missing / "c.json")],
         }
 
-    @pytest.mark.parametrize("flag", ["train --out", "train --log", "fuse --out", "eval --report", "eval --json"])
+    @pytest.mark.parametrize(
+        "flag", ["train --out", "train --log", "fuse --out", "eval --report", "eval --json", "init-config"]
+    )
     def test_missing_directory_exits_2(self, toy, tmp_path, capsys, work, flag):
         missing = tmp_path / "missing" / "dir"
         code = cli.main(self.commands(toy, tmp_path, missing)[flag])

@@ -67,3 +67,8 @@ def test_retired_key_at_another_value_rejected(key, value):
 def test_unknown_key_rejected():
     with pytest.raises(ValueError, match="unknown config key 'chanels'"):
         FusionConfig.from_dict({"chanels": 8})
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        FusionConfig(seed=-1).validate()

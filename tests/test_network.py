@@ -1,6 +1,8 @@
 """Parameter layout, initialization, forward pass, and checkpoint format."""
 
 import dataclasses
+import io
+import os
 import sys
 import tracemalloc
 from pathlib import Path
@@ -304,18 +306,38 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, init_params(config, seed=0), config)
         before = path.read_bytes()
-        write_bytes = Path.write_bytes
 
-        def fail_half_way(self, data):
-            write_bytes(self, data[: len(data) // 2])
-            raise OSError("disk full")
+        class FailHalfWay(io.FileIO):
+            def write(self, data):
+                super().write(bytes(data)[: len(data) // 2])
+                raise OSError("disk full")
 
-        monkeypatch.setattr(Path, "write_bytes", fail_half_way)
+        monkeypatch.setattr(Path, "open", lambda self, mode="r": FailHalfWay(self, mode))
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, init_params(config, seed=1), config)
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_temp_file_reaches_disk_before_it_replaces_the_checkpoint(self, tmp_path, monkeypatch):
+        config = cfg(**SMALL)
+        path = tmp_path / "model.ckpt"
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def record_fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def record_replace(src, dst):
+            calls.append(("replace", Path(src).name, Path(dst).name))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        monkeypatch.setattr(os, "replace", record_replace)
+        save_checkpoint(path, init_params(config, seed=0), config)
+        # os.replace keeps the temp file's inode under the final name.
+        assert calls == [("fsync", path.stat().st_ino), ("replace", "model.ckpt.tmp", "model.ckpt")]
 
     def test_non_finite_weight_rejected_by_name(self, tmp_path):
         config = cfg(**SMALL)

@@ -529,6 +529,20 @@ class TestPooling:
         out = ops.avgpool2d(x, window=3, padding=1)
         np.testing.assert_array_equal(out.data, np.full((1, 2, 5, 5), np.float32(0.73)))
 
+    def test_untaped_vga_avgpool_peak(self):
+        # The zero frame of the input and the output are the only full-size
+        # arrays; the frame of ones and the counts are one plane each.  That
+        # peak reads 2.134 maps of 1x16x480x640; the bound is 5% above it.
+        n, c, h, w = 1, 16, 480, 640
+        x = Tensor(np.ones((n, c, h, w), dtype=np.float32))
+        tracemalloc.start()
+        try:
+            ops.avgpool2d(x, 3, padding=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 2.134 * 4 * n * c * h * w
+
     def test_avgpool_corner_averages_valid_cells_only(self):
         x = tensor([[np.arange(1.0, 10.0).reshape(3, 3)]])
         out = ops.avgpool2d(x, window=3, padding=1)
@@ -551,7 +565,7 @@ class TestPooling:
         ids=["hw0-3-1-1", "hw1-2-1-1", "hw2-3-1-1"],
     )
     def test_avgpool_on_one_row_maps_matches_loop_oracle(self, rng, hw, window, padding):
-        # Windows overhang the map on every side, so each axis sums only
+        # Windows overhang the map on every side, so each window sums only
         # its in-map taps; the gradient is the oracle's adjoint, cell by cell.
         x = rng.standard_normal((2, 3, *hw)).astype(np.float32)
         t = Tensor(x, requires_grad=True)
