@@ -18,7 +18,7 @@ from .gradcheck import check_parameter_groups
 from .images import luma_chroma_to_rgb, pair_directory, read_image, rgb_to_chroma, to_gray, write_image
 from .losses import loss_components
 from .metrics import MetricReport, compute_metrics
-from .network import CheckpointError, forward, fuse_arrays, init_params, load_checkpoint
+from .network import CheckpointError, forward, fuse_arrays, init_params, load_checkpoint, write_atomic
 from .reference import reference_loss
 from .tensor import Tensor
 from .trainer import TrainingDiverged, train
@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--epochs", type=int, default=None, help="override the config epoch count")
     p.add_argument("--log", type=Path, default=None, help="write the step log as CSV")
-    p.add_argument("--log-every", type=int, default=50)
+    p.add_argument("--log-every", type=int, default=50, help="print every Nth step; 0 prints none")
 
     p = sub.add_parser("fuse", help="fuse one image pair")
     p.add_argument("--checkpoint", type=Path, required=True)
@@ -92,6 +92,8 @@ def cmd_init_config(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    if args.log_every < 0:
+        return _fail(f"--log-every must be at least 0, got {args.log_every}")
     if missing := _missing_directory(args.out, args.log):
         return _fail(missing)
     try:
@@ -117,7 +119,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     if args.log is not None:
-        args.log.write_text(train_log.to_csv())
+        write_atomic(args.log, train_log.to_csv().encode())
     print(f"trained {len(train_log.records)} steps, checkpoint at {args.out}")
     return 0
 
@@ -168,9 +170,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for pair in pairs:
         fused = fuse_arrays(pair.infrared, pair.visible, params, config)
         report.add(pair.pair_id, compute_metrics(pair.infrared, pair.visible, fused))
-    args.report.write_text(report.to_csv())
+    write_atomic(args.report, report.to_csv().encode())
     if args.json is not None:
-        args.json.write_text(report.to_json())
+        write_atomic(args.json, report.to_json().encode())
     mean = report.mean()
     print(f"evaluated {len(report.rows)} pairs -> {args.report}")
     print("mean: " + " ".join(f"{k}={v:.4f}" for k, v in mean.items()))

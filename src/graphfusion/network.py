@@ -165,13 +165,27 @@ def fuse_arrays(ir: np.ndarray, vis: np.ndarray, params: Mapping[str, Tensor], c
 # checkpoint io
 
 
-def save_checkpoint(path: str | Path, params: Mapping[str, Tensor], config: FusionConfig) -> None:
-    """Write a checkpoint atomically.
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` atomically.
 
     The bytes go to a temporary file next to ``path``, reach the disk
     (``os.fsync``) and only then replace it, so neither an interrupted write
     nor a power cut after the rename leaves a partial file under ``path``.
     """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def save_checkpoint(path: str | Path, params: Mapping[str, Tensor], config: FusionConfig) -> None:
+    """Write a checkpoint atomically, through :func:`write_atomic`."""
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
     blob += struct.pack("<I", CHECKPOINT_VERSION)
@@ -187,16 +201,7 @@ def save_checkpoint(path: str | Path, params: Mapping[str, Tensor], config: Fusi
         for dim in tensor.shape:
             blob += struct.pack("<I", dim)
         blob += np.ascontiguousarray(tensor.data, dtype="<f4").tobytes()
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("wb") as f:
-            f.write(blob)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    write_atomic(path, blob)
 
 
 class _Reader:

@@ -5,11 +5,12 @@ The autograd model is deliberately small: every differentiable operation
 is recording on the calling thread, and records nothing when none is.
 Calling ``tape.backward(loss)`` seeds ``d loss = 1`` and replays the
 records in reverse order, accumulating gradients into the ``grad`` buffer
-of every tensor that requires them.  One tape records per thread at a
-time: entering a second one on a thread that already has one raises
-``RuntimeError``.  Tensors touched by no tape are plain immutable values
-and are safe to share across threads; parallel work, when any, must use
-one tape per thread.
+of every tensor that requires them; each op output's gradient is dropped
+once its record has replayed, so only the leaves keep theirs.  One tape
+records per thread at a time: entering a second one on a thread that
+already has one raises ``RuntimeError``.  Tensors touched by no tape are
+plain immutable values and are safe to share across threads; parallel
+work, when any, must use one tape per thread.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ class Tensor:
 
     ``data`` is always a C-contiguous float32 ndarray.  ``grad`` starts as
     None (meaning zero) and is allocated lazily during backward replay.
+    After ``Tape.backward`` only leaves hold one: an intermediate's gradient
+    lives from its first write until its record has replayed.
     ``requires_grad`` marks leaves (parameters, probed inputs); outputs of
     recorded ops inherit it so gradients can flow through intermediates.
     """
@@ -96,9 +99,12 @@ class Tape:
     Each record pairs an op's output tensor with a closure that pushes the
     output's gradient into the op's inputs.  ``backward`` must be given a
     single-element tensor and replays the records newest-first, so a record
-    sees the fully accumulated gradient of its output.  ``clear`` resets
-    every gradient the tape touched back to zero (drops the buffer) and
-    empties the record list, making the tape reusable.
+    sees the fully accumulated gradient of its output.  It then drops that
+    gradient: after ``backward`` only the leaves (tensors no record made)
+    hold gradients, and a second ``backward`` adds the same gradients to
+    them again.  ``clear`` resets every gradient the tape touched back to
+    zero (drops the buffer) and empties the record list, making the tape
+    reusable.
     """
 
     def __init__(self):
@@ -129,7 +135,12 @@ class Tape:
         self._touched.extend(inputs)
 
     def backward(self, loss: Tensor) -> None:
-        """Seed ``d loss = 1`` and replay all records in reverse order."""
+        """Seed ``d loss = 1`` and replay all records in reverse order.
+
+        Each record's output gradient is dropped once the record has run,
+        so afterwards only leaves hold gradients, and calling ``backward``
+        again accumulates the same gradients into them once more.
+        """
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
         if not loss.requires_grad:
@@ -139,6 +150,11 @@ class Tape:
             if output.grad is None:
                 continue
             backward(output.grad)
+            # Every record's output is an intermediate, and its gradient was
+            # complete when replay reached it; ``accumulate`` copied it on the
+            # first write, so nothing else holds it.  Dropping it now frees
+            # the buffer as soon as the record's inputs have their share.
+            output.grad = None
 
     def clear(self) -> None:
         """Drop all records and zero every gradient this tape touched."""

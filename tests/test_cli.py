@@ -1,6 +1,8 @@
 """End-to-end coverage of every subcommand and the exit-code contract."""
 
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +153,26 @@ class TestTrain:
         assert code == 2
         assert "lr must be finite, got nan" in capsys.readouterr().err
         assert not (tmp_path / "x.ckpt").exists()
+
+    def test_negative_log_every_is_usage_error(self, toy, tmp_path, capsys, monkeypatch):
+        read = []
+        monkeypatch.setattr(cli, "pair_directory", lambda *args: read.append(args))
+        code = cli.main(
+            [
+                "train",
+                "--config", str(toy["config"]),
+                "--ir-dir", str(toy["ir"]),
+                "--vis-dir", str(toy["vis"]),
+                "--out", str(tmp_path / "x.ckpt"),
+                "--log-every", "-1",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--log-every must be at least 0, got -1" in err
+        assert "Traceback" not in err
+        assert read == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_data_dir_is_usage_error(self, toy, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -463,6 +485,42 @@ class TestOutputDirectories:
         assert "Traceback" not in err
         assert work == []
         assert list(tmp_path.iterdir()) == []
+
+
+class TestReportWrites:
+    """Logs and reports replace their file whole or not at all."""
+
+    @pytest.mark.parametrize("flag", ["train --log", "eval --report", "eval --json"])
+    def test_interrupted_write_keeps_previous_report(self, toy, tmp_path, monkeypatch, flag):
+        target = tmp_path / "report.txt"
+        target.write_text("previous\n")
+        args = {
+            "train --log": ["train", "--config", str(toy["config"]), "--ir-dir", str(toy["ir"])]
+            + ["--vis-dir", str(toy["vis"]), "--out", str(tmp_path / "m.ckpt"), "--log", str(target)],
+            "eval --report": ["eval", "--checkpoint", str(toy["ckpt"]), "--ir-dir", str(toy["ir"])]
+            + ["--vis-dir", str(toy["vis"]), "--report", str(target)],
+            "eval --json": ["eval", "--checkpoint", str(toy["ckpt"]), "--ir-dir", str(toy["ir"])]
+            + ["--vis-dir", str(toy["vis"]), "--report", str(tmp_path / "r.csv"), "--json", str(target)],
+        }[flag]
+
+        class FailHalfWay(io.FileIO):
+            def write(self, data):
+                super().write(bytes(data)[: len(data) // 2])
+                raise OSError("disk full")
+
+        real_open = Path.open
+
+        def half_writing_open(self, mode="r", *rest, **kwargs):
+            if self.name == target.name + ".tmp":
+                return FailHalfWay(self, mode)
+            return real_open(self, mode, *rest, **kwargs)
+
+        monkeypatch.setattr(Path, "open", half_writing_open)
+        with pytest.raises(OSError, match="disk full"):
+            cli.main(args)
+        monkeypatch.undo()
+        assert target.read_text() == "previous\n"
+        assert not target.with_name(target.name + ".tmp").exists()
 
 
 class TestUsage:

@@ -169,17 +169,32 @@ class TestEdgesAndMessages:
             assert np.all(np.abs(out.data.astype(np.float64) - total.data) <= np.abs(source.data) + 1e-6)
 
     @pytest.mark.parametrize("channels", [16, 4])
-    def test_fused_pair_equals_unfused_composition(self, rng, channels):
+    def test_fused_pair_equals_unfused_composition(self, rng, channels, monkeypatch):
         # Both sides of conv2d's channel threshold, batch 2.  The new totals,
         # s's gradient and every map's gradient are bit-identical; only the
         # edge bias's gradient, summed per chunk, may differ in rounding.
+        # ``s`` is an intermediate, so backward drops its gradient once its
+        # record has replayed: the gradient compared is the one handed to
+        # that record, captured by wrapping ``Tape.record``.
         shape = (2, channels, 12, 10)
         arrays = [rng.standard_normal(shape).astype(np.float32) for _ in range(4)]
         w = (0.3 * rng.standard_normal((channels, channels, 3, 3))).astype(np.float32)
         bias = rng.uniform(-1.0, 1.0, size=channels).astype(np.float32)
         coeffs = [rng.uniform(-1.0, 1.0, size=shape).astype(np.float32) for _ in range(2)]
+        handed = {}
+        record = Tape.record
+
+        def capturing_record(tape, output, inputs, backward):
+            def capture(g):
+                handed[output] = g.copy()
+                backward(g)
+
+            record(tape, output, inputs, capture)
+
+        monkeypatch.setattr(Tape, "record", capturing_record)
 
         def run(pair):
+            handed.clear()
             ts = [Tensor(x, requires_grad=True) for x in arrays + [w, bias]]
             with Tape() as tape:
                 into_b, into_a, s = pair(*ts[:2], *ts[4:], *ts[2:4])
@@ -188,7 +203,7 @@ class TestEdgesAndMessages:
                     ops.reduce_sum(ops.mul(into_a, Tensor(coeffs[1]))),
                 )
                 tape.backward(loss)
-            result = [into_b.data, into_a.data, s.grad] + [t.grad for t in ts]
+            result = [into_b.data, into_a.data, handed[s]] + [t.grad for t in ts]
             tape.clear()
             return result
 

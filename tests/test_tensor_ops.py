@@ -128,6 +128,18 @@ class TestTensorBasics:
         tape.clear()
         assert x.grad is None
 
+    def test_second_backward_adds_the_same_gradient_again(self):
+        # d/dx sum(3 x x) = 6 x.  Intermediates hold no gradient after a
+        # backward, so a second replay adds 6 x once more to the leaf.
+        x = tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            loss = ops.reduce_sum(ops.scale(ops.mul(x, x), 3.0))
+            tape.backward(loss)
+            np.testing.assert_array_equal(x.grad, [6.0, 12.0])
+            tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, [12.0, 24.0])
+        tape.clear()
+
     def test_first_gradient_is_a_contiguous_copy_of_its_delta(self):
         x = Tensor.zeros((3, 2), requires_grad=True)
         delta = np.arange(6, dtype=np.float32).reshape(2, 3).T
