@@ -13,12 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SSIM_WINDOW, FusionConfig, write_default_config
+from .config import SSIM_WINDOW, FusionConfig, write_atomic, write_default_config
 from .gradcheck import check_parameter_groups
 from .images import luma_chroma_to_rgb, pair_directory, read_image, rgb_to_chroma, to_gray, write_image
 from .losses import loss_components
 from .metrics import MetricReport, compute_metrics
-from .network import CheckpointError, forward, fuse_arrays, init_params, load_checkpoint, write_atomic
+from .network import CheckpointError, forward, fuse_arrays, init_params, load_checkpoint
 from .reference import reference_loss
 from .tensor import Tensor
 from .trainer import TrainingDiverged, train

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -101,6 +102,8 @@ class FusionConfig:
         retired key is dropped when it holds its surviving value and is an
         error otherwise.
         """
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         defaults = {f.name: f.default for f in dataclasses.fields(cls)}
         kwargs = {}
         for key, value in data.items():
@@ -126,18 +129,34 @@ class FusionConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "FusionConfig":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("config JSON must be an object")
-        return cls.from_dict(data)
+        return cls.from_dict(json.loads(text))
 
     @classmethod
     def load(cls, path: str | Path) -> "FusionConfig":
         return cls.from_json(Path(path).read_text())
 
 
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` atomically.
+
+    The bytes go to a temporary file next to ``path``, reach the disk
+    (``os.fsync``) and only then replace it, so neither an interrupted write
+    nor a power cut after the rename leaves a partial file under ``path``.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_default_config(path: str | Path) -> None:
-    """Write the default config with a field-by-field ``_doc`` block."""
+    """Write the default config with a field-by-field ``_doc`` block, through :func:`write_atomic`."""
     payload = {"_doc": _FIELD_DOC}
     payload.update(FusionConfig().to_dict())
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    write_atomic(path, (json.dumps(payload, indent=2) + "\n").encode())

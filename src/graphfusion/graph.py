@@ -31,13 +31,13 @@ pair's difference nor its edges nor a message is ever a map of its own:
 each message replaces its destination's running sum by a new one.
 Sequences a caller passes in are only read, never modified.  Under a tape
 the records keep every map alive; a pair makes three records, its conv
-and its two messages, and holds one map of its own, ``s``, with its
-gradient.
+and its two messages, and holds one map of its own, ``s``.  In the
+backward pass ``s``'s gradient lives only until its conv's record has
+replayed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import ops
@@ -47,39 +47,20 @@ from .tensor import ShapeError, Tensor
 
 # A node is addressed by (modality, scale index).
 NodeId = tuple[str, int]
-EdgeKey = tuple[NodeId, NodeId]
 
 
-@dataclass(frozen=True)
-class GraphTopology:
-    """Undirected pair lists for one loop; each pair is two directed edges."""
+def edge_pairs(nodes: int) -> list[tuple[NodeId, NodeId, str]]:
+    """Every connected pair ``(a, b, group)`` of a loop, in the order it runs them.
 
-    nodes: int
-    intra_pairs: tuple[tuple[int, int], ...]
-    inter_scales: tuple[int, ...]
-
-    def pairs(self) -> list[tuple[NodeId, NodeId, str]]:
-        """Every connected pair ``(a, b, group)`` in the order a loop runs them.
-
-        Intra pairs come first, per modality in ``intra_pairs`` order, with
-        group ``intra.<modality>``; then the inter pairs, group ``inter``.
-        """
-        out = [((m, j), (m, k), f"intra.{m}") for m in MODALITIES for j, k in self.intra_pairs]
-        return out + [(("ir", o), ("vis", o), "inter") for o in self.inter_scales]
-
-    @property
-    def directed_edge_count(self) -> int:
-        return 2 * len(self.pairs())
-
-    def directed_edges(self) -> list[EdgeKey]:
-        return [edge for a, b, _ in self.pairs() for edge in ((a, b), (b, a))]
-
-
-def build_topology(nodes: int) -> GraphTopology:
+    Each pair is two directed edges.  Intra pairs come first, per modality
+    and by scale, with group ``intra.<modality>``; then node o of one
+    branch with node o of the other, group ``inter``.
+    """
     if nodes < 1:
         raise ValueError(f"need at least one node, got {nodes}")
-    intra = tuple((j, k) for j in range(nodes) for k in range(j + 1, nodes))
-    return GraphTopology(nodes=nodes, intra_pairs=intra, inter_scales=tuple(range(nodes)))
+    intra = [(j, k) for j in range(nodes) for k in range(j + 1, nodes)]
+    out = [((m, j), (m, k), f"intra.{m}") for m in MODALITIES for j, k in intra]
+    return out + [(("ir", o), ("vis", o), "inter") for o in range(nodes)]
 
 
 def node_grids(nodes: int, height: int, width: int) -> list[int]:
@@ -162,26 +143,19 @@ def deliver(
     return out
 
 
-@dataclass
-class GraphResult:
-    g_ir: Tensor
-    g_vis: Tensor
-
-
 def _run_loop(
     loop: int,
     features: dict[str, Tensor],
     injections: dict[str, list[Tensor]],
     params: Mapping[str, Tensor],
     config: FusionConfig,
-    topo: GraphTopology,
 ) -> tuple[dict[str, Tensor], dict[str, list[Tensor]]]:
     """One loop: each modality's leader and the next loop's injections.
 
     Every edge pair runs once: each of its two directions passes one gated
     message, which replaces its destination's running sum (at first the
     node itself) by the sum plus the message, so no message is a map of its
-    own.  Pairs arrive in ``topo.pairs()`` order, intra and then inter, so
+    own.  Pairs arrive in :func:`edge_pairs` order, intra and then inter, so
     every node sums its messages intra by scale, then inter.
 
     The loop takes ``features`` and ``injections`` over and empties both
@@ -206,7 +180,7 @@ def _run_loop(
         del carried, fresh, t
 
     totals = dict(nodes)
-    for a, b, group in topo.pairs():
+    for a, b, group in edge_pairs(config.nodes):
         name = f"{prefix}.{group}"
         s, bias = difference_edges(nodes[a], nodes[b], params[f"{name}.weight"]), params[f"{name}.bias"]
         totals[b] = pass_message(totals[b], s, bias, 1, nodes[a])
@@ -219,7 +193,7 @@ def _run_loop(
     delivered: dict[str, list[Tensor]] = {}
     for m in MODALITIES:
         weight, bias = params[f"{prefix}.update.{m}.weight"], params[f"{prefix}.update.{m}.bias"]
-        updated = [update_node(totals.pop((m, o)), weight, bias) for o in range(topo.nodes)]
+        updated = [update_node(totals.pop((m, o)), weight, bias) for o in range(config.nodes)]
         leaders[m] = form_leader(
             updated, params[f"{prefix}.leader.{m}.weight"], params[f"{prefix}.leader.{m}.bias"]
         )
@@ -234,8 +208,8 @@ def run_graph(
     features_vis: Sequence[Tensor],
     params: Mapping[str, Tensor],
     config: FusionConfig,
-) -> GraphResult:
-    """Chain ``config.loops`` graph loops and mix their leaders.
+) -> tuple[Tensor, Tensor]:
+    """Chain ``config.loops`` graph loops and mix their leaders into ``(g_ir, g_vis)``.
 
     Loop i reads the i-th feature of each branch; loops beyond the feature
     count reuse the deepest feature.  Only the leaders and the next loop's
@@ -254,20 +228,18 @@ def run_graph(
         raise ShapeError("run_graph: need equally many features per branch")
     stages = {"ir": list(features_ir[: config.loops]), "vis": list(features_vis[: config.loops])}
     del features_ir, features_vis
-    topo = build_topology(config.nodes)
     leaders: dict[str, list[Tensor]] = {m: [] for m in MODALITIES}
     injections: dict[str, list[Tensor]] = {}
     for loop in range(1, config.loops + 1):
         final = loop == config.loops
         # A stage leaves ``stages`` with the last loop that reads it.
         feats = {m: s.pop(0) if len(s) > 1 or final else s[0] for m, s in stages.items()}
-        loop_leaders, injections = _run_loop(loop, feats, injections, params, config, topo)
+        loop_leaders, injections = _run_loop(loop, feats, injections, params, config)
         for m in MODALITIES:
             leaders[m].append(loop_leaders[m])
 
-    outputs = {}
-    for m in MODALITIES:
-        outputs[m] = ops.conv2d(
-            ops.concat_channels(leaders[m]), params[f"graph.mix.{m}.weight"], params[f"graph.mix.{m}.bias"]
-        )
-    return GraphResult(g_ir=outputs["ir"], g_vis=outputs["vis"])
+    g_ir, g_vis = (
+        ops.conv2d(ops.concat_channels(leaders[m]), params[f"graph.mix.{m}.weight"], params[f"graph.mix.{m}.bias"])
+        for m in MODALITIES
+    )
+    return g_ir, g_vis

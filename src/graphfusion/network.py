@@ -15,7 +15,7 @@ little-endian float32 data in C order.
 from __future__ import annotations
 
 import json
-import os
+import math
 import struct
 from pathlib import Path
 from typing import Mapping
@@ -24,8 +24,8 @@ import numpy as np
 
 from . import ops
 from .backbone import MODALITIES, extract, feature_depth
-from .config import FusionConfig
-from .graph import loop_prefix, run_graph
+from .config import FusionConfig, write_atomic
+from .graph import edge_pairs, loop_prefix, run_graph
 from .tensor import ShapeError, Tensor
 
 CHECKPOINT_MAGIC = b"IGN1"
@@ -64,15 +64,15 @@ def parameter_shapes(config: FusionConfig) -> dict[str, tuple[int, ...]]:
     if config.use_graph:
         # Each loop adds what ``graph._run_loop`` reads; loops that share a
         # prefix rewrite the same entries, which keep their first position.
+        # One edge conv per pair group, in the order the pairs first use it.
+        groups = dict.fromkeys(group for _, _, group in edge_pairs(config.nodes))
         for loop in range(1, config.loops + 1):
             prefix = loop_prefix(config, loop)
             for o in range(config.nodes):
                 for m in MODALITIES:
                     conv(f"{prefix}.node{o}.{m}", c, c, 1)
-            if config.nodes >= 2:
-                for m in MODALITIES:
-                    conv(f"{prefix}.intra.{m}", c, c, 3)
-            conv(f"{prefix}.inter", c, c, 3)
+            for group in groups:
+                conv(f"{prefix}.{group}", c, c, 3)
             for m in MODALITIES:
                 conv(f"{prefix}.update.{m}", c, c, 3)
             for m in MODALITIES:
@@ -135,8 +135,7 @@ def forward(ir: Tensor, vis: Tensor, params: Mapping[str, Tensor], config: Fusio
     if ir.shape != vis.shape:
         raise ShapeError(f"forward: input shapes differ, {ir.shape} vs {vis.shape}")
     if config.use_graph:
-        result = run_graph(extract(ir, params, "ir", config), extract(vis, params, "vis", config), params, config)
-        g_ir, g_vis = result.g_ir, result.g_vis
+        g_ir, g_vis = run_graph(extract(ir, params, "ir", config), extract(vis, params, "vis", config), params, config)
     else:
         g_ir, g_vis = extract(ir, params, "ir", config)[-1], extract(vis, params, "vis", config)[-1]
     h = ops.concat_channels([g_ir, g_vis])
@@ -163,25 +162,6 @@ def fuse_arrays(ir: np.ndarray, vis: np.ndarray, params: Mapping[str, Tensor], c
 
 # ---------------------------------------------------------------------------
 # checkpoint io
-
-
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` atomically.
-
-    The bytes go to a temporary file next to ``path``, reach the disk
-    (``os.fsync``) and only then replace it, so neither an interrupted write
-    nor a power cut after the rename leaves a partial file under ``path``.
-    """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("wb") as f:
-            f.write(data)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def save_checkpoint(path: str | Path, params: Mapping[str, Tensor], config: FusionConfig) -> None:
@@ -248,11 +228,14 @@ def load_checkpoint(
     params: dict[str, Tensor] = {}
     for _ in range(count):
         name_len = reader.u32("name length")
-        name = reader.take(name_len, "name").decode("utf-8")
+        try:
+            name = reader.take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"bad parameter name before byte {reader.pos}: {exc}") from exc
         rank = reader.u32("rank")
         shape = tuple(reader.u32(f"dim of {name}") for _ in range(rank))
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
-        data = np.frombuffer(reader.take(n_bytes, f"data of {name}"), dtype="<f4").reshape(shape)
+        # ``math.prod`` is exact for any dims, where ``np.prod`` wraps in int64.
+        data = np.frombuffer(reader.take(math.prod(shape) * 4, f"data of {name}"), dtype="<f4").reshape(shape)
         if name in params:
             raise CheckpointError(f"duplicate parameter {name}")
         if not np.all(np.isfinite(data)):

@@ -23,29 +23,25 @@ def _require_4d(name: str, t: Tensor) -> None:
         raise ShapeError(f"{name}: expected a 4-d (N,C,H,W) tensor, got shape {t.shape}")
 
 
-def _framed(a: np.ndarray, padding: int) -> np.ndarray:
-    """A (N, C, H, W) map inside a border of ``padding`` cells of -inf, which never win a max."""
-    if not padding:
-        return a
-    n, c, h, w = a.shape
-    out = np.full((n, c, h + 2 * padding, w + 2 * padding), -np.inf, dtype=a.dtype)
-    out[:, :, padding : padding + h, padding : padding + w] = a
-    return out
-
-
-def _pitched(a: np.ndarray, padding: int, tail: int = 0, minus: np.ndarray | None = None) -> np.ndarray:
-    """Each plane of ``a`` (less ``minus``) framed by ``padding`` zeros, flattened and followed by ``tail`` zeros.
+def _pitched(
+    a: np.ndarray, padding: int, tail: int = 0, minus: np.ndarray | None = None, fill: float = 0.0
+) -> np.ndarray:
+    """Each plane of ``a`` (less ``minus``) framed by ``padding`` cells of ``fill``, flattened, then ``tail`` more.
 
     The result is (N, C, Hp*Wp + tail), with framed cell (y, x) of a plane
     at ``y * Wp + x``: a kernel tap over whole rows of the frame is then a
     2-d slice, and the tail keeps the slices of the last rows in bounds.
-    Without a tail it reshapes to the (N, C, Hp, Wp) frame.
+    Without a tail it reshapes to the (N, C, Hp, Wp) frame.  Convs and
+    average pooling read a frame of zeros, max pooling one of -inf, which
+    never wins a max.
     """
     n, c, h, w = a.shape
     if not (padding or tail):
         return (a if minus is None else a - minus).reshape(n, c, h * w)
     hp, wp = h + 2 * padding, w + 2 * padding
-    out = np.zeros((n, c, hp * wp + tail), dtype=a.dtype)
+    # ``np.zeros`` gets its zeros from the allocator; ``np.full`` would add a pass.
+    shape = (n, c, hp * wp + tail)
+    out = np.zeros(shape, dtype=a.dtype) if fill == 0 else np.full(shape, fill, dtype=a.dtype)
     inner = out[:, :, : hp * wp].reshape(n, c, hp, wp)[:, :, padding : padding + h, padding : padding + w]
     if minus is None:
         inner[...] = a
@@ -289,8 +285,8 @@ def maxpool2d(x: Tensor, window: int, *, padding: int = 0) -> Tensor:
     maximum before the NaN (or to the NaN itself when it is the first tap).
     """
     _check_pool_args("maxpool2d", x, window, padding)
-    h, w = x.shape[2], x.shape[3]
-    xp = _framed(x.data, padding)
+    n, c, h, w = x.shape
+    xp = _pitched(x.data, padding, fill=-np.inf).reshape(n, c, h + 2 * padding, w + 2 * padding)
     out = _scan(xp, window, np.maximum)
     oh, ow = out.shape[2], out.shape[3]
 

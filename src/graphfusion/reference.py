@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import FusionConfig
+from .config import SSIM_WINDOW, FusionConfig
 
 Arrays = Mapping[str, np.ndarray]
 
@@ -335,7 +335,7 @@ def _ssim_mean(
 
 
 def reference_loss(
-    ir: np.ndarray, vis: np.ndarray, arrays: Arrays, config: FusionConfig, ssim_window: int = 11
+    ir: np.ndarray, vis: np.ndarray, arrays: Arrays, config: FusionConfig, ssim_window: int = SSIM_WINDOW
 ) -> np.float64 | np.complex128 | np.ndarray:
     """Double-precision total training objective.
 

@@ -45,17 +45,24 @@ def away_from(rng: np.random.Generator, shape, forbidden: float, margin: float =
     return (forbidden + sign * raw).astype(np.float32)
 
 
-def rewrite_config_blob(src, dst, **keys) -> None:
-    """Copy checkpoint ``src`` to ``dst`` with ``keys`` set in its config blob.
+def replace_config_blob(src, dst, text: str) -> None:
+    """Copy checkpoint ``src`` to ``dst`` with ``text`` as its config blob.
 
     The blob's u32 length sits after the 4-byte magic and the u32 version.
     """
     blob = src.read_bytes()
     (length,) = struct.unpack_from("<I", blob, 8)
+    encoded = text.encode("utf-8")
+    dst.write_bytes(blob[:8] + struct.pack("<I", len(encoded)) + encoded + blob[12 + length :])
+
+
+def rewrite_config_blob(src, dst, **keys) -> None:
+    """Copy checkpoint ``src`` to ``dst`` with ``keys`` set in its config blob."""
+    blob = src.read_bytes()
+    (length,) = struct.unpack_from("<I", blob, 8)
     config = json.loads(blob[12 : 12 + length])
     config.update(keys)
-    encoded = json.dumps(config).encode("utf-8")
-    dst.write_bytes(blob[:8] + struct.pack("<I", len(encoded)) + encoded + blob[12 + length :])
+    replace_config_blob(src, dst, json.dumps(config))
 
 
 def oracle_error(f, inputs, f64) -> float:

@@ -15,7 +15,7 @@ from graphfusion.metrics import METRIC_COLUMNS
 from graphfusion.network import init_params, load_checkpoint, save_checkpoint
 from graphfusion.tensor import Tensor, accumulate, record_op
 
-from conftest import rewrite_config_blob
+from conftest import replace_config_blob, rewrite_config_blob
 
 
 @pytest.fixture(scope="module")
@@ -289,6 +289,22 @@ class TestFuse:
         assert f"config key '{key}' is retired" in capsys.readouterr().err
         assert not (tmp_path / "x.pgm").exists()
 
+    def test_config_blob_not_an_object_rejected(self, toy, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        replace_config_blob(toy["ckpt"], bad, "[1, 2]")
+        code = cli.main(
+            [
+                "fuse",
+                "--checkpoint", str(bad),
+                "--ir", str(toy["ir"] / "p0.pgm"),
+                "--vis", str(toy["vis"] / "p0.pgm"),
+                "--out", str(tmp_path / "x.pgm"),
+            ]
+        )
+        assert code == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "x.pgm").exists()
+
 
 class TestEval:
     def test_report_layout(self, toy, tmp_path, capsys):
@@ -488,13 +504,14 @@ class TestOutputDirectories:
 
 
 class TestReportWrites:
-    """Logs and reports replace their file whole or not at all."""
+    """Logs, reports and configs replace their file whole or not at all."""
 
-    @pytest.mark.parametrize("flag", ["train --log", "eval --report", "eval --json"])
+    @pytest.mark.parametrize("flag", ["train --log", "eval --report", "eval --json", "init-config --force"])
     def test_interrupted_write_keeps_previous_report(self, toy, tmp_path, monkeypatch, flag):
         target = tmp_path / "report.txt"
         target.write_text("previous\n")
         args = {
+            "init-config --force": ["init-config", str(target), "--force"],
             "train --log": ["train", "--config", str(toy["config"]), "--ir-dir", str(toy["ir"])]
             + ["--vis-dir", str(toy["vis"]), "--out", str(tmp_path / "m.ckpt"), "--log", str(target)],
             "eval --report": ["eval", "--checkpoint", str(toy["ckpt"]), "--ir-dir", str(toy["ir"])]

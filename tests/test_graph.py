@@ -9,8 +9,8 @@ import pytest
 from graphfusion import graph, ops, reference
 from graphfusion.config import FusionConfig
 from graphfusion.graph import (
-    build_topology,
     difference_edges,
+    edge_pairs,
     node_grids,
     pass_message,
     run_graph,
@@ -27,18 +27,25 @@ def graph_config(**overrides) -> FusionConfig:
     return dataclasses.replace(FusionConfig(), **base)
 
 
+def directed_edges(nodes):
+    """Both directions of every pair, each pair's forward edge first."""
+    return [edge for a, b, _ in edge_pairs(nodes) for edge in ((a, b), (b, a))]
+
+
 class TestTopology:
     @pytest.mark.parametrize("nodes,expected", [(1, 2), (2, 8), (3, 18), (5, 50)])
     def test_directed_edge_count(self, nodes, expected):
-        assert build_topology(nodes).directed_edge_count == expected
+        assert 2 * len(edge_pairs(nodes)) == expected
 
     def test_three_node_breakdown(self):
-        topo = build_topology(3)
+        pairs = edge_pairs(3)
         # This order is also the order in which a node sums its messages:
         # intra by scale, then inter.
-        assert topo.intra_pairs == ((0, 1), (0, 2), (1, 2))
-        assert topo.inter_scales == (0, 1, 2)
-        edges = topo.directed_edges()
+        intra_pairs = [(a[1], b[1]) for a, b, group in pairs if group == "intra.ir"]
+        assert intra_pairs == [(0, 1), (0, 2), (1, 2)]
+        assert [(a[1], b[1]) for a, b, group in pairs if group == "intra.vis"] == intra_pairs
+        assert [a[1] for a, b, group in pairs if group == "inter"] == [0, 1, 2]
+        edges = directed_edges(3)
         assert len(edges) == 18
         assert len(set(edges)) == 18
         intra = [e for e in edges if e[0][0] == e[1][0]]
@@ -47,23 +54,21 @@ class TestTopology:
         assert len(inter) == 6
 
     def test_pairs_run_intra_per_modality_then_inter(self):
-        topo = build_topology(2)
-        assert topo.pairs() == [
+        assert edge_pairs(2) == [
             (("ir", 0), ("ir", 1), "intra.ir"),
             (("vis", 0), ("vis", 1), "intra.vis"),
             (("ir", 0), ("vis", 0), "inter"),
             (("ir", 1), ("vis", 1), "inter"),
         ]
-        assert topo.directed_edges()[:2] == [(("ir", 0), ("ir", 1)), (("ir", 1), ("ir", 0))]
+        assert directed_edges(2)[:2] == [(("ir", 0), ("ir", 1)), (("ir", 1), ("ir", 0))]
 
     def test_every_directed_edge_has_reverse(self):
-        topo = build_topology(4)
-        edges = set(topo.directed_edges())
+        edges = set(directed_edges(4))
         assert all((dst, src) in edges for src, dst in edges)
 
     def test_rejects_zero_nodes(self):
         with pytest.raises(ValueError):
-            build_topology(0)
+            edge_pairs(0)
 
     def test_node_grids_double_until_capped(self):
         assert node_grids(3, 64, 64) == [1, 2, 4]
@@ -133,7 +138,7 @@ class TestEdgesAndMessages:
         assert calls == [(1, 2, 4, 4)]
         np.testing.assert_allclose(s.data, oracle_conv(a.data - b.data, w.data, np.zeros(2), padding=1), atol=1e-5)
 
-        # In a whole graph every loop runs each pair once, in topo.pairs()
+        # In a whole graph every loop runs each pair once, in edge_pairs()
         # order and with that pair's edge weight, at one conv per pair.
         seen = []
         edges = graph.difference_edges
@@ -153,7 +158,7 @@ class TestEdgesAndMessages:
         want = [
             params[f"graph.loop{i}.{group}.weight"]
             for i in range(1, config.loops + 1)
-            for _, _, group in build_topology(config.nodes).pairs()
+            for _, _, group in edge_pairs(config.nodes)
         ]
         assert len(seen) == len(want) == 3 * 9
         assert all(got is w for got, w in zip(seen, want))
@@ -237,9 +242,9 @@ class TestRunGraph:
         params = init_params(config, seed=0)
         f_ir = self._features(rng, config)
         f_vis = self._features(rng, config)
-        result = run_graph(f_ir, f_vis, params, config)
-        assert result.g_ir.shape == (1, 4, 6, 6)
-        assert result.g_vis.shape == (1, 4, 6, 6)
+        g_ir, g_vis = run_graph(f_ir, f_vis, params, config)
+        assert g_ir.shape == (1, 4, 6, 6)
+        assert g_vis.shape == (1, 4, 6, 6)
 
     def test_modality_swap_is_bit_exact_under_tied_weights(self, rng):
         config = graph_config()
@@ -247,17 +252,17 @@ class TestRunGraph:
         _tie_modalities(params, config)
         f_a = self._features(rng, config)
         f_b = self._features(rng, config)
-        straight = run_graph(f_a, f_b, params, config)
-        swapped = run_graph(f_b, f_a, params, config)
-        np.testing.assert_array_equal(straight.g_ir.data, swapped.g_vis.data)
-        np.testing.assert_array_equal(straight.g_vis.data, swapped.g_ir.data)
+        straight_ir, straight_vis = run_graph(f_a, f_b, params, config)
+        swapped_ir, swapped_vis = run_graph(f_b, f_a, params, config)
+        np.testing.assert_array_equal(straight_ir.data, swapped_vis.data)
+        np.testing.assert_array_equal(straight_vis.data, swapped_ir.data)
 
     def test_matches_float64_reference(self, rng):
         config = graph_config()
         params = init_params(config, seed=1)
         f_ir = self._features(rng, config)
         f_vis = self._features(rng, config)
-        got = run_graph(f_ir, f_vis, params, config)
+        got_ir, got_vis = run_graph(f_ir, f_vis, params, config)
         arrays = {name: t.data.astype(np.float64) for name, t in params.items()}
         want = reference._run_graph(
             [t.data.astype(np.float64) for t in f_ir],
@@ -265,17 +270,17 @@ class TestRunGraph:
             arrays,
             config,
         )
-        np.testing.assert_allclose(got.g_ir.data, want["ir"], rtol=1e-4, atol=1e-5)
-        np.testing.assert_allclose(got.g_vis.data, want["vis"], rtol=1e-4, atol=1e-5)
+        np.testing.assert_allclose(got_ir.data, want["ir"], rtol=1e-4, atol=1e-5)
+        np.testing.assert_allclose(got_vis.data, want["vis"], rtol=1e-4, atol=1e-5)
 
     def test_loops_beyond_features_reuse_deepest(self, rng):
         config = graph_config(loops=3)
         params = init_params(config, seed=2)
         f_ir = self._features(rng, config)[:1]
         f_vis = self._features(rng, config)[:1]
-        short = run_graph(f_ir, f_vis, params, config)
-        long = run_graph(f_ir * 3, f_vis * 3, params, config)
-        np.testing.assert_array_equal(short.g_ir.data, long.g_ir.data)
+        short_ir, _ = run_graph(f_ir, f_vis, params, config)
+        long_ir, _ = run_graph(f_ir * 3, f_vis * 3, params, config)
+        np.testing.assert_array_equal(short_ir.data, long_ir.data)
 
     def test_rejects_mismatched_feature_lists(self, rng, monkeypatch):
         config = graph_config()
@@ -294,10 +299,10 @@ class TestRunGraph:
         params = init_params(config, seed=2)
         f_ir = self._features(rng, config)
         f_vis = self._features(rng, config)
-        full = run_graph(f_ir, f_vis, params, config)
-        cut = run_graph(tuple(f_ir[:2]), tuple(f_vis[:2]), params, config)
-        np.testing.assert_array_equal(full.g_ir.data, cut.g_ir.data)
-        np.testing.assert_array_equal(full.g_vis.data, cut.g_vis.data)
+        full_ir, full_vis = run_graph(f_ir, f_vis, params, config)
+        cut_ir, cut_vis = run_graph(tuple(f_ir[:2]), tuple(f_vis[:2]), params, config)
+        np.testing.assert_array_equal(full_ir.data, cut_ir.data)
+        np.testing.assert_array_equal(full_vis.data, cut_vis.data)
 
     def test_share_loop_params_uses_single_bank(self, rng):
         shared = graph_config(share_loop_params=True)
@@ -306,8 +311,8 @@ class TestRunGraph:
         assert "graph.loop2.inter.weight" not in params
         f_ir = self._features(rng, shared)
         f_vis = self._features(rng, shared)
-        result = run_graph(f_ir, f_vis, params, shared)
-        assert result.g_ir.shape == (1, 4, 6, 6)
+        g_ir, _ = run_graph(f_ir, f_vis, params, shared)
+        assert g_ir.shape == (1, 4, 6, 6)
 
 
 class TestSingleNodeLoopByHand:
@@ -319,7 +324,7 @@ class TestSingleNodeLoopByHand:
         h = w = 3
         f_ir = Tensor(rng.standard_normal((1, 2, h, w)).astype(np.float32))
         f_vis = Tensor(rng.standard_normal((1, 2, h, w)).astype(np.float32))
-        result = run_graph([f_ir], [f_vis], params, config)
+        result = dict(zip(("ir", "vis"), run_graph([f_ir], [f_vis], params, config)))
 
         def p(name):
             return params[name].data.astype(np.float64)
@@ -344,8 +349,7 @@ class TestSingleNodeLoopByHand:
         for m in ("ir", "vis"):
             leader = oracle_conv(updated[m], p(f"graph.loop1.leader.{m}.weight"), p(f"graph.loop1.leader.{m}.bias"))
             mixed = oracle_conv(leader, p(f"graph.mix.{m}.weight"), p(f"graph.mix.{m}.bias"))
-            got = result.g_ir.data if m == "ir" else result.g_vis.data
-            np.testing.assert_allclose(got, mixed, rtol=1e-4, atol=1e-6)
+            np.testing.assert_allclose(result[m].data, mixed, rtol=1e-4, atol=1e-6)
 
 
 def test_untaped_run_graph_keeps_few_maps_alive(rng):

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import os
+import struct
 import sys
 import tracemalloc
 from pathlib import Path
@@ -27,7 +28,7 @@ from graphfusion.network import (
 from graphfusion.reference import reference_forward
 from graphfusion.tensor import ShapeError, Tape, Tensor
 
-from conftest import rewrite_config_blob
+from conftest import replace_config_blob, rewrite_config_blob
 
 
 def cfg(**overrides) -> FusionConfig:
@@ -61,6 +62,17 @@ class TestParameterTable:
         shapes = parameter_shapes(cfg(channels=8, nodes=1))
         assert not any(".intra." in n for n in shapes)
         assert "graph.loop1.inter.weight" in shapes
+
+    def test_loop_block_order(self):
+        # Init draws in table order, so a regrouped block changes every weight.
+        table = list(parameter_shapes(cfg(channels=8, nodes=2, loops=2)))
+        convs = ["node0.ir", "node0.vis", "node1.ir", "node1.vis", "intra.ir", "intra.vis", "inter"]
+        convs += ["update.ir", "update.vis", "leader.ir", "leader.vis"]
+        convs += ["deliver0.ir", "deliver0.vis", "deliver1.ir", "deliver1.vis"]
+        want = [f"graph.loop1.{conv}.{kind}" for conv in convs for kind in ("weight", "bias")]
+        start = table.index(want[0])
+        assert table[start : start + len(want)] == want
+        assert table[start + len(want)] == "graph.loop2.node0.ir.weight"
 
     def test_head_consumes_both_branches(self):
         shapes = parameter_shapes(cfg(channels=8))
@@ -374,6 +386,38 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, config)
         with pytest.raises(CheckpointError, match="parameter head.conv2.bias holds non-finite"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", "null", '"x"'])
+    def test_config_blob_not_an_object_rejected(self, tmp_path, text):
+        config = cfg(**SMALL)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(config, seed=0), config)
+        replace_config_blob(path, path, text)
+        with pytest.raises(CheckpointError, match="bad config blob: config must be a JSON object"):
+            load_checkpoint(path)
+
+    def test_dims_overflowing_int64_rejected(self, tmp_path):
+        # The dims' byte count is about 1.6e29; in int64 it wraps negative.
+        config = cfg(**SMALL)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(config, seed=0), config)
+        blob = path.read_bytes()
+        count_at = 12 + struct.unpack_from("<I", blob, 8)[0]
+        record = struct.pack("<II1sI3I", 1, 1, b"x", 3, 2**32 - 1, 2**32 - 1, 2**31 + 1)
+        path.write_bytes(blob[:count_at] + record)
+        with pytest.raises(CheckpointError, match="truncated checkpoint: data of x"):
+            load_checkpoint(path)
+
+    def test_name_not_utf8_rejected(self, tmp_path):
+        config = cfg(**SMALL)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(config, seed=0), config)
+        blob = bytearray(path.read_bytes())
+        # The first name's first byte follows the tensor count and its length.
+        blob[12 + struct.unpack_from("<I", blob, 8)[0] + 8] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="bad parameter name"):
             load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -224,7 +224,7 @@ class TestConv2d:
         # Convs read a frame of zeros (the pitched frame without a tail),
         # max pooling one of -inf.
         a = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
-        framed = ops._framed(a, padding) if fill else ops._pitched(a, padding).reshape(2, 3, 4 + 2 * padding, -1)
+        framed = ops._pitched(a, padding, fill=fill).reshape(2, 3, 4 + 2 * padding, -1)
         width = ((0, 0), (0, 0), (padding, padding), (padding, padding))
         np.testing.assert_array_equal(framed, np.pad(a, width, constant_values=np.float32(fill)))
         assert framed.dtype == np.float32
