@@ -30,10 +30,13 @@ node's update; the loop's leaders live until the final mix.  Neither a
 pair's difference nor its edges nor a message is ever a map of its own:
 each message replaces its destination's running sum by a new one.
 Sequences a caller passes in are only read, never modified.  Under a tape
-the records keep every map alive; a pair makes three records, its conv
-and its two messages, and holds one map of its own, ``s``.  In the
-backward pass ``s``'s gradient lives only until its conv's record has
-replayed.
+a record keeps only the arrays its backward reads (see :mod:`.ops`): a
+conv its input, a message its ``s`` and its source node, a ReLU its
+output.  So the superseded running sums, the pre-ReLU updates, the
+leaders, the injections and the upsampled fresh nodes are freed as they
+are outside a tape.  A pair makes three records, its conv and its two
+messages, and holds one map of its own, ``s``.  In the backward pass
+``s``'s gradient lives only until its conv's record has replayed.
 """
 
 from __future__ import annotations

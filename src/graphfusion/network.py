@@ -130,7 +130,8 @@ def forward(ir: Tensor, vis: Tensor, params: Mapping[str, Tensor], config: Fusio
     reader.  The backbone stages go to ``run_graph`` as call temporaries,
     so it can free each stage after the last loop that reads it; on
     CPython 3.10 they live until ``run_graph`` returns (see there).  Under
-    a tape the records keep every map alive until the tape is cleared.
+    a tape the records keep, until the tape is cleared, only the maps that
+    some backward reads; the rest are freed as outside a tape.
     """
     if ir.shape != vis.shape:
         raise ShapeError(f"forward: input shapes differ, {ir.shape} vs {vis.shape}")

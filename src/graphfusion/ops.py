@@ -1,7 +1,10 @@
 """Differentiable operations over :class:`~graphfusion.tensor.Tensor`.
 
 Every op validates shapes up front, computes its forward result in float32,
-and registers a backward closure via :func:`record_op`.  Image tensors use
+and registers a backward closure via :func:`record_op`.  A closure names
+no :class:`Tensor`: it holds its inputs' gradient slots and shapes and
+only the arrays its backward reads, so under a tape a map that no
+backward reads is freed once the forward code drops it.  Image tensors use
 the layout (batch, channels, height, width).  Binary elementwise ops accept
 equal shapes or a limited broadcast: same rank with each dimension either
 matching or 1 on one side (this covers per-channel weights of shape
@@ -210,7 +213,8 @@ def conv2d(
     negation to ``minus``.  The transposed kernel gradient is one
     ``taps @ g_band.T`` GEMM per band of gathered taps (:func:`_gather`) of
     ``x`` (less ``minus``) framed again; BLAS runs it faster than the
-    untransposed one.  The op keeps ``x`` and ``minus``, not their frame.
+    untransposed one.  The op keeps the arrays of ``x``, ``minus`` and the
+    kernel, not their frame.
     """
     _require_4d("conv2d", x)
     if kernel.ndim != 4:
@@ -228,26 +232,27 @@ def conv2d(
     if h + 2 * padding < k or w + 2 * padding < k:
         raise ShapeError(f"conv2d: padded input {h + 2 * padding}x{w + 2 * padding} smaller than kernel {k}x{k}")
 
-    minus_data = None if minus is None else minus.data
-    out = _correlate(x.data, kernel.data, padding, None if bias is None else bias.data, minus_data)
+    x_data, weights, minus_data = x.data, kernel.data, None if minus is None else minus.data
+    out = _correlate(x_data, weights, padding, None if bias is None else bias.data, minus_data)
     oh, ow = out.shape[2], out.shape[3]
     inputs = tuple(t for t in (x, kernel, bias, minus) if t is not None)
+    x_slot, kernel_slot, bias_slot, minus_slot = (None if t is None else t.slot for t in (x, kernel, bias, minus))
 
     def backward(g: np.ndarray) -> None:
-        if bias is not None and bias.requires_grad:
-            accumulate(bias, g.sum(axis=(0, 2, 3)))
-        if kernel.requires_grad:
-            xp = _pitched(x.data, padding, minus=minus_data).reshape(n, c, h + 2 * padding, w + 2 * padding)
+        if bias_slot is not None and bias_slot.requires_grad:
+            accumulate(bias_slot, g.sum(axis=(0, 2, 3)))
+        if kernel_slot.requires_grad:
+            xp = _pitched(x_data, padding, minus=minus_data).reshape(n, c, h + 2 * padding, w + 2 * padding)
             gm = g.reshape(n, oc, oh * ow)
             gk = np.zeros((c * k * k, oc), dtype=np.float32)
             for s, r0, r in _bands(n, oh, _gather_rows(c, k, ow)):
                 gk += _gather(xp, s, r0, r, k, ow) @ gm[s, :, r0 * ow : (r0 + r) * ow].T
-            accumulate(kernel, gk.T.reshape(oc, c, k, k))
-        if x.requires_grad or (minus is not None and minus.requires_grad):
-            dx = _correlate(g, kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), k - 1 - padding)
-            accumulate(x, dx)
-            if minus is not None and minus.requires_grad:
-                accumulate(minus, -dx)
+            accumulate(kernel_slot, gk.T.reshape(oc, c, k, k))
+        if x_slot.requires_grad or (minus_slot is not None and minus_slot.requires_grad):
+            dx = _correlate(g, weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), k - 1 - padding)
+            accumulate(x_slot, dx)
+            if minus_slot is not None and minus_slot.requires_grad:
+                accumulate(minus_slot, -dx)
 
     return record_op(out, inputs, backward)
 
@@ -289,9 +294,10 @@ def maxpool2d(x: Tensor, window: int, *, padding: int = 0) -> Tensor:
     xp = _pitched(x.data, padding, fill=-np.inf).reshape(n, c, h + 2 * padding, w + 2 * padding)
     out = _scan(xp, window, np.maximum)
     oh, ow = out.shape[2], out.shape[3]
+    slot = x.slot
 
     def backward(g: np.ndarray) -> None:
-        if not x.requires_grad:
+        if not slot.requires_grad:
             return
         best = _tap(xp, 0, 0, oh, ow).copy()
         arg = np.zeros(best.shape, dtype=np.min_scalar_type(window * window - 1))
@@ -311,7 +317,7 @@ def maxpool2d(x: Tensor, window: int, *, padding: int = 0) -> Tensor:
             # A masked ``np.add(tap, g, out=tap, where=...)`` into the strided
             # view was 6x slower than this product (12.4 against 2.0 ms).
             tap += np.multiply(g, np.equal(arg, idx, out=won), out=routed)
-        accumulate(x, dxp[:, :, padding : padding + h, padding : padding + w])
+        accumulate(slot, dxp[:, :, padding : padding + h, padding : padding + w])
 
     return record_op(out, (x,), backward)
 
@@ -331,9 +337,10 @@ def _mean_pool(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     """Mean over the cells each (row, column) bin pair of the 0/1 matrices marks."""
     counts = np.outer(rows.sum(axis=1), cols.sum(axis=1))
     out = _separable(rows, x.data, cols) / counts
+    slot = x.slot
 
     def backward(g: np.ndarray) -> None:
-        accumulate(x, _separable(rows.T, g / counts, cols.T))
+        accumulate(slot, _separable(rows.T, g / counts, cols.T))
 
     return record_op(out, (x,), backward)
 
@@ -354,6 +361,7 @@ def avgpool2d(x: Tensor, window: int, *, padding: int = 0) -> Tensor:
     counts = _scan(ones, window, np.add)
     out = _scan(_pitched(x.data, padding).reshape(n, c, hp, wp), window, np.add)
     out /= counts
+    slot = x.slot
 
     def backward(g: np.ndarray) -> None:
         share = g / counts
@@ -362,7 +370,7 @@ def avgpool2d(x: Tensor, window: int, *, padding: int = 0) -> Tensor:
         for idx in range(window * window):
             tap = _tap(dxp, *divmod(idx, window), oh, ow)
             tap += share
-        accumulate(x, dxp[:, :, padding : padding + h, padding : padding + w])
+        accumulate(slot, dxp[:, :, padding : padding + h, padding : padding + w])
 
     return record_op(out, (x,), backward)
 
@@ -438,6 +446,7 @@ def upsample_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
         return np.moveaxis(out, -1, axis)
 
     out = lerp(lerp(x.data, r0, tr, 2), c0, tc, 3)
+    slot = x.slot
 
     def backward(g: np.ndarray) -> None:
         # Per-axis interpolation matrices carry the same (1 - t, t) weights
@@ -448,7 +457,7 @@ def upsample_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
         aw = np.zeros((out_w, w), dtype=np.float32)
         np.add.at(aw, (np.arange(out_w), c0), 1.0 - tc)
         np.add.at(aw, (np.arange(out_w), c1), tc)
-        accumulate(x, _separable(ah.T, g, aw.T))
+        accumulate(slot, _separable(ah.T, g, aw.T))
 
     return record_op(out, (x,), backward)
 
@@ -461,7 +470,8 @@ def fully_connected(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map ``flatten(x) @ weight.T + bias``.
 
     ``x`` is (N, ...) and is flattened per sample; ``weight`` is
-    (out_features, in_features), ``bias`` (out_features,).
+    (out_features, in_features), ``bias`` (out_features,).  The op keeps
+    the arrays of ``x`` and ``weight``, each read by the other's gradient.
     """
     if x.ndim < 2:
         raise ShapeError(f"fully_connected: input must have a batch dimension, got shape {x.shape}")
@@ -474,16 +484,17 @@ def fully_connected(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"fully_connected: input has {feat} features but weight expects {inf_}")
     if bias.shape != (of,):
         raise ShapeError(f"fully_connected: bias shape {bias.shape} != ({of},)")
-    xf = x.data.reshape(n, feat)
-    out = xf @ weight.data.T + bias.data
+    xf, w = x.data.reshape(n, feat), weight.data
+    out = xf @ w.T + bias.data
+    x_slot, weight_slot, bias_slot, shape = x.slot, weight.slot, bias.slot, x.shape
 
     def backward(g: np.ndarray) -> None:
-        if bias.requires_grad:
-            accumulate(bias, g.sum(axis=0))
-        if weight.requires_grad:
-            accumulate(weight, g.T @ xf)
-        if x.requires_grad:
-            accumulate(x, (g @ weight.data).reshape(x.shape))
+        if bias_slot.requires_grad:
+            accumulate(bias_slot, g.sum(axis=0))
+        if weight_slot.requires_grad:
+            accumulate(weight_slot, g.T @ xf)
+        if x_slot.requires_grad:
+            accumulate(x_slot, (g @ w).reshape(shape))
 
     return record_op(out, (x, weight, bias), backward)
 
@@ -513,10 +524,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check("add", a, b)
     out = a.data + b.data
+    a_slot, b_slot, a_shape, b_shape = a.slot, b.slot, a.shape, b.shape
 
     def backward(g: np.ndarray) -> None:
-        accumulate(a, _unbroadcast(g, a.shape))
-        accumulate(b, _unbroadcast(g, b.shape))
+        accumulate(a_slot, _unbroadcast(g, a_shape))
+        accumulate(b_slot, _unbroadcast(g, b_shape))
 
     return record_op(out, (a, b), backward)
 
@@ -524,21 +536,24 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check("sub", a, b)
     out = a.data - b.data
+    a_slot, b_slot, a_shape, b_shape = a.slot, b.slot, a.shape, b.shape
 
     def backward(g: np.ndarray) -> None:
-        accumulate(a, _unbroadcast(g, a.shape))
-        accumulate(b, _unbroadcast(-g, b.shape))
+        accumulate(a_slot, _unbroadcast(g, a_shape))
+        accumulate(b_slot, _unbroadcast(-g, b_shape))
 
     return record_op(out, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check("mul", a, b)
-    out = a.data * b.data
+    a_data, b_data = a.data, b.data
+    out = a_data * b_data
+    a_slot, b_slot, a_shape, b_shape = a.slot, b.slot, a.shape, b.shape
 
     def backward(g: np.ndarray) -> None:
-        accumulate(a, _unbroadcast(g * b.data, a.shape))
-        accumulate(b, _unbroadcast(g * a.data, b.shape))
+        accumulate(a_slot, _unbroadcast(g * b_data, a_shape))
+        accumulate(b_slot, _unbroadcast(g * a_data, b_shape))
 
     return record_op(out, (a, b), backward)
 
@@ -546,11 +561,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def div(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise quotient; the caller keeps the denominator away from zero."""
     _broadcast_check("div", a, b)
-    out = a.data / b.data
+    a_data, b_data = a.data, b.data
+    out = a_data / b_data
+    a_slot, b_slot, a_shape, b_shape = a.slot, b.slot, a.shape, b.shape
 
     def backward(g: np.ndarray) -> None:
-        accumulate(a, _unbroadcast(g / b.data, a.shape))
-        accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        accumulate(a_slot, _unbroadcast(g / b_data, a_shape))
+        accumulate(b_slot, _unbroadcast(-g * a_data / (b_data * b_data), b_shape))
 
     return record_op(out, (a, b), backward)
 
@@ -560,36 +577,40 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     _broadcast_check("maximum", a, b)
     out = np.maximum(a.data, b.data)
     take_a = a.data >= b.data
+    a_slot, b_slot, a_shape, b_shape = a.slot, b.slot, a.shape, b.shape
 
     def backward(g: np.ndarray) -> None:
-        accumulate(a, _unbroadcast(g * take_a, a.shape))
-        accumulate(b, _unbroadcast(g * ~take_a, b.shape))
+        accumulate(a_slot, _unbroadcast(g * take_a, a_shape))
+        accumulate(b_slot, _unbroadcast(g * ~take_a, b_shape))
 
     return record_op(out, (a, b), backward)
 
 
 def negate(x: Tensor) -> Tensor:
+    slot = x.slot
+
     def backward(g: np.ndarray) -> None:
-        accumulate(x, -g)
+        accumulate(slot, -g)
 
     return record_op(-x.data, (x,), backward)
 
 
 def scale(x: Tensor, s: float) -> Tensor:
     """Multiply by a python scalar."""
-    s32 = np.float32(s)
+    s32, slot = np.float32(s), x.slot
 
     def backward(g: np.ndarray) -> None:
-        accumulate(x, g * s32)
+        accumulate(slot, g * s32)
 
     return record_op(x.data * s32, (x,), backward)
 
 
 def shift(x: Tensor, c: float) -> Tensor:
     """Add a python scalar."""
+    slot = x.slot
 
     def backward(g: np.ndarray) -> None:
-        accumulate(x, g)
+        accumulate(slot, g)
 
     return record_op(x.data + np.float32(c), (x,), backward)
 
@@ -600,9 +621,10 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     if int(np.prod(target, dtype=np.int64)) != x.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {target}")
     out = x.data.reshape(target)
+    slot, shape = x.slot, x.shape
 
     def backward(g: np.ndarray) -> None:
-        accumulate(x, g.reshape(x.shape))
+        accumulate(slot, g.reshape(shape))
 
     return record_op(out, (x,), backward)
 
@@ -620,10 +642,11 @@ def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
     out = np.concatenate([t.data for t in tensors], axis=1)
     sizes = [t.shape[1] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    slots = [t.slot for t in tensors]
 
     def backward(g: np.ndarray) -> None:
-        for t, o0, o1 in zip(tensors, offsets[:-1], offsets[1:]):
-            accumulate(t, g[:, o0:o1])
+        for slot, o0, o1 in zip(slots, offsets[:-1], offsets[1:]):
+            accumulate(slot, g[:, o0:o1])
 
     return record_op(out, tuple(tensors), backward)
 
@@ -645,9 +668,10 @@ def _logistic(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 def sigmoid(x: Tensor) -> Tensor:
     """Logistic function (:func:`_logistic`)."""
     out = _logistic(x.data, np.empty_like(x.data))  # an array even when 0-d
+    slot = x.slot
 
     def backward(g: np.ndarray) -> None:
-        accumulate(x, g * out * (1.0 - out))
+        accumulate(slot, g * out * (1.0 - out))
 
     return record_op(out, (x,), backward)
 
@@ -683,10 +707,11 @@ def gate_add(total: Tensor, s: Tensor, bias: Tensor, sign: int, source: Tensor) 
     chunks of at most ``_CHUNK_FLOATS`` floats (:func:`_chunks`), so the
     output is the only full-size array made: neither the edge, the gate nor
     the message is stored, and the backward recomputes the edge and gate
-    chunk by chunk.  Every element rounds as in
-    ``add(total, mul(sigmoid(edge), source))``, and the map gradients
-    accumulate in that composition's order (total, source, s), so they are
-    bit-identical to it; ``s`` gets ``sign`` times the edge gradient.  Only
+    chunk by chunk from ``s`` and ``source``, the only arrays the op keeps.
+    Every element rounds as in ``add(total, mul(sigmoid(edge), source))``,
+    and the map gradients accumulate in that composition's order (total,
+    source, s), so they are bit-identical to it; ``s`` gets ``sign`` times
+    the edge gradient.  Only
     ``bias``'s gradient, a sum of the edge gradient per channel, is summed
     in another order: per chunk, then in float64.
     """
@@ -704,6 +729,7 @@ def gate_add(total: Tensor, s: Tensor, bias: Tensor, sign: int, source: Tensor) 
     t2, s2, src2, o2 = (a.reshape(planes, size) for a in (total.data, s.data, source.data, out))
     b2 = np.tile(bias.data, n).reshape(planes, 1)
     gate = np.empty(min(_CHUNK_FLOATS, out.size), dtype=np.float32)
+    total_slot, s_slot, bias_slot, source_slot = (t.slot for t in (total, s, bias, source))
 
     def edge(rows: slice, cols: slice, buf: np.ndarray) -> np.ndarray:
         """The chunk's edge, written into ``buf``."""
@@ -720,18 +746,18 @@ def gate_add(total: Tensor, s: Tensor, bias: Tensor, sign: int, source: Tensor) 
         np.add(t2[rows, cols], message, out=o2[rows, cols])
 
     def backward(g: np.ndarray) -> None:
-        accumulate(total, g)
+        accumulate(total_slot, g)
         # (gradient as (planes, size), fresh) per map input that needs one; a
         # gradient made here is written, not added to.  The source goes first,
         # so that when it is ``s`` too its first deposit is the one written.
         sinks = {}
-        for name, t in (("source", source), ("s", s)):
-            if t.requires_grad:
-                fresh = t.grad is None
+        for name, slot in (("source", source_slot), ("s", s_slot)):
+            if slot.requires_grad:
+                fresh = slot.grad is None
                 if fresh:
-                    t.grad = np.empty_like(t.data)
-                sinks[name] = (t.grad.reshape(planes, size), fresh)
-        sums = np.zeros(planes) if bias.requires_grad else None
+                    slot.grad = np.empty((n, c, h, w), dtype=np.float32)
+                sinks[name] = (slot.grad.reshape(planes, size), fresh)
+        sums = np.zeros(planes) if bias_slot.requires_grad else None
         if not sinks and sums is None:
             return
 
@@ -766,16 +792,22 @@ def gate_add(total: Tensor, s: Tensor, bias: Tensor, sign: int, source: Tensor) 
                 if sums is not None:
                     sums[rows] += d.sum(axis=1)
         if sums is not None:
-            accumulate(bias, sums.reshape(n, c).sum(axis=0).astype(np.float32))
+            accumulate(bias_slot, sums.reshape(n, c).sum(axis=0).astype(np.float32))
 
     return record_op(out, (total, s, bias, source), backward)
 
 
 def relu(x: Tensor) -> Tensor:
+    """Elementwise ``max(x, 0)``.
+
+    The backward masks by ``out > 0``, which is ``x > 0`` for every float,
+    ±0 and NaN included, so the op keeps its output, not ``x``.
+    """
     out = np.maximum(x.data, 0.0)
+    slot = x.slot
 
     def backward(g: np.ndarray) -> None:
-        accumulate(x, g * (x.data > 0))
+        accumulate(slot, g * (out > 0))
 
     return record_op(out, (x,), backward)
 
@@ -789,20 +821,23 @@ def sqrt(x: Tensor) -> Tensor:
     if np.any(x.data < 0):
         raise ShapeError("sqrt: negative input")
     out = np.sqrt(x.data)
+    slot = x.slot
 
     def backward(g: np.ndarray) -> None:
         safe = np.where(out > 0, out, np.float32(1.0))
-        accumulate(x, np.where(out > 0, g / (2.0 * safe), np.float32(0.0)))
+        accumulate(slot, np.where(out > 0, g / (2.0 * safe), np.float32(0.0)))
 
     return record_op(out, (x,), backward)
 
 
 def absolute(x: Tensor) -> Tensor:
     """Elementwise |x|; the subgradient at zero is zero."""
-    out = np.abs(x.data)
+    x_data = x.data
+    out = np.abs(x_data)
+    slot = x.slot
 
     def backward(g: np.ndarray) -> None:
-        accumulate(x, g * np.sign(x.data))
+        accumulate(slot, g * np.sign(x_data))
 
     return record_op(out, (x,), backward)
 
@@ -818,9 +853,10 @@ def reduce_sum(x: Tensor) -> Tensor:
     stored scalar within one float32 ulp of the true sum.
     """
     out = np.float32(np.sum(x.data, dtype=np.float64))
+    slot, shape = x.slot, x.shape
 
     def backward(g: np.ndarray) -> None:
-        accumulate(x, np.broadcast_to(g, x.shape).astype(np.float32))
+        accumulate(slot, np.broadcast_to(g, shape).astype(np.float32))
 
     return record_op(np.asarray(out), (x,), backward)
 
@@ -829,8 +865,9 @@ def reduce_mean(x: Tensor) -> Tensor:
     """Mean of all elements as a 0-d tensor (float64 accumulation)."""
     inv = np.float32(1.0 / x.size)
     out = np.float32(np.sum(x.data, dtype=np.float64) / x.size)
+    slot, shape = x.slot, x.shape
 
     def backward(g: np.ndarray) -> None:
-        accumulate(x, np.broadcast_to(g * inv, x.shape).astype(np.float32))
+        accumulate(slot, np.broadcast_to(g * inv, shape).astype(np.float32))
 
     return record_op(np.asarray(out), (x,), backward)

@@ -3,14 +3,18 @@
 The autograd model is deliberately small: every differentiable operation
 (see :mod:`graphfusion.ops`) records one entry on the :class:`Tape` that
 is recording on the calling thread, and records nothing when none is.
-Calling ``tape.backward(loss)`` seeds ``d loss = 1`` and replays the
-records in reverse order, accumulating gradients into the ``grad`` buffer
-of every tensor that requires them; each op output's gradient is dropped
-once its record has replayed, so only the leaves keep theirs.  One tape
-records per thread at a time: entering a second one on a thread that
-already has one raises ``RuntimeError``.  Tensors touched by no tape are
-plain immutable values and are safe to share across threads; parallel
-work, when any, must use one tape per thread.
+A tensor's gradient lives apart from its data, in a :class:`GradSlot`
+the tensor shares with the tape, so a record holds its output's slot and
+a backward closure that keeps only the arrays it reads: a map no
+backward reads is freed once the forward code drops it.  Calling
+``tape.backward(loss)`` seeds ``d loss = 1`` and replays the records in
+reverse order, accumulating gradients into the slot of every tensor that
+requires them; each op output's gradient is dropped once its record has
+replayed, so only the leaves keep theirs.  One tape records per thread
+at a time: entering a second one on a thread that already has one raises
+``RuntimeError``.  Tensors touched by no tape are plain immutable values
+and are safe to share across threads; parallel work, when any, must use
+one tape per thread.
 """
 
 from __future__ import annotations
@@ -33,6 +37,20 @@ def active_tape() -> "Tape | None":
     return getattr(_TLS, "tape", None)
 
 
+class GradSlot:
+    """The gradient half of a tensor: ``grad`` and ``requires_grad``.
+
+    A tape record and a backward closure hold a tensor's slot, never the
+    tensor, so holding a gradient target keeps no data alive.
+    """
+
+    __slots__ = ("grad", "requires_grad")
+
+    def __init__(self, requires_grad: bool):
+        self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
+
+
 class Tensor:
     """A dense N-dimensional float32 array with an optional gradient buffer.
 
@@ -42,15 +60,32 @@ class Tensor:
     lives from its first write until its record has replayed.
     ``requires_grad`` marks leaves (parameters, probed inputs); outputs of
     recorded ops inherit it so gradients can flow through intermediates.
+    Both live in the tensor's ``slot`` (:class:`GradSlot`) and read and
+    write through it, so the tape can hold them without ``data``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "slot")
 
     def __init__(self, data, requires_grad: bool = False):
         # Not ascontiguousarray: that would promote 0-d scalars to shape (1,).
         self.data = np.asarray(data, dtype=np.float32, order="C")
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
+        self.slot = GradSlot(bool(requires_grad))
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.slot.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self.slot.grad = value
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.slot.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool) -> None:
+        self.slot.requires_grad = bool(value)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -96,8 +131,10 @@ class Tape:
             tape.backward(loss)
         tape.clear()
 
-    Each record pairs an op's output tensor with a closure that pushes the
-    output's gradient into the op's inputs.  ``backward`` must be given a
+    Each record pairs an op's output slot with a closure that pushes the
+    output's gradient into the slots of the op's inputs; the closure keeps
+    only the arrays its backward reads, so the tape holds no op output or
+    input for its own sake.  ``backward`` must be given a
     single-element tensor and replays the records newest-first, so a record
     sees the fully accumulated gradient of its output.  It then drops that
     gradient: after ``backward`` only the leaves (tensors no record made)
@@ -108,8 +145,8 @@ class Tape:
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
-        self._touched: list[Tensor] = []
+        self._records: list[tuple[GradSlot, Callable[[np.ndarray], None]]] = []
+        self._touched: list[GradSlot] = []
 
     def __enter__(self) -> "Tape":
         if active_tape() is not None:
@@ -129,10 +166,13 @@ class Tape:
         inputs: Sequence[Tensor],
         backward: Callable[[np.ndarray], None],
     ) -> None:
-        """Append one op.  ``backward`` receives d(loss)/d(output)."""
-        self._records.append((output, backward))
-        self._touched.append(output)
-        self._touched.extend(inputs)
+        """Append one op.  ``backward`` receives d(loss)/d(output).
+
+        Only the slots of ``output`` and ``inputs`` are kept, not the tensors.
+        """
+        self._records.append((output.slot, backward))
+        self._touched.append(output.slot)
+        self._touched.extend(t.slot for t in inputs)
 
     def backward(self, loss: Tensor) -> None:
         """Seed ``d loss = 1`` and replay all records in reverse order.
@@ -158,22 +198,25 @@ class Tape:
 
     def clear(self) -> None:
         """Drop all records and zero every gradient this tape touched."""
-        for t in self._touched:
-            t.grad = None
+        for slot in self._touched:
+            slot.grad = None
         self._records.clear()
         self._touched.clear()
 
 
-def accumulate(t: Tensor, delta: np.ndarray) -> None:
-    """Add ``delta`` into ``t.grad`` if ``t`` participates in gradients."""
-    if not t.requires_grad:
+def accumulate(slot: GradSlot, delta: np.ndarray) -> None:
+    """Add ``delta`` into ``slot.grad`` if the slot participates in gradients.
+
+    A :class:`Tensor` serves as well, since it reads and writes through its slot.
+    """
+    if not slot.requires_grad:
         return
-    if t.grad is None:
+    if slot.grad is None:
         # A copy, not zeros plus delta: one pass instead of two.  It must be
         # a copy, since ``delta`` may be another tensor's gradient or a view.
-        t.grad = np.array(delta, dtype=np.float32, order="C")
+        slot.grad = np.array(delta, dtype=np.float32, order="C")
     else:
-        t.grad += delta
+        slot.grad += delta
 
 
 def record_op(
@@ -181,7 +224,10 @@ def record_op(
     inputs: Sequence[Tensor],
     backward: Callable[[np.ndarray], None],
 ) -> Tensor:
-    """Wrap an op's forward result, recording it when a tape is active."""
+    """Wrap an op's forward result, recording it when a tape is active.
+
+    Without one, ``backward`` is dropped here, and with it what it holds.
+    """
     tape = active_tape()
     needs = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(output_data, requires_grad=needs)

@@ -241,32 +241,38 @@ def test_untaped_forward_keeps_few_maps_alive(rng):
 def test_taped_step_records_and_peak(rng):
     # Three records per edge pair (27 with 3 nodes and 3 loops): one conv of
     # the pair's difference and one record per message, with no difference,
-    # edge, gate or message map or gradient held for the backward.  Backward
-    # drops each intermediate's gradient once its record has replayed, so
-    # the peak reads 261.8 maps of 1x16x32x32, against 472.4 when every
-    # gradient lived until ``clear``; the bound is 5% above it.  The fused
-    # image's SSIM statistics are recorded once for both terms.
+    # edge, gate or message map or gradient held for the backward.  A record
+    # keeps only the arrays its backward reads, so after forward and loss
+    # the tape holds 137.2 maps of 1x16x32x32, against 235.7 when records
+    # kept every op's inputs and output.  Backward drops each intermediate's
+    # gradient once its record has replayed, so the peak reads 163.2 maps,
+    # against 261.8 with every map kept and 472.4 when every gradient also
+    # lived until ``clear``.  Both bounds are 5% above.  The fused image's
+    # SSIM statistics are recorded once for both terms.
     config = FusionConfig()
     params = init_params(config, seed=0)
     ir, vis = (Tensor(rng.uniform(size=(1, 1, 32, 32)).astype(np.float32)) for _ in range(2))
 
-    def step() -> int:
+    def step() -> tuple[int, int]:
         with Tape() as tape:
             loss = loss_components(forward(ir, vis, params, config), ir, vis, config)["total"]
             records = len(tape)
+            held = tracemalloc.get_traced_memory()[0] if tracemalloc.is_tracing() else 0
             tape.backward(loss)
         tape.clear()
-        return records
+        return records, held
 
     step()
     tracemalloc.start()
     try:
-        records = step()
+        records, held = step()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    one_map = 4 * config.channels * 32 * 32
     assert records == 329
-    assert peak < 275 * 4 * config.channels * 32 * 32
+    assert held < 144 * one_map
+    assert peak < 171 * one_map
 
 
 def test_backward_leaves_gradients_only_on_leaves(rng, monkeypatch):

@@ -27,3 +27,46 @@ def test_every_private_helper_has_a_caller(module):
         elif isinstance(node, ast.Attribute):
             named.add(node.attr)
     assert sorted(private - named) == []
+
+
+def closures_naming_tensors(source: str) -> list[str]:
+    """``op.closure: name`` for each function nested in a top-level function that names one of its tensor parameters.
+
+    A tensor parameter is one whose annotation mentions ``Tensor``
+    (``Tensor``, ``Tensor | None``, ``Sequence[Tensor]``).
+    """
+    found = []
+    for op in ast.parse(source).body:
+        if not isinstance(op, ast.FunctionDef):
+            continue
+        args = op.args
+        tensors = {
+            a.arg
+            for a in args.posonlyargs + args.args + args.kwonlyargs
+            if a.annotation is not None
+            and any(isinstance(n, ast.Name) and n.id == "Tensor" for n in ast.walk(a.annotation))
+        }
+        for inner in ast.walk(op):
+            if inner is op or not isinstance(inner, (ast.FunctionDef, ast.Lambda)):
+                continue
+            used = {n.id for n in ast.walk(inner) if isinstance(n, ast.Name)} & tensors
+            found += [f"{op.name}.{getattr(inner, 'name', '<lambda>')}: {name}" for name in sorted(used)]
+    return found
+
+
+def test_no_op_closure_names_a_tensor():
+    # A backward closure holds its inputs' slots, shapes and the arrays it
+    # reads; naming a tensor would keep the tensor's data alive on the tape.
+    assert closures_naming_tensors((PACKAGE / "ops.py").read_text()) == []
+
+
+def test_closure_rule_flags_a_backward_that_reads_its_input():
+    source = (
+        "def relu(x: Tensor, ys: Sequence[Tensor], b: Tensor | None, k: int) -> Tensor:\n"
+        "    out = np.maximum(x.data, 0.0)\n"
+        "    def backward(g):\n"
+        "        accumulate(x, g * (x.data > 0) * k)\n"
+        "    key = lambda: (ys, b)\n"
+        "    return record_op(out, (x,), backward)\n"
+    )
+    assert closures_naming_tensors(source) == ["relu.backward: x", "relu.<lambda>: b", "relu.<lambda>: ys"]

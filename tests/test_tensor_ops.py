@@ -1,11 +1,14 @@
 """Hand-verifiable values and exactness guarantees for the tensor ops."""
 
+import inspect
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphfusion import ops
 from graphfusion.tensor import ShapeError, Tape, Tensor, accumulate, active_tape
@@ -790,6 +793,22 @@ class TestElementwiseAndReductions:
         out = ops.relu(tensor([-2.0, 0.0, 3.0]))
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 3.0])
 
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(xs=st.lists(st.floats(width=32), max_size=40), seed=st.integers(min_value=0, max_value=2**31 - 1))
+    def test_relu_backward_masks_as_its_input_would(self, xs, seed):
+        # The backward masks by ``out > 0``; that is ``x > 0`` bit for bit,
+        # for ±0, NaN, ±inf and subnormals as well.  The forward product and
+        # sum may overflow or meet inf - inf; only the gradient is compared.
+        tiny = np.finfo(np.float32).smallest_subnormal
+        specials = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny, 3 * tiny, -3 * tiny, 1e-39, -1e-39]
+        x = np.array(specials + xs, dtype=np.float32)
+        g = np.random.default_rng(seed).standard_normal(x.size).astype(np.float32)
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape, np.errstate(over="ignore", invalid="ignore"):
+            tape.backward(ops.reduce_sum(ops.mul(ops.relu(xt), Tensor(g))))
+        assert xt.grad.tobytes() == (g * (x > 0)).tobytes()
+        tape.clear()
+
     def test_maximum_elementwise(self):
         out = ops.maximum(tensor([1.0, 5.0]), tensor([2.0, 3.0]))
         np.testing.assert_array_equal(out.data, [2.0, 5.0])
@@ -1073,3 +1092,86 @@ class TestOneTapePerThread:
         y = ops.scale(x, 2.0)
         assert active_tape() is None
         assert len(tape) == 0 and not y.requires_grad
+
+
+# Every public op under a tape: the shapes of its inputs by name, a call, and
+# the arrays its record keeps for the backward, by input name ("out" is the
+# output).  Conv2d's kernel gradient reads ``x`` and ``minus`` and its input
+# gradient the kernel; sigmoid, sqrt and relu differentiate from their output.
+MAP = (1, 2, 4, 4)
+KEEPS = {
+    "conv2d": (
+        dict(x=MAP, kernel=(3, 2, 3, 3), bias=(3,), minus=MAP),
+        lambda x, kernel, bias, minus: ops.conv2d(x, kernel, bias, padding=1, minus=minus),
+        {"x", "kernel", "minus"},
+    ),
+    "maxpool2d": (dict(x=MAP), lambda x: ops.maxpool2d(x, 3, padding=1), set()),
+    "avgpool2d": (dict(x=MAP), lambda x: ops.avgpool2d(x, 3, padding=1), set()),
+    "adaptive_avgpool2d": (dict(x=MAP), lambda x: ops.adaptive_avgpool2d(x, 2, 3), set()),
+    "global_avgpool": (dict(x=MAP), ops.global_avgpool, set()),
+    "upsample_bilinear": (dict(x=(1, 2, 2, 3)), lambda x: ops.upsample_bilinear(x, 4, 5), set()),
+    "fully_connected": (dict(x=(2, 3, 2, 2), weight=(5, 12), bias=(5,)), ops.fully_connected, {"x", "weight"}),
+    "add": (dict(a=MAP, b=(1, 2, 1, 1)), ops.add, set()),
+    "sub": (dict(a=MAP, b=(1, 2, 1, 1)), ops.sub, set()),
+    "mul": (dict(a=MAP, b=(1, 2, 1, 1)), ops.mul, {"a", "b"}),
+    "div": (dict(a=MAP, b=(1, 2, 1, 1)), ops.div, {"a", "b"}),
+    "maximum": (dict(a=MAP, b=MAP), ops.maximum, set()),
+    "negate": (dict(x=MAP), ops.negate, set()),
+    "scale": (dict(x=MAP), lambda x: ops.scale(x, 3.0), set()),
+    "shift": (dict(x=MAP), lambda x: ops.shift(x, 3.0), set()),
+    "reshape": (dict(x=MAP), lambda x: ops.reshape(x, (2, 16)), set()),
+    "concat_channels": (dict(a=MAP, b=(1, 3, 4, 4)), lambda a, b: ops.concat_channels([a, b]), set()),
+    "sigmoid": (dict(x=MAP), ops.sigmoid, {"out"}),
+    "gate_add": (
+        dict(total=MAP, s=MAP, bias=(2,), source=MAP),
+        lambda total, s, bias, source: ops.gate_add(total, s, bias, -1, source),
+        {"s", "source"},
+    ),
+    "relu": (dict(x=MAP), ops.relu, {"out"}),
+    "sqrt": (dict(x=MAP), ops.sqrt, {"out"}),
+    "absolute": (dict(x=MAP), ops.absolute, {"x"}),
+    "reduce_sum": (dict(x=MAP), ops.reduce_sum, set()),
+    "reduce_mean": (dict(x=MAP), ops.reduce_mean, set()),
+}
+
+
+def live_arrays(rng, name, taped):
+    """Weak references, by name, to the arrays of an op call's inputs and output, and a loss when taped.
+
+    Every tensor of the call goes out of scope on return, so only what the
+    tape holds keeps an array alive.
+    """
+    shapes, call, _ = KEEPS[name]
+    tensors = {
+        k: Tensor(rng.uniform(1.0, 2.0, size=shape).astype(np.float32), requires_grad=True)
+        for k, shape in shapes.items()
+    }
+    out = call(**tensors)
+    loss = ops.reduce_sum(out) if taped else None
+    refs = {k: weakref.ref(t.data) for k, t in tensors.items()}
+    refs["out"] = weakref.ref(out.data)
+    return refs, loss
+
+
+def survivors(refs):
+    return {k for k, ref in refs.items() if ref() is not None}
+
+
+class TestRecordKeepsWhatItsBackwardReads:
+    def test_table_covers_every_public_op(self):
+        public = [n for n, fn in vars(ops).items() if inspect.isfunction(fn) and fn.__module__ == ops.__name__]
+        assert sorted(KEEPS) == sorted(n for n in public if not n.startswith("_"))
+
+    @pytest.mark.parametrize("name", sorted(KEEPS))
+    def test_taped_op_keeps_only_the_arrays_its_backward_reads(self, rng, name):
+        with Tape() as tape:
+            refs, loss = live_arrays(rng, name, taped=True)
+            assert survivors(refs) == KEEPS[name][2]
+            tape.backward(loss)
+        tape.clear()
+        assert survivors(refs) == set()
+
+    @pytest.mark.parametrize("name", sorted(KEEPS))
+    def test_untaped_op_keeps_nothing(self, rng, name):
+        refs, _ = live_arrays(rng, name, taped=False)
+        assert survivors(refs) == set()
