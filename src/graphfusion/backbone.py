@@ -6,7 +6,9 @@ then a salience stage: a 3x3 conv followed by sliding max and average pools
 combined per modality, multiplicatively for infrared (salient structures
 gate each other) and additively for visible (texture accumulates).  The
 combined map is reweighted per channel by a squeeze-excite style bottleneck
-(global average pool, linear down to C/r, ReLU, linear back to C, sigmoid).
+(global average pool, 1x1 conv down to C/r, ReLU, 1x1 conv back to C,
+sigmoid); on the pooled (N, C, 1, 1) map a 1x1 conv is a fully connected
+layer.
 """
 
 from __future__ import annotations
@@ -32,12 +34,10 @@ def feature_depth(config: FusionConfig) -> int:
 
 
 def channel_attention(x: Tensor, params: Mapping[str, Tensor], prefix: str) -> Tensor:
-    """Per-channel weights in (0, 1) from a squeeze-excite bottleneck."""
-    n, c = x.shape[0], x.shape[1]
+    """Per-channel weights in (0, 1), (N, C, 1, 1), from a squeeze-excite bottleneck."""
     pooled = ops.global_avgpool(x)
-    hidden = ops.relu(ops.fully_connected(pooled, params[f"{prefix}.fc1.weight"], params[f"{prefix}.fc1.bias"]))
-    raw = ops.fully_connected(hidden, params[f"{prefix}.fc2.weight"], params[f"{prefix}.fc2.bias"])
-    return ops.reshape(ops.sigmoid(raw), (n, c, 1, 1))
+    hidden = ops.relu(ops.conv2d(pooled, params[f"{prefix}.fc1.weight"], params[f"{prefix}.fc1.bias"]))
+    return ops.sigmoid(ops.conv2d(hidden, params[f"{prefix}.fc2.weight"], params[f"{prefix}.fc2.bias"]))
 
 
 def salience(x: Tensor, params: Mapping[str, Tensor], modality: str) -> Tensor:

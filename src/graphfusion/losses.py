@@ -128,8 +128,8 @@ def loss_ssim(fused: Tensor, ir: Tensor, vis: Tensor, window: int = SSIM_WINDOW)
     """
     kernel = _ssim_kernel(window, fused, ir, vis)
     stats = _ssim_stats(fused, kernel)
-    a = ops.shift(ops.negate(_ssim_of(stats, _ssim_stats(ir, kernel), kernel)), 1.0)
-    b = ops.shift(ops.negate(_ssim_of(stats, _ssim_stats(vis, kernel), kernel)), 1.0)
+    a = ops.shift(ops.scale(_ssim_of(stats, _ssim_stats(ir, kernel), kernel), -1.0), 1.0)
+    b = ops.shift(ops.scale(_ssim_of(stats, _ssim_stats(vis, kernel), kernel), -1.0), 1.0)
     return ops.add(a, b)
 
 

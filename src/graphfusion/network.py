@@ -1,15 +1,19 @@
 """Network assembly: parameter table, init, forward pass, checkpoints.
 
 Parameters are a plain ``dict`` from name to Tensor whose layout is a pure
-function of the config (see :func:`parameter_shapes`).  Initialization is
-He-normal on conv and linear weights (variance 2 / fan_in) with zero
-biases, drawn in table order from a seeded generator, so a (config, seed)
-pair always produces bit-identical parameters.
+function of the config (see :func:`parameter_shapes`).  Every weight is a
+conv kernel.  Initialization is He-normal on the weights (variance
+2 / fan_in) with zero biases, drawn in table order from a seeded
+generator, so a (config, seed) pair always produces bit-identical
+parameters.
 
 Checkpoints are a flat binary format: magic ``IGN1``, a little-endian u32
 version (1), a length-prefixed UTF-8 JSON config blob, a u32 tensor count,
 then per tensor a length-prefixed name, a u32 rank, u32 dims, and the raw
-little-endian float32 data in C order.
+little-endian float32 data in C order.  Checkpoints written while the
+squeeze-excite layers (``salience.*.fc1``, ``salience.*.fc2``) were fully
+connected store those weights as (out, in); they load as the (out, in, 1, 1)
+kernels, which hold the same values in the same order.
 """
 
 from __future__ import annotations
@@ -46,10 +50,6 @@ def parameter_shapes(config: FusionConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"{name}.weight"] = (out_c, in_c, k, k)
         shapes[f"{name}.bias"] = (out_c,)
 
-    def linear(name: str, out_f: int, in_f: int) -> None:
-        shapes[f"{name}.weight"] = (out_f, in_f)
-        shapes[f"{name}.bias"] = (out_f,)
-
     depth = feature_depth(config)
     for m in MODALITIES:
         conv(f"extract.{m}.conv1", c, 1, 3)
@@ -59,8 +59,8 @@ def parameter_shapes(config: FusionConfig) -> dict[str, tuple[int, ...]]:
         hidden = c // config.reduction
         for m in MODALITIES:
             conv(f"salience.{m}.conv", c, c, 3)
-            linear(f"salience.{m}.fc1", hidden, c)
-            linear(f"salience.{m}.fc2", c, hidden)
+            conv(f"salience.{m}.fc1", hidden, c, 1)
+            conv(f"salience.{m}.fc2", c, hidden, 1)
     if config.use_graph:
         # Each loop adds what ``graph._run_loop`` reads; loops that share a
         # prefix rewrite the same entries, which keep their first position.
@@ -93,18 +93,10 @@ def count_parameters(config: FusionConfig) -> int:
 
 
 def he_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Zero-mean normal with variance 2 / fan_in, float32.
-
-    fan_in is ``in_ch * kh * kw`` for conv kernels and ``in_features`` for
-    linear weights.
-    """
-    if len(shape) == 4:
-        fan_in = shape[1] * shape[2] * shape[3]
-    elif len(shape) == 2:
-        fan_in = shape[1]
-    else:
+    """Zero-mean normal with variance 2 / fan_in, float32, for a conv kernel; fan_in is ``in_ch * kh * kw``."""
+    if len(shape) != 4:
         raise ShapeError(f"he_normal: unsupported weight shape {shape}")
-    std = float(np.sqrt(2.0 / fan_in))
+    std = float(np.sqrt(2.0 / (shape[1] * shape[2] * shape[3])))
     return rng.normal(0.0, std, size=shape).astype(np.float32)
 
 
@@ -210,7 +202,9 @@ def load_checkpoint(
     parameter table; with ``expected_config`` it must also fit that table,
     so loading into an incompatible architecture fails, naming the first
     offending parameter.  A parameter holding a NaN or an infinity is
-    rejected by name as well.
+    rejected by name as well.  A stored (o, i) weight is read as the
+    (o, i, 1, 1) kernel the stored config's table asks for (see the module
+    docstring); every other shape must match the table.
     """
     reader = _Reader(Path(path).read_bytes())
     magic = reader.take(4, "magic")
@@ -225,6 +219,7 @@ def load_checkpoint(
         config = FusionConfig.from_dict(config_data)
     except (ValueError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"bad config blob: {exc}") from exc
+    table = parameter_shapes(config)
     count = reader.u32("tensor count")
     params: dict[str, Tensor] = {}
     for _ in range(count):
@@ -241,18 +236,19 @@ def load_checkpoint(
             raise CheckpointError(f"duplicate parameter {name}")
         if not np.all(np.isfinite(data)):
             raise CheckpointError(f"parameter {name} holds non-finite values")
+        if table.get(name) == shape + (1, 1):
+            data = data.reshape(table[name])
         params[name] = Tensor(data.astype(np.float32), requires_grad=True)
     if reader.pos != len(reader.blob):
         raise CheckpointError(f"trailing bytes after tensor data (byte {reader.pos})")
 
-    _validate_against(params, config)
+    _validate_against(params, table)
     if expected_config is not None:
-        _validate_against(params, expected_config)
+        _validate_against(params, parameter_shapes(expected_config))
     return params, config
 
 
-def _validate_against(params: Mapping[str, Tensor], config: FusionConfig) -> None:
-    expected = parameter_shapes(config)
+def _validate_against(params: Mapping[str, Tensor], expected: Mapping[str, tuple[int, ...]]) -> None:
     for name, shape in expected.items():
         if name not in params:
             raise CheckpointError(f"missing parameter {name}")

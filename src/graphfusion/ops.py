@@ -350,9 +350,10 @@ def avgpool2d(x: Tensor, window: int, *, padding: int = 0) -> Tensor:
 
     The forward is the :func:`_scan` of ``np.add`` over the zero-framed map,
     divided by the same scan over a zero-framed plane of ones: each window's
-    count of cells inside the map, an exact small integer.  The backward
-    adds the output gradient over those counts into every tap's view of a
-    zero frame and crops it.
+    count of cells inside the map, an exact small integer.  The backward is
+    the transposed window sum, as ``conv2d``'s input gradient is: the same
+    scan over the output gradient divided by those counts, framed by
+    ``window - 1 - padding`` zeros.
     """
     _check_pool_args("avgpool2d", x, window, padding)
     n, c, h, w = x.shape
@@ -364,13 +365,8 @@ def avgpool2d(x: Tensor, window: int, *, padding: int = 0) -> Tensor:
     slot = x.slot
 
     def backward(g: np.ndarray) -> None:
-        share = g / counts
-        oh, ow = share.shape[2], share.shape[3]
-        dxp = np.zeros((n, c, hp, wp), dtype=np.float32)
-        for idx in range(window * window):
-            tap = _tap(dxp, *divmod(idx, window), oh, ow)
-            tap += share
-        accumulate(slot, dxp[:, :, padding : padding + h, padding : padding + w])
+        share = _pitched(g / counts, window - 1 - padding).reshape(n, c, h + window - 1, w + window - 1)
+        accumulate(slot, _scan(share, window, np.add))
 
     return record_op(out, (x,), backward)
 
@@ -463,43 +459,6 @@ def upsample_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# dense layer
-
-
-def fully_connected(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map ``flatten(x) @ weight.T + bias``.
-
-    ``x`` is (N, ...) and is flattened per sample; ``weight`` is
-    (out_features, in_features), ``bias`` (out_features,).  The op keeps
-    the arrays of ``x`` and ``weight``, each read by the other's gradient.
-    """
-    if x.ndim < 2:
-        raise ShapeError(f"fully_connected: input must have a batch dimension, got shape {x.shape}")
-    if weight.ndim != 2:
-        raise ShapeError(f"fully_connected: weight must be 2-d, got shape {weight.shape}")
-    n = x.shape[0]
-    feat = x.size // n
-    of, inf_ = weight.shape
-    if inf_ != feat:
-        raise ShapeError(f"fully_connected: input has {feat} features but weight expects {inf_}")
-    if bias.shape != (of,):
-        raise ShapeError(f"fully_connected: bias shape {bias.shape} != ({of},)")
-    xf, w = x.data.reshape(n, feat), weight.data
-    out = xf @ w.T + bias.data
-    x_slot, weight_slot, bias_slot, shape = x.slot, weight.slot, bias.slot, x.shape
-
-    def backward(g: np.ndarray) -> None:
-        if bias_slot.requires_grad:
-            accumulate(bias_slot, g.sum(axis=0))
-        if weight_slot.requires_grad:
-            accumulate(weight_slot, g.T @ xf)
-        if x_slot.requires_grad:
-            accumulate(x_slot, (g @ w).reshape(shape))
-
-    return record_op(out, (x, weight, bias), backward)
-
-
-# ---------------------------------------------------------------------------
 # elementwise arithmetic
 
 
@@ -586,15 +545,6 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     return record_op(out, (a, b), backward)
 
 
-def negate(x: Tensor) -> Tensor:
-    slot = x.slot
-
-    def backward(g: np.ndarray) -> None:
-        accumulate(slot, -g)
-
-    return record_op(-x.data, (x,), backward)
-
-
 def scale(x: Tensor, s: float) -> Tensor:
     """Multiply by a python scalar."""
     s32, slot = np.float32(s), x.slot
@@ -613,20 +563,6 @@ def shift(x: Tensor, c: float) -> Tensor:
         accumulate(slot, g)
 
     return record_op(x.data + np.float32(c), (x,), backward)
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """View the same elements under a new shape (sizes must match)."""
-    target = tuple(int(s) for s in shape)
-    if int(np.prod(target, dtype=np.int64)) != x.size:
-        raise ShapeError(f"reshape: cannot view {x.shape} as {target}")
-    out = x.data.reshape(target)
-    slot, shape = x.slot, x.shape
-
-    def backward(g: np.ndarray) -> None:
-        accumulate(slot, g.reshape(shape))
-
-    return record_op(out, (x,), backward)
 
 
 def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
@@ -702,8 +638,8 @@ def gate_add(total: Tensor, s: Tensor, bias: Tensor, sign: int, source: Tensor) 
 
     ``total``, ``s`` and ``source`` are (N, C, H, W) maps of one shape and
     ``bias`` is per channel, (C,); ``sign`` is 1 or -1.  The edge
-    ``sign * s + bias`` rounds as ``add(s, b)`` or ``sub(b, s)`` with
-    ``b = reshape(bias, (1, C, 1, 1))``.  The forward walks the maps in
+    ``sign * s + bias`` rounds as ``add(s, b)`` or ``sub(b, s)`` with ``b``
+    the bias as a (1, C, 1, 1) tensor.  The forward walks the maps in
     chunks of at most ``_CHUNK_FLOATS`` floats (:func:`_chunks`), so the
     output is the only full-size array made: neither the edge, the gate nor
     the message is stored, and the backward recomputes the edge and gate

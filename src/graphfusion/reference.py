@@ -154,9 +154,11 @@ def _fc(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _channel_attention(x: np.ndarray, p: Arrays, prefix: str) -> np.ndarray:
+    # The network's 1x1 convs on the pooled (N, C, 1, 1) map, as matmuls of
+    # their (O, C) weights, independent of the conv path.
     pooled = _adaptive_avgpool(x, 1, 1)[..., 0, 0]
-    hidden = _relu(_fc(pooled, p[f"{prefix}.fc1.weight"], p[f"{prefix}.fc1.bias"]))
-    raw = _fc(hidden, p[f"{prefix}.fc2.weight"], p[f"{prefix}.fc2.bias"])
+    hidden = _relu(_fc(pooled, p[f"{prefix}.fc1.weight"][..., 0, 0], p[f"{prefix}.fc1.bias"]))
+    raw = _fc(hidden, p[f"{prefix}.fc2.weight"][..., 0, 0], p[f"{prefix}.fc2.bias"])
     return _sigmoid(raw)[..., None, None]
 
 

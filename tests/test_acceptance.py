@@ -148,20 +148,19 @@ def _case_upsample_bilinear(rng):
     return lambda x: ops.upsample_bilinear(x, oh, ow), lambda x: ref._upsample(x, oh, ow), [x]
 
 
-def _case_fully_connected(rng):
-    if rng.integers(0, 2):
-        x = _u(rng, (2, 2, 2, 2))
-    else:
-        x = _u(rng, (3, 8))
-    w = _u(rng, (4, 8), -0.5, 0.5)
+def _case_conv2d_squeeze(rng):
+    # The squeeze-excite form: a 1x1 conv of a pooled (N, C, 1, 1) map, as
+    # ``reference.py`` runs it, a matmul of the (O, C) weights.  16 input
+    # channels take conv2d's per-tap path, 4 its gather.
+    c = 16 if rng.integers(0, 2) else 4
+    x = _u(rng, (2, c, 1, 1))
+    k = _u(rng, (4, c, 1, 1), -0.5, 0.5)
     b = _u(rng, (4,), -0.2, 0.2)
-    shape = x.shape
-
-    def fc64(x, w, b):
-        # Flatten each sample, keeping a probe axis in front.
-        return ref._fc(x.reshape(x.shape[: x.ndim - len(shape)] + (shape[0], -1)), w, b)
-
-    return ops.fully_connected, fc64, [x, w, b]
+    return (
+        lambda x, k, b: ops.conv2d(x, k, b),
+        lambda x, k, b: ref._fc(x[..., 0, 0], k[..., 0, 0], b)[..., None, None],
+        [x, k, b],
+    )
 
 
 def _case_add(rng):
@@ -193,10 +192,6 @@ def _case_maximum(rng):
     return ops.maximum, lambda u, v: np.where(u.real >= v.real, u, v), [a, b]
 
 
-def _case_negate(rng):
-    return ops.negate, np.negative, [_u(rng, (2, 3, 4, 4))]
-
-
 def _case_scale(rng):
     x = _u(rng, (2, 3, 4, 4))
     s = float(rng.uniform(-2.0, 2.0))
@@ -207,12 +202,6 @@ def _case_shift(rng):
     x = _u(rng, (2, 3, 4, 4))
     c = float(rng.uniform(-1.0, 1.0))
     return lambda x: ops.shift(x, c), lambda x: x + c, [x]
-
-
-def _case_reshape(rng):
-    x = _u(rng, (2, 3, 4))
-    target = [(24,), (4, 6), (2, 12), (3, 2, 4)][int(rng.integers(0, 4))]
-    return lambda x: ops.reshape(x, target), lambda x: x.reshape(x.shape[: x.ndim - 3] + target), [x]
 
 
 def _case_concat_channels(rng):
@@ -259,21 +248,19 @@ def _case_reduce_mean(rng):
 OP_CASES = {
     "conv2d": _case_conv2d,
     "conv2d minus": _case_conv2d_minus,
+    "conv2d squeeze": _case_conv2d_squeeze,
     "maxpool2d": _case_maxpool2d,
     "avgpool2d": _case_avgpool2d,
     "adaptive_avgpool2d": _case_adaptive_avgpool2d,
     "global_avgpool": _case_global_avgpool,
     "upsample_bilinear": _case_upsample_bilinear,
-    "fully_connected": _case_fully_connected,
     "add": _case_add,
     "sub": _case_sub,
     "mul": _case_mul,
     "div": _case_div,
     "maximum": _case_maximum,
-    "negate": _case_negate,
     "scale": _case_scale,
     "shift": _case_shift,
-    "reshape": _case_reshape,
     "concat_channels": _case_concat_channels,
     "sigmoid": _case_sigmoid,
     "gate_add": _case_gate_add,

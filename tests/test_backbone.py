@@ -121,8 +121,8 @@ def test_channel_attention_shape_and_range():
 def test_channel_attention_bottleneck_width():
     config = small_config(channels=8, reduction=4)
     params = init_params(config, seed=0)
-    assert params["salience.ir.fc1.weight"].shape == (2, 8)
-    assert params["salience.ir.fc2.weight"].shape == (8, 2)
+    assert params["salience.ir.fc1.weight"].shape == (2, 8, 1, 1)
+    assert params["salience.ir.fc2.weight"].shape == (8, 2, 1, 1)
 
 
 def test_salience_responds_per_channel():

@@ -463,6 +463,19 @@ class TestGradcheck:
         assert lines.index(flagged[0]) < len(lines) - 2
         assert lines[-1] == "gradcheck passed"
 
+    def test_seed_1_compares_every_group(self, capsys):
+        # The same command at seed 1 leaves a live unit in each bottleneck,
+        # so the squeeze-excite layers are compared, not only flagged.
+        argv = ["gradcheck", "--size", "8", "--channels", "8", "--nodes", "3", "--loops", "3", "--seed", "1"]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line for line in lines if line.startswith(("PASS", "FAIL"))]
+        assert len(rows) == 65 and all(row.startswith("PASS") for row in rows)
+        assert not any("unchecked" in line for line in lines)
+        bottleneck = [row for row in rows if row.split()[1].startswith("salience.") and ".fc" in row.split()[1]]
+        assert len(bottleneck) == 4
+        assert lines[-2].endswith("over 65 groups, tolerance 0.01") and lines[-1] == "gradcheck passed"
+
 
 class TestOutputDirectories:
     """A missing output directory is a usage error, found before any training or fusing."""
@@ -506,7 +519,9 @@ class TestOutputDirectories:
 class TestReportWrites:
     """Logs, reports and configs replace their file whole or not at all."""
 
-    @pytest.mark.parametrize("flag", ["train --log", "eval --report", "eval --json", "init-config --force"])
+    @pytest.mark.parametrize(
+        "flag", ["train --log", "eval --report", "eval --json", "init-config --force", "fuse --out"]
+    )
     def test_interrupted_write_keeps_previous_report(self, toy, tmp_path, monkeypatch, flag):
         target = tmp_path / "report.txt"
         target.write_text("previous\n")
@@ -518,6 +533,8 @@ class TestReportWrites:
             + ["--vis-dir", str(toy["vis"]), "--report", str(target)],
             "eval --json": ["eval", "--checkpoint", str(toy["ckpt"]), "--ir-dir", str(toy["ir"])]
             + ["--vis-dir", str(toy["vis"]), "--report", str(tmp_path / "r.csv"), "--json", str(target)],
+            "fuse --out": ["fuse", "--checkpoint", str(toy["ckpt"]), "--ir", str(toy["ir"] / "p0.pgm")]
+            + ["--vis", str(toy["vis"] / "p0.pgm"), "--out", str(target)],
         }[flag]
 
         class FailHalfWay(io.FileIO):

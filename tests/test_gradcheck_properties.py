@@ -120,14 +120,20 @@ def test_upsample_gradients(seed, n, c, hw, scale):
 
 
 @common
-@given(seed=seeds, n=small, feat=st.integers(min_value=1, max_value=6), out=st.integers(min_value=1, max_value=5))
-def test_fully_connected_gradients(seed, n, feat, out):
+@given(seed=seeds, n=small, feat=st.sampled_from([1, 4, 16, 17]), out=st.integers(min_value=1, max_value=5))
+def test_squeeze_excite_conv_gradients(seed, n, feat, out):
+    # A 1x1 conv of a pooled (N, C, 1, 1) map against the reference's matmul
+    # of its (O, C) weights, on both sides of conv2d's channel threshold.
     rng = np.random.default_rng(seed)
-    x = grad_tensor(rng, (n, feat))
-    w = grad_tensor(rng, (out, feat))
+    x = grad_tensor(rng, (n, feat, 1, 1))
+    w = grad_tensor(rng, (out, feat, 1, 1))
     b = grad_tensor(rng, (out,))
-    coeffs = rng.standard_normal((n, out)).astype(np.float32)
-    assert weighted_error(ops.fully_connected, ref._fc, [x, w, b], coeffs) < THRESHOLD
+    coeffs = rng.standard_normal((n, out, 1, 1)).astype(np.float32)
+
+    def f64(x, w, b):
+        return ref._fc(x[..., 0, 0], w[..., 0, 0], b)[..., None, None]
+
+    assert weighted_error(lambda x, w, b: ops.conv2d(x, w, b), f64, [x, w, b], coeffs) < THRESHOLD
 
 
 @common
@@ -202,19 +208,16 @@ def test_broadcast_mul_gradients(seed, n, c, hw):
 
 @common
 @given(seed=seeds, n=small, hw=spatial, parts=st.integers(min_value=2, max_value=3))
-def test_concat_reshape_scale_shift_gradients(seed, n, hw, parts):
+def test_concat_scale_shift_gradients(seed, n, hw, parts):
     rng = np.random.default_rng(seed)
     pieces = [grad_tensor(rng, (n, 2, hw, hw)) for _ in range(parts)]
     coeffs = rng.standard_normal((n, 2 * parts, hw, hw)).astype(np.float32)
 
     def f(*ts):
-        cat = ops.concat_channels(list(ts))
-        flat = ops.reshape(cat, (cat.size,))
-        back = ops.reshape(flat, cat.shape)
-        return ops.shift(ops.scale(ops.negate(back), -0.7), 0.3)
+        return ops.shift(ops.scale(ops.concat_channels(list(ts)), -0.7), 0.3)
 
     def f64(*arrays):
-        return -ref._cat(arrays) * np.float32(-0.7) + np.float32(0.3)
+        return ref._cat(arrays) * np.float32(-0.7) + np.float32(0.3)
 
     assert weighted_error(f, f64, pieces, coeffs) < THRESHOLD
 

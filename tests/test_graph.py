@@ -77,16 +77,16 @@ class TestTopology:
         assert node_grids(2, 1, 1) == [1, 1]
 
 
-def unfused_pair(a, b, weight, bias, total_a, total_b):
+def unfused_pair(a, b, weight, b4, total_a, total_b):
     """A pair's two messages with the difference and both edges as maps of their own.
 
-    ``gate_add`` with a zero bias and sign 1 gates by its ``s`` argument
-    unchanged, so here it takes the edge maps.  Returns the new totals of
-    ``b`` and ``a`` and the bias-free response ``s``.
+    ``b4`` is the edge bias as a (1, C, 1, 1) tensor.  ``gate_add`` with a
+    zero bias and sign 1 gates by its ``s`` argument unchanged, so here it
+    takes the edge maps.  Returns the new totals of ``b`` and ``a`` and the
+    bias-free response ``s``.
     """
-    oc = bias.shape[0]
+    oc = b4.shape[1]
     s = ops.conv2d(ops.sub(a, b), weight, Tensor.zeros((oc,)), padding=1)
-    b4 = ops.reshape(bias, (1, oc, 1, 1))
     into_b, into_a = ops.add(s, b4), ops.sub(b4, s)
     no_bias = Tensor.zeros((oc,))
     return ops.gate_add(total_b, into_b, no_bias, 1, a), ops.gate_add(total_a, into_a, no_bias, 1, b), s
@@ -180,7 +180,9 @@ class TestEdgesAndMessages:
         # edge bias's gradient, summed per chunk, may differ in rounding.
         # ``s`` is an intermediate, so backward drops its gradient once its
         # record has replayed: the gradient compared is the one handed to
-        # that record, captured by wrapping ``Tape.record``.
+        # that record, captured by wrapping ``Tape.record``.  The unfused
+        # pair's bias is a (1, C, 1, 1) leaf, so its gradient is compared
+        # as (C,).
         shape = (2, channels, 12, 10)
         arrays = [rng.standard_normal(shape).astype(np.float32) for _ in range(4)]
         w = (0.3 * rng.standard_normal((channels, channels, 3, 3))).astype(np.float32)
@@ -198,9 +200,9 @@ class TestEdgesAndMessages:
 
         monkeypatch.setattr(Tape, "record", capturing_record)
 
-        def run(pair):
+        def run(pair, bias_shape):
             handed.clear()
-            ts = [Tensor(x, requires_grad=True) for x in arrays + [w, bias]]
+            ts = [Tensor(x, requires_grad=True) for x in arrays + [w, bias.reshape(bias_shape)]]
             with Tape() as tape:
                 into_b, into_a, s = pair(*ts[:2], *ts[4:], *ts[2:4])
                 loss = ops.add(
@@ -208,11 +210,11 @@ class TestEdgesAndMessages:
                     ops.reduce_sum(ops.mul(into_a, Tensor(coeffs[1]))),
                 )
                 tape.backward(loss)
-            result = [into_b.data, into_a.data, handed[s]] + [t.grad for t in ts]
+            result = [into_b.data, into_a.data, handed[s]] + [t.grad for t in ts[:-1]] + [ts[-1].grad.reshape(-1)]
             tape.clear()
             return result
 
-        got, want = run(fused_pair), run(unfused_pair)
+        got, want = run(fused_pair, (channels,)), run(unfused_pair, (1, channels, 1, 1))
         names = ("into b", "into a", "s.grad", "a", "b", "total a", "total b", "weight", "bias")
         for name, g, x in zip(names, got, want):
             if name == "bias":

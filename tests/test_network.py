@@ -138,12 +138,14 @@ class TestInitialization:
         rng = np.random.default_rng(0)
         w = he_normal(rng, (256, 128, 3, 3))
         assert abs(w.std() / np.sqrt(2.0 / (128 * 9)) - 1.0) < 0.02
-        lin = he_normal(rng, (512, 200))
-        assert abs(lin.std() / np.sqrt(2.0 / 200) - 1.0) < 0.02
+        pointwise = he_normal(rng, (512, 200, 1, 1))
+        assert abs(pointwise.std() / np.sqrt(2.0 / 200) - 1.0) < 0.02
 
-    def test_he_normal_rejects_odd_ranks(self):
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (512, 200)])
+    def test_he_normal_rejects_odd_ranks(self, shape):
+        # Every weight is a conv kernel, the squeeze-excite layers' 1x1 too.
         with pytest.raises(ShapeError):
-            he_normal(np.random.default_rng(0), (3, 3, 3))
+            he_normal(np.random.default_rng(0), shape)
 
     def test_params_require_grad(self):
         params = init_params(cfg(**SMALL), seed=0)
@@ -270,7 +272,7 @@ def test_taped_step_records_and_peak(rng):
     finally:
         tracemalloc.stop()
     one_map = 4 * config.channels * 32 * 32
-    assert records == 329
+    assert records == 327
     assert held < 144 * one_map
     assert peak < 171 * one_map
 
@@ -452,6 +454,31 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\x00\x00")
         with pytest.raises(CheckpointError, match="trailing bytes"):
             load_checkpoint(path)
+
+    def test_fully_connected_squeeze_excite_weights_load_as_1x1_kernels(self, tmp_path, rng):
+        # Checkpoints written while the bottleneck was two fully connected
+        # layers store its weights as (out, in).
+        config = cfg(channels=8, nodes=2, loops=3, reduction=4)
+        params = init_params(config, seed=4)
+        stored = dict(params)
+        for name in params:
+            if ".fc" in name and name.endswith(".weight"):
+                stored[name] = Tensor(params[name].data[:, :, 0, 0])
+        assert sum(t.ndim == 2 for t in stored.values()) == 4
+        old, new = tmp_path / "fc.ckpt", tmp_path / "conv.ckpt"
+        save_checkpoint(old, stored, config)
+        save_checkpoint(new, params, config)
+        loaded, _ = load_checkpoint(old, expected_config=config)
+        assert {n: t.shape for n, t in loaded.items()} == parameter_shapes(config)
+        ir, vis = rng.uniform(size=(2, 12, 12)).astype(np.float32)
+        fused = fuse_arrays(ir, vis, loaded, config)
+        assert fused.tobytes() == fuse_arrays(ir, vis, load_checkpoint(new)[0], config).tobytes()
+
+        # A 2-d weight where the table asks for a 3x3 kernel still fails by name.
+        stored["salience.ir.conv.weight"] = Tensor(params["salience.ir.conv.weight"].data[:, :, 1, 1])
+        save_checkpoint(old, stored, config)
+        with pytest.raises(CheckpointError, match=r"parameter salience\.ir\.conv\.weight has shape \(8, 8\)"):
+            load_checkpoint(old)
 
     def test_architecture_mismatch_names_offending_parameter(self, tmp_path):
         config = cfg(**SMALL)
