@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from graphfusion import ops
+from graphfusion import reference as ref
 from graphfusion.backbone import channel_attention, extract, feature_depth, salience
 from graphfusion.config import FusionConfig
 from graphfusion.network import init_params
@@ -123,6 +124,18 @@ def test_channel_attention_bottleneck_width():
     params = init_params(config, seed=0)
     assert params["salience.ir.fc1.weight"].shape == (2, 8, 1, 1)
     assert params["salience.ir.fc2.weight"].shape == (8, 2, 1, 1)
+
+
+def test_channel_attention_matches_reference_matmuls():
+    # The 1x1 convs against the float64 oracle's matmuls of the (O, C) weights.
+    config = small_config(channels=16, reduction=4)
+    params = init_params(config, seed=6)
+    x = np.random.default_rng(7).standard_normal((2, 16, 5, 4)).astype(np.float32)
+    att = channel_attention(Tensor(x), params, "salience.vis")
+    arrays = {n: t.data.astype(np.float64) for n, t in params.items()}
+    want = ref._channel_attention(x.astype(np.float64), arrays, "salience.vis")
+    assert att.shape == want.shape == (2, 16, 1, 1)
+    np.testing.assert_allclose(att.data, want, rtol=1e-5, atol=1e-6)
 
 
 def test_salience_responds_per_channel():

@@ -79,6 +79,13 @@ class TestParameterTable:
         assert shapes["head.conv1.weight"] == (8, 16, 3, 3)
         assert shapes["head.conv2.weight"] == (1, 8, 3, 3)
 
+    def test_every_weight_is_a_conv_kernel(self):
+        # One layer kind: the squeeze-excite bottleneck's weights are 1x1 kernels.
+        shapes = parameter_shapes(cfg(channels=8, reduction=4))
+        assert all(len(s) == 4 for n, s in shapes.items() if n.endswith(".weight"))
+        assert shapes["salience.vis.fc1.weight"] == (2, 8, 1, 1)
+        assert shapes["salience.vis.fc2.weight"] == (8, 2, 1, 1)
+
 
 class _ReadRecorder(dict):
     """Parameter dict that records every name the network reads."""
@@ -479,6 +486,17 @@ class TestCheckpoint:
         save_checkpoint(old, stored, config)
         with pytest.raises(CheckpointError, match=r"parameter salience\.ir\.conv\.weight has shape \(8, 8\)"):
             load_checkpoint(old)
+
+    def test_transposed_fully_connected_weight_fails_by_name(self, tmp_path):
+        # Only a stored (out, in) weight reads as the (out, in, 1, 1) kernel;
+        # its transpose is a mismatch, not a reinterpretation.
+        config = cfg(channels=8, nodes=2, loops=3, reduction=4)
+        params = init_params(config, seed=4)
+        params["salience.vis.fc1.weight"] = Tensor(params["salience.vis.fc1.weight"].data[:, :, 0, 0].T.copy())
+        path = tmp_path / "fc.ckpt"
+        save_checkpoint(path, params, config)
+        with pytest.raises(CheckpointError, match=r"parameter salience\.vis\.fc1\.weight has shape \(8, 2\)"):
+            load_checkpoint(path)
 
     def test_architecture_mismatch_names_offending_parameter(self, tmp_path):
         config = cfg(**SMALL)

@@ -599,6 +599,31 @@ class TestPooling:
         np.testing.assert_allclose(dx, want, rtol=1e-5, atol=1e-6)
 
     @pytest.mark.parametrize(
+        "window,padding", [(3, 1), (2, 0), (3, 0), (2, 1)], ids=["3-1-1", "2-1-0", "3-1-0", "2-1-1"]
+    )
+    def test_avgpool_gradient_matches_scatter_oracle(self, rng, window, padding):
+        # The scanned backward against the per-tap scatter it replaced: each
+        # output cell hands its gradient over its count to the in-map taps.
+        x = rng.standard_normal((2, 3, 5, 6)).astype(np.float32)
+        t = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = ops.avgpool2d(t, window, padding=padding)
+            g = rng.standard_normal(out.shape).astype(np.float32)
+            tape.backward(ops.reduce_sum(ops.mul(out, Tensor(g))))
+        dx = t.grad.copy()
+        tape.clear()
+        h, w = x.shape[2:]
+        want = np.zeros(x.shape)
+        for y, xx in np.ndindex(*out.shape[2:]):
+            rows = range(max(y - padding, 0), min(y - padding + window, h))
+            cols = range(max(xx - padding, 0), min(xx - padding + window, w))
+            share = g[:, :, y, xx].astype(np.float64) / (len(rows) * len(cols))
+            for r in rows:
+                for c in cols:
+                    want[:, :, r, c] += share
+        np.testing.assert_allclose(dx, want, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize(
         "shape,window,padding",
         [
             ((2, 2, 6, 7), 2, 0),
