@@ -19,24 +19,29 @@ summarizes the updated nodes with a 1x1 conv over their concatenation;
 between loops the leader's pooled activation gates a per-node 3x3 conv
 of the current state, and the gated result is injected into the next
 loop's freshly generated nodes.  The branch output concatenates all loop
-leaders through a final 1x1 conv.
+leaders through a final 1x1 conv, which runs as one conv per leader added
+into a running sum as its loop ends.
 
 Lifetimes: outside a tape every full-resolution map is dropped once its
-last reader has run, without changing the op order or the arithmetic.  A
-loop holds its own stage and the previous loop's injections only until
-its nodes are built, each pair's response ``s`` only until both its
-messages are in the running sums, and each running sum only until its
-node's update; the loop's leaders live until the final mix.  Neither a
+last reader has run.  A loop reads a backbone stage only through its
+pools (:func:`node_pools`), so the graph takes the pools, never a stage.
+A loop holds the previous loop's injections only until its nodes are
+built, each pair's response ``s`` only until both its messages are in
+the running sums, and each running sum only until its node's update; a
+leader lives until its own loop's term of the mix is added.  Neither a
 pair's difference nor its edges nor a message is ever a map of its own:
-each message replaces its destination's running sum by a new one.
-Sequences a caller passes in are only read, never modified.  Under a tape
-a record keeps only the arrays its backward reads (see :mod:`.ops`): a
-conv its input, a message its ``s`` and its source node, a ReLU its
-output.  So the superseded running sums, the pre-ReLU updates, the
-leaders, the injections and the upsampled fresh nodes are freed as they
-are outside a tape.  A pair makes three records, its conv and its two
-messages, and holds one map of its own, ``s``.  In the backward pass
-``s``'s gradient lives only until its conv's record has replayed.
+each message replaces its destination's running sum by a new one.  So
+the edge phase of a later loop holds 16 maps at most: 6 nodes, 6 running
+sums, ``s``, a new sum and the 2 running mixes.  Sequences a caller
+passes in are only read, never modified.  Under a tape a record keeps
+only the arrays its backward reads (see :mod:`.ops`): a conv its input,
+a message its ``s`` and its source node, a ReLU its output.  So the
+superseded running sums, the pre-ReLU updates, the injections and the
+upsampled fresh nodes are freed as they are outside a tape, while each
+leader is kept by its mix conv.  A pair makes three records, its conv
+and its two messages, and holds one map of its own, ``s``.  In the
+backward pass ``s``'s gradient lives only until its conv's record has
+replayed.
 """
 
 from __future__ import annotations
@@ -77,25 +82,31 @@ def loop_prefix(config: FusionConfig, loop: int) -> str:
     return f"graph.loop{1 if config.share_loop_params else loop}"
 
 
+def node_pools(feature: Tensor, nodes: int) -> list[Tensor]:
+    """A stage's ``nodes`` adaptive average pools onto :func:`node_grids`, each (N, C, g, g).
+
+    They are all a loop reads of its stage, so a caller that keeps them can
+    free the full-resolution stage.
+    """
+    grids = node_grids(nodes, feature.shape[2], feature.shape[3])
+    return [ops.adaptive_avgpool2d(feature, g, g) for g in grids]
+
+
 # The six stage functions below are looked up by module attribute at each
 # call, so a profiler (perfbench/tracer.py) can time them by rebinding
 # ``graph.<stage>``; keep them module-level names.
 
 
 def generate_nodes(
-    feature: Tensor, grids: Sequence[int], params: Mapping[str, Tensor], prefix: str, modality: str
+    pools: Sequence[Tensor], size: tuple[int, int], params: Mapping[str, Tensor], prefix: str, modality: str
 ) -> list[Tensor]:
-    """Pyramid-pool the feature into one full-resolution node per grid."""
-    h, w = feature.shape[2], feature.shape[3]
+    """One full-resolution node per pool of :func:`node_pools`: a 1x1 conv of it, upsampled to ``size``."""
     nodes = []
-    for o, g in enumerate(grids):
-        if g > h or g > w:
-            raise ShapeError(f"node grid {g} exceeds feature size {h}x{w}")
-        pooled = ops.adaptive_avgpool2d(feature, g, g)
+    for o, pooled in enumerate(pools):
         mixed = ops.conv2d(
             pooled, params[f"{prefix}.node{o}.{modality}.weight"], params[f"{prefix}.node{o}.{modality}.bias"]
         )
-        nodes.append(ops.upsample_bilinear(mixed, h, w))
+        nodes.append(ops.upsample_bilinear(mixed, *size))
     return nodes
 
 
@@ -148,7 +159,8 @@ def deliver(
 
 def _run_loop(
     loop: int,
-    features: dict[str, Tensor],
+    pools: Mapping[str, Sequence[Tensor]],
+    size: tuple[int, int],
     injections: dict[str, list[Tensor]],
     params: Mapping[str, Tensor],
     config: FusionConfig,
@@ -161,22 +173,19 @@ def _run_loop(
     own.  Pairs arrive in :func:`edge_pairs` order, intra and then inter, so
     every node sums its messages intra by scale, then inter.
 
-    The loop takes ``features`` and ``injections`` over and empties both
-    while it builds the nodes, so a modality's stage and injections are
-    freed once its nodes exist (unless the caller still holds the stage for
-    a later loop).  Through the edge phase only the nodes, their running
-    sums and the current pair's response live, plus a destination's new sum
-    while its message is added; each sum is freed by its one update, and a
-    modality's updated nodes once its leader and injections are formed.
+    The loop takes ``injections`` over and empties it while it builds the
+    nodes, so a modality's injections are freed once its nodes exist.
+    Through the edge phase only the nodes, their running sums and the
+    current pair's response live, plus a destination's new sum while its
+    message is added; each sum is freed by its one update, and a modality's
+    updated nodes once its leader and injections are formed.
     """
     prefix = loop_prefix(config, loop)
-    h, w = features["ir"].shape[2], features["ir"].shape[3]
-    grids = node_grids(config.nodes, h, w)
 
     nodes: dict[NodeId, Tensor] = {}
     for m in MODALITIES:
         carried = injections.pop(m, None)
-        fresh = generate_nodes(features.pop(m), grids, params, prefix, m)
+        fresh = generate_nodes(pools[m], size, params, prefix, m)
         for o, t in enumerate(fresh):
             nodes[(m, o)] = ops.add(t, carried[o]) if carried else t
         # With injections, ``t`` is a fresh map that no node holds.
@@ -207,42 +216,45 @@ def _run_loop(
 
 
 def run_graph(
-    features_ir: Sequence[Tensor],
-    features_vis: Sequence[Tensor],
+    pools_ir: Sequence[Sequence[Tensor]],
+    pools_vis: Sequence[Sequence[Tensor]],
+    size: tuple[int, int],
     params: Mapping[str, Tensor],
     config: FusionConfig,
 ) -> tuple[Tensor, Tensor]:
-    """Chain ``config.loops`` graph loops and mix their leaders into ``(g_ir, g_vis)``.
+    """Chain ``config.loops`` graph loops over ``size`` frames and mix their leaders into ``(g_ir, g_vis)``.
 
-    Loop i reads the i-th feature of each branch; loops beyond the feature
-    count reuse the deepest feature.  Only the leaders and the next loop's
-    injections outlive a loop.  With ``use_graph`` off this function is not
-    called; the network passes deep features through unchanged.
+    ``pools_<modality>`` holds each backbone stage's :func:`node_pools`.
+    Loop i reads the i-th stage's pools of each branch; loops beyond the
+    stage count reuse the deepest stage's.  With ``use_graph`` off this
+    function is not called; the network passes deep features through
+    unchanged.
 
-    The caller's sequences are only read, never modified.  This function
-    keeps its own copies and drops its names for the caller's, and hands
-    each stage to the last loop that reads it.  So when the caller holds no
-    other reference, as when it passes the lists as call temporaries, each
-    stage is freed once that loop has built its nodes.  That relies on
-    CPython 3.11+, which lets a callee free a temporary argument by dropping
-    its name; CPython 3.10 keeps the lists until this function returns.
+    ``graph.mix.<modality>`` is a 1x1 conv over the loops' leaders
+    concatenated in loop order.  It runs as a sum over loops of the conv
+    of each leader with its block of the kernel, added as each loop ends,
+    with the bias on loop 1's term; so only the two running sums, the next
+    loop's injections and the small pools outlive a loop.  The sum rounds
+    otherwise than one conv over the concatenation.
     """
-    if len(features_ir) != len(features_vis) or not features_ir:
-        raise ShapeError("run_graph: need equally many features per branch")
-    stages = {"ir": list(features_ir[: config.loops]), "vis": list(features_vis[: config.loops])}
-    del features_ir, features_vis
-    leaders: dict[str, list[Tensor]] = {m: [] for m in MODALITIES}
+    if len(pools_ir) != len(pools_vis) or not pools_ir:
+        raise ShapeError("run_graph: need equally many stages per branch")
+    if any(len(p) != config.nodes for p in (*pools_ir, *pools_vis)):
+        raise ShapeError(f"run_graph: need {config.nodes} node pools per stage")
+    blocks = {
+        m: ops.split_channels(params[f"graph.mix.{m}.weight"], [config.channels] * config.loops) for m in MODALITIES
+    }
+    mixed: dict[str, Tensor] = {}
     injections: dict[str, list[Tensor]] = {}
     for loop in range(1, config.loops + 1):
-        final = loop == config.loops
-        # A stage leaves ``stages`` with the last loop that reads it.
-        feats = {m: s.pop(0) if len(s) > 1 or final else s[0] for m, s in stages.items()}
-        loop_leaders, injections = _run_loop(loop, feats, injections, params, config)
+        stage = min(loop, len(pools_ir)) - 1
+        leaders, injections = _run_loop(
+            loop, {"ir": pools_ir[stage], "vis": pools_vis[stage]}, size, injections, params, config
+        )
         for m in MODALITIES:
-            leaders[m].append(loop_leaders[m])
-
-    g_ir, g_vis = (
-        ops.conv2d(ops.concat_channels(leaders[m]), params[f"graph.mix.{m}.weight"], params[f"graph.mix.{m}.bias"])
-        for m in MODALITIES
-    )
-    return g_ir, g_vis
+            bias = params[f"graph.mix.{m}.bias"] if loop == 1 else None
+            term = ops.conv2d(leaders.pop(m), blocks[m][loop - 1], bias)
+            mixed[m] = ops.add(mixed[m], term) if loop > 1 else term
+        # After loop 1 a term is a map of its own, which no later loop reads.
+        del term
+    return mixed["ir"], mixed["vis"]

@@ -29,11 +29,14 @@ import numpy as np
 from . import ops
 from .backbone import MODALITIES, extract, feature_depth
 from .config import FusionConfig, write_atomic
-from .graph import edge_pairs, loop_prefix, run_graph
+from .graph import edge_pairs, loop_prefix, node_pools, run_graph
 from .tensor import ShapeError, Tensor
 
 CHECKPOINT_MAGIC = b"IGN1"
 CHECKPOINT_VERSION = 1
+# Biases are rank 1 and conv kernels rank 4; rank 2 is an old (out, in)
+# squeeze-excite weight (see the module docstring).
+_STORED_RANKS = (1, 2, 4)
 
 
 class CheckpointError(ValueError):
@@ -119,16 +122,21 @@ def forward(ir: Tensor, vis: Tensor, params: Mapping[str, Tensor], config: Fusio
     """Fuse a batch of image pairs; returns (N, 1, H, W) in (0, 1).
 
     Outside a tape every full-resolution map is freed after its last
-    reader.  The backbone stages go to ``run_graph`` as call temporaries,
-    so it can free each stage after the last loop that reads it; on
-    CPython 3.10 they live until ``run_graph`` returns (see there).  Under
-    a tape the records keep, until the tape is cleared, only the maps that
-    some backward reads; the rest are freed as outside a tape.
+    reader.  The graph reads a backbone stage only through its node pools
+    (:func:`graph.node_pools`), so each branch's stages are pooled as soon
+    as the branch returns them and then dropped: no stage outlives its
+    branch.  Under a tape the records keep, until the tape is cleared,
+    only the maps that some backward reads; the rest are freed as outside
+    a tape.
     """
     if ir.shape != vis.shape:
         raise ShapeError(f"forward: input shapes differ, {ir.shape} vs {vis.shape}")
     if config.use_graph:
-        g_ir, g_vis = run_graph(extract(ir, params, "ir", config), extract(vis, params, "vis", config), params, config)
+        pools = {
+            m: [node_pools(stage, config.nodes) for stage in extract(image, params, m, config)]
+            for m, image in zip(MODALITIES, (ir, vis))
+        }
+        g_ir, g_vis = run_graph(pools["ir"], pools["vis"], ir.shape[2:], params, config)
     else:
         g_ir, g_vis = extract(ir, params, "ir", config)[-1], extract(vis, params, "vis", config)[-1]
     h = ops.concat_channels([g_ir, g_vis])
@@ -229,6 +237,8 @@ def load_checkpoint(
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"bad parameter name before byte {reader.pos}: {exc}") from exc
         rank = reader.u32("rank")
+        if rank not in _STORED_RANKS:
+            raise CheckpointError(f"parameter {name} has rank {rank}; a stored parameter has rank 1, 2 or 4")
         shape = tuple(reader.u32(f"dim of {name}") for _ in range(rank))
         # ``math.prod`` is exact for any dims, where ``np.prod`` wraps in int64.
         data = np.frombuffer(reader.take(math.prod(shape) * 4, f"data of {name}"), dtype="<f4").reshape(shape)

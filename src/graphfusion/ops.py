@@ -26,31 +26,56 @@ def _require_4d(name: str, t: Tensor) -> None:
         raise ShapeError(f"{name}: expected a 4-d (N,C,H,W) tensor, got shape {t.shape}")
 
 
-def _pitched(
-    a: np.ndarray, padding: int, tail: int = 0, minus: np.ndarray | None = None, fill: float = 0.0
-) -> np.ndarray:
-    """Each plane of ``a`` (less ``minus``) framed by ``padding`` cells of ``fill``, flattened, then ``tail`` more.
+def _framed(a: np.ndarray, padding: int, minus: np.ndarray | None = None, fill: float = 0.0) -> np.ndarray:
+    """Each plane of ``a`` (less ``minus``) framed by ``padding`` cells of ``fill``: (N, C, H+2p, W+2p).
 
-    The result is (N, C, Hp*Wp + tail), with framed cell (y, x) of a plane
-    at ``y * Wp + x``: a kernel tap over whole rows of the frame is then a
-    2-d slice, and the tail keeps the slices of the last rows in bounds.
-    Without a tail it reshapes to the (N, C, Hp, Wp) frame.  Convs and
-    average pooling read a frame of zeros, max pooling one of -inf, which
-    never wins a max.
+    Convs and average pooling read a frame of zeros, max pooling one of
+    -inf, which never wins a max.  Without padding it is ``a`` (less
+    ``minus``) itself.
     """
+    if not padding:
+        return a if minus is None else a - minus
     n, c, h, w = a.shape
-    if not (padding or tail):
-        return (a if minus is None else a - minus).reshape(n, c, h * w)
-    hp, wp = h + 2 * padding, w + 2 * padding
+    shape = (n, c, h + 2 * padding, w + 2 * padding)
     # ``np.zeros`` gets its zeros from the allocator; ``np.full`` would add a pass.
-    shape = (n, c, hp * wp + tail)
     out = np.zeros(shape, dtype=a.dtype) if fill == 0 else np.full(shape, fill, dtype=a.dtype)
-    inner = out[:, :, : hp * wp].reshape(n, c, hp, wp)[:, :, padding : padding + h, padding : padding + w]
+    inner = out[:, :, padding : padding + h, padding : padding + w]
     if minus is None:
         inner[...] = a
     else:
         np.subtract(a, minus, out=inner)
     return out
+
+
+def _frame_rows(
+    a: np.ndarray, s: int, y0: int, rows: int, padding: int, tail: int, minus: np.ndarray | None = None
+) -> np.ndarray:
+    """Frame rows ``y0 .. y0+rows-1`` of sample ``s`` (:func:`_framed`), flat per channel, then ``tail`` zeros.
+
+    The result is (C, rows*Wp + tail), with framed cell (y0 + y, x) at
+    ``y * Wp + x``: a kernel tap over whole rows of the band is then a 2-d
+    slice, and the tail keeps the slices of the last rows in bounds.  It
+    lives in this thread's scratch buffer, which the next band overwrites.
+    A band of more than ``padding`` rows, as every conv band is, holds at
+    least one row of the map.
+    """
+    _, c, h, w = a.shape
+    wp = w + 2 * padding
+    flat = _scratch("frame", c * (rows * wp + tail)).reshape(c, rows * wp + tail)
+    frame = flat[:, : rows * wp].reshape(c, rows, wp)
+    # Frame rows lo .. hi-1 hold input rows lo-padding .. hi-padding-1.
+    lo, hi = max(y0, padding), min(y0 + rows, padding + h)
+    inner, src = slice(lo - y0, hi - y0), slice(lo - padding, hi - padding)
+    frame[:, : lo - y0] = 0
+    frame[:, hi - y0 :] = 0
+    frame[:, inner, :padding] = 0
+    frame[:, inner, padding + w :] = 0
+    flat[:, rows * wp :] = 0
+    if minus is None:
+        frame[:, inner, padding : padding + w] = a[s, :, src]
+    else:
+        np.subtract(a[s, :, src], minus[s, :, src], out=frame[:, inner, padding : padding + w])
+    return flat
 
 
 def _tap(a: np.ndarray, i: int, j: int, oh: int, ow: int) -> np.ndarray:
@@ -147,19 +172,24 @@ def _correlate(
 
     From ``_VIEW_CHANNELS`` input channels up, a band of output rows is the
     sum over kernel taps of one ``(oc, c) @ (c, rows*Wp)`` GEMM each, whose
-    right side is a slice of the row-pitched frame (:func:`_pitched`).  It
-    is computed on the band's pitched grid of ``Wp`` columns per row and
-    copied into the output without the columns past ``ow``.  Thinner inputs
-    make one ``(oc, c*k*k) @ (c*k*k, rows*ow)`` GEMM per band of gathered
-    taps (:func:`_gather`), straight into the output.  The bias is added
-    band by band, and the frame lives only as long as this call.
+    right side is a slice of the band's own ``rows + k - 1`` frame rows
+    (:func:`_frame_rows`), framed afresh in a per-thread buffer for each
+    band: no full-size frame is made, and a band's GEMMs read a frame
+    that is still in cache.  A band is computed on its pitched grid of
+    ``Wp`` columns per row and copied into the output without the columns
+    past ``ow``; the taps of a kept column never leave its frame row, so
+    the columns past ``ow`` and the frame's tail cannot reach a kept one.
+    Thinner inputs make one ``(oc, c*k*k) @ (c*k*k, rows*ow)`` GEMM per
+    band of gathered taps (:func:`_gather`) of a whole frame that lives as
+    long as this call, straight into the output.  The bias is added band
+    by band.
     """
     (n, c, h, w), (oc, _, k, _) = a.shape, kernel.shape
     hp, wp = h + 2 * padding, w + 2 * padding
     oh, ow = hp - k + 1, wp - k + 1
     out = np.empty((n, oc, oh, ow), dtype=np.float32)
     if c < _VIEW_CHANNELS:
-        xp, weights = _pitched(a, padding, minus=minus).reshape(n, c, hp, wp), kernel.reshape(oc, -1)
+        xp, weights = _framed(a, padding, minus), kernel.reshape(oc, -1)
         for s, r0, r in _bands(n, oh, _gather_rows(c, k, ow)):
             band = out[s, :, r0 : r0 + r]
             np.matmul(weights, _gather(xp, s, r0, r, k, ow), out=band.reshape(oc, r * ow))
@@ -168,18 +198,22 @@ def _correlate(
         return out
 
     weights = kernel.transpose(2, 3, 0, 1).reshape(k * k, oc, c)
-    flat = _pitched(a, padding, k - 1, minus)
     # Bands of one height: a short last band costs as many GEMM calls as a
     # full one (2x16x64x64: 1.78 ms with bands of 62 and 2 rows, 1.26 ms with 32).
     bands = -(-oh // max(1, _BAND_FLOATS // (max(oc, c) * wp)))
     for s, r0, r in _bands(n, oh, -(-oh // bands)):
+        if k == 1 and minus is None:
+            # No frame (padding < k is 0): the band's rows of ``a`` itself.
+            flat, base = a[s].reshape(c, h * w), r0 * wp
+        else:
+            flat, base = _frame_rows(a, s, r0, r + k - 1, padding, k - 1, minus), 0
         total, part = (_scratch(name, oc * r * wp).reshape(oc, r * wp) for name in ("total", "part"))
         if bias is not None:
             total[...] = bias.reshape(oc, 1)
         for t in range(k * k):
             i, j = divmod(t, k)
-            start = (r0 + i) * wp + j
-            view = flat[s, :, start : start + r * wp]
+            start = base + i * wp + j
+            view = flat[:, start : start + r * wp]
             if t == 0 and bias is None:
                 np.matmul(weights[t], view, out=total)
             else:
@@ -242,7 +276,7 @@ def conv2d(
         if bias_slot is not None and bias_slot.requires_grad:
             accumulate(bias_slot, g.sum(axis=(0, 2, 3)))
         if kernel_slot.requires_grad:
-            xp = _pitched(x_data, padding, minus=minus_data).reshape(n, c, h + 2 * padding, w + 2 * padding)
+            xp = _framed(x_data, padding, minus_data)
             gm = g.reshape(n, oc, oh * ow)
             gk = np.zeros((c * k * k, oc), dtype=np.float32)
             for s, r0, r in _bands(n, oh, _gather_rows(c, k, ow)):
@@ -291,7 +325,7 @@ def maxpool2d(x: Tensor, window: int, *, padding: int = 0) -> Tensor:
     """
     _check_pool_args("maxpool2d", x, window, padding)
     n, c, h, w = x.shape
-    xp = _pitched(x.data, padding, fill=-np.inf).reshape(n, c, h + 2 * padding, w + 2 * padding)
+    xp = _framed(x.data, padding, fill=-np.inf)
     out = _scan(xp, window, np.maximum)
     oh, ow = out.shape[2], out.shape[3]
     slot = x.slot
@@ -356,16 +390,15 @@ def avgpool2d(x: Tensor, window: int, *, padding: int = 0) -> Tensor:
     ``window - 1 - padding`` zeros.
     """
     _check_pool_args("avgpool2d", x, window, padding)
-    n, c, h, w = x.shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    ones = _pitched(np.ones((1, 1, h, w), dtype=np.float32), padding).reshape(1, 1, hp, wp)
+    h, w = x.shape[2], x.shape[3]
+    ones = _framed(np.ones((1, 1, h, w), dtype=np.float32), padding)
     counts = _scan(ones, window, np.add)
-    out = _scan(_pitched(x.data, padding).reshape(n, c, hp, wp), window, np.add)
+    out = _scan(_framed(x.data, padding), window, np.add)
     out /= counts
     slot = x.slot
 
     def backward(g: np.ndarray) -> None:
-        share = _pitched(g / counts, window - 1 - padding).reshape(n, c, h + window - 1, w + window - 1)
+        share = _framed(g / counts, window - 1 - padding)
         accumulate(slot, _scan(share, window, np.add))
 
     return record_op(out, (x,), backward)
@@ -563,6 +596,29 @@ def shift(x: Tensor, c: float) -> Tensor:
         accumulate(slot, g)
 
     return record_op(x.data + np.float32(c), (x,), backward)
+
+
+def split_channels(x: Tensor, sizes: Sequence[int]) -> list[Tensor]:
+    """Split a 4-d tensor along the channel dimension into parts of ``sizes`` channels.
+
+    The inverse of :func:`concat_channels`.  Each part is an op of its own,
+    whose backward adds its gradient into its channels of ``x``'s.
+    """
+    _require_4d("split_channels", x)
+    if not sizes or min(sizes) < 1 or sum(sizes) != x.shape[1]:
+        raise ShapeError(f"split_channels: sizes {list(sizes)} do not split {x.shape[1]} channels")
+    slot, shape = x.slot, x.shape
+    offsets = np.cumsum([0] + list(sizes))
+    parts = []
+    for o0, o1 in zip(offsets[:-1], offsets[1:]):
+
+        def backward(g: np.ndarray, o0: int = o0, o1: int = o1) -> None:
+            if slot.grad is None:
+                slot.grad = np.zeros(shape, dtype=np.float32)
+            slot.grad[:, o0:o1] += g
+
+        parts.append(record_op(x.data[:, o0:o1].copy(), (x,), backward))
+    return parts
 
 
 def concat_channels(tensors: Sequence[Tensor]) -> Tensor:

@@ -22,7 +22,7 @@ import test_metrics as brute
 import graphfusion.ops as ops
 from graphfusion import cli, losses, reference as ref
 from graphfusion.config import FusionConfig
-from graphfusion.graph import edge_pairs, run_graph
+from graphfusion.graph import edge_pairs, node_pools, run_graph
 from graphfusion.images import ImagePair, parse_netpbm, write_image
 from graphfusion.losses import loss_components, loss_mse, loss_ssim
 from graphfusion.metrics import (
@@ -209,6 +209,19 @@ def _case_concat_channels(rng):
     return lambda *ts: ops.concat_channels(list(ts)), lambda *xs: ref._cat(xs), parts
 
 
+def _case_split_channels(rng):
+    # The parts come back concatenated in reverse, so every part's backward
+    # adds into its own channels of one input gradient.
+    sizes = [int(c) for c in rng.integers(1, 4, size=rng.integers(1, 4))]
+    x = _u(rng, (2, sum(sizes), 3, 3))
+    cuts = np.cumsum(sizes)[:-1]
+    return (
+        lambda x: ops.concat_channels(ops.split_channels(x, sizes)[::-1]),
+        lambda x: ref._cat(np.split(x, cuts, axis=-3)[::-1]),
+        [x],
+    )
+
+
 def _case_sigmoid(rng):
     return ops.sigmoid, ref._sigmoid, [_u(rng, (2, 3, 4, 4), -3.0, 3.0)]
 
@@ -262,6 +275,7 @@ OP_CASES = {
     "scale": _case_scale,
     "shift": _case_shift,
     "concat_channels": _case_concat_channels,
+    "split_channels": _case_split_channels,
     "sigmoid": _case_sigmoid,
     "gate_add": _case_gate_add,
     "relu": _case_relu,
@@ -359,10 +373,11 @@ class TestAcceptance:
                     if twin in params:
                         params[twin].data[:] = params[name].data
             rng = np.random.default_rng(5)
-            f_a = [Tensor(rng.standard_normal((1, 4, 6, 6)).astype(np.float32)) for _ in range(3)]
-            f_b = [Tensor(rng.standard_normal((1, 4, 6, 6)).astype(np.float32)) for _ in range(3)]
-            straight_ir, straight_vis = run_graph(f_a, f_b, params, config)
-            swapped_ir, swapped_vis = run_graph(f_b, f_a, params, config)
+            shape = (1, 4, 6, 6)
+            stages = [[Tensor(rng.standard_normal(shape).astype(np.float32)) for _ in range(3)] for _ in range(2)]
+            f_a, f_b = ([node_pools(t, config.nodes) for t in ts] for ts in stages)
+            straight_ir, straight_vis = run_graph(f_a, f_b, (6, 6), params, config)
+            swapped_ir, swapped_vis = run_graph(f_b, f_a, (6, 6), params, config)
             c.check(np.array_equal(swapped_ir.data, straight_vis.data), "swap broke ir output")
             c.check(np.array_equal(swapped_vis.data, straight_ir.data), "swap broke vis output")
 

@@ -12,6 +12,7 @@ from graphfusion.graph import (
     difference_edges,
     edge_pairs,
     node_grids,
+    node_pools,
     pass_message,
     run_graph,
 )
@@ -25,6 +26,12 @@ def graph_config(**overrides) -> FusionConfig:
     base = dict(channels=4, nodes=3, loops=3, reduction=4)
     base.update(overrides)
     return dataclasses.replace(FusionConfig(), **base)
+
+
+def run_on_stages(f_ir, f_vis, params, config):
+    """``run_graph`` on full-resolution stages, each pooled as ``network.forward`` pools it."""
+    pools_ir, pools_vis = ([node_pools(f, config.nodes) for f in fs] for fs in (f_ir, f_vis))
+    return run_graph(pools_ir, pools_vis, f_ir[0].shape[2:], params, config)
 
 
 def directed_edges(nodes):
@@ -154,7 +161,7 @@ class TestEdgesAndMessages:
         config = graph_config()
         params = init_params(config, seed=0)
         f_ir, f_vis = ([Tensor(rng.standard_normal((1, 4, 6, 6)).astype(np.float32))] * 3 for _ in range(2))
-        run_graph(f_ir, f_vis, params, config)
+        run_on_stages(f_ir, f_vis, params, config)
         want = [
             params[f"graph.loop{i}.{group}.weight"]
             for i in range(1, config.loops + 1)
@@ -244,7 +251,7 @@ class TestRunGraph:
         params = init_params(config, seed=0)
         f_ir = self._features(rng, config)
         f_vis = self._features(rng, config)
-        g_ir, g_vis = run_graph(f_ir, f_vis, params, config)
+        g_ir, g_vis = run_on_stages(f_ir, f_vis, params, config)
         assert g_ir.shape == (1, 4, 6, 6)
         assert g_vis.shape == (1, 4, 6, 6)
 
@@ -254,17 +261,21 @@ class TestRunGraph:
         _tie_modalities(params, config)
         f_a = self._features(rng, config)
         f_b = self._features(rng, config)
-        straight_ir, straight_vis = run_graph(f_a, f_b, params, config)
-        swapped_ir, swapped_vis = run_graph(f_b, f_a, params, config)
+        straight_ir, straight_vis = run_on_stages(f_a, f_b, params, config)
+        swapped_ir, swapped_vis = run_on_stages(f_b, f_a, params, config)
         np.testing.assert_array_equal(straight_ir.data, swapped_vis.data)
         np.testing.assert_array_equal(straight_vis.data, swapped_ir.data)
 
-    def test_matches_float64_reference(self, rng):
-        config = graph_config()
+    @pytest.mark.parametrize("loops", [3, 5])
+    def test_matches_float64_reference(self, rng, loops):
+        # At 5 loops, loops 3 to 5 read the deepest stage's pools, and the
+        # mix sums five per-loop terms where the reference makes one conv
+        # over the five leaders concatenated.
+        config = graph_config(loops=loops)
         params = init_params(config, seed=1)
         f_ir = self._features(rng, config)
         f_vis = self._features(rng, config)
-        got_ir, got_vis = run_graph(f_ir, f_vis, params, config)
+        got_ir, got_vis = run_on_stages(f_ir, f_vis, params, config)
         arrays = {name: t.data.astype(np.float64) for name, t in params.items()}
         want = reference._run_graph(
             [t.data.astype(np.float64) for t in f_ir],
@@ -280,8 +291,8 @@ class TestRunGraph:
         params = init_params(config, seed=2)
         f_ir = self._features(rng, config)[:1]
         f_vis = self._features(rng, config)[:1]
-        short_ir, _ = run_graph(f_ir, f_vis, params, config)
-        long_ir, _ = run_graph(f_ir * 3, f_vis * 3, params, config)
+        short_ir, _ = run_on_stages(f_ir, f_vis, params, config)
+        long_ir, _ = run_on_stages(f_ir * 3, f_vis * 3, params, config)
         np.testing.assert_array_equal(short_ir.data, long_ir.data)
 
     def test_rejects_mismatched_feature_lists(self, rng, monkeypatch):
@@ -293,16 +304,19 @@ class TestRunGraph:
             raise AssertionError("a loop ran before the stage count was checked")
 
         monkeypatch.setattr(graph, "generate_nodes", no_loop)
-        with pytest.raises(ShapeError):
-            run_graph(f, f[:2], params, config)
+        with pytest.raises(ShapeError, match="equally many stages"):
+            run_on_stages(f, f[:2], params, config)
+        pools = [node_pools(t, config.nodes) for t in f]
+        with pytest.raises(ShapeError, match="3 node pools per stage"):
+            run_graph(pools, [p[:2] for p in pools], (6, 6), params, config)
 
     def test_features_beyond_loops_are_unread(self, rng):
         config = graph_config(loops=2)
         params = init_params(config, seed=2)
         f_ir = self._features(rng, config)
         f_vis = self._features(rng, config)
-        full_ir, full_vis = run_graph(f_ir, f_vis, params, config)
-        cut_ir, cut_vis = run_graph(tuple(f_ir[:2]), tuple(f_vis[:2]), params, config)
+        full_ir, full_vis = run_on_stages(f_ir, f_vis, params, config)
+        cut_ir, cut_vis = run_on_stages(tuple(f_ir[:2]), tuple(f_vis[:2]), params, config)
         np.testing.assert_array_equal(full_ir.data, cut_ir.data)
         np.testing.assert_array_equal(full_vis.data, cut_vis.data)
 
@@ -313,7 +327,7 @@ class TestRunGraph:
         assert "graph.loop2.inter.weight" not in params
         f_ir = self._features(rng, shared)
         f_vis = self._features(rng, shared)
-        g_ir, _ = run_graph(f_ir, f_vis, params, shared)
+        g_ir, _ = run_on_stages(f_ir, f_vis, params, shared)
         assert g_ir.shape == (1, 4, 6, 6)
 
 
@@ -326,7 +340,7 @@ class TestSingleNodeLoopByHand:
         h = w = 3
         f_ir = Tensor(rng.standard_normal((1, 2, h, w)).astype(np.float32))
         f_vis = Tensor(rng.standard_normal((1, 2, h, w)).astype(np.float32))
-        result = dict(zip(("ir", "vis"), run_graph([f_ir], [f_vis], params, config)))
+        result = dict(zip(("ir", "vis"), run_on_stages([f_ir], [f_vis], params, config)))
 
         def p(name):
             return params[name].data.astype(np.float64)
@@ -355,24 +369,32 @@ class TestSingleNodeLoopByHand:
 
 
 def test_untaped_run_graph_keeps_few_maps_alive(rng):
-    # Outside a tape a loop's peak is its last pair's messages: the six
-    # nodes, their six running sums, the earlier loops' leaders (four in
-    # loop 3) and the pair's edges and message temporaries, about 20 maps.
-    # Injections, edges and sums are freed after their last reader, and the
-    # caller's stages were allocated before tracing started.
-    config = graph_config()
+    # The graph takes each stage's node pools, a few cells each, never a
+    # stage.  Outside a tape the peak is a later loop's last messages: the
+    # six nodes, their six running sums, the pair's ``s``, a destination's
+    # new sum and the two running mixes, 16 maps, plus ``gate_add``'s chunk
+    # buffer (0.17 of a map at this size); it reads 16.2.  Loop 1
+    # holds two maps fewer, and injections, pair responses, sums and each
+    # leader are freed after their last reader.  Taking the stages, holding
+    # the leaders for one mix conv at the end and framing whole maps, it
+    # read 18.2.  The bound is 4% above.  At the network's width of 16
+    # channels every 3x3 conv frames one band at a time.
+    config = graph_config(channels=16)
     params = init_params(config, seed=0)
     shape = (1, config.channels, 96, 128)
-    f_ir, f_vis = ([Tensor(rng.standard_normal(shape).astype(np.float32)) for _ in range(3)] for _ in range(2))
-    held_ir, held_vis = list(f_ir), list(f_vis)
-    run_graph(f_ir, f_vis, params, config)
+    pools_ir, pools_vis = (
+        [node_pools(Tensor(rng.standard_normal(shape).astype(np.float32)), config.nodes) for _ in range(3)]
+        for _ in range(2)
+    )
+    held_ir, held_vis = list(pools_ir), list(pools_vis)
+    run_graph(pools_ir, pools_vis, shape[2:], params, config)
     tracemalloc.start()
     try:
-        run_graph(f_ir, f_vis, params, config)
+        run_graph(pools_ir, pools_vis, shape[2:], params, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 21 * 4 * np.prod(shape)
+    assert peak < 16.9 * 4 * np.prod(shape)
     # The caller's lists are read, never modified.
-    assert len(f_ir) == len(held_ir) and all(a is b for a, b in zip(f_ir, held_ir))
-    assert len(f_vis) == len(held_vis) and all(a is b for a, b in zip(f_vis, held_vis))
+    assert len(pools_ir) == len(held_ir) and all(a is b for a, b in zip(pools_ir, held_ir))
+    assert len(pools_vis) == len(held_vis) and all(a is b for a, b in zip(pools_vis, held_vis))

@@ -224,10 +224,9 @@ class TestConv2d:
     @pytest.mark.parametrize("padding", [0, 1, 3])
     @pytest.mark.parametrize("fill", [0.0, -np.inf])
     def test_framing_matches_np_pad(self, rng, padding, fill):
-        # Convs read a frame of zeros (the pitched frame without a tail),
-        # max pooling one of -inf.
+        # Convs read a frame of zeros, max pooling one of -inf.
         a = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
-        framed = ops._pitched(a, padding, fill=fill).reshape(2, 3, 4 + 2 * padding, -1)
+        framed = ops._framed(a, padding, fill=fill)
         width = ((0, 0), (0, 0), (padding, padding), (padding, padding))
         np.testing.assert_array_equal(framed, np.pad(a, width, constant_values=np.float32(fill)))
         assert framed.dtype == np.float32
@@ -345,7 +344,7 @@ class TestConv2d:
 
 class TestBandedConv:
     """The band loop behind conv2d on both sides of ``_VIEW_CHANNELS``: per-tap GEMMs over
-    views of the row-pitched frame, and one GEMM over gathered taps for thin inputs."""
+    views of each band's own framed rows, and one GEMM over gathered taps for thin inputs."""
 
     # Fixed ids keep each case's name as rows come and go.
     CASES = [
@@ -397,16 +396,81 @@ class TestBandedConv:
         np.testing.assert_array_equal(taps, want.reshape(18, 4))
 
     @pytest.mark.parametrize("padding,tail", [(0, 0), (1, 2), (2, 0), (0, 4)])
-    def test_pitched_frame_is_the_framed_map_flattened(self, rng, padding, tail):
+    def test_band_frame_is_rows_of_the_framed_map(self, rng, padding, tail):
+        # Every band of more than ``padding`` rows, as a conv makes them; every
+        # cell of its frame is written, as the scratch buffer holds NaN before
+        # each call.
         a = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
         m = rng.standard_normal(a.shape).astype(np.float32)
         width = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+        hp, wp = 4 + 2 * padding, 5 + 2 * padding
         for minus, inner in ((None, a), (m, a - m)):
-            flat = ops._pitched(a, padding, tail, minus)
-            hp, wp = 4 + 2 * padding, 5 + 2 * padding
-            assert flat.shape == (2, 3, hp * wp + tail)
-            np.testing.assert_array_equal(flat[:, :, : hp * wp], np.pad(inner, width).reshape(2, 3, -1))
-            assert not flat[:, :, hp * wp :].any()
+            framed = np.pad(inner, width)
+            np.testing.assert_array_equal(ops._framed(a, padding, minus), framed)
+            for rows in range(padding + 1, hp + 1):
+                for y0 in range(hp - rows + 1):
+                    ops._scratch("frame", 3 * (hp * wp + tail))[...] = np.nan
+                    flat = ops._frame_rows(a, 1, y0, rows, padding, tail, minus)
+                    assert flat.shape == (3, rows * wp + tail)
+                    np.testing.assert_array_equal(flat[:, : rows * wp], framed[1, :, y0 : y0 + rows].reshape(3, -1))
+                    assert not flat[:, rows * wp :].any()
+
+    @staticmethod
+    def whole_frame_correlate(a, kernel, padding, bias=None, minus=None):
+        """The view side's band loop reading one zero frame of the whole map, flattened per plane.
+
+        The same bands and tap GEMMs as ``ops._correlate``; only the frame
+        differs, which ``_correlate`` makes afresh for each band.
+        """
+        n, c, h, w = a.shape
+        oc, _, k, _ = kernel.shape
+        wp = w + 2 * padding
+        oh, ow = h + 2 * padding - k + 1, wp - k + 1
+        d = a if minus is None else a - minus
+        flat = np.pad(d, ((0, 0), (0, 0), (padding, padding), (padding, padding))).reshape(n, c, -1)
+        flat = np.concatenate([flat, np.zeros((n, c, k - 1), np.float32)], axis=2)
+        weights = kernel.transpose(2, 3, 0, 1).reshape(k * k, oc, c)
+        out = np.empty((n, oc, oh, ow), np.float32)
+        bands = -(-oh // max(1, ops._BAND_FLOATS // (max(oc, c) * wp)))
+        for s, r0, r in ops._bands(n, oh, -(-oh // bands)):
+            total = np.empty((oc, r * wp), np.float32)
+            if bias is not None:
+                total[...] = bias.reshape(oc, 1)
+            for t in range(k * k):
+                i, j = divmod(t, k)
+                start = (r0 + i) * wp + j
+                part = weights[t] @ flat[s, :, start : start + r * wp]
+                if t == 0 and bias is None:
+                    total[...] = part
+                else:
+                    total += part
+            out[s, :, r0 : r0 + r] = total.reshape(oc, r, wp)[:, :, :ow]
+        return out
+
+    @pytest.mark.parametrize("minus", [False, True])
+    @pytest.mark.parametrize("k,padding", [(1, 0), (3, 0), (3, 1), (3, 2), (5, 0), (5, 1), (5, 2)])
+    def test_band_frames_equal_one_whole_frame(self, rng, monkeypatch, k, padding, minus):
+        # 13 output rows in forward bands of 3, so the last band holds one
+        # row; each band frames its own rows, edges and tail included.  The
+        # input gradient, a correlation of the output gradient framed by
+        # ``k - 1 - padding``, runs its own bands and is compared too.
+        c = 16
+        h, w = 12 - 2 * padding + k, 9
+        monkeypatch.setattr(ops, "_BAND_FLOATS", 3 * c * (w + 2 * padding))
+        x, kern, g = conv_case(rng, (2, c, h, w), (c, c, k, k), padding)
+        m = rng.standard_normal(x.shape).astype(np.float32) if minus else None
+        b = rng.standard_normal(c).astype(np.float32)
+        assert [r for _, _, r in ops._bands(1, 13, 3)][-1] == 1
+        ts = [Tensor(a, requires_grad=True) for a in (x, m) if a is not None]
+        with Tape() as tape:
+            out = ops.conv2d(ts[0], Tensor(kern), Tensor(b), padding=padding, minus=ts[1] if minus else None)
+            tape.backward(ops.reduce_sum(ops.mul(out, Tensor(g))))
+        assert out.data.tobytes() == self.whole_frame_correlate(x, kern, padding, b, m).tobytes()
+        dx = self.whole_frame_correlate(g, kern[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), k - 1 - padding)
+        assert ts[0].grad.tobytes() == dx.tobytes()
+        if minus:
+            assert ts[1].grad.tobytes() == (-dx).tobytes()
+        tape.clear()
 
     def test_no_stale_workspace_after_a_larger_call(self, rng, monkeypatch):
         # On each side of the channel threshold, the larger call fills the
@@ -511,9 +575,9 @@ class TestBandedConv:
         assert held < out.data.nbytes + (64 << 10)
 
     def test_vga_forward_makes_no_full_frame_temporary(self):
-        # No tape: the input's row-pitched frame and the output are the only
-        # full-frame arrays besides the input; 2 MB covers the band buffers
-        # and the rest.
+        # No tape: each band frames only its own rows, so the output is the
+        # only full-frame array besides the input; 2 MB covers the band
+        # buffers and the rest.
         n, c, h, w = 1, 16, 480, 640
         k = Tensor(np.full((c, c, 3, 3), 0.01, dtype=np.float32))
         b = Tensor.zeros((c,))
@@ -524,8 +588,7 @@ class TestBandedConv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        frame = 4 * n * c
-        assert peak < frame * ((h + 2) * (w + 2) + 2) + frame * h * w + (2 << 20)
+        assert peak < 4 * n * c * h * w + (2 << 20)
 
 
 class TestPooling:
@@ -883,6 +946,27 @@ class TestElementwiseAndReductions:
         np.testing.assert_array_equal(b.grad, np.full((1, 3, 2, 2), 4.0))
         tape.clear()
 
+    def test_split_channels_inverts_concat_and_routes_grads(self, rng):
+        x = tensor(rng.standard_normal((2, 5, 3, 3)), requires_grad=True)
+        coeffs = rng.standard_normal(x.shape).astype(np.float32)
+        with Tape() as tape:
+            a, b, c = ops.split_channels(x, [2, 1, 2])
+            assert ops.concat_channels([a, b, c]).data.tobytes() == x.data.tobytes()
+            # Part b is unused, so its channel's gradient stays zero.
+            loss = ops.add(
+                ops.reduce_sum(ops.mul(a, tensor(coeffs[:, :2]))), ops.reduce_sum(ops.mul(c, tensor(coeffs[:, 3:])))
+            )
+            tape.backward(loss)
+        want = coeffs.copy()
+        want[:, 2] = 0.0
+        np.testing.assert_array_equal(x.grad, want)
+        tape.clear()
+
+    @pytest.mark.parametrize("sizes", [[], [2, 2], [3, 3], [0, 5], [6, -1]])
+    def test_split_channels_rejects_sizes_that_do_not_split(self, sizes):
+        with pytest.raises(ShapeError, match="split_channels: sizes"):
+            ops.split_channels(tensor(np.zeros((1, 5, 2, 2))), sizes)
+
     def test_scale_and_shift(self, rng):
         x = tensor([1.0, -2.0])
         np.testing.assert_array_equal(ops.scale(x, 3.0).data, [3.0, -6.0])
@@ -1135,6 +1219,7 @@ KEEPS = {
     "scale": (dict(x=MAP), lambda x: ops.scale(x, 3.0), set()),
     "shift": (dict(x=MAP), lambda x: ops.shift(x, 3.0), set()),
     "concat_channels": (dict(a=MAP, b=(1, 3, 4, 4)), lambda a, b: ops.concat_channels([a, b]), set()),
+    "split_channels": (dict(x=(2, 5, 4, 4)), lambda x: ops.split_channels(x, [2, 3])[1], set()),
     "sigmoid": (dict(x=MAP), ops.sigmoid, {"out"}),
     "gate_add": (
         dict(total=MAP, s=MAP, bias=(2,), source=MAP),
