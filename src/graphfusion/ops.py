@@ -13,7 +13,6 @@ matching or 1 on one side (this covers per-channel weights of shape
 
 from __future__ import annotations
 
-import threading
 from typing import Sequence
 
 import numpy as np
@@ -26,42 +25,49 @@ def _require_4d(name: str, t: Tensor) -> None:
         raise ShapeError(f"{name}: expected a 4-d (N,C,H,W) tensor, got shape {t.shape}")
 
 
-def _framed(a: np.ndarray, padding: int, minus: np.ndarray | None = None, fill: float = 0.0) -> np.ndarray:
-    """Each plane of ``a`` (less ``minus``) framed by ``padding`` cells of ``fill``: (N, C, H+2p, W+2p).
+def _framed(a: np.ndarray, padding: int, fill: float = 0.0) -> np.ndarray:
+    """Each plane of ``a`` framed by ``padding`` cells of ``fill``: (N, C, H+2p, W+2p).
 
-    Convs and average pooling read a frame of zeros, max pooling one of
-    -inf, which never wins a max.  Without padding it is ``a`` (less
-    ``minus``) itself.
+    The pools' whole-map frame: average pooling reads a frame of zeros,
+    max pooling one of -inf, which never wins a max.  Without padding it is
+    ``a`` itself.  Convs frame one band of rows at a time (:func:`_frame_rows`).
     """
     if not padding:
-        return a if minus is None else a - minus
+        return a
     n, c, h, w = a.shape
     shape = (n, c, h + 2 * padding, w + 2 * padding)
     # ``np.zeros`` gets its zeros from the allocator; ``np.full`` would add a pass.
     out = np.zeros(shape, dtype=a.dtype) if fill == 0 else np.full(shape, fill, dtype=a.dtype)
-    inner = out[:, :, padding : padding + h, padding : padding + w]
-    if minus is None:
-        inner[...] = a
-    else:
-        np.subtract(a, minus, out=inner)
+    out[:, :, padding : padding + h, padding : padding + w] = a
     return out
 
 
 def _frame_rows(
-    a: np.ndarray, s: int, y0: int, rows: int, padding: int, tail: int, minus: np.ndarray | None = None
+    a: np.ndarray,
+    s: int,
+    y0: int,
+    rows: int,
+    padding: int,
+    tail: int,
+    buf: np.ndarray,
+    minus: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Frame rows ``y0 .. y0+rows-1`` of sample ``s`` (:func:`_framed`), flat per channel, then ``tail`` zeros.
+    """Framed rows ``y0 .. y0+rows-1`` of sample ``s`` of ``a`` (less ``minus``), flat per channel, then ``tail`` zeros.
 
+    The frame is ``padding`` zeros around each plane, as :func:`_framed`'s.
     The result is (C, rows*Wp + tail), with framed cell (y0 + y, x) at
     ``y * Wp + x``: a kernel tap over whole rows of the band is then a 2-d
-    slice, and the tail keeps the slices of the last rows in bounds.  It
-    lives in this thread's scratch buffer, which the next band overwrites.
-    A band of more than ``padding`` rows, as every conv band is, holds at
-    least one row of the map.
+    slice, and the tail keeps the slices of the last rows in bounds.  It is
+    written into the start of ``buf``, which the caller's next band
+    overwrites, except when there is nothing to frame (no padding, tail or
+    ``minus``): then it is a view of ``a``'s rows.  A band of more than
+    ``padding`` rows, as every conv band is, holds at least one row of the map.
     """
     _, c, h, w = a.shape
+    if not (padding or tail) and minus is None:
+        return a[s, :, y0 : y0 + rows].reshape(c, rows * w)
     wp = w + 2 * padding
-    flat = _scratch("frame", c * (rows * wp + tail)).reshape(c, rows * wp + tail)
+    flat = buf[: c * (rows * wp + tail)].reshape(c, rows * wp + tail)
     frame = flat[:, : rows * wp].reshape(c, rows, wp)
     # Frame rows lo .. hi-1 hold input rows lo-padding .. hi-padding-1.
     lo, hi = max(y0, padding), min(y0 + rows, padding + h)
@@ -87,12 +93,15 @@ def _tap(a: np.ndarray, i: int, j: int, oh: int, ow: int) -> np.ndarray:
 # convolution and pooling
 
 # conv2d computes a band of output rows at a time, in one of two ways that the
-# input's channel count picks.  From _VIEW_CHANNELS input channels up, each
-# kernel tap is one (oc x c) GEMM over a shifted view of the framed input,
-# summed into a band buffer (kn2row: Vasudevan, Anderson & Gregg, ASAP
-# 2017), so BLAS's own packing is the only copy of the input.  Thinner
-# inputs gather all c*k*k taps of a band into a workspace and make one GEMM
-# (im2col), as GEMMs with K = c are then too small.  One OpenBLAS 0.3.31 thread
+# input's channel count picks.  Either way a band reads only its own r + k - 1
+# framed rows (_frame_rows), written into buffers that the call allocates
+# once and reuses for each band; no buffer outlives a call, so threads share
+# none.  From _VIEW_CHANNELS input channels up, each kernel tap is one
+# (oc x c) GEMM over a shifted view of the band's frame, summed into a band
+# buffer (kn2row: Vasudevan, Anderson & Gregg, ASAP 2017), so BLAS's own
+# packing is the only copy of the frame.  Thinner inputs gather all c*k*k
+# taps of a band and make one GEMM (im2col: Chellapilla, Puri & Simard,
+# 2006), as GEMMs with K = c are then too small.  One OpenBLAS 0.3.31 thread
 # on a Xeon with 2 MB of L2 per core, 480x640 3x3 convs to 16 channels,
 # gather against views (best of 5-7): from 1 channel 10.4 against 153 ms,
 # from 4 17.0 against 23.6, from 8 35.2 against 34.6, from 15 75.2 against
@@ -118,18 +127,9 @@ _BAND_FLOATS = 1 << 16
 # cell is the same c*kh*kw-long dot product of a GEMM.  A conv with one
 # output channel is a matrix-vector product, whose summation order BLAS
 # may change with the band width: a 2x1x64x64 11x11 blur moved by up to
-# 7.6e-6 between 10-row and 40-row bands.
+# 7.6e-6 between 10-row and 40-row bands.  Each gathered call allocates
+# its taps buffer, of at most 1 MB, so the buffer counts in its peak.
 _WORKSPACE_FLOATS = 1 << 18
-_WORKSPACE = threading.local()
-
-
-def _scratch(name: str, size: int) -> np.ndarray:
-    """The first ``size`` floats of this thread's buffer ``name``, which the next band overwrites."""
-    buf = getattr(_WORKSPACE, name, None)
-    if buf is None or buf.size < size:
-        buf = np.empty(size, dtype=np.float32)
-        setattr(_WORKSPACE, name, buf)
-    return buf[:size]
 
 
 def _bands(n: int, oh: int, rows: int):
@@ -140,22 +140,28 @@ def _bands(n: int, oh: int, rows: int):
             yield s, r0, min(rows, oh - r0)
 
 
-def _gather_rows(c: int, k: int, ow: int) -> int:
-    """Output rows per band of the gather: as many as fit in ``_WORKSPACE_FLOATS``."""
-    return _WORKSPACE_FLOATS // (c * k * k * ow)
+def _gathered(a: np.ndarray, k: int, padding: int, minus: np.ndarray | None = None):
+    """Yield ``(s, r0, r, taps)`` per band of output rows of a k x k correlation of ``a`` (less ``minus``).
 
-
-def _gather(xp: np.ndarray, s: int, r0: int, r: int, k: int, ow: int) -> np.ndarray:
-    """The (c*k*k, r*ow) window taps of output rows ``r0 .. r0+r-1`` of sample ``s`` of a framed map.
-
-    One strided copy into this thread's workspace, in the row order of
-    ``kernel.reshape(oc, -1)``.
+    ``a`` is framed by ``padding`` zeros.  ``taps`` is the (c*k*k, r*ow)
+    window taps of output rows ``r0 .. r0+r-1`` of sample ``s``, in the row
+    order of ``kernel.reshape(oc, -1)``: one strided copy of the band's own
+    ``r + k - 1`` framed rows (:func:`_frame_rows`).  A band holds as many
+    rows as fit in ``_WORKSPACE_FLOATS`` taps, at least one.  The frame and
+    taps buffers are made once per call, and each band overwrites the last
+    one's.
     """
-    c = xp.shape[1]
-    taps = _scratch("taps", c * k * k * r * ow).reshape(c, k, k, r, ow)
-    windows = np.lib.stride_tricks.sliding_window_view(xp[s, :, r0 : r0 + r - 1 + k], (k, k), axis=(1, 2))
-    taps[...] = windows.transpose(0, 3, 4, 1, 2)
-    return taps.reshape(c * k * k, r * ow)
+    n, c, h, w = a.shape
+    wp = w + 2 * padding
+    oh, ow = h + 2 * padding - k + 1, wp - k + 1
+    rows = max(1, min(oh, _WORKSPACE_FLOATS // (c * k * k * ow)))
+    frame = np.empty(c * (rows + k - 1) * wp, dtype=np.float32)
+    buf = np.empty(c * k * k * rows * ow, dtype=np.float32)
+    for s, r0, r in _bands(n, oh, rows):
+        band = _frame_rows(a, s, r0, r + k - 1, padding, 0, frame, minus).reshape(c, r + k - 1, wp)
+        taps = buf[: c * k * k * r * ow].reshape(c, k, k, r, ow)
+        taps[...] = np.lib.stride_tricks.sliding_window_view(band, (k, k), axis=(1, 2)).transpose(0, 3, 4, 1, 2)
+        yield s, r0, r, taps.reshape(c * k * k, r * ow)
 
 
 def _correlate(
@@ -168,31 +174,30 @@ def _correlate(
     """Cross-correlation of a (N, C, H, W) map framed by ``padding`` zeros with a square kernel, plus ``bias``.
 
     With ``minus`` it correlates ``a - minus``, which is formed only inside
-    the frame.
+    each band's frame.
 
-    From ``_VIEW_CHANNELS`` input channels up, a band of output rows is the
-    sum over kernel taps of one ``(oc, c) @ (c, rows*Wp)`` GEMM each, whose
-    right side is a slice of the band's own ``rows + k - 1`` frame rows
-    (:func:`_frame_rows`), framed afresh in a per-thread buffer for each
-    band: no full-size frame is made, and a band's GEMMs read a frame
-    that is still in cache.  A band is computed on its pitched grid of
-    ``Wp`` columns per row and copied into the output without the columns
-    past ``ow``; the taps of a kept column never leave its frame row, so
-    the columns past ``ow`` and the frame's tail cannot reach a kept one.
-    Thinner inputs make one ``(oc, c*k*k) @ (c*k*k, rows*ow)`` GEMM per
-    band of gathered taps (:func:`_gather`) of a whole frame that lives as
-    long as this call, straight into the output.  The bias is added band
-    by band.
+    Every band of output rows reads only its own ``rows + k - 1`` framed
+    rows (:func:`_frame_rows`), so no full-size frame is made.  From
+    ``_VIEW_CHANNELS`` input channels up, a band is the sum over kernel taps
+    of one ``(oc, c) @ (c, rows*Wp)`` GEMM each, whose right side is a slice
+    of the band's frame, still in cache.  A band is computed on its pitched
+    grid of ``Wp`` columns per row and copied into the output without the
+    columns past ``ow``; the taps of a kept column never leave its frame
+    row, so the columns past ``ow`` and the frame's tail cannot reach a kept
+    one.  Thinner inputs make one ``(oc, c*k*k) @ (c*k*k, rows*ow)`` GEMM
+    per band of gathered taps (:func:`_gathered`), straight into the
+    output.  The bias is added band by band.  The band buffers live as long
+    as this call.
     """
     (n, c, h, w), (oc, _, k, _) = a.shape, kernel.shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    oh, ow = hp - k + 1, wp - k + 1
+    wp = w + 2 * padding
+    oh, ow = h + 2 * padding - k + 1, wp - k + 1
     out = np.empty((n, oc, oh, ow), dtype=np.float32)
     if c < _VIEW_CHANNELS:
-        xp, weights = _framed(a, padding, minus), kernel.reshape(oc, -1)
-        for s, r0, r in _bands(n, oh, _gather_rows(c, k, ow)):
+        weights = kernel.reshape(oc, -1)
+        for s, r0, r, taps in _gathered(a, k, padding, minus):
             band = out[s, :, r0 : r0 + r]
-            np.matmul(weights, _gather(xp, s, r0, r, k, ow), out=band.reshape(oc, r * ow))
+            np.matmul(weights, taps, out=band.reshape(oc, r * ow))
             if bias is not None:
                 band += bias.reshape(oc, 1, 1)
         return out
@@ -201,19 +206,17 @@ def _correlate(
     # Bands of one height: a short last band costs as many GEMM calls as a
     # full one (2x16x64x64: 1.78 ms with bands of 62 and 2 rows, 1.26 ms with 32).
     bands = -(-oh // max(1, _BAND_FLOATS // (max(oc, c) * wp)))
-    for s, r0, r in _bands(n, oh, -(-oh // bands)):
-        if k == 1 and minus is None:
-            # No frame (padding < k is 0): the band's rows of ``a`` itself.
-            flat, base = a[s].reshape(c, h * w), r0 * wp
-        else:
-            flat, base = _frame_rows(a, s, r0, r + k - 1, padding, k - 1, minus), 0
-        total, part = (_scratch(name, oc * r * wp).reshape(oc, r * wp) for name in ("total", "part"))
+    rows = -(-oh // bands)
+    frame = np.empty(c * ((rows + k - 1) * wp + k - 1), dtype=np.float32)
+    sums = np.empty((2, oc * rows * wp), dtype=np.float32)
+    for s, r0, r in _bands(n, oh, rows):
+        flat = _frame_rows(a, s, r0, r + k - 1, padding, k - 1, frame, minus)
+        total, part = sums[:, : oc * r * wp].reshape(2, oc, r * wp)
         if bias is not None:
             total[...] = bias.reshape(oc, 1)
         for t in range(k * k):
             i, j = divmod(t, k)
-            start = base + i * wp + j
-            view = flat[:, start : start + r * wp]
+            view = flat[:, i * wp + j : i * wp + j + r * wp]
             if t == 0 and bias is None:
                 np.matmul(weights[t], view, out=total)
             else:
@@ -245,10 +248,10 @@ def conv2d(
     output gradient, framed by ``k - 1 - padding`` zeros, with the flipped,
     channel-swapped kernel.  It is made once, added to ``x`` and its
     negation to ``minus``.  The transposed kernel gradient is one
-    ``taps @ g_band.T`` GEMM per band of gathered taps (:func:`_gather`) of
-    ``x`` (less ``minus``) framed again; BLAS runs it faster than the
-    untransposed one.  The op keeps the arrays of ``x``, ``minus`` and the
-    kernel, not their frame.
+    ``taps @ g_band.T`` GEMM per band of gathered taps (:func:`_gathered`)
+    of ``x`` (less ``minus``), each band framed again from its own rows;
+    BLAS runs it faster than the untransposed one.  The op keeps the arrays
+    of ``x``, ``minus`` and the kernel, not a frame.
     """
     _require_4d("conv2d", x)
     if kernel.ndim != 4:
@@ -276,11 +279,10 @@ def conv2d(
         if bias_slot is not None and bias_slot.requires_grad:
             accumulate(bias_slot, g.sum(axis=(0, 2, 3)))
         if kernel_slot.requires_grad:
-            xp = _framed(x_data, padding, minus_data)
             gm = g.reshape(n, oc, oh * ow)
             gk = np.zeros((c * k * k, oc), dtype=np.float32)
-            for s, r0, r in _bands(n, oh, _gather_rows(c, k, ow)):
-                gk += _gather(xp, s, r0, r, k, ow) @ gm[s, :, r0 * ow : (r0 + r) * ow].T
+            for s, r0, r, taps in _gathered(x_data, k, padding, minus_data):
+                gk += taps @ gm[s, :, r0 * ow : (r0 + r) * ow].T
             accumulate(kernel_slot, gk.T.reshape(oc, c, k, k))
         if x_slot.requires_grad or (minus_slot is not None and minus_slot.requires_grad):
             dx = _correlate(g, weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), k - 1 - padding)
@@ -356,29 +358,6 @@ def maxpool2d(x: Tensor, window: int, *, padding: int = 0) -> Tensor:
     return record_op(out, (x,), backward)
 
 
-def _bins(starts: np.ndarray, stops: np.ndarray, size: int) -> np.ndarray:
-    """0/1 matrix whose row i marks the cells ``starts[i] <= k < stops[i]`` of an axis."""
-    k = np.arange(size)
-    return ((k >= starts[:, None]) & (k < stops[:, None])).astype(np.float32)
-
-
-def _separable(rows: np.ndarray, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Apply ``rows`` along the height axis and ``cols`` along the width axis."""
-    return rows @ x @ cols.T
-
-
-def _mean_pool(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
-    """Mean over the cells each (row, column) bin pair of the 0/1 matrices marks."""
-    counts = np.outer(rows.sum(axis=1), cols.sum(axis=1))
-    out = _separable(rows, x.data, cols) / counts
-    slot = x.slot
-
-    def backward(g: np.ndarray) -> None:
-        accumulate(slot, _separable(rows.T, g / counts, cols.T))
-
-    return record_op(out, (x,), backward)
-
-
 def avgpool2d(x: Tensor, window: int, *, padding: int = 0) -> Tensor:
     """Stride-1 average pooling; padded cells are excluded from each window's divisor.
 
@@ -421,10 +400,22 @@ def adaptive_avgpool2d(x: Tensor, out_h: int, out_w: int) -> Tensor:
         )
 
     def bins(size: int, out: int) -> np.ndarray:
-        i = np.arange(out)
-        return _bins(size * i // out, -(-size * (i + 1) // out), size)
+        """0/1 matrix whose row i marks the cells of bin i along an axis of ``size`` cells."""
+        i, cells = np.arange(out), np.arange(size)
+        starts, stops = size * i // out, -(-size * (i + 1) // out)
+        return ((cells >= starts[:, None]) & (cells < stops[:, None])).astype(np.float32)
 
-    return _mean_pool(x, bins(h, out_h), bins(w, out_w))
+    # The mean over each (row, column) bin pair: the row bins along the
+    # height, the column bins along the width, divided by the bin's cells.
+    rows, cols = bins(h, out_h), bins(w, out_w)
+    counts = np.outer(rows.sum(axis=1), cols.sum(axis=1))
+    out = rows @ x.data @ cols.T / counts
+    slot = x.slot
+
+    def backward(g: np.ndarray) -> None:
+        accumulate(slot, rows.T @ (g / counts) @ cols)
+
+    return record_op(out, (x,), backward)
 
 
 def global_avgpool(x: Tensor) -> Tensor:
@@ -486,7 +477,7 @@ def upsample_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
         aw = np.zeros((out_w, w), dtype=np.float32)
         np.add.at(aw, (np.arange(out_w), c0), 1.0 - tc)
         np.add.at(aw, (np.arange(out_w), c1), tc)
-        accumulate(slot, _separable(ah.T, g, aw.T))
+        accumulate(slot, ah.T @ g @ aw)
 
     return record_op(out, (x,), backward)
 

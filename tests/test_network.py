@@ -255,10 +255,11 @@ def test_taped_step_records_and_peak(rng):
     # loss the tape holds 137.3 maps of 1x16x32x32, against 235.7 when
     # records kept every op's inputs and output.  Backward drops each
     # intermediate's gradient once its record has replayed, so the peak
-    # reads 159.4 maps, against 163.2 with the leaders concatenated for one
-    # mix conv, 261.8 with every map kept and 472.4 when every gradient also
-    # lived until ``clear``.  Both bounds are 5% above.  The fused image's
-    # SSIM statistics are recorded once for both terms.
+    # reads 168.8 maps, against 261.8 with every map kept and 472.4 when
+    # every gradient also lived until ``clear``.  That peak counts the band
+    # buffers of the conv running at the time, which each call allocates.
+    # Both bounds are 5% above.  The fused image's SSIM statistics are
+    # recorded once for both terms.
     config = FusionConfig()
     params = init_params(config, seed=0)
     ir, vis = (Tensor(rng.uniform(size=(1, 1, 32, 32)).astype(np.float32)) for _ in range(2))
@@ -282,7 +283,7 @@ def test_taped_step_records_and_peak(rng):
     one_map = 4 * config.channels * 32 * 32
     assert records == 339
     assert held < 144 * one_map
-    assert peak < 167 * one_map
+    assert peak < 177 * one_map
 
 
 def test_backward_leaves_gradients_only_on_leaves(rng, monkeypatch):

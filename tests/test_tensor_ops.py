@@ -36,7 +36,7 @@ def taped_conv(x, k, g, padding):
 
 
 def run_in_thread(fn):
-    """``fn()`` run on a new thread, which starts with no conv workspace."""
+    """``fn()`` run on a new thread."""
     result = []
     thread = threading.Thread(target=lambda: result.append(fn()))
     thread.start()
@@ -244,10 +244,15 @@ class TestConv2d:
         ids=["shape0-kspec0-1-1", "shape1-kspec1-1-1", "shape2-kspec2-1-0"],
     )
     @pytest.mark.parametrize("with_bias", [True, False])
-    def test_minus_equals_sub_then_conv_bit_for_bit(self, rng, shape, kspec, padding, with_bias):
-        # The difference is formed in the frame, not on the tape; the output
-        # and every gradient equal those of ``conv2d(sub(x, m), ...)``.
-        # ``None`` for the bias equals a bias of zeros.
+    @pytest.mark.parametrize("bands", ["default", "short"])
+    def test_minus_equals_sub_then_conv_bit_for_bit(self, rng, monkeypatch, shape, kspec, padding, with_bias, bands):
+        # The difference is formed in each band's frame, not on the tape; the
+        # output and every gradient equal those of ``conv2d(sub(x, m), ...)``.
+        # ``None`` for the bias equals a bias of zeros.  Short bands of 4 rows
+        # end every forward, kernel gradient and input gradient here on a
+        # shorter band, on both sides.
+        if bands == "short":
+            TestBandedConv.shrink_bands(monkeypatch, 4, shape, kspec, padding)
         x, k, g = conv_case(rng, shape, kspec, padding)
         m = rng.standard_normal(shape).astype(np.float32)
         b = rng.standard_normal(kspec[0]).astype(np.float32) if with_bias else np.zeros(kspec[0], np.float32)
@@ -278,7 +283,6 @@ class TestConv2d:
         # Taped, the output is the only new array held, as without ``minus``.
         x, m = (Tensor(rng.standard_normal((1, 16, 64, 64)).astype(np.float32), requires_grad=True) for _ in range(2))
         k = Tensor(rng.standard_normal((16, 16, 3, 3)).astype(np.float32), requires_grad=True)
-        ops.conv2d(x, k, None, padding=1, minus=m)
         with Tape() as tape:
             tracemalloc.start()
             try:
@@ -387,31 +391,41 @@ class TestBandedConv:
         assert bands == [(s, r0, r) for s in range(2) for r0, r in ((0, 3), (3, 3), (6, 1))]
 
     def test_workspace_cap_bounds_the_band_but_never_below_one_row(self, rng, monkeypatch):
+        # A 10-float cap holds no whole row of 2x3x3 taps, so every band is
+        # one row; each band's taps are its window taps of the framed map
+        # (less ``minus``), in the row order of ``kernel.reshape(oc, -1)``.
         monkeypatch.setattr(ops, "_WORKSPACE_FLOATS", 10)
-        assert [r for _, _, r in ops._bands(1, 2, ops._gather_rows(2, 3, 4))] == [1, 1]
-        xp = rng.standard_normal((1, 2, 4, 6)).astype(np.float32)
-        taps = ops._gather(xp, 0, 1, 1, 3, 4)
-        assert taps.shape == (18, 4)
-        want = np.stack([xp[0, :, 1 + i, j : j + 4] for i in range(3) for j in range(3)], axis=1)
-        np.testing.assert_array_equal(taps, want.reshape(18, 4))
+        a, m = (rng.standard_normal((2, 2, 4, 6)).astype(np.float32) for _ in range(2))
+        for padding, minus in ((0, None), (1, m)):
+            xp = np.pad(a if minus is None else a - minus, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+            oh, ow = 2 + 2 * padding, 4 + 2 * padding
+            bands = []
+            for s, r0, r, taps in ops._gathered(a, 3, padding, minus):
+                bands.append((s, r0, r))
+                assert taps.shape == (18, ow)
+                want = np.stack([xp[s, :, r0 + i, j : j + ow] for i in range(3) for j in range(3)], axis=1)
+                np.testing.assert_array_equal(taps, want.reshape(18, ow))
+            assert bands == [(s, r0, 1) for s in range(2) for r0 in range(oh)]
 
     @pytest.mark.parametrize("padding,tail", [(0, 0), (1, 2), (2, 0), (0, 4)])
     def test_band_frame_is_rows_of_the_framed_map(self, rng, padding, tail):
         # Every band of more than ``padding`` rows, as a conv makes them; every
-        # cell of its frame is written, as the scratch buffer holds NaN before
-        # each call.
+        # cell of its frame is written, as the buffer holds NaN before each
+        # call.  With nothing to frame the band is a view of the map's rows.
         a = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
         m = rng.standard_normal(a.shape).astype(np.float32)
         width = ((0, 0), (0, 0), (padding, padding), (padding, padding))
         hp, wp = 4 + 2 * padding, 5 + 2 * padding
         for minus, inner in ((None, a), (m, a - m)):
             framed = np.pad(inner, width)
-            np.testing.assert_array_equal(ops._framed(a, padding, minus), framed)
+            view = minus is None and not (padding or tail)
             for rows in range(padding + 1, hp + 1):
                 for y0 in range(hp - rows + 1):
-                    ops._scratch("frame", 3 * (hp * wp + tail))[...] = np.nan
-                    flat = ops._frame_rows(a, 1, y0, rows, padding, tail, minus)
+                    buf = np.full(3 * (hp * wp + tail), np.nan, dtype=np.float32)
+                    flat = ops._frame_rows(a, 1, y0, rows, padding, tail, buf, minus)
                     assert flat.shape == (3, rows * wp + tail)
+                    assert np.shares_memory(flat, a) == view
+                    assert np.shares_memory(flat, buf) != view
                     np.testing.assert_array_equal(flat[:, : rows * wp], framed[1, :, y0 : y0 + rows].reshape(3, -1))
                     assert not flat[:, rows * wp :].any()
 
@@ -473,19 +487,17 @@ class TestBandedConv:
         tape.clear()
 
     def test_no_stale_workspace_after_a_larger_call(self, rng, monkeypatch):
-        # On each side of the channel threshold, the larger call fills the
-        # buffers with bands of 4 rows of 12 columns; NaN then stands for
-        # their stale cells.  The smaller call's bands hold more rows of 4
-        # columns (12 and then 2 rows gathered, two of 7 on the view side),
-        # and each must write every cell it reads.
+        # On each side of the channel threshold, the larger call runs bands
+        # of 4 rows of 12 columns; the smaller call's bands hold more rows of
+        # 4 columns (12 and then 2 rows gathered, two of 7 on the view side).
+        # No buffer outlives a call, so the smaller call equals itself on a
+        # fresh thread and the float64 loop.
         for channels in (3, 16):
             monkeypatch.setattr(ops, "_WORKSPACE_FLOATS", 4 * channels * 9 * 12)
             monkeypatch.setattr(ops, "_BAND_FLOATS", 4 * channels * 14)
             big = conv_case(rng, (1, channels, 12, 12), (2, channels, 3, 3), 1)
             small = conv_case(rng, (2, channels, 14, 4), (2, channels, 3, 3), 1)
             taped_conv(*big, 1)
-            for buf in vars(ops._WORKSPACE).values():
-                buf[...] = np.nan
             got = taped_conv(*small, 1)
             fresh = run_in_thread(lambda: taped_conv(*small, 1))
             for a, b, ref in zip(got, fresh, loop_conv_f64(*small, 1)):
@@ -493,7 +505,8 @@ class TestBandedConv:
                 np.testing.assert_allclose(a, ref, rtol=1e-5, atol=1e-5)
 
     def test_workspace_is_per_thread(self, rng, monkeypatch):
-        # Four threads on different shapes, more than there are cores, with
+        # A call's band buffers are its own.  Four threads on different
+        # shapes, more than there are cores, with
         # small bands and a short switch interval, so their bands interleave;
         # two run forward on the view side and two gather.
         monkeypatch.setattr(ops, "_WORKSPACE_FLOATS", 2 * 36 * 12)
@@ -557,12 +570,11 @@ class TestBandedConv:
         np.testing.assert_array_equal(ops.conv2d(Tensor(x), Tensor(k), Tensor(b), padding=1).data, want)
 
     def test_taped_conv_keeps_its_input_not_its_frame(self, rng):
-        # After a taped forward, the output is the only new array held; an
-        # untaped call first sizes this thread's band buffers.
+        # After a taped forward, the output is the only new array held: the
+        # band buffers die with the call.
         x = Tensor(rng.standard_normal((1, 16, 64, 64)).astype(np.float32), requires_grad=True)
         k = Tensor(rng.standard_normal((16, 16, 3, 3)).astype(np.float32), requires_grad=True)
         b = Tensor.zeros((16,))
-        ops.conv2d(x, k, b, padding=1)
         with Tape() as tape:
             tracemalloc.start()
             try:
@@ -589,6 +601,46 @@ class TestBandedConv:
         finally:
             tracemalloc.stop()
         assert peak < 4 * n * c * h * w + (2 << 20)
+
+    def test_thin_vga_forward_makes_no_whole_frame(self):
+        # No tape, 1 -> 16 channels as in the backbone's first conv: each band
+        # gathers its taps from its own framed rows, so besides the output
+        # the call holds only the taps buffer (``_WORKSPACE_FLOATS`` floats)
+        # and one band's frame: 19.86 MiB in all for an 18.75 MiB output.  A
+        # whole frame of the input would add 1.18 MiB.  The call runs on a
+        # fresh thread, so no buffer an earlier call left could hide.
+        x = Tensor(np.ones((1, 1, 480, 640), dtype=np.float32))
+        k = Tensor(np.full((16, 1, 3, 3), 0.1, dtype=np.float32))
+
+        def measure():
+            tracemalloc.start()
+            try:
+                out = ops.conv2d(x, k, None, padding=1)
+                return out.data.nbytes, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        size, peak = run_in_thread(measure)
+        assert peak <= size + 4 * ops._WORKSPACE_FLOATS + (512 << 10)
+
+    def test_kernel_gradient_frames_no_whole_map(self, rng):
+        # The input needs no gradient, so the backward is the kernel gradient
+        # alone: besides the 0.25 MiB output gradient it holds one band's
+        # framed rows and its gathered taps, at most ``_WORKSPACE_FLOATS``
+        # floats.  That peaks at 1.39 MiB; a frame of the whole 16x258x258
+        # input read 4.32 MiB.
+        x = Tensor(rng.standard_normal((1, 16, 256, 256)).astype(np.float32))
+        k = Tensor(rng.standard_normal((1, 16, 3, 3)).astype(np.float32), requires_grad=True)
+        with Tape() as tape:
+            loss = ops.reduce_sum(ops.conv2d(x, k, None, padding=1))
+            tracemalloc.start()
+            try:
+                tape.backward(loss)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        tape.clear()
+        assert peak < 4 * ops._WORKSPACE_FLOATS + (512 << 10)
 
 
 class TestPooling:
