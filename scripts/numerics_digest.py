@@ -1,0 +1,123 @@
+#!/usr/bin/env python3
+"""Digest the package's numerics from fixed seeds, or compare two digests.
+
+    python3 scripts/numerics_digest.py --out digest.json
+    python3 scripts/numerics_digest.py --compare parent.json change.json
+
+``--out`` runs three things on one BLAS thread:
+
+- a default-config taped step on a batch of two 64x64 crops (init seed 3,
+  uniform inputs from seed 0), giving its 4 losses and 130 parameter
+  gradients;
+- a 480x640 ``fuse_arrays`` of uniform frames with the same parameters;
+- the README's ``graphfusion gradcheck --size 8 --channels 8 --nodes 3
+  --loops 3`` at seed 0, whose report is kept as text.
+
+It writes each result's sha256 and largest |entry| to the JSON file and
+the arrays themselves beside it, under the same name with ``.npz``.
+``--compare`` prints one line per entry: "identical", or the largest |Δ|
+over the largest entry of the first digest.  It exits with 1 when any
+entry differs.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+# Before numpy loads: OpenBLAS sizes its thread pool once, on import.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+from graphfusion import FusionConfig, Tape, Tensor, forward, fuse_arrays, init_params  # noqa: E402
+from graphfusion.cli import main as cli_main  # noqa: E402
+from graphfusion.losses import loss_components  # noqa: E402
+
+GRADCHECK = ["gradcheck", "--size", "8", "--channels", "8", "--nodes", "3", "--loops", "3", "--seed", "0"]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def compute() -> tuple[dict[str, np.ndarray], str]:
+    """The digested arrays by entry name, and the gradcheck report."""
+    config = FusionConfig()
+    params = init_params(config, seed=3)
+    rng = np.random.default_rng(0)
+    ir, vis = (Tensor(rng.uniform(0.0, 1.0, size=(2, 1, 64, 64))) for _ in range(2))
+    with Tape() as tape:
+        losses = loss_components(forward(ir, vis, params, config), ir, vis, config)
+        tape.backward(losses["total"])
+    arrays = {f"loss.{name}": t.data for name, t in losses.items()}
+    arrays.update((f"grad.{name}", p.grad) for name, p in params.items())
+    tape.clear()
+    frames = rng.uniform(0.0, 1.0, size=(2, 480, 640))
+    arrays["fuse_arrays.480x640"] = fuse_arrays(frames[0], frames[1], params, config)
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        cli_main(GRADCHECK)
+    return arrays, report.getvalue()
+
+
+def write(path: Path) -> None:
+    arrays, report = compute()
+    entries = {
+        name: {"sha256": sha256(a.tobytes()), "max_abs": float(np.abs(a).max())} for name, a in arrays.items()
+    }
+    entries["gradcheck.report"] = {"sha256": sha256(report.encode()), "text": report}
+    path.write_text(json.dumps(entries, indent=1) + "\n")
+    np.savez(path.with_suffix(".npz"), **arrays)
+
+
+def difference(name: str, a: dict, b: dict, arrays_a, arrays_b) -> str:
+    """How entry ``name`` of digest ``b`` differs from that of ``a``."""
+    if "text" in a:
+        lines_a, lines_b = a["text"].splitlines(), b["text"].splitlines()
+        k = next((k for k, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y), min(len(lines_a), len(lines_b)))
+        return f"differs from line {k + 1}"
+    x, y = arrays_a[name], arrays_b[name]
+    if x.shape != y.shape:
+        return f"shape {x.shape} -> {y.shape}"
+    delta = float(np.abs(x.astype(np.float64) - y).max())
+    ratio = delta / a["max_abs"] if a["max_abs"] else float("inf")
+    return f"max |d| {delta:.3e} over max |entry| {a['max_abs']:.3e} ({ratio:.3e})"
+
+
+def compare(path_a: Path, path_b: Path) -> int:
+    a, b = (json.loads(p.read_text()) for p in (path_a, path_b))
+    arrays_a, arrays_b = (np.load(p.with_suffix(".npz")) for p in (path_a, path_b))
+    differing = 0
+    for name in sorted(a.keys() | b.keys()):
+        if name not in a or name not in b:
+            line = f"only in {path_a if name in a else path_b}"
+        elif a[name]["sha256"] == b[name]["sha256"]:
+            line = "identical"
+        else:
+            line = difference(name, a[name], b[name], arrays_a, arrays_b)
+        differing += line != "identical"
+        print(f"{name}: {line}")
+    print(f"{len(a.keys() | b.keys()) - differing} identical, {differing} differ")
+    return 1 if differing else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", type=Path, help="write the digest here, and its arrays beside it as .npz")
+    mode.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"), help="compare two digests")
+    args = parser.parse_args()
+    if args.out is not None:
+        write(args.out)
+        return 0
+    return compare(*args.compare)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -145,20 +145,20 @@ def forward(ir: Tensor, vis: Tensor, params: Mapping[str, Tensor], config: Fusio
 
 
 def fuse_arrays(ir: np.ndarray, vis: np.ndarray, params: Mapping[str, Tensor], config: FusionConfig) -> np.ndarray:
-    """Fuse two finite (H, W) float arrays outside any tape; returns (H, W)."""
+    """Fuse two (H, W) float arrays, finite as float32, outside any tape; returns (H, W)."""
     if ir.shape != vis.shape or ir.ndim != 2:
         raise ShapeError(f"fuse_arrays: need two equal (H, W) arrays, got {ir.shape} and {vis.shape}")
+    images = []
     for name, arr in (("ir", ir), ("vis", vis)):
-        # One NaN would reach every output pixel through the global pools.
-        if not np.all(np.isfinite(arr)):
+        # Checked after the cast to float32, where a finite float64 beyond its
+        # range becomes inf.  One NaN would reach every output pixel through
+        # the global pools.
+        with np.errstate(over="ignore"):
+            image = Tensor(arr.reshape(1, 1, *arr.shape))
+        if not np.all(np.isfinite(image.data)):
             raise ValueError(f"fuse_arrays: {name} holds non-finite values")
-    out = forward(
-        Tensor(ir.reshape(1, 1, *ir.shape)),
-        Tensor(vis.reshape(1, 1, *vis.shape)),
-        params,
-        config,
-    )
-    return out.data[0, 0].copy()
+        images.append(image)
+    return forward(*images, params, config).data[0, 0].copy()
 
 
 # ---------------------------------------------------------------------------

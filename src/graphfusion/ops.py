@@ -120,15 +120,22 @@ _VIEW_CHANNELS = 16
 _BAND_FLOATS = 1 << 16
 
 # Float32 taps per band of the gather: 1 MB, so a band's gather is still in
-# a 2 MB per-core L2 cache when its GEMM reads it.  On the same Xeon a
-# 1x16x480x640 16->16 3x3 conv took 62-65 ms with 1 MB bands, 70 ms with
-# 256 KB and 97-114 ms with 4 MB bands, which spill out of L2.  A gathered
-# multi-channel conv is bit-identical across band sizes, as each output
-# cell is the same c*kh*kw-long dot product of a GEMM.  A conv with one
-# output channel is a matrix-vector product, whose summation order BLAS
-# may change with the band width: a 2x1x64x64 11x11 blur moved by up to
-# 7.6e-6 between 10-row and 40-row bands.  Each gathered call allocates
-# its taps buffer, of at most 1 MB, so the buffer counts in its peak.
+# a 2 MB per-core L2 cache when its GEMM reads it.  What gathers is every
+# 1-channel forward (the backbone's first conv, the Sobel and SSIM kernels)
+# and every kernel gradient, the 16-channel ones of training included.  On
+# one thread of the same Xeon, medians of 63 with 256 KB, 512 KB and 1 MB
+# caps: a 1->16 3x3 forward at 1x1x480x640 took 6.3-7.2, 6.0-6.2 and
+# 5.8-6.0 ms, a 16->16 3x3 kernel gradient at 2x16x64x64 1.5-1.9,
+# 1.41-1.44 and 1.37-1.47 ms (two runs each; the quartiles of the caps
+# overlap).  A forward with several output channels is bit-identical across
+# band sizes, as each output cell is the same c*kh*kw-long dot product of a
+# GEMM.  A kernel gradient adds up its bands, so it moves with the band
+# height: the 512 KB and 256 KB caps moved the one above by 1.1e-7 and
+# 2.2e-7 of its largest entry.  A conv with one output channel is a
+# matrix-vector product, whose summation order BLAS may change with the
+# band width: a 2x1x64x64 11x11 blur moved by up to 7.6e-6 between 10-row
+# and 40-row bands.  Each gathered call allocates its taps buffer, of at
+# most 1 MB, so the buffer counts in its peak.
 _WORKSPACE_FLOATS = 1 << 18
 
 
@@ -593,7 +600,8 @@ def split_channels(x: Tensor, sizes: Sequence[int]) -> list[Tensor]:
     """Split a 4-d tensor along the channel dimension into parts of ``sizes`` channels.
 
     The inverse of :func:`concat_channels`.  Each part is an op of its own,
-    whose backward adds its gradient into its channels of ``x``'s.
+    whose backward hands :func:`~graphfusion.tensor.accumulate` a gradient
+    of ``x``'s shape that is zero outside the part's channels.
     """
     _require_4d("split_channels", x)
     if not sizes or min(sizes) < 1 or sum(sizes) != x.shape[1]:
@@ -604,9 +612,9 @@ def split_channels(x: Tensor, sizes: Sequence[int]) -> list[Tensor]:
     for o0, o1 in zip(offsets[:-1], offsets[1:]):
 
         def backward(g: np.ndarray, o0: int = o0, o1: int = o1) -> None:
-            if slot.grad is None:
-                slot.grad = np.zeros(shape, dtype=np.float32)
-            slot.grad[:, o0:o1] += g
+            d = np.zeros(shape, dtype=np.float32)
+            d[:, o0:o1] = g
+            accumulate(slot, d)
 
         parts.append(record_op(x.data[:, o0:o1].copy(), (x,), backward))
     return parts
@@ -691,12 +699,14 @@ def gate_add(total: Tensor, s: Tensor, bias: Tensor, sign: int, source: Tensor) 
     output is the only full-size array made: neither the edge, the gate nor
     the message is stored, and the backward recomputes the edge and gate
     chunk by chunk from ``s`` and ``source``, the only arrays the op keeps.
-    Every element rounds as in ``add(total, mul(sigmoid(edge), source))``,
-    and the map gradients accumulate in that composition's order (total,
-    source, s), so they are bit-identical to it; ``s`` gets ``sign`` times
-    the edge gradient.  Only
-    ``bias``'s gradient, a sum of the edge gradient per channel, is summed
-    in another order: per chunk, then in float64.
+    Every element rounds as in ``add(total, mul(sigmoid(edge), source))``.
+    The backward fills whole gradient maps for ``source`` and ``s`` (``sign``
+    times the edge gradient) and, like every op, leaves storing them to
+    :func:`~graphfusion.tensor.accumulate`, in that composition's order
+    (total, source, s): the gradients are bit-identical to it, also when
+    one tensor plays several roles.  Only ``bias``'s gradient, a sum of the
+    edge gradient per channel, is summed in another order: per chunk, then
+    in float64.
     """
     _require_4d("gate_add", total)
     for name, t in (("s", s), ("source", source)):
@@ -730,51 +740,34 @@ def gate_add(total: Tensor, s: Tensor, bias: Tensor, sign: int, source: Tensor) 
 
     def backward(g: np.ndarray) -> None:
         accumulate(total_slot, g)
-        # (gradient as (planes, size), fresh) per map input that needs one; a
-        # gradient made here is written, not added to.  The source goes first,
-        # so that when it is ``s`` too its first deposit is the one written.
-        sinks = {}
-        for name, slot in (("source", source_slot), ("s", s_slot)):
-            if slot.requires_grad:
-                fresh = slot.grad is None
-                if fresh:
-                    slot.grad = np.empty((n, c, h, w), dtype=np.float32)
-                sinks[name] = (slot.grad.reshape(planes, size), fresh)
-        sums = np.zeros(planes) if bias_slot.requires_grad else None
-        if not sinks and sums is None:
+        if not (source_slot.requires_grad or s_slot.requires_grad or bias_slot.requires_grad):
             return
-
-        def deposit(name: str, rows: slice, cols: slice, d: np.ndarray, negate: bool = False) -> None:
-            grad, fresh = sinks[name]
-            part = grad[rows, cols]
-            if fresh and negate:
-                np.negative(d, out=part)
-            elif fresh:
-                part[...] = d
-            elif negate:
-                part -= d
-            else:
-                part += d
-
         g2 = g.reshape(planes, size)
-        buf = np.empty((2, min(_CHUNK_FLOATS, g2.size)), dtype=np.float32)
+        d_source = np.empty((planes, size), dtype=np.float32) if source_slot.requires_grad else None
+        # The edge's gradient: its sum per plane goes to the bias, and it
+        # times ``sign`` to s (negation is exact, and a + (-d) is a - d).
+        d_edge = np.empty((planes, size), dtype=np.float32) if s_slot.requires_grad or bias_slot.requires_grad else None
+        sums = np.zeros(planes)
+        buf = np.empty(min(_CHUNK_FLOATS, g2.size), dtype=np.float32)
         for rows, cols in _chunks(planes, size):
             gc = g2[rows, cols]
-            e = edge(rows, cols, buf[0])
+            e = edge(rows, cols, buf)
             sig = _logistic(e, e)
-            d = buf[1, : gc.size].reshape(gc.shape)
-            if "source" in sinks:
-                deposit("source", rows, cols, np.multiply(gc, sig, out=d))
-            if "s" in sinks or sums is not None:
-                # The edge's gradient: s gets it times ``sign``, bias its sum per plane.
+            if d_source is not None:
+                np.multiply(gc, sig, out=d_source[rows, cols])
+            if d_edge is not None:
+                d = d_edge[rows, cols]
                 np.multiply(gc, src2[rows, cols], out=d)
                 d *= sig
                 d *= 1.0 - sig
-                if "s" in sinks:
-                    deposit("s", rows, cols, d, sign < 0)
-                if sums is not None:
-                    sums[rows] += d.sum(axis=1)
-        if sums is not None:
+                sums[rows] += d.sum(axis=1)
+                if sign < 0:
+                    np.negative(d, out=d)
+        if d_source is not None:
+            accumulate(source_slot, d_source.reshape(n, c, h, w))
+            d_source = None  # freed before s's map is copied: a map less at the peak
+        if d_edge is not None:
+            accumulate(s_slot, d_edge.reshape(n, c, h, w))
             accumulate(bias_slot, sums.reshape(n, c).sum(axis=0).astype(np.float32))
 
     return record_op(out, (total, s, bias, source), backward)

@@ -10,8 +10,11 @@ backward reads is freed once the forward code drops it.  Calling
 ``tape.backward(loss)`` seeds ``d loss = 1`` and replays the records in
 reverse order, accumulating gradients into the slot of every tensor that
 requires them; each op output's gradient is dropped once its record has
-replayed, so only the leaves keep theirs.  One tape records per thread
-at a time: entering a second one on a thread that already has one raises
+replayed, so only the leaves keep theirs.  Only this module writes a
+gradient: an op's backward computes each input's delta and hands it to
+:func:`accumulate`, which copies the first delta into the slot and adds
+every later one in place.  One tape records per thread at a time:
+entering a second one on a thread that already has one raises
 ``RuntimeError``.  Tensors touched by no tape are plain immutable values
 and are safe to share across threads; parallel work, when any, must use
 one tape per thread.
@@ -191,9 +194,10 @@ class Tape:
                 continue
             backward(output.grad)
             # Every record's output is an intermediate, and its gradient was
-            # complete when replay reached it; ``accumulate`` copied it on the
-            # first write, so nothing else holds it.  Dropping it now frees
-            # the buffer as soon as the record's inputs have their share.
+            # complete when replay reached it.  Its buffer is the seed or
+            # ``accumulate``'s copy of its first delta, so nothing else holds
+            # it.  Dropping it now frees the buffer as soon as the record's
+            # inputs have their share.
             output.grad = None
 
     def clear(self) -> None:

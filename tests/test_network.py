@@ -221,6 +221,16 @@ class TestForward:
         with pytest.raises(ValueError, match=f"fuse_arrays: {which} holds non-finite"):
             fuse_arrays(arrays["ir"], arrays["vis"], params, config)
 
+    @pytest.mark.parametrize("which", ["ir", "vis"])
+    def test_fuse_arrays_rejects_input_beyond_float32_range(self, rng, which):
+        # 1e39 is finite as a float64 but overflows the float32 the network runs in.
+        config = cfg(**SMALL)
+        params = init_params(config, seed=0)
+        arrays = {m: rng.uniform(size=(16, 16)) for m in ("ir", "vis")}
+        arrays[which][3, 5] = 1e39
+        with pytest.raises(ValueError, match=f"fuse_arrays: {which} holds non-finite"):
+            fuse_arrays(arrays["ir"], arrays["vis"], params, config)
+
 
 def test_untaped_forward_keeps_few_maps_alive(rng):
     # The graph reads a backbone stage only through its node pools, so each

@@ -1,9 +1,14 @@
 """Smoke runs of the scripts under scripts/, each in its own interpreter."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from graphfusion.images import read_image
 from graphfusion.network import load_checkpoint
@@ -47,3 +52,41 @@ def test_overfit_demo_trains_and_writes_artifacts(tmp_path):
     params, config = load_checkpoint(out / "overfit.ckpt")
     assert config.channels == 4 and config.crop == 16
     assert params["head.conv2.weight"].shape == (1, 4, 3, 3)
+
+
+@pytest.fixture(scope="module")
+def digest(tmp_path_factory) -> Path:
+    path = tmp_path_factory.mktemp("digest") / "digest.json"
+    proc = run_script("numerics_digest.py", "--out", str(path))
+    assert proc.returncode == 0, proc.stderr
+    return path
+
+
+def test_numerics_digest_of_a_tree_against_itself_reads_identical(digest):
+    proc = run_script("numerics_digest.py", "--compare", str(digest), str(digest))
+    assert proc.returncode == 0, proc.stdout
+    *lines, summary = proc.stdout.splitlines()
+    # 4 losses, 130 parameter gradients, the 480x640 fuse and the gradcheck report.
+    assert summary == "136 identical, 0 differ"
+    assert [line for line in lines if not line.endswith(": identical")] == []
+    assert {"loss.total: identical", "fuse_arrays.480x640: identical", "gradcheck.report: identical"} <= set(lines)
+
+
+def test_numerics_digest_names_exactly_the_perturbed_array(digest, tmp_path):
+    entries = json.loads(digest.read_text())
+    arrays = dict(np.load(digest.with_suffix(".npz")))
+    name = "grad.graph.mix.vis.weight"
+    grad = arrays[name].copy()
+    # Doubling the largest entry moves it by exactly the largest |entry|.
+    grad.flat[np.abs(grad).argmax()] *= 2
+    arrays[name] = grad
+    entries[name]["sha256"] = hashlib.sha256(grad.tobytes()).hexdigest()
+    perturbed = tmp_path / "perturbed.json"
+    perturbed.write_text(json.dumps(entries))
+    np.savez(perturbed.with_suffix(".npz"), **arrays)
+    proc = run_script("numerics_digest.py", "--compare", str(digest), str(perturbed))
+    assert proc.returncode == 1, proc.stderr
+    *lines, summary = proc.stdout.splitlines()
+    assert summary == "135 identical, 1 differ"
+    (line,) = [line for line in lines if not line.endswith(": identical")]
+    assert line.startswith(f"{name}: max |d| ") and line.endswith(" (1.000e+00)")

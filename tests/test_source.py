@@ -80,3 +80,51 @@ def test_closure_rule_flags_a_backward_that_reads_its_input():
         "    return record_op(out, (x,), backward)\n"
     )
     assert closures_naming_tensors(source) == ["relu.backward: x", "relu.<lambda>: b", "relu.<lambda>: ys"]
+
+
+def writes_grad(target: ast.expr) -> bool:
+    """Whether ``target`` is a ``.grad`` attribute, or an element, slice or attribute of one."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return any(writes_grad(e) for e in target.elts)
+    if isinstance(target, ast.Subscript):
+        return writes_grad(target.value)
+    if isinstance(target, ast.Attribute):
+        return target.attr == "grad" or writes_grad(target.value)
+    return False
+
+
+def grad_writes(source: str) -> list[int]:
+    """Lines that assign, augment or subscript-assign a ``.grad``, or pass one as a ufunc's ``out``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call):
+            targets = [kw.value for kw in node.keywords if kw.arg == "out"]
+        else:
+            continue
+        lines += [node.lineno] * any(writes_grad(t) for t in targets)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "tensor.py"))
+def test_only_tensor_module_writes_gradients(module):
+    # Ops compute gradient deltas and ``tensor.accumulate`` stores them: it
+    # alone decides between copying a first write and adding into the slot.
+    assert grad_writes((PACKAGE / module).read_text()) == []
+
+
+def test_grad_write_rule_flags_every_form_of_write():
+    source = (
+        "def backward(g):\n"
+        "    slot.grad = np.zeros(shape)\n"
+        "    slot.grad[:, 0:2] += g\n"
+        "    a, t.slot.grad = g, g\n"
+        "    np.negative(g, out=slot.grad[rows])\n"
+        "    grad: np.ndarray = slot.grad\n"
+        "    g[slot.grad > 0] = 0\n"
+        "    accumulate(slot, g)\n"
+    )
+    assert grad_writes(source) == [2, 3, 4, 5]
