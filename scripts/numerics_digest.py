@@ -4,20 +4,23 @@
     python3 scripts/numerics_digest.py --out digest.json
     python3 scripts/numerics_digest.py --compare parent.json change.json
 
-``--out`` runs three things on one BLAS thread:
+``--out`` runs four things on one BLAS thread:
 
 - a default-config taped step on a batch of two 64x64 crops (init seed 3,
-  uniform inputs from seed 0), giving its 4 losses and 130 parameter
-  gradients;
+  uniform inputs from seed 0), giving its 4 losses, 130 parameter
+  gradients and its tape's record count (``tape.records``);
 - a 480x640 ``fuse_arrays`` of uniform frames with the same parameters;
+- ``save_checkpoint`` of those parameters (``checkpoint.default``);
 - the README's ``graphfusion gradcheck --size 8 --channels 8 --nodes 3
   --loops 3`` at seed 0, whose report is kept as text.
 
-It writes each result's sha256 and largest |entry| to the JSON file and
-the arrays themselves beside it, under the same name with ``.npz``.
-``--compare`` prints one line per entry: "identical", or the largest |Δ|
-over the largest entry of the first digest.  It exits with 1 when any
-entry differs.
+It writes each result's sha256 to the JSON file, with an array's largest
+|entry| or a text itself, and the arrays themselves beside it, under the
+same name with ``.npz``.  ``--compare`` prints one line per entry:
+"identical", or how it differs: for an array the largest |Δ| over the
+largest entry of the first digest, for a one-line text both values, for a
+longer text its first differing line, for the checkpoint both digests.  It
+exits with 1 when any entry differs.
 """
 
 import argparse
@@ -27,6 +30,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 # Before numpy loads: OpenBLAS sizes its thread pool once, on import.
@@ -35,7 +39,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from graphfusion import FusionConfig, Tape, Tensor, forward, fuse_arrays, init_params  # noqa: E402
+from graphfusion import FusionConfig, Tape, Tensor, forward, fuse_arrays, init_params, save_checkpoint  # noqa: E402
 from graphfusion.cli import main as cli_main  # noqa: E402
 from graphfusion.losses import loss_components  # noqa: E402
 
@@ -46,14 +50,19 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def compute() -> tuple[dict[str, np.ndarray], str]:
-    """The digested arrays by entry name, and the gradcheck report."""
+def compute() -> tuple[dict[str, np.ndarray], dict[str, str], bytes]:
+    """The digested arrays and texts by entry name, and the checkpoint's bytes."""
     config = FusionConfig()
     params = init_params(config, seed=3)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "default.ckpt"
+        save_checkpoint(path, params, config)
+        checkpoint = path.read_bytes()
     rng = np.random.default_rng(0)
     ir, vis = (Tensor(rng.uniform(0.0, 1.0, size=(2, 1, 64, 64))) for _ in range(2))
     with Tape() as tape:
         losses = loss_components(forward(ir, vis, params, config), ir, vis, config)
+        records = len(tape)
         tape.backward(losses["total"])
     arrays = {f"loss.{name}": t.data for name, t in losses.items()}
     arrays.update((f"grad.{name}", p.grad) for name, p in params.items())
@@ -63,25 +72,30 @@ def compute() -> tuple[dict[str, np.ndarray], str]:
     report = io.StringIO()
     with contextlib.redirect_stdout(report):
         cli_main(GRADCHECK)
-    return arrays, report.getvalue()
+    return arrays, {"tape.records": str(records), "gradcheck.report": report.getvalue()}, checkpoint
 
 
 def write(path: Path) -> None:
-    arrays, report = compute()
+    arrays, texts, checkpoint = compute()
     entries = {
         name: {"sha256": sha256(a.tobytes()), "max_abs": float(np.abs(a).max())} for name, a in arrays.items()
     }
-    entries["gradcheck.report"] = {"sha256": sha256(report.encode()), "text": report}
+    entries.update((name, {"sha256": sha256(text.encode()), "text": text}) for name, text in texts.items())
+    entries["checkpoint.default"] = {"sha256": sha256(checkpoint)}
     path.write_text(json.dumps(entries, indent=1) + "\n")
     np.savez(path.with_suffix(".npz"), **arrays)
 
 
 def difference(name: str, a: dict, b: dict, arrays_a, arrays_b) -> str:
     """How entry ``name`` of digest ``b`` differs from that of ``a``."""
+    if "text" in a and "\n" not in a["text"] + b["text"]:
+        return f"{a['text']} -> {b['text']}"
     if "text" in a:
         lines_a, lines_b = a["text"].splitlines(), b["text"].splitlines()
         k = next((k for k, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y), min(len(lines_a), len(lines_b)))
         return f"differs from line {k + 1}"
+    if "max_abs" not in a:
+        return f"sha256 {a['sha256']} -> {b['sha256']}"
     x, y = arrays_a[name], arrays_b[name]
     if x.shape != y.shape:
         return f"shape {x.shape} -> {y.shape}"

@@ -129,7 +129,11 @@ class FusionConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "FusionConfig":
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError as exc:  # the parser recurses once per nested array or object
+            raise ValueError(f"config JSON nests too deeply: {exc}") from exc
+        return cls.from_dict(data)
 
     @classmethod
     def load(cls, path: str | Path) -> "FusionConfig":

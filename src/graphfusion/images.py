@@ -95,7 +95,10 @@ class _Cursor:
             self.pos += 1
         if self.pos == start:
             raise self.error(f"expected integer {what}")
-        return int(self.blob[start : self.pos])
+        try:
+            return int(self.blob[start : self.pos])
+        except ValueError as exc:  # more digits than ``int`` converts
+            raise self.error(f"integer {what} has {self.pos - start} digits") from exc
 
 
 def parse_netpbm(blob: bytes) -> np.ndarray:

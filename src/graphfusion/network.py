@@ -10,10 +10,15 @@ parameters.
 Checkpoints are a flat binary format: magic ``IGN1``, a little-endian u32
 version (1), a length-prefixed UTF-8 JSON config blob, a u32 tensor count,
 then per tensor a length-prefixed name, a u32 rank, u32 dims, and the raw
-little-endian float32 data in C order.  Checkpoints written while the
-squeeze-excite layers (``salience.*.fc1``, ``salience.*.fc2``) were fully
-connected store those weights as (out, in); they load as the (out, in, 1, 1)
-kernels, which hold the same values in the same order.
+little-endian float32 data in C order.  The records follow the parameter
+table in its order, one per entry: the reader checks each record's name,
+rank and dims against the next entry of the stored config's table before
+it reads the data, and builds no table, so reading a file costs no more
+than the file's own records, whatever size its config describes.
+Checkpoints written while the squeeze-excite layers (``salience.*.fc1``,
+``salience.*.fc2``) were fully connected store those weights as (out, in);
+they load as the (out, in, 1, 1) kernels, which hold the same values in the
+same order.
 """
 
 from __future__ import annotations
@@ -21,8 +26,9 @@ from __future__ import annotations
 import json
 import math
 import struct
+from itertools import zip_longest
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -34,9 +40,6 @@ from .tensor import ShapeError, Tensor
 
 CHECKPOINT_MAGIC = b"IGN1"
 CHECKPOINT_VERSION = 1
-# Biases are rank 1 and conv kernels rank 4; rank 2 is an old (out, in)
-# squeeze-excite weight (see the module docstring).
-_STORED_RANKS = (1, 2, 4)
 
 
 class CheckpointError(ValueError):
@@ -45,50 +48,52 @@ class CheckpointError(ValueError):
 
 def parameter_shapes(config: FusionConfig) -> dict[str, tuple[int, ...]]:
     """Ordered name -> shape table; the single source of parameter layout."""
-    config.validate()
-    c = config.channels
-    shapes: dict[str, tuple[int, ...]] = {}
+    return dict(_layout(config.validate()))
 
-    def conv(name: str, out_c: int, in_c: int, k: int) -> None:
-        shapes[f"{name}.weight"] = (out_c, in_c, k, k)
-        shapes[f"{name}.bias"] = (out_c,)
+
+def _layout(config: FusionConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Yield :func:`parameter_shapes`' entries in order, one at a time."""
+    c = config.channels
+
+    def conv(name: str, out_c: int, in_c: int, k: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+        yield f"{name}.weight", (out_c, in_c, k, k)
+        yield f"{name}.bias", (out_c,)
 
     depth = feature_depth(config)
     for m in MODALITIES:
-        conv(f"extract.{m}.conv1", c, 1, 3)
+        yield from conv(f"extract.{m}.conv1", c, 1, 3)
         if depth > 1:
-            conv(f"extract.{m}.conv2", c, c, 3)
+            yield from conv(f"extract.{m}.conv2", c, c, 3)
     if depth > 2:
         hidden = c // config.reduction
         for m in MODALITIES:
-            conv(f"salience.{m}.conv", c, c, 3)
-            conv(f"salience.{m}.fc1", hidden, c, 1)
-            conv(f"salience.{m}.fc2", c, hidden, 1)
+            yield from conv(f"salience.{m}.conv", c, c, 3)
+            yield from conv(f"salience.{m}.fc1", hidden, c, 1)
+            yield from conv(f"salience.{m}.fc2", c, hidden, 1)
     if config.use_graph:
-        # Each loop adds what ``graph._run_loop`` reads; loops that share a
-        # prefix rewrite the same entries, which keep their first position.
-        # One edge conv per pair group, in the order the pairs first use it.
-        groups = dict.fromkeys(group for _, _, group in edge_pairs(config.nodes))
-        for loop in range(1, config.loops + 1):
+        # Each loop adds what ``graph._run_loop`` reads; shared loops all
+        # read loop 1's.  One edge conv per pair group, in the order the
+        # pairs first use it; two nodes already have every group.
+        groups = dict.fromkeys(group for _, _, group in edge_pairs(min(config.nodes, 2)))
+        for loop in range(1, 2 if config.share_loop_params else config.loops + 1):
             prefix = loop_prefix(config, loop)
             for o in range(config.nodes):
                 for m in MODALITIES:
-                    conv(f"{prefix}.node{o}.{m}", c, c, 1)
+                    yield from conv(f"{prefix}.node{o}.{m}", c, c, 1)
             for group in groups:
-                conv(f"{prefix}.{group}", c, c, 3)
+                yield from conv(f"{prefix}.{group}", c, c, 3)
             for m in MODALITIES:
-                conv(f"{prefix}.update.{m}", c, c, 3)
+                yield from conv(f"{prefix}.update.{m}", c, c, 3)
             for m in MODALITIES:
-                conv(f"{prefix}.leader.{m}", c, config.nodes * c, 1)
+                yield from conv(f"{prefix}.leader.{m}", c, config.nodes * c, 1)
             if config.use_leader and loop < config.loops:
                 for o in range(config.nodes):
                     for m in MODALITIES:
-                        conv(f"{prefix}.deliver{o}.{m}", c, c, 3)
+                        yield from conv(f"{prefix}.deliver{o}.{m}", c, c, 3)
         for m in MODALITIES:
-            conv(f"graph.mix.{m}", c, config.loops * c, 1)
-    conv("head.conv1", c, 2 * c, 3)
-    conv("head.conv2", 1, c, 3)
-    return shapes
+            yield from conv(f"graph.mix.{m}", c, config.loops * c, 1)
+    yield from conv("head.conv1", c, 2 * c, 3)
+    yield from conv("head.conv2", 1, c, 3)
 
 
 def count_parameters(config: FusionConfig) -> int:
@@ -166,15 +171,25 @@ def fuse_arrays(ir: np.ndarray, vis: np.ndarray, params: Mapping[str, Tensor], c
 
 
 def save_checkpoint(path: str | Path, params: Mapping[str, Tensor], config: FusionConfig) -> None:
-    """Write a checkpoint atomically, through :func:`write_atomic`."""
+    """Write a checkpoint atomically, through :func:`write_atomic`, its records in table order.
+
+    ``params`` must hold exactly the names of the config's table; otherwise
+    nothing is written and ``ValueError`` names the difference.
+    """
+    # Names only: the shapes written are the tensors' own (see load_checkpoint).
+    names = [name for name, _ in _layout(config.validate())]
+    if params.keys() != set(names):
+        missing, unexpected = sorted(set(names) - params.keys()), sorted(params.keys() - set(names))
+        raise ValueError(f"parameters differ from the config's table: missing {missing}, unexpected {unexpected}")
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
     blob += struct.pack("<I", CHECKPOINT_VERSION)
     config_bytes = json.dumps(config.to_dict()).encode("utf-8")
     blob += struct.pack("<I", len(config_bytes))
     blob += config_bytes
-    blob += struct.pack("<I", len(params))
-    for name, tensor in params.items():
+    blob += struct.pack("<I", len(names))
+    for name in names:
+        tensor = params[name]
         encoded = name.encode("utf-8")
         blob += struct.pack("<I", len(encoded))
         blob += encoded
@@ -206,13 +221,14 @@ def load_checkpoint(
 ) -> tuple[dict[str, Tensor], FusionConfig]:
     """Read a checkpoint; optionally validate against an expected config.
 
-    The stored tensor set is always validated against the stored config's
-    parameter table; with ``expected_config`` it must also fit that table,
-    so loading into an incompatible architecture fails, naming the first
-    offending parameter.  A parameter holding a NaN or an infinity is
-    rejected by name as well.  A stored (o, i) weight is read as the
-    (o, i, 1, 1) kernel the stored config's table asks for (see the module
-    docstring); every other shape must match the table.
+    Each stored record must be the next entry of the stored config's
+    layout (:func:`parameter_shapes`), in name, rank and dims, checked
+    before its data is read; an entry with no record is missing.  With
+    ``expected_config`` the two configs' layouts must also agree, so loading
+    into an incompatible architecture fails, naming the first difference.
+    A parameter holding a NaN or an infinity is rejected by name as well.
+    A stored (o, i) weight is read as the (o, i, 1, 1) kernel its entry
+    asks for (see the module docstring).
     """
     reader = _Reader(Path(path).read_bytes())
     magic = reader.take(4, "magic")
@@ -223,11 +239,15 @@ def load_checkpoint(
         raise CheckpointError(f"unsupported checkpoint version {version}")
     config_len = reader.u32("config length")
     try:
-        config_data = json.loads(reader.take(config_len, "config blob").decode("utf-8"))
-        config = FusionConfig.from_dict(config_data)
-    except (ValueError, UnicodeDecodeError) as exc:
+        config = FusionConfig.from_json(reader.take(config_len, "config blob").decode("utf-8"))
+    except ValueError as exc:
         raise CheckpointError(f"bad config blob: {exc}") from exc
-    table = parameter_shapes(config)
+    if expected_config is not None:
+        for have, want in zip_longest(_layout(config), _layout(expected_config.validate())):
+            if have != want:
+                have, want = (entry or "no more parameters" for entry in (have, want))
+                raise CheckpointError(f"checkpoint layout has {have}, expected config has {want}")
+    layout = _layout(config)
     count = reader.u32("tensor count")
     params: dict[str, Tensor] = {}
     for _ in range(count):
@@ -236,35 +256,21 @@ def load_checkpoint(
             name = reader.take(name_len, "name").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"bad parameter name before byte {reader.pos}: {exc}") from exc
+        want, shape = next(layout, (None, ()))
+        if name != want:
+            raise CheckpointError(f"unexpected parameter {name}, expected {want or 'no more parameters'}")
         rank = reader.u32("rank")
-        if rank not in _STORED_RANKS:
-            raise CheckpointError(f"parameter {name} has rank {rank}; a stored parameter has rank 1, 2 or 4")
-        shape = tuple(reader.u32(f"dim of {name}") for _ in range(rank))
-        # ``math.prod`` is exact for any dims, where ``np.prod`` wraps in int64.
-        data = np.frombuffer(reader.take(math.prod(shape) * 4, f"data of {name}"), dtype="<f4").reshape(shape)
-        if name in params:
-            raise CheckpointError(f"duplicate parameter {name}")
+        if rank != len(shape) and not (rank == 2 and shape[2:] == (1, 1)):
+            raise CheckpointError(f"parameter {name} has rank {rank}, config expects shape {shape}")
+        dims = tuple(reader.u32(f"dim of {name}") for _ in range(rank))
+        if dims != shape[:rank]:
+            raise CheckpointError(f"parameter {name} has shape {dims}, config expects {shape}")
+        data = np.frombuffer(reader.take(math.prod(shape) * 4, f"data of {name}"), dtype="<f4")
         if not np.all(np.isfinite(data)):
             raise CheckpointError(f"parameter {name} holds non-finite values")
-        if table.get(name) == shape + (1, 1):
-            data = data.reshape(table[name])
-        params[name] = Tensor(data.astype(np.float32), requires_grad=True)
+        params[name] = Tensor(data.reshape(shape).astype(np.float32), requires_grad=True)
     if reader.pos != len(reader.blob):
         raise CheckpointError(f"trailing bytes after tensor data (byte {reader.pos})")
-
-    _validate_against(params, table)
-    if expected_config is not None:
-        _validate_against(params, parameter_shapes(expected_config))
+    if (left := next(layout, None)) is not None:
+        raise CheckpointError(f"missing parameter {left[0]}")
     return params, config
-
-
-def _validate_against(params: Mapping[str, Tensor], expected: Mapping[str, tuple[int, ...]]) -> None:
-    for name, shape in expected.items():
-        if name not in params:
-            raise CheckpointError(f"missing parameter {name}")
-        have = params[name].shape
-        if have != shape:
-            raise CheckpointError(f"parameter {name} has shape {have}, config expects {shape}")
-    for name in params:
-        if name not in expected:
-            raise CheckpointError(f"unexpected parameter {name}")

@@ -47,6 +47,13 @@ def test_non_finite_float_rejected(key, text):
         FusionConfig.from_json(f'{{"{key}": {text}}}')
 
 
+@pytest.mark.parametrize("opener", ["[", '{"a": '])
+def test_deeply_nested_json_rejected_as_value_error(opener):
+    # json.loads recurses per level and raises RecursionError, not ValueError.
+    with pytest.raises(ValueError, match="config JSON nests too deeply"):
+        FusionConfig.from_json(opener * 100_000)
+
+
 def test_retired_keys_accepted_at_surviving_values():
     # Every file init-config wrote before their retirement holds both keys.
     data = json.loads(FusionConfig().to_json())

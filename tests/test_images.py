@@ -114,6 +114,11 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="expected integer width"):
             parse_netpbm(b"P5\nxyz")
 
+    def test_overlong_integer_reports_offset(self):
+        # Beyond Python's limit on int's digits, which raises a plain ValueError.
+        with pytest.raises(ParseError, match=r"integer width has 5000 digits \(byte 5003\)"):
+            parse_netpbm(b"P5 " + b"9" * 5000 + b" 1 255\n")
+
     def test_unsupported_maxval(self):
         with pytest.raises(ParseError, match="unsupported maxval 65535"):
             parse_netpbm(b"P5\n1 1\n65535\n\x00\x00")

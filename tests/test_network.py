@@ -4,6 +4,8 @@ import dataclasses
 import io
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -29,12 +31,35 @@ from graphfusion.tensor import ShapeError, Tape, Tensor
 
 from conftest import replace_config_blob, rewrite_config_blob
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 def cfg(**overrides) -> FusionConfig:
     return dataclasses.replace(FusionConfig(), **overrides)
 
 
 SMALL = dict(channels=8, nodes=2, loops=2, reduction=4)
+# The first entry of every config's table.
+FIRST = "extract.ir.conv1.weight"
+
+
+def split_records(blob: bytes) -> tuple[bytes, list[bytes]]:
+    """A checkpoint's bytes up to its first record, and each record's bytes."""
+    pos = 16 + struct.unpack_from("<I", blob, 8)[0]
+    head, records = blob[:pos], []
+    while pos < len(blob):
+        start = pos
+        pos += 4 + struct.unpack_from("<I", blob, pos)[0]
+        (rank,) = struct.unpack_from("<I", blob, pos)
+        dims = struct.unpack_from(f"<{rank}I", blob, pos + 4)
+        pos += 4 + 4 * rank + 4 * int(np.prod(dims))
+        records.append(blob[start:pos])
+    return head, records
+
+
+def record_header(name: str, rank: int, dims: tuple[int, ...] = ()) -> bytes:
+    """A record's name, rank and dims: all of it but the data."""
+    return struct.pack(f"<I{len(name)}sI{len(dims)}I", len(name), name.encode(), rank, *dims)
 
 
 class TestParameterTable:
@@ -424,31 +449,119 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="bad config blob: config must be a JSON object"):
             load_checkpoint(path)
 
-    def test_dims_overflowing_int64_rejected(self, tmp_path):
-        # The dims' byte count is about 1.6e29; in int64 it wraps negative.
+    def test_config_blob_nested_too_deeply_rejected(self, tmp_path):
         config = cfg(**SMALL)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, init_params(config, seed=0), config)
-        blob = path.read_bytes()
-        count_at = 12 + struct.unpack_from("<I", blob, 8)[0]
-        record = struct.pack("<II1sI4I", 1, 1, b"x", 4, 2**32 - 1, 2**32 - 1, 2**31 + 1, 1)
-        path.write_bytes(blob[:count_at] + record)
-        with pytest.raises(CheckpointError, match="truncated checkpoint: data of x"):
+        replace_config_blob(path, path, "[" * 100_000)
+        with pytest.raises(CheckpointError, match="bad config blob: config JSON nests too deeply"):
+            load_checkpoint(path)
+
+    def test_dims_overflowing_int64_rejected(self, tmp_path):
+        # The dims' byte count would be about 1.6e29, which wraps negative in
+        # int64.  The record stops after its dims: they are refused against
+        # the table before they size anything.
+        config = cfg(**SMALL)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(config, seed=0), config)
+        head, _ = split_records(path.read_bytes())
+        dims = (2**32 - 1, 2**32 - 1, 2**31 + 1, 1)
+        path.write_bytes(head + record_header(FIRST, 4, dims))
+        match = rf"parameter {FIRST} has shape \({dims[0]}, .*config expects \(8, 1, 3, 3\)"
+        with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("rank", [70, 3, 0])
     def test_rank_the_table_cannot_hold_rejected_by_name(self, tmp_path, rank):
-        # Only ranks 1, 2 and 4 are ever stored.  Rank 70 is above numpy's
-        # limit of 64 dimensions; the record stops after its rank, so no dim
-        # may be read before the rank is refused.
+        # The first entry is a 3x3 kernel, which is stored with rank 4 only.
+        # Rank 70 is above numpy's limit of 64 dimensions; the record stops
+        # after its rank, so no dim may be read before the rank is refused.
         config = cfg(**SMALL)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, init_params(config, seed=0), config)
-        blob = path.read_bytes()
-        count_at = 12 + struct.unpack_from("<I", blob, 8)[0]
-        path.write_bytes(blob[:count_at] + struct.pack("<II1sI", 1, 1, b"x", rank))
-        with pytest.raises(CheckpointError, match=f"parameter x has rank {rank};"):
+        head, _ = split_records(path.read_bytes())
+        path.write_bytes(head + record_header(FIRST, rank))
+        with pytest.raises(CheckpointError, match=f"parameter {FIRST} has rank {rank},"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit,found,expected",
+        [
+            ("swap", "extract.ir.conv1.bias", "extract.ir.conv1.weight"),
+            ("repeat", "extract.ir.conv1.weight", "extract.ir.conv1.bias"),
+            ("append", "extract.ir.conv1.weight", "no more parameters"),
+        ],
+    )
+    def test_record_that_is_not_the_next_entry_rejected_naming_both(self, tmp_path, edit, found, expected):
+        config = cfg(**SMALL)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(config, seed=0), config)
+        head, records = split_records(path.read_bytes())
+        if edit == "swap":
+            records[:2] = records[1::-1]
+        elif edit == "repeat":
+            records[1] = records[0]
+        else:
+            head = head[:-4] + struct.pack("<I", len(records) + 1)
+            records.append(records[0])
+        path.write_bytes(head + b"".join(records))
+        with pytest.raises(CheckpointError, match=rf"unexpected parameter {found}, expected {expected}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", ["extra", "missing"])
+    def test_save_refuses_names_that_are_not_the_table(self, tmp_path, edit):
+        config = cfg(**SMALL)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(config, seed=0), config)
+        before = path.read_bytes()
+        params = init_params(config, seed=1)
+        if edit == "extra":
+            params["head.conv3.bias"] = Tensor.zeros((1,))
+            match = r"missing \[\], unexpected \['head\.conv3\.bias'\]"
+        else:
+            del params["graph.mix.ir.bias"]
+            match = r"missing \['graph\.mix\.ir\.bias'\], unexpected \[\]"
+        with pytest.raises(ValueError, match=match):
+            save_checkpoint(path, params, config)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_save_writes_records_in_table_order(self, tmp_path):
+        config = cfg(**SMALL)
+        params = init_params(config, seed=0)
+        path, shuffled = tmp_path / "model.ckpt", tmp_path / "shuffled.ckpt"
+        save_checkpoint(path, params, config)
+        save_checkpoint(shuffled, dict(reversed(params.items())), config)
+        assert shuffled.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "key,value,expected",
+        [("loops", 10**7, "graph.loop3.deliver0.ir.weight"), ("nodes", 10**6, "graph.loop1.node3.ir.weight")],
+    )
+    def test_hostile_config_blob_fails_by_name_before_it_sizes_anything(self, tmp_path, key, value, expected):
+        # A few bytes of config describe a table of millions of entries; the
+        # file's own records end it.  The child caps its address space, so a
+        # reader that builds the table fails there instead of taking the host.
+        config = cfg(channels=8)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(config, seed=0), config)
+        rewrite_config_blob(path, path, **{key: value})
+        child = f"""
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from graphfusion.network import CheckpointError, load_checkpoint
+started = time.perf_counter()
+try:
+    load_checkpoint({str(path)!r})
+except CheckpointError as exc:
+    print(time.perf_counter() - started, exc)
+"""
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        elapsed, message = proc.stdout.strip().split(" ", 1)
+        assert message.endswith(f", expected {expected}")
+        assert float(elapsed) < 0.1
 
     def test_name_not_utf8_rejected(self, tmp_path):
         config = cfg(**SMALL)
@@ -510,7 +623,7 @@ class TestCheckpoint:
         # A 2-d weight where the table asks for a 3x3 kernel still fails by name.
         stored["salience.ir.conv.weight"] = Tensor(params["salience.ir.conv.weight"].data[:, :, 1, 1])
         save_checkpoint(old, stored, config)
-        with pytest.raises(CheckpointError, match=r"parameter salience\.ir\.conv\.weight has shape \(8, 8\)"):
+        with pytest.raises(CheckpointError, match=r"parameter salience\.ir\.conv\.weight has rank 2, config expects"):
             load_checkpoint(old)
 
     def test_transposed_fully_connected_weight_fails_by_name(self, tmp_path):

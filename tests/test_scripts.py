@@ -66,10 +66,12 @@ def test_numerics_digest_of_a_tree_against_itself_reads_identical(digest):
     proc = run_script("numerics_digest.py", "--compare", str(digest), str(digest))
     assert proc.returncode == 0, proc.stdout
     *lines, summary = proc.stdout.splitlines()
-    # 4 losses, 130 parameter gradients, the 480x640 fuse and the gradcheck report.
-    assert summary == "136 identical, 0 differ"
+    # 4 losses, 130 parameter gradients, the record count, the 480x640 fuse,
+    # the checkpoint and the gradcheck report.
+    assert summary == "138 identical, 0 differ"
     assert [line for line in lines if not line.endswith(": identical")] == []
-    assert {"loss.total: identical", "fuse_arrays.480x640: identical", "gradcheck.report: identical"} <= set(lines)
+    digested = {"loss.total", "tape.records", "fuse_arrays.480x640", "checkpoint.default", "gradcheck.report"}
+    assert {f"{name}: identical" for name in digested} <= set(lines)
 
 
 def test_numerics_digest_names_exactly_the_perturbed_array(digest, tmp_path):
@@ -87,6 +89,25 @@ def test_numerics_digest_names_exactly_the_perturbed_array(digest, tmp_path):
     proc = run_script("numerics_digest.py", "--compare", str(digest), str(perturbed))
     assert proc.returncode == 1, proc.stderr
     *lines, summary = proc.stdout.splitlines()
-    assert summary == "135 identical, 1 differ"
+    assert summary == "137 identical, 1 differ"
     (line,) = [line for line in lines if not line.endswith(": identical")]
     assert line.startswith(f"{name}: max |d| ") and line.endswith(" (1.000e+00)")
+
+
+def test_numerics_digest_shows_both_values_of_a_changed_count_and_checkpoint(digest, tmp_path):
+    entries = json.loads(digest.read_text())
+    records = entries["tape.records"]["text"]
+    entries["tape.records"] = {"sha256": hashlib.sha256(b"1").hexdigest(), "text": "1"}
+    before = entries["checkpoint.default"]["sha256"]
+    entries["checkpoint.default"]["sha256"] = "0" * 64
+    changed = tmp_path / "changed.json"
+    changed.write_text(json.dumps(entries))
+    np.savez(changed.with_suffix(".npz"), **np.load(digest.with_suffix(".npz")))
+    proc = run_script("numerics_digest.py", "--compare", str(digest), str(changed))
+    assert proc.returncode == 1, proc.stderr
+    *lines, summary = proc.stdout.splitlines()
+    assert summary == "136 identical, 2 differ"
+    assert [line for line in lines if not line.endswith(": identical")] == [
+        f"checkpoint.default: sha256 {before} -> {'0' * 64}",
+        f"tape.records: {records} -> 1",
+    ]
