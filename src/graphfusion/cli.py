@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import SSIM_WINDOW, FusionConfig, write_atomic, write_default_config
 from .gradcheck import check_parameter_groups
-from .images import encode_netpbm, luma_chroma_to_rgb, pair_directory, read_image, rgb_to_chroma, to_gray
+from .images import luma_chroma_to_rgb, pair_directory, read_image, rgb_to_chroma, to_gray, write_image
 from .losses import loss_components
 from .metrics import MetricReport, compute_metrics
 from .network import CheckpointError, forward, fuse_arrays, init_params, load_checkpoint
@@ -144,7 +144,7 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     fused = fuse_arrays(ir, vis, params, config)
     if args.color:
         fused = luma_chroma_to_rgb(fused, *rgb_to_chroma(vis_img))
-    write_atomic(args.out, encode_netpbm(fused))
+    write_image(args.out, fused)
     print(f"wrote {args.out}")
     return 0
 

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import write_atomic
+
 log = logging.getLogger(__name__)
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
@@ -150,7 +152,8 @@ def read_image(path: str | Path) -> np.ndarray:
 
 
 def write_image(path: str | Path, img: np.ndarray) -> None:
-    Path(path).write_bytes(encode_netpbm(img))
+    """Write ``img`` as canonical netpbm (:func:`encode_netpbm`), through :func:`~graphfusion.config.write_atomic`."""
+    write_atomic(path, encode_netpbm(img))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-from itertools import zip_longest
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -216,16 +215,12 @@ class _Reader:
         return struct.unpack("<I", self.take(4, what))[0]
 
 
-def load_checkpoint(
-    path: str | Path, expected_config: FusionConfig | None = None
-) -> tuple[dict[str, Tensor], FusionConfig]:
-    """Read a checkpoint; optionally validate against an expected config.
+def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], FusionConfig]:
+    """Read a checkpoint and the config stored in it.
 
     Each stored record must be the next entry of the stored config's
     layout (:func:`parameter_shapes`), in name, rank and dims, checked
-    before its data is read; an entry with no record is missing.  With
-    ``expected_config`` the two configs' layouts must also agree, so loading
-    into an incompatible architecture fails, naming the first difference.
+    before its data is read; an entry with no record is missing.
     A parameter holding a NaN or an infinity is rejected by name as well.
     A stored (o, i) weight is read as the (o, i, 1, 1) kernel its entry
     asks for (see the module docstring).
@@ -242,11 +237,6 @@ def load_checkpoint(
         config = FusionConfig.from_json(reader.take(config_len, "config blob").decode("utf-8"))
     except ValueError as exc:
         raise CheckpointError(f"bad config blob: {exc}") from exc
-    if expected_config is not None:
-        for have, want in zip_longest(_layout(config), _layout(expected_config.validate())):
-            if have != want:
-                have, want = (entry or "no more parameters" for entry in (have, want))
-                raise CheckpointError(f"checkpoint layout has {have}, expected config has {want}")
     layout = _layout(config)
     count = reader.u32("tensor count")
     params: dict[str, Tensor] = {}

@@ -30,7 +30,7 @@ def _framed(a: np.ndarray, padding: int, fill: float = 0.0) -> np.ndarray:
 
     The pools' whole-map frame: average pooling reads a frame of zeros,
     max pooling one of -inf, which never wins a max.  Without padding it is
-    ``a`` itself.  Convs frame one band of rows at a time (:func:`_frame_rows`).
+    ``a`` itself.  Convs frame one band of rows at a time (:func:`_band_frames`).
     """
     if not padding:
         return a
@@ -40,48 +40,6 @@ def _framed(a: np.ndarray, padding: int, fill: float = 0.0) -> np.ndarray:
     out = np.zeros(shape, dtype=a.dtype) if fill == 0 else np.full(shape, fill, dtype=a.dtype)
     out[:, :, padding : padding + h, padding : padding + w] = a
     return out
-
-
-def _frame_rows(
-    a: np.ndarray,
-    s: int,
-    y0: int,
-    rows: int,
-    padding: int,
-    tail: int,
-    buf: np.ndarray,
-    minus: np.ndarray | None = None,
-) -> np.ndarray:
-    """Framed rows ``y0 .. y0+rows-1`` of sample ``s`` of ``a`` (less ``minus``), flat per channel, then ``tail`` zeros.
-
-    The frame is ``padding`` zeros around each plane, as :func:`_framed`'s.
-    The result is (C, rows*Wp + tail), with framed cell (y0 + y, x) at
-    ``y * Wp + x``: a kernel tap over whole rows of the band is then a 2-d
-    slice, and the tail keeps the slices of the last rows in bounds.  It is
-    written into the start of ``buf``, which the caller's next band
-    overwrites, except when there is nothing to frame (no padding, tail or
-    ``minus``): then it is a view of ``a``'s rows.  A band of more than
-    ``padding`` rows, as every conv band is, holds at least one row of the map.
-    """
-    _, c, h, w = a.shape
-    if not (padding or tail) and minus is None:
-        return a[s, :, y0 : y0 + rows].reshape(c, rows * w)
-    wp = w + 2 * padding
-    flat = buf[: c * (rows * wp + tail)].reshape(c, rows * wp + tail)
-    frame = flat[:, : rows * wp].reshape(c, rows, wp)
-    # Frame rows lo .. hi-1 hold input rows lo-padding .. hi-padding-1.
-    lo, hi = max(y0, padding), min(y0 + rows, padding + h)
-    inner, src = slice(lo - y0, hi - y0), slice(lo - padding, hi - padding)
-    frame[:, : lo - y0] = 0
-    frame[:, hi - y0 :] = 0
-    frame[:, inner, :padding] = 0
-    frame[:, inner, padding + w :] = 0
-    flat[:, rows * wp :] = 0
-    if minus is None:
-        frame[:, inner, padding : padding + w] = a[s, :, src]
-    else:
-        np.subtract(a[s, :, src], minus[s, :, src], out=frame[:, inner, padding : padding + w])
-    return flat
 
 
 def _tap(a: np.ndarray, i: int, j: int, oh: int, ow: int) -> np.ndarray:
@@ -94,7 +52,7 @@ def _tap(a: np.ndarray, i: int, j: int, oh: int, ow: int) -> np.ndarray:
 
 # conv2d computes a band of output rows at a time, in one of two ways that the
 # input's channel count picks.  Either way a band reads only its own r + k - 1
-# framed rows (_frame_rows), written into buffers that the call allocates
+# framed rows (_band_frames), written into buffers that the call allocates
 # once and reuses for each band; no buffer outlives a call, so threads share
 # none.  From _VIEW_CHANNELS input channels up, each kernel tap is one
 # (oc x c) GEMM over a shifted view of the band's frame, summed into a band
@@ -139,12 +97,56 @@ _BAND_FLOATS = 1 << 16
 _WORKSPACE_FLOATS = 1 << 18
 
 
-def _bands(n: int, oh: int, rows: int):
-    """Yield ``(sample, first row, rows)`` per band of at most ``rows`` output rows, at least one."""
+def _band_frames(a: np.ndarray, k: int, padding: int, rows: int, tail: int = 0, minus: np.ndarray | None = None):
+    """Yield ``(s, r0, r, flat)`` per band of at most ``rows`` output rows of a k x k correlation of ``a`` (less ``minus``).
+
+    Bands cover each sample in order, the last one of a sample possibly
+    short, and hold at least one row.  ``flat`` is the band's ``r + k - 1``
+    rows of the map framed by ``padding`` zeros, as :func:`_framed`'s, flat
+    per channel, then ``tail`` zeros: (C, (r+k-1)*Wp + tail), with framed
+    cell (r0 + y, x) at ``y * Wp + x``.  A kernel tap over whole rows of
+    the band is then a 2-d slice, and the tail keeps the slices of the last
+    rows in bounds.  With nothing to frame (no padding, tail or ``minus``)
+    ``flat`` is a view of ``a``'s rows.  Otherwise it is the start of each
+    row of one buffer, made once per call at a full band's pitch, whose side
+    columns and tail are zeroed once: a band writes only its map cells, its
+    padding rows where it reaches the map's top or bottom, and its tail
+    when it is short.  Each band overwrites the last one's.
+    """
+    n, c, h, w = a.shape
+    wp = w + 2 * padding
+    oh = h + 2 * padding - k + 1
     rows = max(1, min(oh, rows))
+    framed = bool(padding or tail) or minus is not None
+    if framed:
+        size = (rows + k - 1) * wp
+        buf = np.empty((c, size + tail), dtype=np.float32)
+        sides = buf[:, :size].reshape(c, rows + k - 1, wp)
+        sides[:, :, :padding] = sides[:, :, padding + w :] = 0
+        buf[:, size:] = 0
     for s in range(n):
         for r0 in range(0, oh, rows):
-            yield s, r0, min(rows, oh - r0)
+            r = min(rows, oh - r0)
+            size = (r + k - 1) * wp
+            if not framed:
+                yield s, r0, r, a[s, :, r0 : r0 + r + k - 1].reshape(c, size)
+                continue
+            flat = buf[:, : size + tail]
+            frame = flat[:, :size].reshape(c, r + k - 1, wp)
+            # Frame rows lo .. hi-1 hold input rows lo-padding .. hi-padding-1.
+            lo, hi = max(r0, padding), min(r0 + r + k - 1, padding + h)
+            if lo > r0:
+                frame[:, : lo - r0] = 0
+            if hi < r0 + r + k - 1:
+                frame[:, hi - r0 :] = 0
+            cells, src = frame[:, lo - r0 : hi - r0, padding : padding + w], slice(lo - padding, hi - padding)
+            if minus is None:
+                cells[...] = a[s, :, src]
+            else:
+                np.subtract(a[s, :, src], minus[s, :, src], out=cells)
+            if tail and r < rows:
+                flat[:, size:] = 0
+            yield s, r0, r, flat
 
 
 def _gathered(a: np.ndarray, k: int, padding: int, minus: np.ndarray | None = None):
@@ -153,19 +155,18 @@ def _gathered(a: np.ndarray, k: int, padding: int, minus: np.ndarray | None = No
     ``a`` is framed by ``padding`` zeros.  ``taps`` is the (c*k*k, r*ow)
     window taps of output rows ``r0 .. r0+r-1`` of sample ``s``, in the row
     order of ``kernel.reshape(oc, -1)``: one strided copy of the band's own
-    ``r + k - 1`` framed rows (:func:`_frame_rows`).  A band holds as many
+    ``r + k - 1`` framed rows (:func:`_band_frames`).  A band holds as many
     rows as fit in ``_WORKSPACE_FLOATS`` taps, at least one.  The frame and
     taps buffers are made once per call, and each band overwrites the last
     one's.
     """
-    n, c, h, w = a.shape
+    _, c, h, w = a.shape
     wp = w + 2 * padding
     oh, ow = h + 2 * padding - k + 1, wp - k + 1
     rows = max(1, min(oh, _WORKSPACE_FLOATS // (c * k * k * ow)))
-    frame = np.empty(c * (rows + k - 1) * wp, dtype=np.float32)
     buf = np.empty(c * k * k * rows * ow, dtype=np.float32)
-    for s, r0, r in _bands(n, oh, rows):
-        band = _frame_rows(a, s, r0, r + k - 1, padding, 0, frame, minus).reshape(c, r + k - 1, wp)
+    for s, r0, r, flat in _band_frames(a, k, padding, rows, minus=minus):
+        band = flat.reshape(c, r + k - 1, wp)
         taps = buf[: c * k * k * r * ow].reshape(c, k, k, r, ow)
         taps[...] = np.lib.stride_tricks.sliding_window_view(band, (k, k), axis=(1, 2)).transpose(0, 3, 4, 1, 2)
         yield s, r0, r, taps.reshape(c * k * k, r * ow)
@@ -184,7 +185,7 @@ def _correlate(
     each band's frame.
 
     Every band of output rows reads only its own ``rows + k - 1`` framed
-    rows (:func:`_frame_rows`), so no full-size frame is made.  From
+    rows (:func:`_band_frames`), so no full-size frame is made.  From
     ``_VIEW_CHANNELS`` input channels up, a band is the sum over kernel taps
     of one ``(oc, c) @ (c, rows*Wp)`` GEMM each, whose right side is a slice
     of the band's frame, still in cache.  A band is computed on its pitched
@@ -214,10 +215,8 @@ def _correlate(
     # full one (2x16x64x64: 1.78 ms with bands of 62 and 2 rows, 1.26 ms with 32).
     bands = -(-oh // max(1, _BAND_FLOATS // (max(oc, c) * wp)))
     rows = -(-oh // bands)
-    frame = np.empty(c * ((rows + k - 1) * wp + k - 1), dtype=np.float32)
     sums = np.empty((2, oc * rows * wp), dtype=np.float32)
-    for s, r0, r in _bands(n, oh, rows):
-        flat = _frame_rows(a, s, r0, r + k - 1, padding, k - 1, frame, minus)
+    for s, r0, r, flat in _band_frames(a, k, padding, rows, k - 1, minus):
         total, part = sums[:, : oc * r * wp].reshape(2, oc, r * wp)
         if bias is not None:
             total[...] = bias.reshape(oc, 1)

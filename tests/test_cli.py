@@ -556,6 +556,34 @@ class TestReportWrites:
         assert target.read_text() == "previous\n"
         assert not target.with_name(target.name + ".tmp").exists()
 
+    def test_interrupted_write_image_keeps_previous_image(self, tmp_path, monkeypatch):
+        # The library writer, which scripts and the benchmark call directly.
+        # A write that fails half way, to the image or to anything beside it,
+        # leaves the previous image whole.
+        target = tmp_path / "fused.pgm"
+        previous = np.full((3, 4), 0.5, dtype=np.float32)
+        write_image(target, previous)
+        before = target.read_bytes()
+
+        class FailHalfWay(io.FileIO):
+            def write(self, data):
+                super().write(bytes(data)[: len(data) // 2])
+                raise OSError("disk full")
+
+        real_open = Path.open
+
+        def half_writing_open(self, mode="r", *rest, **kwargs):
+            if self.name.startswith(target.name) and "w" in mode:
+                return FailHalfWay(self, mode)
+            return real_open(self, mode, *rest, **kwargs)
+
+        monkeypatch.setattr(Path, "open", half_writing_open)
+        with pytest.raises(OSError, match="disk full"):
+            write_image(target, np.zeros((5, 6), dtype=np.float32))
+        monkeypatch.undo()
+        assert target.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
 
 class TestUsage:
     def test_unknown_command_exits_2(self):

@@ -4,8 +4,12 @@ A reader of outside bytes may refuse them only with the error its callers
 catch (``CheckpointError``, ``ParseError``, or ``ValueError`` from
 ``FusionConfig``), never with another exception, and within a deadline
 per example, so that no mutation makes it size anything from a header.
+Through the CLI, the same mutations make ``fuse``, ``eval`` and ``train``
+exit 0 or 2, with no traceback.
 """
 
+import contextlib
+import io
 import tempfile
 from datetime import timedelta
 from pathlib import Path
@@ -14,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphfusion import cli
 from graphfusion.config import FusionConfig
 from graphfusion.images import ParseError, encode_netpbm, parse_netpbm
 from graphfusion.network import CheckpointError, init_params, load_checkpoint, save_checkpoint
@@ -105,3 +110,64 @@ def test_mutated_config_json_loads_or_raises_value_error(blob):
         FusionConfig.from_json(blob.decode("latin-1"))
     except ValueError:
         pass
+
+
+# The CLI runs the network on what it reads, so it gets 16x16 frames: large
+# enough for eval's SSIM window, small enough to fuse in milliseconds.
+CLI_PGM = encode_netpbm(np.random.default_rng(2).uniform(size=(16, 16)))
+CLI_PPM = encode_netpbm(np.random.default_rng(3).uniform(size=(16, 16, 3)))
+cli_fuzz = settings(fuzz, max_examples=150)
+# One file of the fuse and eval inputs, mutated: (role, bytes).
+cli_inputs = (
+    mutated(CHECKPOINT, head=400).map(lambda b: ("ckpt", b))
+    | mutated(CLI_PGM, head=16).map(lambda b: ("ir", b))
+    | mutated(CLI_PPM, head=16).map(lambda b: ("vis", b))
+)
+
+
+def run_cli(argv: list[str]) -> int:
+    """``cli.main(argv)``'s exit code, after checking that it printed no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    return code
+
+
+def cli_files(root: Path, role: str, blob: bytes) -> dict[str, Path]:
+    """A checkpoint and one pair under ``root``, as ``eval`` reads them, with the file of ``role`` replaced by ``blob``."""
+    files = {"ckpt": root / "model.ckpt", "ir": root / "ir" / "p0.pgm", "vis": root / "vis" / "p0.ppm"}
+    for name, data in (("ckpt", CHECKPOINT), ("ir", CLI_PGM), ("vis", CLI_PPM)):
+        files[name].parent.mkdir(exist_ok=True)
+        files[name].write_bytes(blob if name == role else data)
+    return files
+
+
+@cli_fuzz
+@given(case=cli_inputs)
+def test_fuse_of_mutated_inputs_exits_0_or_2(workdir, case):
+    files = cli_files(workdir, *case)
+    argv = ["fuse", "--checkpoint", str(files["ckpt"]), "--ir", str(files["ir"]), "--vis", str(files["vis"])]
+    assert run_cli(argv + ["--out", str(workdir / "fused.pgm")]) in (0, 2)
+
+
+@cli_fuzz
+@given(case=cli_inputs)
+def test_eval_of_mutated_inputs_exits_0_or_2(workdir, case):
+    files = cli_files(workdir, *case)
+    argv = ["eval", "--checkpoint", str(files["ckpt"]), "--ir-dir", str(files["ir"].parent)]
+    argv += ["--vis-dir", str(files["vis"].parent), "--report", str(workdir / "report.csv")]
+    assert run_cli(argv) in (0, 2)
+
+
+@cli_fuzz
+@given(blob=mutated(FusionConfig().to_json().encode(), head=400))
+def test_train_with_a_mutated_config_exits_2(workdir, blob):
+    # ``train --config`` bounds no size yet, so its data directories are
+    # empty: it exits at ``pair_directory``, before anything is sized.
+    config, ir, vis = workdir / "train.json", workdir / "no-ir", workdir / "no-vis"
+    config.write_bytes(blob)
+    ir.mkdir(exist_ok=True)
+    vis.mkdir(exist_ok=True)
+    argv = ["train", "--config", str(config), "--ir-dir", str(ir), "--vis-dir", str(vis)]
+    assert run_cli(argv + ["--out", str(workdir / "trained.ckpt")]) == 2

@@ -66,11 +66,12 @@ def test_numerics_digest_of_a_tree_against_itself_reads_identical(digest):
     proc = run_script("numerics_digest.py", "--compare", str(digest), str(digest))
     assert proc.returncode == 0, proc.stdout
     *lines, summary = proc.stdout.splitlines()
-    # 4 losses, 130 parameter gradients, the record count, the 480x640 fuse,
-    # the checkpoint and the gradcheck report.
-    assert summary == "138 identical, 0 differ"
+    # 4 losses, 130 parameter gradients, the record count, the ReLU signs,
+    # the 480x640 fuse, the checkpoint and the gradcheck report.
+    assert summary == "139 identical, 0 differ, 0 flipped ReLUs"
     assert [line for line in lines if not line.endswith(": identical")] == []
-    digested = {"loss.total", "tape.records", "fuse_arrays.480x640", "checkpoint.default", "gradcheck.report"}
+    digested = {"loss.total", "tape.records", "relu.signs", "fuse_arrays.480x640", "checkpoint.default"}
+    digested.add("gradcheck.report")
     assert {f"{name}: identical" for name in digested} <= set(lines)
 
 
@@ -89,7 +90,7 @@ def test_numerics_digest_names_exactly_the_perturbed_array(digest, tmp_path):
     proc = run_script("numerics_digest.py", "--compare", str(digest), str(perturbed))
     assert proc.returncode == 1, proc.stderr
     *lines, summary = proc.stdout.splitlines()
-    assert summary == "137 identical, 1 differ"
+    assert summary == "138 identical, 1 differ, 0 flipped ReLUs"
     (line,) = [line for line in lines if not line.endswith(": identical")]
     assert line.startswith(f"{name}: max |d| ") and line.endswith(" (1.000e+00)")
 
@@ -106,8 +107,27 @@ def test_numerics_digest_shows_both_values_of_a_changed_count_and_checkpoint(dig
     proc = run_script("numerics_digest.py", "--compare", str(digest), str(changed))
     assert proc.returncode == 1, proc.stderr
     *lines, summary = proc.stdout.splitlines()
-    assert summary == "136 identical, 2 differ"
+    assert summary == "137 identical, 2 differ, 0 flipped ReLUs"
     assert [line for line in lines if not line.endswith(": identical")] == [
         f"checkpoint.default: sha256 {before} -> {'0' * 64}",
         f"tape.records: {records} -> 1",
     ]
+
+
+def test_numerics_digest_counts_flipped_relu_inputs(digest, tmp_path):
+    entries = json.loads(digest.read_text())
+    arrays = dict(np.load(digest.with_suffix(".npz")))
+    inputs = entries["relu.signs"]["inputs"]
+    signs = np.unpackbits(arrays["relu.signs"], count=inputs).astype(bool)
+    assert signs.any() and not signs.all()
+    signs[[0, inputs // 2, inputs - 1]] ^= True
+    arrays["relu.signs"] = np.packbits(signs)
+    entries["relu.signs"]["sha256"] = hashlib.sha256(arrays["relu.signs"].tobytes()).hexdigest()
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(entries))
+    np.savez(edited.with_suffix(".npz"), **arrays)
+    proc = run_script("numerics_digest.py", "--compare", str(digest), str(edited))
+    assert proc.returncode == 1, proc.stderr
+    *lines, summary = proc.stdout.splitlines()
+    assert summary == "138 identical, 1 differ, 3 flipped ReLUs"
+    assert [line for line in lines if not line.endswith(": identical")] == [f"relu.signs: 3 of {inputs} flipped sign"]

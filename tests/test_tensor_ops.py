@@ -387,7 +387,7 @@ class TestBandedConv:
         np.testing.assert_allclose(dk, dk_ref, rtol=1e-5, atol=1e-5)
 
     def test_bands_cover_each_sample_in_order_with_a_short_last_band(self):
-        bands = list(ops._bands(2, 7, 3))
+        bands = [(s, r0, r) for s, r0, r, _ in ops._band_frames(np.zeros((2, 1, 7, 4), np.float32), 1, 0, 3)]
         assert bands == [(s, r0, r) for s in range(2) for r0, r in ((0, 3), (3, 3), (6, 1))]
 
     def test_workspace_cap_bounds_the_band_but_never_below_one_row(self, rng, monkeypatch):
@@ -407,34 +407,70 @@ class TestBandedConv:
                 np.testing.assert_array_equal(taps, want.reshape(18, ow))
             assert bands == [(s, r0, 1) for s in range(2) for r0 in range(oh)]
 
+    @staticmethod
+    def nan_empty(monkeypatch):
+        """Make ``np.empty`` fill float arrays with NaN, so a frame cell left unwritten shows."""
+        real_empty = np.empty
+
+        def empty(*args, **kwargs):
+            out = real_empty(*args, **kwargs)
+            if out.dtype.kind == "f":
+                out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(np, "empty", empty)
+
     @pytest.mark.parametrize("padding,tail", [(0, 0), (1, 2), (2, 0), (0, 4)])
-    def test_band_frame_is_rows_of_the_framed_map(self, rng, padding, tail):
-        # Every band of more than ``padding`` rows, as a conv makes them; every
-        # cell of its frame is written, as the buffer holds NaN before each
-        # call.  With nothing to frame the band is a view of the map's rows.
+    def test_band_frame_is_rows_of_the_framed_map(self, rng, monkeypatch, padding, tail):
+        # Every kernel size the padding allows and every band height, so
+        # bands start on every row; every cell of a frame is written, as the
+        # buffer holds NaN when it is made.  With nothing to frame a band is
+        # a view of the map's rows.
         a = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
         m = rng.standard_normal(a.shape).astype(np.float32)
         width = ((0, 0), (0, 0), (padding, padding), (padding, padding))
         hp, wp = 4 + 2 * padding, 5 + 2 * padding
-        for minus, inner in ((None, a), (m, a - m)):
-            framed = np.pad(inner, width)
+        cases = [(minus, np.pad(inner, width)) for minus, inner in ((None, a), (m, a - m))]
+        self.nan_empty(monkeypatch)
+        for minus, framed in cases:
             view = minus is None and not (padding or tail)
-            for rows in range(padding + 1, hp + 1):
-                for y0 in range(hp - rows + 1):
-                    buf = np.full(3 * (hp * wp + tail), np.nan, dtype=np.float32)
-                    flat = ops._frame_rows(a, 1, y0, rows, padding, tail, buf, minus)
-                    assert flat.shape == (3, rows * wp + tail)
-                    assert np.shares_memory(flat, a) == view
-                    assert np.shares_memory(flat, buf) != view
-                    np.testing.assert_array_equal(flat[:, : rows * wp], framed[1, :, y0 : y0 + rows].reshape(3, -1))
-                    assert not flat[:, rows * wp :].any()
+            for k in range(padding + 1, hp + 1):
+                for rows in range(1, hp - k + 2):
+                    for s, r0, r, flat in ops._band_frames(a, k, padding, rows, tail, minus):
+                        size = (r + k - 1) * wp
+                        assert flat.shape == (3, size + tail)
+                        assert np.shares_memory(flat, a) == view
+                        np.testing.assert_array_equal(flat[:, :size], framed[s, :, r0 : r0 + r + k - 1].reshape(3, -1))
+                        assert not flat[:, size:].any()
+
+    @pytest.mark.parametrize("channels", [ops._VIEW_CHANNELS - 1, ops._VIEW_CHANNELS])
+    @pytest.mark.parametrize("minus", [False, True])
+    @pytest.mark.parametrize("k,padding", [(3, 0), (3, 1), (5, 2)])
+    def test_short_band_after_taller_ones_holds_only_its_frame(self, rng, channels, minus, k, padding):
+        # The frame buffer is shared by every band of a call.  Earlier, taller
+        # bands fill it with large values; the short last band of each sample
+        # still yields exactly its framed rows and a zero tail, with the tail
+        # each side of the channel threshold gives it.
+        tail = k - 1 if channels >= ops._VIEW_CHANNELS else 0
+        a = (1e30 * (1 + rng.random((2, channels, 11, 6)))).astype(np.float32)
+        m = rng.standard_normal(a.shape).astype(np.float32) if minus else None
+        framed = np.pad(a if m is None else a - m, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        wp, oh = 6 + 2 * padding, 11 + 2 * padding - k + 1
+        last = []
+        for s, r0, r, flat in ops._band_frames(a, k, padding, 4, tail, m):
+            if r0 + r == oh:
+                last.append(r)
+                size = (r + k - 1) * wp
+                np.testing.assert_array_equal(flat[:, :size], framed[s, :, r0:].reshape(channels, -1))
+                assert not flat[:, size:].any()
+        assert len(last) == 2 and max(last) < 4
 
     @staticmethod
     def whole_frame_correlate(a, kernel, padding, bias=None, minus=None):
         """The view side's band loop reading one zero frame of the whole map, flattened per plane.
 
         The same bands and tap GEMMs as ``ops._correlate``; only the frame
-        differs, which ``_correlate`` makes afresh for each band.
+        differs, which ``_correlate`` writes afresh for each band.
         """
         n, c, h, w = a.shape
         oc, _, k, _ = kernel.shape
@@ -446,7 +482,7 @@ class TestBandedConv:
         weights = kernel.transpose(2, 3, 0, 1).reshape(k * k, oc, c)
         out = np.empty((n, oc, oh, ow), np.float32)
         bands = -(-oh // max(1, ops._BAND_FLOATS // (max(oc, c) * wp)))
-        for s, r0, r in ops._bands(n, oh, -(-oh // bands)):
+        for s, r0, r, _ in ops._band_frames(a, k, padding, -(-oh // bands)):
             total = np.empty((oc, r * wp), np.float32)
             if bias is not None:
                 total[...] = bias.reshape(oc, 1)
@@ -474,7 +510,7 @@ class TestBandedConv:
         x, kern, g = conv_case(rng, (2, c, h, w), (c, c, k, k), padding)
         m = rng.standard_normal(x.shape).astype(np.float32) if minus else None
         b = rng.standard_normal(c).astype(np.float32)
-        assert [r for _, _, r in ops._bands(1, 13, 3)][-1] == 1
+        assert [r for _, _, r, _ in ops._band_frames(x[:1], k, padding, 3)][-1] == 1
         ts = [Tensor(a, requires_grad=True) for a in (x, m) if a is not None]
         with Tape() as tape:
             out = ops.conv2d(ts[0], Tensor(kern), Tensor(b), padding=padding, minus=ts[1] if minus else None)
