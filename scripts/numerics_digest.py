@@ -24,7 +24,9 @@ longer text its first differing line, for the checkpoint both digests, for
 the ReLU signs how many inputs flipped sign.  A ReLU input within rounding
 of 0 can flip with any reordering of a conv's sums, and a flipped unit
 moves the gradients behind it, so the summary line counts flipped ReLUs
-too.  It exits with 1 when any entry differs.
+too.  When arrays of one shape differ, the summary line ends with the
+largest of their ratios ("largest relative |d|") and that array's name.
+It exits with 1 when any entry differs.
 """
 
 import argparse
@@ -107,45 +109,51 @@ def flipped(a: dict, b: dict, arrays_a, arrays_b) -> int | None:
     return int(np.unpackbits(arrays_a["relu.signs"] ^ arrays_b["relu.signs"]).sum())
 
 
-def difference(name: str, a: dict, b: dict, arrays_a, arrays_b) -> str:
-    """How entry ``name`` of digest ``b`` differs from that of ``a``."""
+def difference(name: str, a: dict, b: dict, arrays_a, arrays_b) -> tuple[str, float | None]:
+    """How entry ``name`` of digest ``b`` differs from that of ``a``, and for arrays of one shape the ratio of |Δ| to |entry|."""
     if "text" in a and "\n" not in a["text"] + b["text"]:
-        return f"{a['text']} -> {b['text']}"
+        return f"{a['text']} -> {b['text']}", None
     if "text" in a:
         lines_a, lines_b = a["text"].splitlines(), b["text"].splitlines()
         k = next((k for k, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y), min(len(lines_a), len(lines_b)))
-        return f"differs from line {k + 1}"
+        return f"differs from line {k + 1}", None
     if "inputs" in a:
         count = flipped(a, b, arrays_a, arrays_b)
         if count is None:
-            return f"inputs {a['inputs']} -> {b['inputs']}"
-        return f"{count} of {a['inputs']} flipped sign"
+            return f"inputs {a['inputs']} -> {b['inputs']}", None
+        return f"{count} of {a['inputs']} flipped sign", None
     if "max_abs" not in a:
-        return f"sha256 {a['sha256']} -> {b['sha256']}"
+        return f"sha256 {a['sha256']} -> {b['sha256']}", None
     x, y = arrays_a[name], arrays_b[name]
     if x.shape != y.shape:
-        return f"shape {x.shape} -> {y.shape}"
+        return f"shape {x.shape} -> {y.shape}", None
     delta = float(np.abs(x.astype(np.float64) - y).max())
     ratio = delta / a["max_abs"] if a["max_abs"] else float("inf")
-    return f"max |d| {delta:.3e} over max |entry| {a['max_abs']:.3e} ({ratio:.3e})"
+    return f"max |d| {delta:.3e} over max |entry| {a['max_abs']:.3e} ({ratio:.3e})", ratio
 
 
 def compare(path_a: Path, path_b: Path) -> int:
     a, b = (json.loads(p.read_text()) for p in (path_a, path_b))
     arrays_a, arrays_b = (np.load(p.with_suffix(".npz")) for p in (path_a, path_b))
-    differing, flips = 0, None
+    differing, flips, worst = 0, None, None
     if "relu.signs" in a and "relu.signs" in b:
         flips = flipped(a["relu.signs"], b["relu.signs"], arrays_a, arrays_b)
     for name in sorted(a.keys() | b.keys()):
+        ratio = None
         if name not in a or name not in b:
             line = f"only in {path_a if name in a else path_b}"
         elif a[name]["sha256"] == b[name]["sha256"]:
             line = "identical"
         else:
-            line = difference(name, a[name], b[name], arrays_a, arrays_b)
+            line, ratio = difference(name, a[name], b[name], arrays_a, arrays_b)
+        if ratio is not None and (worst is None or ratio > worst[0]):
+            worst = ratio, name
         differing += line != "identical"
         print(f"{name}: {line}")
-    print(f"{len(a.keys() | b.keys()) - differing} identical, {differing} differ, {'?' if flips is None else flips} flipped ReLUs")
+    summary = f"{len(a.keys() | b.keys()) - differing} identical, {differing} differ, {'?' if flips is None else flips} flipped ReLUs"
+    if worst is not None:
+        summary += f", largest relative |d| {worst[0]:.3e} ({worst[1]})"
+    print(summary)
     return 1 if differing else 0
 
 

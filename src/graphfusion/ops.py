@@ -50,22 +50,25 @@ def _tap(a: np.ndarray, i: int, j: int, oh: int, ow: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # convolution and pooling
 
-# conv2d computes a band of output rows at a time, in one of two ways that the
-# input's channel count picks.  Either way a band reads only its own r + k - 1
-# framed rows (_band_frames), written into buffers that the call allocates
-# once and reuses for each band; no buffer outlives a call, so threads share
-# none.  From _VIEW_CHANNELS input channels up, each kernel tap is one
-# (oc x c) GEMM over a shifted view of the band's frame, summed into a band
-# buffer (kn2row: Vasudevan, Anderson & Gregg, ASAP 2017), so BLAS's own
-# packing is the only copy of the frame.  Thinner inputs gather all c*k*k
-# taps of a band and make one GEMM (im2col: Chellapilla, Puri & Simard,
-# 2006), as GEMMs with K = c are then too small.  One OpenBLAS 0.3.31 thread
-# on a Xeon with 2 MB of L2 per core, 480x640 3x3 convs to 16 channels,
-# gather against views (best of 5-7): from 1 channel 10.4 against 153 ms,
-# from 4 17.0 against 23.6, from 8 35.2 against 34.6, from 15 75.2 against
-# 44.4, from 16 80.7 against 45.7 and from 32 155 against 80 ms; the 11x11
-# SSIM blur of a 2x1x64x64 map 0.84 against 3.99 ms.  The network convolves
-# 1 or at least 16 channels, so the threshold sits at its width.
+# conv2d computes a band of output rows at a time, in one of two ways that
+# the input's channel count picks, for its forward and its kernel gradient
+# alike.  Either way a band reads only its own r + k - 1 framed rows
+# (_band_frames), written into buffers that the call allocates once and
+# reuses for each band; no buffer outlives a call, so threads share none.
+# From _VIEW_CHANNELS input channels up, each kernel tap is one GEMM over a
+# shifted view of the band's frame, summed into a buffer: the tap's (oc x c)
+# weights times the view forward, the band's output gradient times the
+# view's transpose for the kernel gradient (kn2row: Vasudevan, Anderson &
+# Gregg, ASAP 2017).  So BLAS's own packing is the only copy of the frame.
+# Thinner inputs gather all c*k*k taps of a band and make one GEMM (im2col:
+# Chellapilla, Puri & Simard, 2006), as GEMMs with K = c are then too
+# small.  One OpenBLAS 0.3.31 thread on a Xeon with 2 MB of L2 per core,
+# 480x640 3x3 convs to 16 channels, gather against views (best of 5-7): from
+# 1 channel 10.4 against 153 ms, from 4 17.0 against 23.6, from 8 35.2
+# against 34.6, from 15 75.2 against 44.4, from 16 80.7 against 45.7 and
+# from 32 155 against 80 ms; the 11x11 SSIM blur of a 2x1x64x64 map 0.84
+# against 3.99 ms.  The network convolves 1 or at least 16 channels, so the
+# threshold sits at its width.
 _VIEW_CHANNELS = 16
 
 # Output floats per band of the per-tap sums, bounded by the larger of the
@@ -79,21 +82,19 @@ _BAND_FLOATS = 1 << 16
 
 # Float32 taps per band of the gather: 1 MB, so a band's gather is still in
 # a 2 MB per-core L2 cache when its GEMM reads it.  What gathers is every
-# 1-channel forward (the backbone's first conv, the Sobel and SSIM kernels)
-# and every kernel gradient, the 16-channel ones of training included.  On
-# one thread of the same Xeon, medians of 63 with 256 KB, 512 KB and 1 MB
-# caps: a 1->16 3x3 forward at 1x1x480x640 took 6.3-7.2, 6.0-6.2 and
-# 5.8-6.0 ms, a 16->16 3x3 kernel gradient at 2x16x64x64 1.5-1.9,
-# 1.41-1.44 and 1.37-1.47 ms (two runs each; the quartiles of the caps
-# overlap).  A forward with several output channels is bit-identical across
-# band sizes, as each output cell is the same c*kh*kw-long dot product of a
-# GEMM.  A kernel gradient adds up its bands, so it moves with the band
-# height: the 512 KB and 256 KB caps moved the one above by 1.1e-7 and
-# 2.2e-7 of its largest entry.  A conv with one output channel is a
-# matrix-vector product, whose summation order BLAS may change with the
-# band width: a 2x1x64x64 11x11 blur moved by up to 7.6e-6 between 10-row
-# and 40-row bands.  Each gathered call allocates its taps buffer, of at
-# most 1 MB, so the buffer counts in its peak.
+# conv from fewer than _VIEW_CHANNELS channels, forward and kernel gradient:
+# in the default network the 1-channel ones (the backbone's first conv, the
+# Sobel and SSIM kernels).  On one thread of the same Xeon, medians of 63
+# with 256 KB, 512 KB and 1 MB caps: a 1->16 3x3 forward at 1x1x480x640
+# took 6.3-7.2, 6.0-6.2 and 5.8-6.0 ms (two runs each; the quartiles of the
+# caps overlap).  A forward with several output channels is bit-identical
+# across band sizes, as each output cell is the same c*kh*kw-long dot
+# product of a GEMM.  A kernel gradient adds up its bands, so it moves with
+# the band height.  A conv with one output channel is a matrix-vector
+# product, whose summation order BLAS may change with the band width: a
+# 2x1x64x64 11x11 blur moved by up to 7.6e-6 between 10-row and 40-row
+# bands.  Each gathered call allocates its taps buffer, of at most 1 MB, so
+# the buffer counts in its peak.
 _WORKSPACE_FLOATS = 1 << 18
 
 
@@ -158,7 +159,8 @@ def _gathered(a: np.ndarray, k: int, padding: int, minus: np.ndarray | None = No
     ``r + k - 1`` framed rows (:func:`_band_frames`).  A band holds as many
     rows as fit in ``_WORKSPACE_FLOATS`` taps, at least one.  The frame and
     taps buffers are made once per call, and each band overwrites the last
-    one's.
+    one's.  Only inputs of fewer than ``_VIEW_CHANNELS`` channels gather,
+    forward and kernel gradient alike.
     """
     _, c, h, w = a.shape
     wp = w + 2 * padding
@@ -170,6 +172,16 @@ def _gathered(a: np.ndarray, k: int, padding: int, minus: np.ndarray | None = No
         taps = buf[: c * k * k * r * ow].reshape(c, k, k, r, ow)
         taps[...] = np.lib.stride_tricks.sliding_window_view(band, (k, k), axis=(1, 2)).transpose(0, 3, 4, 1, 2)
         yield s, r0, r, taps.reshape(c * k * k, r * ow)
+
+
+def _band_rows(channels: int, oh: int, wp: int) -> int:
+    """Output rows per band of the view side: ``oh`` rows split evenly into bands of ``_BAND_FLOATS`` floats of ``channels`` channels.
+
+    Bands of one height: a short last band costs as many GEMM calls as a
+    full one (2x16x64x64: 1.78 ms with bands of 62 and 2 rows, 1.26 ms with 32).
+    """
+    bands = -(-oh // max(1, _BAND_FLOATS // (channels * wp)))
+    return -(-oh // bands)
 
 
 def _correlate(
@@ -211,10 +223,7 @@ def _correlate(
         return out
 
     weights = kernel.transpose(2, 3, 0, 1).reshape(k * k, oc, c)
-    # Bands of one height: a short last band costs as many GEMM calls as a
-    # full one (2x16x64x64: 1.78 ms with bands of 62 and 2 rows, 1.26 ms with 32).
-    bands = -(-oh // max(1, _BAND_FLOATS // (max(oc, c) * wp)))
-    rows = -(-oh // bands)
+    rows = _band_rows(max(oc, c), oh, wp)
     sums = np.empty((2, oc * rows * wp), dtype=np.float32)
     for s, r0, r, flat in _band_frames(a, k, padding, rows, k - 1, minus):
         total, part = sums[:, : oc * r * wp].reshape(2, oc, r * wp)
@@ -230,6 +239,51 @@ def _correlate(
                 total += part
         out[s, :, r0 : r0 + r] = total.reshape(oc, r, wp)[:, :, :ow]
     return out
+
+
+def _kernel_gradient(a: np.ndarray, g: np.ndarray, k: int, padding: int, minus: np.ndarray | None = None) -> np.ndarray:
+    """The (oc, c, k, k) gradient of the kernel of a k x k correlation of ``a`` (less ``minus``) for output gradient ``g``.
+
+    ``a`` is framed by ``padding`` zeros, as :func:`_correlate` frames it.
+    From ``_VIEW_CHANNELS`` input channels up, each band reads the frames
+    the forward reads (:func:`_band_frames` at :func:`_band_rows`'s
+    height, with a ``k - 1`` tail), and its rows of ``g`` are copied once
+    onto the frame's row pitch ``Wp``, zero past column ``ow``.  Each tap
+    is then one ``(oc, r*Wp) @ (r*Wp, c)`` GEMM of those rows against the
+    tap's slice of the frame, summed into a (k*k, oc, c) buffer; the zero
+    columns drop the slice's cells that no output reads (as products with
+    zero, so an inf in ``a`` can give NaN where gathered taps give inf).  A
+    1x1 kernel reads ``g``'s rows as they are: its frame has no extra columns.
+    On one thread, a 16->16 3x3 kernel gradient took 0.71 ms this way and
+    0.96 ms gathered at 2x16x64x64, 24.4 and 33.3 ms at 1x16x480x640.
+    Thinner inputs make one ``taps @ g_band.T`` GEMM per band of gathered
+    taps (:func:`_gathered`), which BLAS runs faster than the untransposed
+    one.  The band buffers live as long as this call.
+    """
+    (n, c, _, w), (_, oc, oh, ow) = a.shape, g.shape
+    if c < _VIEW_CHANNELS:
+        gm = g.reshape(n, oc, oh * ow)
+        gk = np.zeros((c * k * k, oc), dtype=np.float32)
+        for s, r0, r, taps in _gathered(a, k, padding, minus):
+            gk += taps @ gm[s, :, r0 * ow : (r0 + r) * ow].T
+        return gk.T.reshape(oc, c, k, k)
+
+    wp = w + 2 * padding
+    rows = _band_rows(max(oc, c), oh, wp)
+    gk = np.zeros((k * k, oc, c), dtype=np.float32)
+    if wp > ow:
+        pitched = np.empty((oc, rows, wp), dtype=np.float32)
+        pitched[:, :, ow:] = 0
+    for s, r0, r, flat in _band_frames(a, k, padding, rows, k - 1, minus):
+        if wp > ow:
+            pitched[:, :r, :ow] = g[s, :, r0 : r0 + r]
+            rows_g = pitched[:, :r].reshape(oc, r * wp)
+        else:
+            rows_g = g[s, :, r0 : r0 + r].reshape(oc, r * wp)
+        for t in range(k * k):
+            i, j = divmod(t, k)
+            gk[t] += rows_g @ flat[:, i * wp + j : i * wp + j + r * wp].T
+    return gk.reshape(k, k, oc, c).transpose(2, 3, 0, 1)
 
 
 def conv2d(
@@ -253,11 +307,11 @@ def conv2d(
     input gradient is the transposed convolution: a correlation of the
     output gradient, framed by ``k - 1 - padding`` zeros, with the flipped,
     channel-swapped kernel.  It is made once, added to ``x`` and its
-    negation to ``minus``.  The transposed kernel gradient is one
-    ``taps @ g_band.T`` GEMM per band of gathered taps (:func:`_gathered`)
-    of ``x`` (less ``minus``), each band framed again from its own rows;
-    BLAS runs it faster than the untransposed one.  The op keeps the arrays
-    of ``x``, ``minus`` and the kernel, not a frame.
+    negation to ``minus``.  The kernel gradient is :func:`_kernel_gradient`,
+    which frames each band of ``x`` (less ``minus``) again from its own
+    rows, as the forward did, and picks gathered taps or per-tap views by
+    the same channel rule.  The op keeps the arrays of ``x``, ``minus`` and
+    the kernel, not a frame.
     """
     _require_4d("conv2d", x)
     if kernel.ndim != 4:
@@ -277,7 +331,6 @@ def conv2d(
 
     x_data, weights, minus_data = x.data, kernel.data, None if minus is None else minus.data
     out = _correlate(x_data, weights, padding, None if bias is None else bias.data, minus_data)
-    oh, ow = out.shape[2], out.shape[3]
     inputs = tuple(t for t in (x, kernel, bias, minus) if t is not None)
     x_slot, kernel_slot, bias_slot, minus_slot = (None if t is None else t.slot for t in (x, kernel, bias, minus))
 
@@ -285,11 +338,7 @@ def conv2d(
         if bias_slot is not None and bias_slot.requires_grad:
             accumulate(bias_slot, g.sum(axis=(0, 2, 3)))
         if kernel_slot.requires_grad:
-            gm = g.reshape(n, oc, oh * ow)
-            gk = np.zeros((c * k * k, oc), dtype=np.float32)
-            for s, r0, r, taps in _gathered(x_data, k, padding, minus_data):
-                gk += taps @ gm[s, :, r0 * ow : (r0 + r) * ow].T
-            accumulate(kernel_slot, gk.T.reshape(oc, c, k, k))
+            accumulate(kernel_slot, _kernel_gradient(x_data, g, k, padding, minus_data))
         if x_slot.requires_grad or (minus_slot is not None and minus_slot.requires_grad):
             dx = _correlate(g, weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), k - 1 - padding)
             accumulate(x_slot, dx)

@@ -11,8 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from graphfusion import ops
 from graphfusion.config import FusionConfig
+from graphfusion.gradcheck import check_parameter_groups, default_group
 from graphfusion.losses import loss_components
 from graphfusion.network import (
     CHECKPOINT_MAGIC,
@@ -26,7 +29,7 @@ from graphfusion.network import (
     parameter_shapes,
     save_checkpoint,
 )
-from graphfusion.reference import reference_forward
+from graphfusion.reference import _SAMPLE_AXES, reference_forward
 from graphfusion.tensor import ShapeError, Tape, Tensor
 
 from conftest import replace_config_blob, rewrite_config_blob
@@ -219,6 +222,56 @@ class TestForward:
         arrays = {name: t.data.astype(np.float64) for name, t in params.items()}
         want = reference_forward(ir, vis, arrays, config)
         np.testing.assert_allclose(got.data, want, rtol=1e-4, atol=1e-5)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        channels=st.sampled_from([4, 16, 17]),
+        nodes=st.integers(1, 4),
+        loops=st.integers(1, 4),
+        toggles=st.tuples(*[st.booleans()] * 4),
+        batch=st.integers(1, 2),
+        size=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_matches_float64_reference_across_configs(self, channels, nodes, loops, toggles, batch, size, seed):
+        # A differential test over the architecture space: 16 and 17 channels
+        # run every conv of the graph on the view side, forward and kernel
+        # gradient, and 4 on the gather side.  Frames go down to one pixel
+        # and need not be square.  The tape's gradient of a weighted sum of
+        # the output is compared, once per parameter group, with a
+        # complex-step probe of the float64 reference at the gradcheck CLI's
+        # default tolerance: the group's first tensor, at its element of
+        # largest gradient.
+        salience, graph, leader, shared = toggles
+        config = cfg(
+            channels=channels,
+            nodes=nodes,
+            loops=loops,
+            use_salience=salience,
+            use_graph=graph,
+            use_leader=leader,
+            share_loop_params=shared,
+            reduction=next(r for r in (4, 3, 2, 1) if channels % r == 0),
+        )
+        params = init_params(config, seed=seed)
+        rng = np.random.default_rng(seed)
+        ir, vis = (rng.uniform(size=(batch, 1, *size)).astype(np.float32) for _ in range(2))
+        arrays = {name: t.data.astype(np.float64) for name, t in params.items()}
+        got = forward(Tensor(ir), Tensor(vis), params, config)
+        np.testing.assert_allclose(got.data, reference_forward(ir, vis, arrays, config), rtol=1e-4, atol=1e-5)
+
+        coeffs = rng.standard_normal(got.shape).astype(np.float32)
+        firsts: dict[str, str] = {}
+        for name in params:
+            firsts.setdefault(default_group(name), name)
+        reports = check_parameter_groups(
+            lambda: ops.reduce_sum(ops.mul(forward(Tensor(ir), Tensor(vis), params, config), Tensor(coeffs))),
+            {name: params[name] for name in firsts.values()},
+            lambda probed: (reference_forward(ir, vis, {**arrays, **probed}, config) * coeffs).sum(axis=_SAMPLE_AXES),
+            samples_per_tensor=1,
+        )
+        assert sorted(reports) == sorted(firsts)
+        assert max(report.error for report in reports.values()) < 1e-2
 
     def test_fuse_arrays_matches_forward(self, rng):
         config = cfg(**SMALL)

@@ -90,9 +90,33 @@ def test_numerics_digest_names_exactly_the_perturbed_array(digest, tmp_path):
     proc = run_script("numerics_digest.py", "--compare", str(digest), str(perturbed))
     assert proc.returncode == 1, proc.stderr
     *lines, summary = proc.stdout.splitlines()
-    assert summary == "138 identical, 1 differ, 0 flipped ReLUs"
+    assert summary == f"138 identical, 1 differ, 0 flipped ReLUs, largest relative |d| 1.000e+00 ({name})"
     (line,) = [line for line in lines if not line.endswith(": identical")]
     assert line.startswith(f"{name}: max |d| ") and line.endswith(" (1.000e+00)")
+
+
+def test_numerics_digest_summary_names_the_largest_relative_difference(digest, tmp_path):
+    # Three arrays move by 1/4, 1 and 1/2 of their largest entry, and the
+    # checkpoint, which has no ratio, differs too; the summary names the
+    # array that moved most against its own largest entry.
+    entries = json.loads(digest.read_text())
+    arrays = dict(np.load(digest.with_suffix(".npz")))
+    moves = {"grad.graph.mix.vis.weight": 0.25, "grad.head.conv1.weight": 1.0, "loss.total": 0.5}
+    for name, factor in moves.items():
+        array = arrays[name].copy()
+        array.flat[np.abs(array).argmax()] *= 1 + factor
+        arrays[name] = array
+        entries[name]["sha256"] = hashlib.sha256(array.tobytes()).hexdigest()
+    entries["checkpoint.default"]["sha256"] = "0" * 64
+    moved = tmp_path / "moved.json"
+    moved.write_text(json.dumps(entries))
+    np.savez(moved.with_suffix(".npz"), **arrays)
+    proc = run_script("numerics_digest.py", "--compare", str(digest), str(moved))
+    assert proc.returncode == 1, proc.stderr
+    *lines, summary = proc.stdout.splitlines()
+    assert summary == "135 identical, 4 differ, 0 flipped ReLUs, largest relative |d| 1.000e+00 (grad.head.conv1.weight)"
+    ratios = {line.split(":")[0]: line.rsplit(" (", 1)[1] for line in lines if " max |d| " in line}
+    assert ratios == {"grad.graph.mix.vis.weight": "2.500e-01)", "grad.head.conv1.weight": "1.000e+00)", "loss.total": "5.000e-01)"}
 
 
 def test_numerics_digest_shows_both_values_of_a_changed_count_and_checkpoint(digest, tmp_path):

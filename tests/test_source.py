@@ -30,12 +30,12 @@ def test_every_private_helper_has_a_caller(module):
 
 
 def test_no_conv_function_names_the_whole_map_frame():
-    # Every conv band frames only its own rows (``_band_frames``), which both
-    # band loops iterate; ``_framed``, which frames a whole map, serves the
-    # pools alone.
+    # Every conv band frames only its own rows (``_band_frames``), which the
+    # band loops of the forward and of the kernel gradient iterate;
+    # ``_framed``, which frames a whole map, serves the pools alone.
     tree = ast.parse((PACKAGE / "ops.py").read_text(), filename="ops.py")
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for name in ("_correlate", "_gathered", "conv2d"):
+    for name in ("_correlate", "_gathered", "_kernel_gradient", "conv2d"):
         named = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
         assert "_framed" not in named, name
         assert ("_band_frames" in named) == (name != "conv2d"), name

@@ -500,26 +500,33 @@ class TestBandedConv:
     @pytest.mark.parametrize("minus", [False, True])
     @pytest.mark.parametrize("k,padding", [(1, 0), (3, 0), (3, 1), (3, 2), (5, 0), (5, 1), (5, 2)])
     def test_band_frames_equal_one_whole_frame(self, rng, monkeypatch, k, padding, minus):
-        # 13 output rows in forward bands of 3, so the last band holds one
-        # row; each band frames its own rows, edges and tail included.  The
-        # input gradient, a correlation of the output gradient framed by
-        # ``k - 1 - padding``, runs its own bands and is compared too.
+        # 13 output rows in bands of 3, so the last band holds one row; each
+        # band frames its own rows, edges and tail included.  The input
+        # gradient, a correlation of the output gradient framed by
+        # ``k - 1 - padding``, runs its own bands and is compared too.  The
+        # kernel gradient reads the forward's band frames, at the forward's
+        # band height, through the output gradient's rows copied onto the
+        # frame's pitch: it equals the float64 loop.
         c = 16
         h, w = 12 - 2 * padding + k, 9
         monkeypatch.setattr(ops, "_BAND_FLOATS", 3 * c * (w + 2 * padding))
         x, kern, g = conv_case(rng, (2, c, h, w), (c, c, k, k), padding)
         m = rng.standard_normal(x.shape).astype(np.float32) if minus else None
         b = rng.standard_normal(c).astype(np.float32)
+        assert ops._band_rows(c, 13, w + 2 * padding) == 3
         assert [r for _, _, r, _ in ops._band_frames(x[:1], k, padding, 3)][-1] == 1
         ts = [Tensor(a, requires_grad=True) for a in (x, m) if a is not None]
+        kt = Tensor(kern, requires_grad=True)
         with Tape() as tape:
-            out = ops.conv2d(ts[0], Tensor(kern), Tensor(b), padding=padding, minus=ts[1] if minus else None)
+            out = ops.conv2d(ts[0], kt, Tensor(b), padding=padding, minus=ts[1] if minus else None)
             tape.backward(ops.reduce_sum(ops.mul(out, Tensor(g))))
         assert out.data.tobytes() == self.whole_frame_correlate(x, kern, padding, b, m).tobytes()
         dx = self.whole_frame_correlate(g, kern[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), k - 1 - padding)
         assert ts[0].grad.tobytes() == dx.tobytes()
         if minus:
             assert ts[1].grad.tobytes() == (-dx).tobytes()
+        dk_ref = loop_conv_f64(x if m is None else x - m, kern, g, padding)[2]
+        np.testing.assert_allclose(kt.grad, dk_ref, rtol=1e-5, atol=1e-5)
         tape.clear()
 
     def test_no_stale_workspace_after_a_larger_call(self, rng, monkeypatch):
@@ -662,9 +669,11 @@ class TestBandedConv:
     def test_kernel_gradient_frames_no_whole_map(self, rng):
         # The input needs no gradient, so the backward is the kernel gradient
         # alone: besides the 0.25 MiB output gradient it holds one band's
-        # framed rows and its gathered taps, at most ``_WORKSPACE_FLOATS``
-        # floats.  That peaks at 1.39 MiB; a frame of the whole 16x258x258
-        # input read 4.32 MiB.
+        # framed rows of the 16-channel input, as the forward frames them,
+        # and that band's rows of the output gradient on the frame's pitch.
+        # That peaks at 0.54 MiB; a frame of the whole 16x258x258 input read
+        # 4.32 MiB.  The bound, from when this gradient gathered its taps,
+        # also holds a ``_WORKSPACE_FLOATS`` taps buffer.
         x = Tensor(rng.standard_normal((1, 16, 256, 256)).astype(np.float32))
         k = Tensor(rng.standard_normal((1, 16, 3, 3)).astype(np.float32), requires_grad=True)
         with Tape() as tape:
