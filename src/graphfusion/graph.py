@@ -15,7 +15,8 @@ it is computed from the pre-update state and added into its destination's
 running sum as soon as its pair has run, in one op that stores neither
 the edge, the gate nor the message.  The nodes then update simultaneously
 (Jacobi style) through a shared 3x3 conv and ReLU of that sum.  A per-loop leader
-summarizes the updated nodes with a 1x1 conv over their concatenation;
+summarizes the updated nodes with a 1x1 conv over all their channels,
+which reads each node where it is, so no concatenation is made;
 between loops the leader's pooled activation gates a per-node 3x3 conv
 of the current state, and the gated result is injected into the next
 loop's freshly generated nodes.  The branch output concatenates all loop
@@ -35,7 +36,9 @@ the edge phase of a later loop holds 16 maps at most: 6 nodes, 6 running
 sums, ``s``, a new sum and the 2 running mixes.  Sequences a caller
 passes in are only read, never modified.  Under a tape a record keeps
 only the arrays its backward reads (see :mod:`.ops`): a conv its input,
-a message its ``s`` and its source node, a ReLU its output.  So the
+a message its ``s`` and its source node, a ReLU its output.  A leader's
+conv keeps the updated nodes, the very arrays their ReLUs keep, so no
+loop holds a copy of them.  So the
 superseded running sums, the pre-ReLU updates, the injections and the
 upsampled fresh nodes are freed as they are outside a tape, while each
 leader is kept by its mix conv.  A pair makes three records, its conv
@@ -132,8 +135,12 @@ def update_node(total: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def form_leader(nodes: Sequence[Tensor], weight: Tensor, bias: Tensor) -> Tensor:
-    """Summarize a modality's nodes with a 1x1 conv over their concat."""
-    return ops.conv2d(ops.concat_channels(list(nodes)), weight, bias)
+    """Summarize a modality's nodes with a 1x1 conv over their channels, read in node order.
+
+    The conv reads the nodes where they are, so their concatenation is
+    never a map of its own.
+    """
+    return ops.conv2d(nodes, weight, bias)
 
 
 def deliver(

@@ -143,8 +143,7 @@ def forward(ir: Tensor, vis: Tensor, params: Mapping[str, Tensor], config: Fusio
         g_ir, g_vis = run_graph(pools["ir"], pools["vis"], ir.shape[2:], params, config)
     else:
         g_ir, g_vis = extract(ir, params, "ir", config)[-1], extract(vis, params, "vis", config)[-1]
-    h = ops.concat_channels([g_ir, g_vis])
-    h = ops.relu(ops.conv2d(h, params["head.conv1.weight"], params["head.conv1.bias"], padding=1))
+    h = ops.relu(ops.conv2d([g_ir, g_vis], params["head.conv1.weight"], params["head.conv1.bias"], padding=1))
     return ops.sigmoid(ops.conv2d(h, params["head.conv2.weight"], params["head.conv2.bias"], padding=1))
 
 

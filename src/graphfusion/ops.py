@@ -98,27 +98,42 @@ _BAND_FLOATS = 1 << 16
 _WORKSPACE_FLOATS = 1 << 18
 
 
-def _band_frames(a: np.ndarray, k: int, padding: int, rows: int, tail: int = 0, minus: np.ndarray | None = None):
+def _channel_parts(a) -> tuple[list[np.ndarray], tuple[int, int, int, int]]:
+    """``a``'s channel parts and the (N, C, H, W) shape of their concatenation.
+
+    ``a`` is one (N, C, H, W) map, its only part, or a sequence of maps of
+    one N, H and W, read as their concatenation along channels.
+    """
+    parts = [a] if isinstance(a, np.ndarray) else list(a)
+    n, _, h, w = parts[0].shape
+    return parts, (n, sum(p.shape[1] for p in parts), h, w)
+
+
+def _band_frames(a, k: int, padding: int, rows: int, tail: int = 0, minus: np.ndarray | None = None):
     """Yield ``(s, r0, r, flat)`` per band of at most ``rows`` output rows of a k x k correlation of ``a`` (less ``minus``).
 
-    Bands cover each sample in order, the last one of a sample possibly
-    short, and hold at least one row.  ``flat`` is the band's ``r + k - 1``
-    rows of the map framed by ``padding`` zeros, as :func:`_framed`'s, flat
-    per channel, then ``tail`` zeros: (C, (r+k-1)*Wp + tail), with framed
-    cell (r0 + y, x) at ``y * Wp + x``.  A kernel tap over whole rows of
-    the band is then a 2-d slice, and the tail keeps the slices of the last
-    rows in bounds.  With nothing to frame (no padding, tail or ``minus``)
-    ``flat`` is a view of ``a``'s rows.  Otherwise it is the start of each
-    row of one buffer, made once per call at a full band's pitch, whose side
-    columns and tail are zeroed once: a band writes only its map cells, its
+    ``a`` is a map or its channel parts (:func:`_channel_parts`).  Bands
+    cover each sample in order, the last one of a sample possibly short,
+    and hold at least one row.  ``flat`` is the band's ``r + k - 1`` rows
+    of the map framed by ``padding`` zeros, as :func:`_framed`'s, flat per
+    channel, then ``tail`` zeros: (C, (r+k-1)*Wp + tail), with framed cell
+    (r0 + y, x) at ``y * Wp + x``.  A kernel tap over whole rows of the
+    band is then a 2-d slice, and the tail keeps the slices of the last
+    rows in bounds.  With nothing to frame (one part, and no padding, tail
+    or ``minus``) ``flat`` is a view of the map's rows.  Otherwise it is
+    the start of each row of one buffer, made once per call at a full
+    band's pitch, whose side columns and tail are zeroed once: a band
+    copies only its map cells, part by part into their channels, its
     padding rows where it reaches the map's top or bottom, and its tail
-    when it is short.  Each band overwrites the last one's.
+    when it is short.  Each band overwrites the last one's, so parts are
+    never concatenated beyond one band.
     """
-    n, c, h, w = a.shape
+    parts, (n, c, h, w) = _channel_parts(a)
+    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
     wp = w + 2 * padding
     oh = h + 2 * padding - k + 1
     rows = max(1, min(oh, rows))
-    framed = bool(padding or tail) or minus is not None
+    framed = bool(padding or tail) or minus is not None or len(parts) > 1
     if framed:
         size = (rows + k - 1) * wp
         buf = np.empty((c, size + tail), dtype=np.float32)
@@ -130,7 +145,7 @@ def _band_frames(a: np.ndarray, k: int, padding: int, rows: int, tail: int = 0, 
             r = min(rows, oh - r0)
             size = (r + k - 1) * wp
             if not framed:
-                yield s, r0, r, a[s, :, r0 : r0 + r + k - 1].reshape(c, size)
+                yield s, r0, r, parts[0][s, :, r0 : r0 + r + k - 1].reshape(c, size)
                 continue
             flat = buf[:, : size + tail]
             frame = flat[:, :size].reshape(c, r + k - 1, wp)
@@ -140,29 +155,32 @@ def _band_frames(a: np.ndarray, k: int, padding: int, rows: int, tail: int = 0, 
                 frame[:, : lo - r0] = 0
             if hi < r0 + r + k - 1:
                 frame[:, hi - r0 :] = 0
-            cells, src = frame[:, lo - r0 : hi - r0, padding : padding + w], slice(lo - padding, hi - padding)
-            if minus is None:
-                cells[...] = a[s, :, src]
-            else:
-                np.subtract(a[s, :, src], minus[s, :, src], out=cells)
+            src = slice(lo - padding, hi - padding)
+            for part, c0, c1 in zip(parts, offsets[:-1], offsets[1:]):
+                cells = frame[c0:c1, lo - r0 : hi - r0, padding : padding + w]
+                if minus is None:
+                    cells[...] = part[s, :, src]
+                else:
+                    np.subtract(part[s, :, src], minus[s, c0:c1, src], out=cells)
             if tail and r < rows:
                 flat[:, size:] = 0
             yield s, r0, r, flat
 
 
-def _gathered(a: np.ndarray, k: int, padding: int, minus: np.ndarray | None = None):
+def _gathered(a, k: int, padding: int, minus: np.ndarray | None = None):
     """Yield ``(s, r0, r, taps)`` per band of output rows of a k x k correlation of ``a`` (less ``minus``).
 
-    ``a`` is framed by ``padding`` zeros.  ``taps`` is the (c*k*k, r*ow)
-    window taps of output rows ``r0 .. r0+r-1`` of sample ``s``, in the row
-    order of ``kernel.reshape(oc, -1)``: one strided copy of the band's own
+    ``a``, a map or its channel parts, is framed by ``padding`` zeros.
+    ``taps`` is the (c*k*k, r*ow) window taps of output rows
+    ``r0 .. r0+r-1`` of sample ``s``, in the row order of
+    ``kernel.reshape(oc, -1)``: one strided copy of the band's own
     ``r + k - 1`` framed rows (:func:`_band_frames`).  A band holds as many
     rows as fit in ``_WORKSPACE_FLOATS`` taps, at least one.  The frame and
     taps buffers are made once per call, and each band overwrites the last
     one's.  Only inputs of fewer than ``_VIEW_CHANNELS`` channels gather,
     forward and kernel gradient alike.
     """
-    _, c, h, w = a.shape
+    _, c, h, w = _channel_parts(a)[1]
     wp = w + 2 * padding
     oh, ow = h + 2 * padding - k + 1, wp - k + 1
     rows = max(1, min(oh, _WORKSPACE_FLOATS // (c * k * k * ow)))
@@ -185,7 +203,7 @@ def _band_rows(channels: int, oh: int, wp: int) -> int:
 
 
 def _correlate(
-    a: np.ndarray,
+    a,
     kernel: np.ndarray,
     padding: int,
     bias: np.ndarray | None = None,
@@ -193,8 +211,9 @@ def _correlate(
 ) -> np.ndarray:
     """Cross-correlation of a (N, C, H, W) map framed by ``padding`` zeros with a square kernel, plus ``bias``.
 
-    With ``minus`` it correlates ``a - minus``, which is formed only inside
-    each band's frame.
+    ``a`` is the map or its channel parts (:func:`_channel_parts`).  With
+    ``minus`` it correlates ``a - minus``, which is formed only inside each
+    band's frame.
 
     Every band of output rows reads only its own ``rows + k - 1`` framed
     rows (:func:`_band_frames`), so no full-size frame is made.  From
@@ -209,7 +228,7 @@ def _correlate(
     output.  The bias is added band by band.  The band buffers live as long
     as this call.
     """
-    (n, c, h, w), (oc, _, k, _) = a.shape, kernel.shape
+    (n, c, h, w), (oc, _, k, _) = _channel_parts(a)[1], kernel.shape
     wp = w + 2 * padding
     oh, ow = h + 2 * padding - k + 1, wp - k + 1
     out = np.empty((n, oc, oh, ow), dtype=np.float32)
@@ -241,10 +260,11 @@ def _correlate(
     return out
 
 
-def _kernel_gradient(a: np.ndarray, g: np.ndarray, k: int, padding: int, minus: np.ndarray | None = None) -> np.ndarray:
+def _kernel_gradient(a, g: np.ndarray, k: int, padding: int, minus: np.ndarray | None = None) -> np.ndarray:
     """The (oc, c, k, k) gradient of the kernel of a k x k correlation of ``a`` (less ``minus``) for output gradient ``g``.
 
-    ``a`` is framed by ``padding`` zeros, as :func:`_correlate` frames it.
+    ``a``, a map or its channel parts, is framed by ``padding`` zeros, as
+    :func:`_correlate` frames it.
     From ``_VIEW_CHANNELS`` input channels up, each band reads the frames
     the forward reads (:func:`_band_frames` at :func:`_band_rows`'s
     height, with a ``k - 1`` tail), and its rows of ``g`` are copied once
@@ -260,7 +280,7 @@ def _kernel_gradient(a: np.ndarray, g: np.ndarray, k: int, padding: int, minus: 
     taps (:func:`_gathered`), which BLAS runs faster than the untransposed
     one.  The band buffers live as long as this call.
     """
-    (n, c, _, w), (_, oc, oh, ow) = a.shape, g.shape
+    (n, c, _, w), (_, oc, oh, ow) = _channel_parts(a)[1], g.shape
     if c < _VIEW_CHANNELS:
         gm = g.reshape(n, oc, oh * ow)
         gk = np.zeros((c * k * k, oc), dtype=np.float32)
@@ -287,7 +307,7 @@ def _kernel_gradient(a: np.ndarray, g: np.ndarray, k: int, padding: int, minus: 
 
 
 def conv2d(
-    x: Tensor,
+    x: Tensor | Sequence[Tensor],
     kernel: Tensor,
     bias: Tensor | None,
     *,
@@ -296,27 +316,41 @@ def conv2d(
 ) -> Tensor:
     """2-d stride-1 cross-correlation of ``x``, or of ``x - minus``, with a square kernel and zero padding.
 
-    ``kernel`` has shape (out_ch, in_ch, k, k) with ``0 <= padding < k``,
-    ``bias`` shape (out_ch,) or None for none.  Output spatial size is
-    ``H + 2*padding - k + 1``; with ``padding = (k - 1) // 2`` an odd kernel
-    preserves size.  ``minus``, of ``x``'s shape, is subtracted from ``x``
-    inside the frame the correlation reads, so the difference is never a
-    map of its own; it rounds as ``sub(x, minus)``.
+    ``x`` is one (N, C, H, W) tensor, or a sequence of tensors of one N, H
+    and W that the conv reads as their concatenation along channels, in
+    order, without making it: each band's frame copies its rows from the
+    parts (:func:`_band_frames`).  ``kernel`` has shape (out_ch, in_ch, k, k)
+    with ``0 <= padding < k``, ``bias`` shape (out_ch,) or None for none.
+    Output spatial size is ``H + 2*padding - k + 1``; with
+    ``padding = (k - 1) // 2`` an odd kernel preserves size.  ``minus``, of
+    ``x``'s shape, is subtracted from ``x`` inside the frame the
+    correlation reads, so the difference is never a map of its own; it
+    rounds as ``sub(x, minus)``.  It needs ``x`` to be one tensor.
 
     The forward pass and the input gradient are :func:`_correlate`.  The
     input gradient is the transposed convolution: a correlation of the
     output gradient, framed by ``k - 1 - padding`` zeros, with the flipped,
-    channel-swapped kernel.  It is made once, added to ``x`` and its
-    negation to ``minus``.  The kernel gradient is :func:`_kernel_gradient`,
-    which frames each band of ``x`` (less ``minus``) again from its own
-    rows, as the forward did, and picks gathered taps or per-tap views by
-    the same channel rule.  The op keeps the arrays of ``x``, ``minus`` and
-    the kernel, not a frame.
+    channel-swapped kernel.  It is made once over all channels; each part
+    of ``x`` is handed its channels of it, in order, and ``minus`` its
+    negation.  So a sequence's gradients equal those of a conv over
+    ``concat_channels`` of it, bit for bit.  The kernel gradient is
+    :func:`_kernel_gradient`, which frames each band of ``x`` (less
+    ``minus``) again from its own rows, as the forward did, and picks
+    gathered taps or per-tap views by the same channel rule.  The op keeps
+    the arrays of ``x``'s parts, ``minus`` and the kernel, never a frame or
+    a concatenation.
     """
-    _require_4d("conv2d", x)
+    parts = [x] if isinstance(x, Tensor) else list(x)
+    if not parts:
+        raise ShapeError("conv2d: need at least one input tensor")
+    for t in parts:
+        _require_4d("conv2d", t)
+    n, _, h, w = parts[0].shape
+    if any(t.shape[0] != n or t.shape[2:] != (h, w) for t in parts):
+        raise ShapeError(f"conv2d: input parts differ beyond channels: {[t.shape for t in parts]}")
     if kernel.ndim != 4:
         raise ShapeError(f"conv2d: kernel must be 4-d, got shape {kernel.shape}")
-    n, c, h, w = x.shape
+    c = sum(t.shape[1] for t in parts)
     oc, kc, k, kw = kernel.shape
     if kc != c:
         raise ShapeError(f"conv2d: input has {c} channels (dim 1) but kernel expects {kc}")
@@ -324,24 +358,32 @@ def conv2d(
         raise ShapeError(f"conv2d: kernel shape {kernel.shape} needs square taps and 0 <= padding < {k}, got {padding}")
     if bias is not None and bias.shape != (oc,):
         raise ShapeError(f"conv2d: bias shape {bias.shape} != ({oc},)")
+    if minus is not None and not isinstance(x, Tensor):
+        raise ShapeError("conv2d: minus needs one input tensor, not a sequence")
     if minus is not None and minus.shape != x.shape:
         raise ShapeError(f"conv2d: minus shape {minus.shape} differs from input shape {x.shape}")
     if h + 2 * padding < k or w + 2 * padding < k:
         raise ShapeError(f"conv2d: padded input {h + 2 * padding}x{w + 2 * padding} smaller than kernel {k}x{k}")
 
-    x_data, weights, minus_data = x.data, kernel.data, None if minus is None else minus.data
+    x_data = x.data if isinstance(x, Tensor) else [t.data for t in parts]
+    weights, minus_data = kernel.data, None if minus is None else minus.data
     out = _correlate(x_data, weights, padding, None if bias is None else bias.data, minus_data)
-    inputs = tuple(t for t in (x, kernel, bias, minus) if t is not None)
-    x_slot, kernel_slot, bias_slot, minus_slot = (None if t is None else t.slot for t in (x, kernel, bias, minus))
+    inputs = tuple(t for t in (*parts, kernel, bias, minus) if t is not None)
+    # Each part's slot and the end of its channels.
+    x_slots = [(t.slot, int(end)) for t, end in zip(parts, np.cumsum([t.shape[1] for t in parts]))]
+    kernel_slot, bias_slot, minus_slot = (None if t is None else t.slot for t in (kernel, bias, minus))
 
     def backward(g: np.ndarray) -> None:
         if bias_slot is not None and bias_slot.requires_grad:
             accumulate(bias_slot, g.sum(axis=(0, 2, 3)))
         if kernel_slot.requires_grad:
             accumulate(kernel_slot, _kernel_gradient(x_data, g, k, padding, minus_data))
-        if x_slot.requires_grad or (minus_slot is not None and minus_slot.requires_grad):
+        if any(slot.requires_grad for slot, _ in x_slots) or (minus_slot is not None and minus_slot.requires_grad):
             dx = _correlate(g, weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), k - 1 - padding)
-            accumulate(x_slot, dx)
+            start = 0
+            for slot, end in x_slots:
+                accumulate(slot, dx[:, start:end])
+                start = end
             if minus_slot is not None and minus_slot.requires_grad:
                 accumulate(minus_slot, -dx)
 
@@ -793,7 +835,9 @@ def gate_add(total: Tensor, s: Tensor, bias: Tensor, sign: int, source: Tensor) 
         g2 = g.reshape(planes, size)
         d_source = np.empty((planes, size), dtype=np.float32) if source_slot.requires_grad else None
         # The edge's gradient: its sum per plane goes to the bias, and it
-        # times ``sign`` to s (negation is exact, and a + (-d) is a - d).
+        # times ``sign`` to s.  Negation is exact, so for ``sign = -1`` the
+        # last factor ``sig - 1`` gives s's gradient in one product, and
+        # subtracting its sum adds the edge's (a + (-d) is a - d).
         d_edge = np.empty((planes, size), dtype=np.float32) if s_slot.requires_grad or bias_slot.requires_grad else None
         sums = np.zeros(planes)
         buf = np.empty(min(_CHUNK_FLOATS, g2.size), dtype=np.float32)
@@ -807,10 +851,14 @@ def gate_add(total: Tensor, s: Tensor, bias: Tensor, sign: int, source: Tensor) 
                 d = d_edge[rows, cols]
                 np.multiply(gc, src2[rows, cols], out=d)
                 d *= sig
-                d *= 1.0 - sig
-                sums[rows] += d.sum(axis=1)
-                if sign < 0:
-                    np.negative(d, out=d)
+                # ``sig`` is read for the last time here, so the last factor
+                # overwrites it.
+                if sign > 0:
+                    d *= np.subtract(1.0, sig, out=sig)
+                    sums[rows] += d.sum(axis=1)
+                else:
+                    d *= np.subtract(sig, 1.0, out=sig)
+                    sums[rows] -= d.sum(axis=1)
         if d_source is not None:
             accumulate(source_slot, d_source.reshape(n, c, h, w))
             d_source = None  # freed before s's map is copied: a map less at the peak

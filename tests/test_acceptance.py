@@ -163,6 +163,25 @@ def _case_conv2d_squeeze(rng):
     )
 
 
+def _case_conv2d_parts(rng):
+    # The leader's and the head's form: a conv over a sequence of maps, read
+    # as their concatenation.  Two 16-channel parts take conv2d's per-tap
+    # path, as the leader's 1x1 conv does; thinner parts its gather.
+    if rng.integers(0, 2):
+        widths, k, padding, side = (16, 16), 1, 0, 2
+    else:
+        widths, k, side = [int(c) for c in rng.integers(1, 4, size=rng.integers(2, 4))], 3, 4
+        padding = int(rng.integers(0, 2))
+    parts = [_u(rng, (1, c, side, side), 0.0, 1.0) for c in widths]
+    k_t = _u(rng, (2, sum(widths), k, k), -0.5, 0.5)
+    b = _u(rng, (2,), -0.2, 0.2)
+    return (
+        lambda *ts: ops.conv2d(list(ts[:-2]), ts[-2], ts[-1], padding=padding),
+        lambda *xs: ref._conv(ref._cat(xs[:-2]), xs[-2], xs[-1], padding=padding),
+        [*parts, k_t, b],
+    )
+
+
 def _case_add(rng):
     return ops.add, np.add, [_u(rng, (2, 3, 4, 4)), _u(rng, (2, 3, 4, 4))]
 
@@ -262,6 +281,7 @@ OP_CASES = {
     "conv2d": _case_conv2d,
     "conv2d minus": _case_conv2d_minus,
     "conv2d squeeze": _case_conv2d_squeeze,
+    "conv2d parts": _case_conv2d_parts,
     "maxpool2d": _case_maxpool2d,
     "avgpool2d": _case_avgpool2d,
     "adaptive_avgpool2d": _case_adaptive_avgpool2d,

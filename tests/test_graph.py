@@ -134,7 +134,9 @@ class TestEdgesAndMessages:
         conv2d = ops.conv2d
 
         def counting_conv2d(*args, **kwargs):
-            calls.append(args[0].shape)
+            # A leader's conv reads its nodes as a list of channel parts.
+            x = args[0]
+            calls.append(x.shape if isinstance(x, Tensor) else [t.shape for t in x])
             return conv2d(*args, **kwargs)
 
         monkeypatch.setattr(ops, "conv2d", counting_conv2d)

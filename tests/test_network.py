@@ -338,16 +338,19 @@ def test_taped_step_records_and_peak(rng):
     # Three records per edge pair (27 with 3 nodes and 3 loops): one conv of
     # the pair's difference and one record per message, with no difference,
     # edge, gate or message map or gradient held for the backward.  The mix
-    # makes 8 records per modality: 3 kernel blocks, 3 convs and 2 adds.  A
-    # record keeps only the arrays its backward reads, so after forward and
-    # loss the tape holds 137.3 maps of 1x16x32x32, against 235.7 when
+    # makes 8 records per modality: 3 kernel blocks, 3 convs and 2 adds.
+    # The leaders' and the head's convs read their inputs as channel parts,
+    # so no concatenation is recorded (7 records fewer).  A record keeps
+    # only the arrays its backward reads, so after forward and loss the tape
+    # holds 119.1 maps of 1x16x32x32: 137.0 when each leader's conv kept a
+    # concatenated copy of the nodes that their ReLUs keep, and 235.7 when
     # records kept every op's inputs and output.  Backward drops each
     # intermediate's gradient once its record has replayed, so the peak
-    # reads 168.8 maps, against 261.8 with every map kept and 472.4 when
-    # every gradient also lived until ``clear``.  That peak counts the band
-    # buffers of the conv running at the time, which each call allocates.
-    # Both bounds are 5% above.  The fused image's SSIM statistics are
-    # recorded once for both terms.
+    # reads 142.0 maps, against 159.9 with the copies, and 472.4 when every
+    # gradient also lived until ``clear``.  That peak counts the band buffers
+    # of the conv running at the time, which each call allocates.  Both
+    # bounds are 5% above.  The fused image's SSIM statistics are recorded
+    # once for both terms.
     config = FusionConfig()
     params = init_params(config, seed=0)
     ir, vis = (Tensor(rng.uniform(size=(1, 1, 32, 32)).astype(np.float32)) for _ in range(2))
@@ -369,9 +372,9 @@ def test_taped_step_records_and_peak(rng):
     finally:
         tracemalloc.stop()
     one_map = 4 * config.channels * 32 * 32
-    assert records == 339
-    assert held < 144 * one_map
-    assert peak < 177 * one_map
+    assert records == 332
+    assert held < 125 * one_map
+    assert peak < 149 * one_map
 
 
 def test_backward_leaves_gradients_only_on_leaves(rng, monkeypatch):

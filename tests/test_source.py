@@ -41,6 +41,40 @@ def test_no_conv_function_names_the_whole_map_frame():
         assert ("_band_frames" in named) == (name != "conv2d"), name
 
 
+def calls_named(source: str, name: str) -> list[str]:
+    """The functions that call ``name``, as ``name(...)`` or ``<anything>.name(...)``, each once."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        calls = (n.func for n in ast.walk(fn) if isinstance(n, ast.Call))
+        if any(getattr(f, "id", None) == name or getattr(f, "attr", None) == name for f in calls):
+            found.append(fn.name)
+    return found
+
+
+@pytest.mark.parametrize("module", ["graph.py", "network.py"])
+def test_network_makes_no_concatenation(module):
+    # A conv reads a list of maps as their channels (``ops.conv2d``), so the
+    # network never copies maps into a concatenated one, and no record keeps
+    # such a copy of maps that other records already keep.
+    assert calls_named((PACKAGE / module).read_text(), "concat_channels") == []
+
+
+def test_call_rule_flags_either_spelling():
+    source = (
+        "def leader(nodes):\n"
+        "    return ops.conv2d(ops.concat_channels(nodes), w, b)\n"
+        "def head(a, b):\n"
+        "    def inner():\n"
+        "        return concat_channels([a, b])\n"
+        "    return inner()\n"
+        "def mix(a):\n"
+        "    return ops.conv2d([a], w, b)\n"
+    )
+    assert calls_named(source, "concat_channels") == ["leader", "head", "inner"]
+
+
 def closures_naming_tensors(source: str) -> list[str]:
     """``op.closure: name`` for each function nested in a top-level function that names one of its tensor parameters.
 

@@ -346,6 +346,99 @@ class TestConv2d:
                 pool(x, 3, 1)
 
 
+def closure_arrays(fn):
+    """The arrays a closure holds, directly or in a list or tuple."""
+    held = []
+    for cell in fn.__closure__:
+        value = cell.cell_contents
+        held += [a for a in (value if isinstance(value, (list, tuple)) else [value]) if isinstance(a, np.ndarray)]
+    return held
+
+
+class TestConvParts:
+    """conv2d over a sequence of tensors, read as their concatenation along channels."""
+
+    @pytest.mark.parametrize(
+        "widths", [(1, 2), (5, 12), (16, 16, 16)], ids=["gather-1+2", "view-5+12", "view-3x16"]
+    )
+    @pytest.mark.parametrize("k,padding", [(1, 0), (3, 0), (3, 1)])
+    @pytest.mark.parametrize("bands", ["default", "short"])
+    def test_equals_concat_then_conv_bit_for_bit(self, rng, monkeypatch, widths, k, padding, bands):
+        # The output and the kernel, bias and every part's gradient equal
+        # those of ``conv2d(concat_channels(parts))``.  Short bands of 3 rows
+        # end each sample's forward and kernel gradient on a 1-row band.
+        shape, oc = (2, sum(widths), 7 + k - 1 - 2 * padding, 6), 3 if sum(widths) < 16 else 16
+        if bands == "short":
+            TestBandedConv.shrink_bands(monkeypatch, 3, shape, (oc, shape[1], k, k), padding)
+        x, kern, g = conv_case(rng, shape, (oc, shape[1], k, k), padding)
+        xs = np.split(x, np.cumsum(widths)[:-1], axis=1)
+        b = rng.standard_normal(oc).astype(np.float32)
+
+        def run(parted):
+            ts = [Tensor(a, requires_grad=True) for a in (*xs, kern, b)]
+            *parts, kt, bt = ts
+            with Tape() as tape:
+                out = ops.conv2d(parts if parted else ops.concat_channels(parts), kt, bt, padding=padding)
+                records = len(tape)
+                tape.backward(ops.reduce_sum(ops.mul(out, Tensor(g))))
+            result = [out.data] + [t.grad for t in ts]
+            tape.clear()
+            return records, result
+
+        (records, got), (_, want) = run(True), run(False)
+        assert records == 1
+        names = ["out", *(f"part{i}" for i in range(len(widths))), "kernel", "bias"]
+        for name, a, w in zip(names, got, want):
+            assert a.shape == w.shape and a.tobytes() == w.tobytes(), name
+
+    def test_a_tensor_in_two_parts_gets_both_gradients(self, rng):
+        # Its two channel blocks of the input gradient add up in part order,
+        # as ``concat_channels`` hands them out.
+        x, kern, g = conv_case(rng, (1, 4, 5, 5), (2, 4, 3, 3), 1)
+
+        def run(parted):
+            xt, kt = Tensor(x[:, :2], requires_grad=True), Tensor(kern, requires_grad=True)
+            with Tape() as tape:
+                out = ops.conv2d([xt, xt] if parted else ops.concat_channels([xt, xt]), kt, None, padding=1)
+                tape.backward(ops.reduce_sum(ops.mul(out, Tensor(g))))
+            result = out.data, xt.grad, kt.grad
+            tape.clear()
+            return result
+
+        for a, w in zip(run(True), run(False)):
+            assert a.tobytes() == w.tobytes()
+
+    def test_record_keeps_the_parts_not_their_concatenation(self, rng):
+        parts = [Tensor(rng.standard_normal((1, c, 4, 4)).astype(np.float32), requires_grad=True) for c in (2, 3)]
+        kernel = Tensor(rng.standard_normal((2, 5, 3, 3)).astype(np.float32), requires_grad=True)
+        with Tape() as tape:
+            ops.conv2d(parts, kernel, None, padding=1)
+            held = closure_arrays(tape._records[-1][1])
+        tape.clear()
+        assert {id(a) for a in held} == {id(parts[0].data), id(parts[1].data), id(kernel.data)}
+        assert all(a.shape[:2] != (1, 5) for a in held)
+
+    @pytest.mark.parametrize(
+        "parts,match",
+        [
+            ([], "need at least one input tensor"),
+            ([(1, 2, 4, 4), (2, 2, 4, 4)], "input parts differ beyond channels"),
+            ([(1, 2, 4, 4), (1, 2, 5, 4)], "input parts differ beyond channels"),
+            ([(1, 2, 4, 4), (1, 2, 4, 5)], "input parts differ beyond channels"),
+            ([(1, 2, 4, 4), (1, 3, 4, 4)], "input has 5 channels"),
+        ],
+        ids=["empty", "batch", "height", "width", "channels"],
+    )
+    def test_rejects_parts_that_do_not_concatenate(self, parts, match):
+        with pytest.raises(ShapeError, match=f"conv2d: {match}"):
+            ops.conv2d([Tensor.zeros(s) for s in parts], Tensor.zeros((1, 4, 3, 3)), None, padding=1)
+
+    def test_rejects_minus_with_a_sequence(self):
+        x = [Tensor.zeros((1, 2, 4, 4)), Tensor.zeros((1, 2, 4, 4))]
+        with pytest.raises(ShapeError, match="conv2d: minus needs one input tensor"):
+            ops.conv2d(x, Tensor.zeros((1, 4, 3, 3)), None, padding=1, minus=Tensor.zeros((1, 4, 4, 4)))
+
+
 class TestBandedConv:
     """The band loop behind conv2d on both sides of ``_VIEW_CHANNELS``: per-tap GEMMs over
     views of each band's own framed rows, and one GEMM over gathered taps for thin inputs."""
