@@ -50,25 +50,26 @@ def _tap(a: np.ndarray, i: int, j: int, oh: int, ow: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # convolution and pooling
 
-# conv2d computes a band of output rows at a time, in one of two ways that
-# the input's channel count picks, for its forward and its kernel gradient
-# alike.  Either way a band reads only its own r + k - 1 framed rows
-# (_band_frames), written into buffers that the call allocates once and
-# reuses for each band; no buffer outlives a call, so threads share none.
-# From _VIEW_CHANNELS input channels up, each kernel tap is one GEMM over a
+# conv2d computes a band of output rows at a time.  A band reads only its
+# own r + k - 1 framed rows (_band_frames), written into buffers that the
+# call allocates once and reuses for each band; no buffer outlives a call, so
+# threads share none.  The kernel gradient, and a correlation (the forward,
+# or the input gradient, which correlates the output gradient) from
+# _VIEW_CHANNELS input channels up, make one GEMM per kernel tap over a
 # shifted view of the band's frame, summed into a buffer: the tap's (oc x c)
-# weights times the view forward, the band's output gradient times the
-# view's transpose for the kernel gradient (kn2row: Vasudevan, Anderson &
+# weights times the view for a correlation, the band's output gradient times
+# the view's transpose for the kernel gradient (kn2row: Vasudevan, Anderson &
 # Gregg, ASAP 2017).  So BLAS's own packing is the only copy of the frame.
-# Thinner inputs gather all c*k*k taps of a band and make one GEMM (im2col:
-# Chellapilla, Puri & Simard, 2006), as GEMMs with K = c are then too
-# small.  One OpenBLAS 0.3.31 thread on a Xeon with 2 MB of L2 per core,
-# 480x640 3x3 convs to 16 channels, gather against views (best of 5-7): from
-# 1 channel 10.4 against 153 ms, from 4 17.0 against 23.6, from 8 35.2
-# against 34.6, from 15 75.2 against 44.4, from 16 80.7 against 45.7 and
-# from 32 155 against 80 ms; the 11x11 SSIM blur of a 2x1x64x64 map 0.84
+# A correlation of thinner inputs gathers all c*k*k taps of a band and makes
+# one GEMM (im2col: Chellapilla, Puri & Simard, 2006), as GEMMs with K = c
+# are then too small.  One OpenBLAS 0.3.31 thread on a Xeon with 2 MB of L2
+# per core, 480x640 3x3 convs to 16 channels, gather against views (best of
+# 5-7): from 1 channel 10.4 against 153 ms, from 4 17.0 against 23.6, from 8
+# 35.2 against 34.6, from 15 75.2 against 44.4, from 16 80.7 against 45.7
+# and from 32 155 against 80 ms; the 11x11 SSIM blur of a 2x1x64x64 map 0.84
 # against 3.99 ms.  The network convolves 1 or at least 16 channels, so the
-# threshold sits at its width.
+# threshold sits at its width.  A kernel gradient's tap GEMMs sum over the
+# band's r*Wp cells whatever c, so it takes views at every width.
 _VIEW_CHANNELS = 16
 
 # Output floats per band of the per-tap sums, bounded by the larger of the
@@ -80,21 +81,20 @@ _VIEW_CHANNELS = 16
 # 56-57 ms with 96K and 128K (best of 7).
 _BAND_FLOATS = 1 << 16
 
-# Float32 taps per band of the gather: 1 MB, so a band's gather is still in
-# a 2 MB per-core L2 cache when its GEMM reads it.  What gathers is every
-# conv from fewer than _VIEW_CHANNELS channels, forward and kernel gradient:
-# in the default network the 1-channel ones (the backbone's first conv, the
-# Sobel and SSIM kernels).  On one thread of the same Xeon, medians of 63
-# with 256 KB, 512 KB and 1 MB caps: a 1->16 3x3 forward at 1x1x480x640
-# took 6.3-7.2, 6.0-6.2 and 5.8-6.0 ms (two runs each; the quartiles of the
-# caps overlap).  A forward with several output channels is bit-identical
-# across band sizes, as each output cell is the same c*kh*kw-long dot
-# product of a GEMM.  A kernel gradient adds up its bands, so it moves with
-# the band height.  A conv with one output channel is a matrix-vector
-# product, whose summation order BLAS may change with the band width: a
-# 2x1x64x64 11x11 blur moved by up to 7.6e-6 between 10-row and 40-row
-# bands.  Each gathered call allocates its taps buffer, of at most 1 MB, so
-# the buffer counts in its peak.
+# Float32 taps per band of a thin correlation's gather: 1 MB, so a band's
+# gather is still in a 2 MB per-core L2 cache when its GEMM reads it.  What
+# gathers is every correlation of fewer than _VIEW_CHANNELS channels: in the
+# default network the 1-channel ones (the backbone's first conv, the Sobel
+# and SSIM kernels, the input gradient of the head's last conv).  On one
+# thread of the same Xeon, medians of 63 with 256 KB, 512 KB and 1 MB caps:
+# a 1->16 3x3 forward at 1x1x480x640 took 6.3-7.2, 6.0-6.2 and 5.8-6.0 ms
+# (two runs each; the quartiles of the caps overlap).  A forward with
+# several output channels is bit-identical across band sizes, as each output
+# cell is the same c*kh*kw-long dot product of a GEMM.  A conv with one
+# output channel is a matrix-vector product, whose summation order BLAS may
+# change with the band width: a 2x1x64x64 11x11 blur moved by up to 7.6e-6
+# between 10-row and 40-row bands.  Each gathering call allocates its taps
+# buffer, of at most 1 MB, so the buffer counts in its peak.
 _WORKSPACE_FLOATS = 1 << 18
 
 
@@ -167,31 +167,6 @@ def _band_frames(a, k: int, padding: int, rows: int, tail: int = 0, minus: np.nd
             yield s, r0, r, flat
 
 
-def _gathered(a, k: int, padding: int, minus: np.ndarray | None = None):
-    """Yield ``(s, r0, r, taps)`` per band of output rows of a k x k correlation of ``a`` (less ``minus``).
-
-    ``a``, a map or its channel parts, is framed by ``padding`` zeros.
-    ``taps`` is the (c*k*k, r*ow) window taps of output rows
-    ``r0 .. r0+r-1`` of sample ``s``, in the row order of
-    ``kernel.reshape(oc, -1)``: one strided copy of the band's own
-    ``r + k - 1`` framed rows (:func:`_band_frames`).  A band holds as many
-    rows as fit in ``_WORKSPACE_FLOATS`` taps, at least one.  The frame and
-    taps buffers are made once per call, and each band overwrites the last
-    one's.  Only inputs of fewer than ``_VIEW_CHANNELS`` channels gather,
-    forward and kernel gradient alike.
-    """
-    _, c, h, w = _channel_parts(a)[1]
-    wp = w + 2 * padding
-    oh, ow = h + 2 * padding - k + 1, wp - k + 1
-    rows = max(1, min(oh, _WORKSPACE_FLOATS // (c * k * k * ow)))
-    buf = np.empty(c * k * k * rows * ow, dtype=np.float32)
-    for s, r0, r, flat in _band_frames(a, k, padding, rows, minus=minus):
-        band = flat.reshape(c, r + k - 1, wp)
-        taps = buf[: c * k * k * r * ow].reshape(c, k, k, r, ow)
-        taps[...] = np.lib.stride_tricks.sliding_window_view(band, (k, k), axis=(1, 2)).transpose(0, 3, 4, 1, 2)
-        yield s, r0, r, taps.reshape(c * k * k, r * ow)
-
-
 def _band_rows(channels: int, oh: int, wp: int) -> int:
     """Output rows per band of the view side: ``oh`` rows split evenly into bands of ``_BAND_FLOATS`` floats of ``channels`` channels.
 
@@ -223,8 +198,9 @@ def _correlate(
     grid of ``Wp`` columns per row and copied into the output without the
     columns past ``ow``; the taps of a kept column never leave its frame
     row, so the columns past ``ow`` and the frame's tail cannot reach a kept
-    one.  Thinner inputs make one ``(oc, c*k*k) @ (c*k*k, rows*ow)`` GEMM
-    per band of gathered taps (:func:`_gathered`), straight into the
+    one.  Thinner inputs gather each band's window taps from its frame into
+    a buffer of ``_WORKSPACE_FLOATS`` floats (at least one row) and make one
+    ``(oc, c*k*k) @ (c*k*k, rows*ow)`` GEMM per band, straight into the
     output.  The bias is added band by band.  The band buffers live as long
     as this call.
     """
@@ -234,9 +210,14 @@ def _correlate(
     out = np.empty((n, oc, oh, ow), dtype=np.float32)
     if c < _VIEW_CHANNELS:
         weights = kernel.reshape(oc, -1)
-        for s, r0, r, taps in _gathered(a, k, padding, minus):
+        rows = max(1, min(oh, _WORKSPACE_FLOATS // (c * k * k * ow)))
+        buf = np.empty(c * k * k * rows * ow, dtype=np.float32)
+        for s, r0, r, flat in _band_frames(a, k, padding, rows, minus=minus):
+            taps = buf[: c * k * k * r * ow].reshape(c, k, k, r, ow)
+            frame = flat.reshape(c, r + k - 1, wp)
+            taps[...] = np.lib.stride_tricks.sliding_window_view(frame, (k, k), axis=(1, 2)).transpose(0, 3, 4, 1, 2)
             band = out[s, :, r0 : r0 + r]
-            np.matmul(weights, taps, out=band.reshape(oc, r * ow))
+            np.matmul(weights, taps.reshape(c * k * k, r * ow), out=band.reshape(oc, r * ow))
             if bias is not None:
                 band += bias.reshape(oc, 1, 1)
         return out
@@ -264,30 +245,23 @@ def _kernel_gradient(a, g: np.ndarray, k: int, padding: int, minus: np.ndarray |
     """The (oc, c, k, k) gradient of the kernel of a k x k correlation of ``a`` (less ``minus``) for output gradient ``g``.
 
     ``a``, a map or its channel parts, is framed by ``padding`` zeros, as
-    :func:`_correlate` frames it.
-    From ``_VIEW_CHANNELS`` input channels up, each band reads the frames
-    the forward reads (:func:`_band_frames` at :func:`_band_rows`'s
-    height, with a ``k - 1`` tail), and its rows of ``g`` are copied once
-    onto the frame's row pitch ``Wp``, zero past column ``ow``.  Each tap
-    is then one ``(oc, r*Wp) @ (r*Wp, c)`` GEMM of those rows against the
-    tap's slice of the frame, summed into a (k*k, oc, c) buffer; the zero
-    columns drop the slice's cells that no output reads (as products with
-    zero, so an inf in ``a`` can give NaN where gathered taps give inf).  A
-    1x1 kernel reads ``g``'s rows as they are: its frame has no extra columns.
-    On one thread, a 16->16 3x3 kernel gradient took 0.71 ms this way and
-    0.96 ms gathered at 2x16x64x64, 24.4 and 33.3 ms at 1x16x480x640.
-    Thinner inputs make one ``taps @ g_band.T`` GEMM per band of gathered
-    taps (:func:`_gathered`), which BLAS runs faster than the untransposed
-    one.  The band buffers live as long as this call.
+    :func:`_correlate` frames it.  Whatever its width, each band reads the
+    frames the view side of the forward reads (:func:`_band_frames` at
+    :func:`_band_rows`'s height, with a ``k - 1`` tail), and its rows of
+    ``g`` are copied once onto the frame's row pitch ``Wp``, zero past
+    column ``ow``.  Each tap is then one ``(oc, r*Wp) @ (r*Wp, c)`` GEMM of
+    those rows against the tap's slice of the frame, summed into a
+    (k*k, oc, c) buffer; the zero columns drop the slice's cells that no
+    output reads (as products with zero, so an inf in such a cell gives
+    NaN).  A 1x1 kernel reads ``g``'s rows as they are: its frame has no
+    extra columns.  The sums run over bands, so the result moves with the
+    band height.  On one thread, 3x3 kernel gradients to 16 channels took
+    0.71 ms this way and 0.96 ms from gathered taps at 2x16x64x64, 24.4
+    and 33.3 ms at 1x16x480x640, 0.51-0.72 and 0.93-1.09 ms at 2x8x64x64,
+    and 0.25-0.42 and 0.14-0.21 ms at 2x1x64x64 (medians of 60, three
+    rounds).  The band buffers live as long as this call.
     """
-    (n, c, _, w), (_, oc, oh, ow) = _channel_parts(a)[1], g.shape
-    if c < _VIEW_CHANNELS:
-        gm = g.reshape(n, oc, oh * ow)
-        gk = np.zeros((c * k * k, oc), dtype=np.float32)
-        for s, r0, r, taps in _gathered(a, k, padding, minus):
-            gk += taps @ gm[s, :, r0 * ow : (r0 + r) * ow].T
-        return gk.T.reshape(oc, c, k, k)
-
+    (_, c, _, w), (_, oc, oh, ow) = _channel_parts(a)[1], g.shape
     wp = w + 2 * padding
     rows = _band_rows(max(oc, c), oh, wp)
     gk = np.zeros((k * k, oc, c), dtype=np.float32)
@@ -335,8 +309,8 @@ def conv2d(
     negation.  So a sequence's gradients equal those of a conv over
     ``concat_channels`` of it, bit for bit.  The kernel gradient is
     :func:`_kernel_gradient`, which frames each band of ``x`` (less
-    ``minus``) again from its own rows, as the forward did, and picks
-    gathered taps or per-tap views by the same channel rule.  The op keeps
+    ``minus``) again from its own rows, as the forward did, and makes one
+    GEMM per tap over views of that frame at every input width.  The op keeps
     the arrays of ``x``'s parts, ``minus`` and the kernel, never a frame or
     a concatenation.
     """

@@ -151,7 +151,7 @@ def _case_upsample_bilinear(rng):
 def _case_conv2d_squeeze(rng):
     # The squeeze-excite form: a 1x1 conv of a pooled (N, C, 1, 1) map, as
     # ``reference.py`` runs it, a matmul of the (O, C) weights.  16 input
-    # channels take conv2d's per-tap path, 4 its gather.
+    # channels take conv2d's per-tap path, 4 its gathered forward.
     c = 16 if rng.integers(0, 2) else 4
     x = _u(rng, (2, c, 1, 1))
     k = _u(rng, (4, c, 1, 1), -0.5, 0.5)
@@ -166,7 +166,7 @@ def _case_conv2d_squeeze(rng):
 def _case_conv2d_parts(rng):
     # The leader's and the head's form: a conv over a sequence of maps, read
     # as their concatenation.  Two 16-channel parts take conv2d's per-tap
-    # path, as the leader's 1x1 conv does; thinner parts its gather.
+    # path, as the leader's 1x1 conv does; thinner parts its gathered forward.
     if rng.integers(0, 2):
         widths, k, padding, side = (16, 16), 1, 0, 2
     else:

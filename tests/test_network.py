@@ -235,13 +235,13 @@ class TestForward:
     )
     def test_matches_float64_reference_across_configs(self, channels, nodes, loops, toggles, batch, size, seed):
         # A differential test over the architecture space: 16 and 17 channels
-        # run every conv of the graph on the view side, forward and kernel
-        # gradient, and 4 on the gather side.  Frames go down to one pixel
-        # and need not be square.  The tape's gradient of a weighted sum of
-        # the output is compared, once per parameter group, with a
-        # complex-step probe of the float64 reference at the gradcheck CLI's
-        # default tolerance: the group's first tensor, at its element of
-        # largest gradient.
+        # run every conv of the graph on the view side, and 4 gather in the
+        # forward; kernel gradients take views at every width.  Frames go
+        # down to one pixel and need not be square.  The tape's gradient of
+        # a weighted sum of the output is compared, once per parameter
+        # group, with a complex-step probe of the float64 reference at the
+        # gradcheck CLI's default tolerance: the group's first tensor, at its
+        # element of largest gradient.
         salience, graph, leader, shared = toggles
         config = cfg(
             channels=channels,

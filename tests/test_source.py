@@ -29,16 +29,28 @@ def test_every_private_helper_has_a_caller(module):
     assert sorted(private - named) == []
 
 
+def ops_functions() -> dict[str, ast.FunctionDef]:
+    tree = ast.parse((PACKAGE / "ops.py").read_text(), filename="ops.py")
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
 def test_no_conv_function_names_the_whole_map_frame():
     # Every conv band frames only its own rows (``_band_frames``), which the
     # band loops of the forward and of the kernel gradient iterate;
     # ``_framed``, which frames a whole map, serves the pools alone.
-    tree = ast.parse((PACKAGE / "ops.py").read_text(), filename="ops.py")
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for name in ("_correlate", "_gathered", "_kernel_gradient", "conv2d"):
+    functions = ops_functions()
+    for name in ("_correlate", "_kernel_gradient", "conv2d"):
         named = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
         assert "_framed" not in named, name
         assert ("_band_frames" in named) == (name != "conv2d"), name
+
+
+def test_kernel_gradient_takes_one_path_for_every_width():
+    # Only a correlation picks gathered taps by its channel count; the kernel
+    # gradient runs its per-tap views at every input width.
+    fn = ops_functions()["_kernel_gradient"]
+    named = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(fn)}
+    assert not named & {"_VIEW_CHANNELS", "sliding_window_view"}
 
 
 def calls_named(source: str, name: str) -> list[str]:

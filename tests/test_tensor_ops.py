@@ -441,7 +441,7 @@ class TestConvParts:
 
 class TestBandedConv:
     """The band loop behind conv2d on both sides of ``_VIEW_CHANNELS``: per-tap GEMMs over
-    views of each band's own framed rows, and one GEMM over gathered taps for thin inputs."""
+    views of each band's own framed rows, and one GEMM over gathered taps for a thin forward."""
 
     # Fixed ids keep each case's name as rows come and go.
     CASES = [
@@ -457,11 +457,15 @@ class TestBandedConv:
         pytest.param((1, 17, 9, 8), (15, 17, 3, 3), 1, id="shape8-kspec8-1-1"),
         # The graph's leader conv: 48 channels, 1x1.
         pytest.param((2, 48, 7, 6), (16, 48, 1, 1), 0, id="shape9-kspec9-1-0"),
+        # Thin inputs: the forward gathers, the kernel gradient takes views.
+        pytest.param((2, 2, 9, 7), (4, 2, 3, 3), 1, id="thin2-3x3-1"),
+        pytest.param((2, 4, 8, 7), (5, 4, 3, 3), 1, id="thin4-3x3-1"),
+        pytest.param((1, 8, 9, 6), (3, 8, 3, 3), 1, id="thin8-3x3-1"),
     ]
 
     @staticmethod
     def shrink_bands(monkeypatch, rows, shape, kspec, padding):
-        """Forward bands of ``rows`` output rows on either side, so most forwards end on a short band."""
+        """Bands of ``rows`` output rows, gathered or viewed, so most passes end on a short band."""
         oc, c, k, _ = kspec
         wp = shape[3] + 2 * padding
         monkeypatch.setattr(ops, "_WORKSPACE_FLOATS", rows * c * k * k * (wp - k + 1))
@@ -483,22 +487,44 @@ class TestBandedConv:
         bands = [(s, r0, r) for s, r0, r, _ in ops._band_frames(np.zeros((2, 1, 7, 4), np.float32), 1, 0, 3)]
         assert bands == [(s, r0, r) for s in range(2) for r0, r in ((0, 3), (3, 3), (6, 1))]
 
+    @pytest.mark.parametrize("cap", [2, 1])
+    def test_thin_minus_matches_float64_loop(self, rng, monkeypatch, cap):
+        # A thin kernel gradient of ``x - m`` reads views of each band's
+        # frame of the difference, as a wide one does.
+        shape, kspec, padding = (2, 3, 9, 7), (4, 3, 3, 3), 1
+        self.shrink_bands(monkeypatch, cap, shape, kspec, padding)
+        x, k, g = conv_case(rng, shape, kspec, padding)
+        m = rng.standard_normal(shape).astype(np.float32)
+        xt, mt, kt = (Tensor(a, requires_grad=True) for a in (x, m, k))
+        with Tape() as tape:
+            out = ops.conv2d(xt, kt, None, padding=padding, minus=mt)
+            tape.backward(ops.reduce_sum(ops.mul(out, Tensor(g))))
+        out_ref, dx_ref, dk_ref = loop_conv_f64(x - m, k, g, padding)
+        for got, want in ((out.data, out_ref), (xt.grad, dx_ref), (mt.grad, -dx_ref), (kt.grad, dk_ref)):
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+        tape.clear()
+
     def test_workspace_cap_bounds_the_band_but_never_below_one_row(self, rng, monkeypatch):
-        # A 10-float cap holds no whole row of 2x3x3 taps, so every band is
-        # one row; each band's taps are its window taps of the framed map
-        # (less ``minus``), in the row order of ``kernel.reshape(oc, -1)``.
+        # A 10-float cap holds no whole row of 2x3x3 taps, so the thin
+        # forward frames one-row bands, and gathers each one's taps in the
+        # row order of ``kernel.reshape(oc, -1)``.
         monkeypatch.setattr(ops, "_WORKSPACE_FLOATS", 10)
+        band_frames, bands = ops._band_frames, []
+
+        def recording(*args, **kwargs):
+            for band in band_frames(*args, **kwargs):
+                bands.append(band[:3])
+                yield band
+
+        monkeypatch.setattr(ops, "_band_frames", recording)
         a, m = (rng.standard_normal((2, 2, 4, 6)).astype(np.float32) for _ in range(2))
-        for padding, minus in ((0, None), (1, m)):
-            xp = np.pad(a if minus is None else a - minus, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-            oh, ow = 2 + 2 * padding, 4 + 2 * padding
-            bands = []
-            for s, r0, r, taps in ops._gathered(a, 3, padding, minus):
-                bands.append((s, r0, r))
-                assert taps.shape == (18, ow)
-                want = np.stack([xp[s, :, r0 + i, j : j + ow] for i in range(3) for j in range(3)], axis=1)
-                np.testing.assert_array_equal(taps, want.reshape(18, ow))
-            assert bands == [(s, r0, 1) for s in range(2) for r0 in range(oh)]
+        k = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
+        for padding, minus in ((0, None), (1, None), (1, m)):
+            bands.clear()
+            out = ops.conv2d(Tensor(a), Tensor(k), None, padding=padding, minus=None if minus is None else Tensor(minus))
+            assert bands == [(s, r0, 1) for s in range(2) for r0 in range(2 + 2 * padding)]
+            want = oracle_conv(a if minus is None else a - minus, k, np.zeros(3), padding)
+            np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-5)
 
     @staticmethod
     def nan_empty(monkeypatch):
@@ -759,16 +785,18 @@ class TestBandedConv:
         size, peak = run_in_thread(measure)
         assert peak <= size + 4 * ops._WORKSPACE_FLOATS + (512 << 10)
 
-    def test_kernel_gradient_frames_no_whole_map(self, rng):
+    @pytest.mark.parametrize("channels,bound", [(16, 0.563), (8, 0.552), (1, 0.533)], ids=["c16", "c8", "c1"])
+    def test_kernel_gradient_frames_no_whole_map(self, rng, channels, bound):
         # The input needs no gradient, so the backward is the kernel gradient
         # alone: besides the 0.25 MiB output gradient it holds one band's
-        # framed rows of the 16-channel input, as the forward frames them,
-        # and that band's rows of the output gradient on the frame's pitch.
-        # That peaks at 0.54 MiB; a frame of the whole 16x258x258 input read
-        # 4.32 MiB.  The bound, from when this gradient gathered its taps,
-        # also holds a ``_WORKSPACE_FLOATS`` taps buffer.
-        x = Tensor(rng.standard_normal((1, 16, 256, 256)).astype(np.float32))
-        k = Tensor(rng.standard_normal((1, 16, 3, 3)).astype(np.float32), requires_grad=True)
+        # framed rows of the input, as the view side of the forward frames
+        # them, and that band's rows of the output gradient on the frame's
+        # pitch, at every input width.  16, 8 and 1 channels peak at 0.536,
+        # 0.526 and 0.507 MiB, and each bound (in MiB) is 5% above its
+        # reading.  A frame of the whole 16x258x258 input reads 4.32 MiB, and
+        # a 1 MiB taps buffer, as the thin forward gathers into, 1.37 MiB.
+        x = Tensor(rng.standard_normal((1, channels, 256, 256)).astype(np.float32))
+        k = Tensor(rng.standard_normal((1, channels, 3, 3)).astype(np.float32), requires_grad=True)
         with Tape() as tape:
             loss = ops.reduce_sum(ops.conv2d(x, k, None, padding=1))
             tracemalloc.start()
@@ -778,7 +806,7 @@ class TestBandedConv:
             finally:
                 tracemalloc.stop()
         tape.clear()
-        assert peak < 4 * ops._WORKSPACE_FLOATS + (512 << 10)
+        assert peak < bound * (1 << 20)
 
 
 class TestPooling:
