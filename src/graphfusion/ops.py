@@ -13,7 +13,10 @@ matching or 1 on one side (this covers per-channel weights of shape
 
 from __future__ import annotations
 
-from typing import Sequence
+import contextvars
+import os
+import threading
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -53,7 +56,9 @@ def _tap(a: np.ndarray, i: int, j: int, oh: int, ow: int) -> np.ndarray:
 # conv2d computes a band of output rows at a time.  A band reads only its
 # own r + k - 1 framed rows (_band_frames), written into buffers that the
 # call allocates once and reuses for each band; no buffer outlives a call, so
-# threads share none.  The kernel gradient, and a correlation (the forward,
+# calls on different threads share none.  A large call's view side shares
+# its bands with one helper thread (_shared), which sets up buffers of its
+# own.  The kernel gradient, and a correlation (the forward,
 # or the input gradient, which correlates the output gradient) from
 # _VIEW_CHANNELS input channels up, make one GEMM per kernel tap over a
 # shifted view of the band's frame, summed into a buffer: the tap's (oc x c)
@@ -97,6 +102,72 @@ _BAND_FLOATS = 1 << 16
 # buffer, of at most 1 MB, so the buffer counts in its peak.
 _WORKSPACE_FLOATS = 1 << 18
 
+# Output floats from which a wide correlation's bands and gate_add's forward
+# chunks are shared with a helper thread (_shared): 1M, past the break-even
+# of both.  A 16->16 3x3 forward and a gate_add at 1x16xHxW, one OpenBLAS
+# thread, 2 vCPUs shared with other tenants, one thread against shared
+# (medians of 5-280, two rounds): 131K floats 0.91-1.33 against 1.41-1.82
+# ms and 0.36-0.40 against 0.64-0.68 ms; 262K 2.7 against 2.5-2.6 ms and
+# 0.88-0.95 against 1.14-1.25 ms; 524K 4.7-5.3 against 3.8-6.1 ms and
+# 1.6 against 1.8-2.2 ms; 1M 9.4-10.8 against 7.1-7.6 ms and 4.0-4.3
+# against 3.3-3.9 ms; 4.9M (480x640) 40-47 against 28-31 ms and 18-19
+# against 15 ms.  A default training step's 2x16x64x64 maps (131K) stay
+# on one thread.
+_SHARE_FLOATS = 1 << 20
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, or ``os.cpu_count()`` where there is none."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+
+
+def _shared(run: Callable[[Iterable], None], items: Iterable, floats: int) -> None:
+    """Call ``run(todo)`` on this thread, and for a large output on one helper thread too, sharing one ``todo`` of ``items``.
+
+    ``run`` sets up its own buffers and writes each item it pulls into a
+    disjoint slice of the output, so every output byte is the one a single
+    ``run(iter(items))`` writes, whichever thread takes the item.  The
+    helper is started only for an output of ``floats >= _SHARE_FLOATS``
+    when the process may run on two or more CPUs, and is joined before
+    this returns: no thread, lock or buffer outlives the call.  The helper
+    runs in a copy of the caller's context, so numpy's error state is the
+    caller's, and it runs only numpy on arrays, never an op, so only the
+    calling thread touches a tape.  An exception on either thread stops
+    both after their current item and is raised here after the join.
+    """
+    items = iter(items)
+    if floats < _SHARE_FLOATS or _usable_cpus() < 2:
+        run(items)
+        return
+    lock, failed = threading.Lock(), []
+
+    def todo():
+        while not failed:
+            with lock:
+                item = next(items, None)
+            if item is None:
+                return
+            yield item
+
+    def helper() -> None:
+        try:
+            run(todo())
+        except BaseException as error:
+            failed.append(error)
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
+    thread.start()
+    try:
+        run(todo())
+    except BaseException:
+        failed.append(None)
+        raise
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
+
 
 def _channel_parts(a) -> tuple[list[np.ndarray], tuple[int, int, int, int]]:
     """``a``'s channel parts and the (N, C, H, W) shape of their concatenation.
@@ -109,24 +180,33 @@ def _channel_parts(a) -> tuple[list[np.ndarray], tuple[int, int, int, int]]:
     return parts, (n, sum(p.shape[1] for p in parts), h, w)
 
 
-def _band_frames(a, k: int, padding: int, rows: int, tail: int = 0, minus: np.ndarray | None = None):
+def _band_starts(n: int, oh: int, rows: int) -> list[tuple[int, int]]:
+    """The ``(s, r0)`` start of every band of ``rows`` output rows, each sample's in order."""
+    return [(s, r0) for s in range(n) for r0 in range(0, oh, rows)]
+
+
+def _band_frames(a, k: int, padding: int, rows: int, tail: int = 0, minus: np.ndarray | None = None, bands=None):
     """Yield ``(s, r0, r, flat)`` per band of at most ``rows`` output rows of a k x k correlation of ``a`` (less ``minus``).
 
-    ``a`` is a map or its channel parts (:func:`_channel_parts`).  Bands
-    cover each sample in order, the last one of a sample possibly short,
-    and hold at least one row.  ``flat`` is the band's ``r + k - 1`` rows
-    of the map framed by ``padding`` zeros, as :func:`_framed`'s, flat per
-    channel, then ``tail`` zeros: (C, (r+k-1)*Wp + tail), with framed cell
-    (r0 + y, x) at ``y * Wp + x``.  A kernel tap over whole rows of the
-    band is then a 2-d slice, and the tail keeps the slices of the last
-    rows in bounds.  With nothing to frame (one part, and no padding, tail
-    or ``minus``) ``flat`` is a view of the map's rows.  Otherwise it is
-    the start of each row of one buffer, made once per call at a full
-    band's pitch, whose side columns and tail are zeroed once: a band
-    copies only its map cells, part by part into their channels, its
-    padding rows where it reaches the map's top or bottom, and its tail
-    when it is short.  Each band overwrites the last one's, so parts are
-    never concatenated beyond one band.
+    ``a`` is a map or its channel parts (:func:`_channel_parts`).  The
+    bands are the ``(s, r0)`` starts that ``bands`` yields, in its order,
+    or every band of each sample in order (:func:`_band_starts`); the
+    last band of a sample may be short, and a band holds at least one
+    row.  ``flat`` is the band's ``r + k - 1`` rows of the map framed by
+    ``padding`` zeros, as :func:`_framed`'s, flat per channel, then
+    ``tail`` zeros: (C, (r+k-1)*Wp + tail), with framed cell (r0 + y, x)
+    at ``y * Wp + x``.  A kernel tap over whole rows of the band is then a
+    2-d slice, and the tail keeps the slices of the last rows in bounds.
+    With nothing to frame (one part, and no padding, tail or ``minus``)
+    ``flat`` is a view of the map's rows.  Otherwise it is the start of
+    each row of one buffer, made once per generator at a full band's
+    pitch, whose side columns and tail are zeroed once: a band copies only
+    its map cells, part by part into their channels, its padding rows
+    where it reaches the map's top or bottom, and its tail when it is
+    short.  Each band overwrites the last one's, so parts are never
+    concatenated beyond one band.  No band's frame depends on the bands
+    framed before it, so two generators, each with its own buffer, may
+    frame the bands they pull from one shared ``bands``.
     """
     parts, (n, c, h, w) = _channel_parts(a)
     offsets = np.cumsum([0] + [p.shape[1] for p in parts])
@@ -140,31 +220,30 @@ def _band_frames(a, k: int, padding: int, rows: int, tail: int = 0, minus: np.nd
         sides = buf[:, :size].reshape(c, rows + k - 1, wp)
         sides[:, :, :padding] = sides[:, :, padding + w :] = 0
         buf[:, size:] = 0
-    for s in range(n):
-        for r0 in range(0, oh, rows):
-            r = min(rows, oh - r0)
-            size = (r + k - 1) * wp
-            if not framed:
-                yield s, r0, r, parts[0][s, :, r0 : r0 + r + k - 1].reshape(c, size)
-                continue
-            flat = buf[:, : size + tail]
-            frame = flat[:, :size].reshape(c, r + k - 1, wp)
-            # Frame rows lo .. hi-1 hold input rows lo-padding .. hi-padding-1.
-            lo, hi = max(r0, padding), min(r0 + r + k - 1, padding + h)
-            if lo > r0:
-                frame[:, : lo - r0] = 0
-            if hi < r0 + r + k - 1:
-                frame[:, hi - r0 :] = 0
-            src = slice(lo - padding, hi - padding)
-            for part, c0, c1 in zip(parts, offsets[:-1], offsets[1:]):
-                cells = frame[c0:c1, lo - r0 : hi - r0, padding : padding + w]
-                if minus is None:
-                    cells[...] = part[s, :, src]
-                else:
-                    np.subtract(part[s, :, src], minus[s, c0:c1, src], out=cells)
-            if tail and r < rows:
-                flat[:, size:] = 0
-            yield s, r0, r, flat
+    for s, r0 in _band_starts(n, oh, rows) if bands is None else bands:
+        r = min(rows, oh - r0)
+        size = (r + k - 1) * wp
+        if not framed:
+            yield s, r0, r, parts[0][s, :, r0 : r0 + r + k - 1].reshape(c, size)
+            continue
+        flat = buf[:, : size + tail]
+        frame = flat[:, :size].reshape(c, r + k - 1, wp)
+        # Frame rows lo .. hi-1 hold input rows lo-padding .. hi-padding-1.
+        lo, hi = max(r0, padding), min(r0 + r + k - 1, padding + h)
+        if lo > r0:
+            frame[:, : lo - r0] = 0
+        if hi < r0 + r + k - 1:
+            frame[:, hi - r0 :] = 0
+        src = slice(lo - padding, hi - padding)
+        for part, c0, c1 in zip(parts, offsets[:-1], offsets[1:]):
+            cells = frame[c0:c1, lo - r0 : hi - r0, padding : padding + w]
+            if minus is None:
+                cells[...] = part[s, :, src]
+            else:
+                np.subtract(part[s, :, src], minus[s, c0:c1, src], out=cells)
+        if tail and r < rows:
+            flat[:, size:] = 0
+        yield s, r0, r, flat
 
 
 def _band_rows(channels: int, oh: int, wp: int) -> int:
@@ -201,8 +280,13 @@ def _correlate(
     one.  Thinner inputs gather each band's window taps from its frame into
     a buffer of ``_WORKSPACE_FLOATS`` floats (at least one row) and make one
     ``(oc, c*k*k) @ (c*k*k, rows*ow)`` GEMM per band, straight into the
-    output.  The bias is added band by band.  The band buffers live as long
-    as this call.
+    output.  The bias is added band by band.  The view side hands its bands
+    to :func:`_shared`: for an output of ``_SHARE_FLOATS`` floats up, a
+    helper thread pulls bands from the same list, with a frame and sums
+    buffer of its own, and writes the rows of the bands it takes, which
+    hold the bytes this thread would write.  The thin side stays on this
+    thread, as its taps buffer is the call's largest.  The band buffers
+    live as long as this call.
     """
     (n, c, h, w), (oc, _, k, _) = _channel_parts(a)[1], kernel.shape
     wp = w + 2 * padding
@@ -224,20 +308,24 @@ def _correlate(
 
     weights = kernel.transpose(2, 3, 0, 1).reshape(k * k, oc, c)
     rows = _band_rows(max(oc, c), oh, wp)
-    sums = np.empty((2, oc * rows * wp), dtype=np.float32)
-    for s, r0, r, flat in _band_frames(a, k, padding, rows, k - 1, minus):
-        total, part = sums[:, : oc * r * wp].reshape(2, oc, r * wp)
-        if bias is not None:
-            total[...] = bias.reshape(oc, 1)
-        for t in range(k * k):
-            i, j = divmod(t, k)
-            view = flat[:, i * wp + j : i * wp + j + r * wp]
-            if t == 0 and bias is None:
-                np.matmul(weights[t], view, out=total)
-            else:
-                np.matmul(weights[t], view, out=part)
-                total += part
-        out[s, :, r0 : r0 + r] = total.reshape(oc, r, wp)[:, :, :ow]
+
+    def run(bands) -> None:
+        sums = np.empty((2, oc * rows * wp), dtype=np.float32)
+        for s, r0, r, flat in _band_frames(a, k, padding, rows, k - 1, minus, bands):
+            total, part = sums[:, : oc * r * wp].reshape(2, oc, r * wp)
+            if bias is not None:
+                total[...] = bias.reshape(oc, 1)
+            for t in range(k * k):
+                i, j = divmod(t, k)
+                view = flat[:, i * wp + j : i * wp + j + r * wp]
+                if t == 0 and bias is None:
+                    np.matmul(weights[t], view, out=total)
+                else:
+                    np.matmul(weights[t], view, out=part)
+                    total += part
+            out[s, :, r0 : r0 + r] = total.reshape(oc, r, wp)[:, :, :ow]
+
+    _shared(run, _band_starts(n, oh, rows), out.size)
     return out
 
 
@@ -764,8 +852,13 @@ def gate_add(total: Tensor, s: Tensor, bias: Tensor, sign: int, source: Tensor) 
     the message is stored, and the backward recomputes the edge and gate
     chunk by chunk from ``s`` and ``source``, the only arrays the op keeps.
     Every element rounds as in ``add(total, mul(sigmoid(edge), source))``.
-    The backward fills whole gradient maps for ``source`` and ``s`` (``sign``
-    times the edge gradient) and, like every op, leaves storing them to
+    For an output of ``_SHARE_FLOATS`` floats up the forward's chunks are
+    shared with a helper thread (:func:`_shared`), which computes the
+    chunks it takes in a gate buffer of its own, so the bytes do not
+    change.  The backward, which sums the bias's gradient per row in
+    float64, runs on the calling thread alone.  It fills whole gradient
+    maps for ``source`` and ``s`` (``sign`` times the edge gradient) and,
+    like every op, leaves storing them to
     :func:`~graphfusion.tensor.accumulate`, in that composition's order
     (total, source, s): the gradients are bit-identical to it, also when
     one tensor plays several roles.  Only ``bias``'s gradient, a sum of the
@@ -785,7 +878,6 @@ def gate_add(total: Tensor, s: Tensor, bias: Tensor, sign: int, source: Tensor) 
     out = np.empty_like(total.data)
     t2, s2, src2, o2 = (a.reshape(planes, size) for a in (total.data, s.data, source.data, out))
     b2 = np.tile(bias.data, n).reshape(planes, 1)
-    gate = np.empty(min(_CHUNK_FLOATS, out.size), dtype=np.float32)
     total_slot, s_slot, bias_slot, source_slot = (t.slot for t in (total, s, bias, source))
 
     def edge(rows: slice, cols: slice, buf: np.ndarray) -> np.ndarray:
@@ -796,11 +888,15 @@ def gate_add(total: Tensor, s: Tensor, bias: Tensor, sign: int, source: Tensor) 
             return np.add(part, b2[rows], out=e)
         return np.subtract(b2[rows], part, out=e)
 
-    for rows, cols in _chunks(planes, size):
-        e = edge(rows, cols, gate)
-        message = _logistic(e, e)
-        message *= src2[rows, cols]
-        np.add(t2[rows, cols], message, out=o2[rows, cols])
+    def run(chunks) -> None:
+        gate = np.empty(min(_CHUNK_FLOATS, out.size), dtype=np.float32)
+        for rows, cols in chunks:
+            e = edge(rows, cols, gate)
+            message = _logistic(e, e)
+            message *= src2[rows, cols]
+            np.add(t2[rows, cols], message, out=o2[rows, cols])
+
+    _shared(run, _chunks(planes, size), out.size)
 
     def backward(g: np.ndarray) -> None:
         accumulate(total_slot, g)

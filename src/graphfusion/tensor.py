@@ -17,7 +17,9 @@ every later one in place.  One tape records per thread at a time:
 entering a second one on a thread that already has one raises
 ``RuntimeError``.  Tensors touched by no tape are plain immutable values
 and are safe to share across threads; parallel work, when any, must use
-one tape per thread.
+one tape per thread.  Inside one op, :mod:`graphfusion.ops` may share a
+large conv's bands or a message's chunks with a helper thread; the helper
+runs no op and touches no tape, and is joined before the op records.
 """
 
 from __future__ import annotations

@@ -176,3 +176,55 @@ def test_grad_write_rule_flags_every_form_of_write():
         "    accumulate(slot, g)\n"
     )
     assert grad_writes(source) == [2, 3, 4, 5]
+
+
+# What makes a thread, a pool of them or a lock, by the name it is called by.
+CONCURRENCY = {
+    "Thread", "Timer", "ThreadPoolExecutor", "ProcessPoolExecutor", "Pool", "ThreadPool", "Process",
+    "Lock", "RLock", "Semaphore", "BoundedSemaphore", "Condition", "Event", "Barrier", "local",
+}
+
+
+def module_level_concurrency(source: str) -> list[str]:
+    """``line: name`` for each thread, executor or lock made outside every function body."""
+    found = []
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in CONCURRENCY:
+                found.append(f"{node.lineno}: {name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_ops_keeps_no_thread_between_calls():
+    # A large call shares its bands with a helper thread that ``_shared``
+    # starts and joins inside the call, so nothing outlives it: ops makes no
+    # thread, executor or lock at module level, and ``_shared`` is the only
+    # function that makes a thread.
+    source = (PACKAGE / "ops.py").read_text()
+    assert module_level_concurrency(source) == []
+    assert calls_named(source, "Thread") == ["_shared"]
+    calls = (node.func for node in ast.walk(ops_functions()["_shared"]) if isinstance(node, ast.Call))
+    assert "join" in {getattr(f, "attr", None) for f in calls}
+
+
+def test_concurrency_rule_flags_a_module_level_pool():
+    source = (
+        "import threading\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "_POOL = ThreadPoolExecutor(max_workers=2)\n"
+        "class Bands:\n"
+        "    lock = threading.Lock()\n"
+        "def run(items):\n"
+        "    lock = threading.Lock()\n"
+        "    return [threading.Thread(target=f) for f in items]\n"
+        "default = (lambda: threading.Event())\n"
+    )
+    assert module_level_concurrency(source) == ["3: ThreadPoolExecutor", "5: Lock"]

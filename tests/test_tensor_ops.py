@@ -1,6 +1,7 @@
 """Hand-verifiable values and exactness guarantees for the tensor ops."""
 
 import inspect
+import os
 import sys
 import threading
 import tracemalloc
@@ -11,6 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphfusion import ops
+from graphfusion.config import FusionConfig
+from graphfusion.losses import loss_components
+from graphfusion.network import forward, fuse_arrays, init_params
 from graphfusion.tensor import ShapeError, Tape, Tensor, accumulate, active_tape
 
 from conftest import (
@@ -1361,6 +1365,224 @@ class TestGateAdd:
             last = part.reshape(-1)[-1]
             seen[rows, cols] += 1
         assert (seen == 1).all()
+
+
+def usable_cpus(monkeypatch, cpus):
+    """Make the process's affinity set hold ``cpus`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def count_starts(monkeypatch):
+    """The threads started from now on, listed as ``threading.Thread.start`` is called."""
+    starts, start = [], threading.Thread.start
+
+    def counting(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return starts
+
+
+def same_bytes(got, want):
+    """Each array of ``got`` holds the bytes of ``want``'s, ``None`` where it is ``None``."""
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert (a is None) == (b is None), i
+        assert a is None or (a.shape == b.shape and a.tobytes() == b.tobytes()), i
+
+
+class TestSharedBands:
+    """A large call's bands and chunks shared with one helper thread write the bytes one thread writes."""
+
+    @staticmethod
+    def shared_and_single(monkeypatch, fn):
+        """``fn()`` sharing every band or chunk loop on two CPUs, then ``fn()`` at one usable CPU.
+
+        Checks that the first call started helper threads and the second none.
+        """
+        monkeypatch.setattr(ops, "_SHARE_FLOATS", 1)
+        starts = count_starts(monkeypatch)
+        usable_cpus(monkeypatch, 2)
+        shared = fn()
+        helpers = len(starts)
+        usable_cpus(monkeypatch, 1)
+        single = fn()
+        assert helpers > 0 and len(starts) == helpers
+        return shared, single
+
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("form", ["one", "minus", "parts"])
+    def test_conv_forward_is_the_single_thread_bytes(self, rng, monkeypatch, form, bias):
+        # Batch 2, 11 output rows in bands of 3, 3, 3 and 2.
+        x, k, _ = conv_case(rng, (2, 16, 11, 9), (16, 16, 3, 3), 1)
+        m = rng.standard_normal(x.shape).astype(np.float32)
+        b = Tensor(rng.standard_normal(16).astype(np.float32)) if bias else None
+        monkeypatch.setattr(ops, "_BAND_FLOATS", 3 * 16 * 11)
+        assert ops._band_rows(16, 11, 11) == 3
+        inputs = {"one": Tensor(x), "minus": Tensor(x), "parts": [Tensor(x[:, :5]), Tensor(x[:, 5:])]}[form]
+        minus = Tensor(m) if form == "minus" else None
+        shared, single = self.shared_and_single(
+            monkeypatch, lambda: [ops.conv2d(inputs, Tensor(k), b, padding=1, minus=minus).data]
+        )
+        same_bytes(shared, single)
+
+    @pytest.mark.parametrize("k,padding", [(1, 0), (3, 1), (5, 2)])
+    def test_taped_conv_gradients_are_the_single_thread_bytes(self, rng, monkeypatch, k, padding):
+        # The input gradient correlates the output gradient on the view side
+        # and is shared; the kernel gradient stays on the calling thread.
+        case = conv_case(rng, (2, 16, 10, 7), (17, 16, k, k), padding)
+        monkeypatch.setattr(ops, "_BAND_FLOATS", 3 * 17 * (7 + 2 * padding))
+        shared, single = self.shared_and_single(monkeypatch, lambda: list(taped_conv(*case, padding)))
+        same_bytes(shared, single)
+
+    @pytest.mark.parametrize("chunk", [700, 2400])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_gate_add_forward_is_the_single_thread_bytes(self, rng, monkeypatch, sign, chunk):
+        # Planes of 1200 floats: chunks of part of a row, or of two whole
+        # rows, long enough that numpy lets go of the GIL within a chunk.
+        total, s, bias, source = gate_operands(rng, (2, 5, 30, 40))
+        monkeypatch.setattr(ops, "_CHUNK_FLOATS", chunk)
+        shared, single = self.shared_and_single(
+            monkeypatch, lambda: [ops.gate_add(*map(Tensor, (total, s, bias)), sign, Tensor(source)).data]
+        )
+        same_bytes(shared, single)
+
+    def test_fuse_is_the_single_thread_bytes(self, rng, monkeypatch):
+        # Every view-side conv and every message of a 40x56 fuse shares
+        # bands of 4 rows and chunks of 256 floats.
+        config = FusionConfig()
+        params = init_params(config, seed=0)
+        ir, vis = (rng.uniform(size=(40, 56)).astype(np.float32) for _ in range(2))
+        monkeypatch.setattr(ops, "_BAND_FLOATS", 4 * config.channels * 58)
+        monkeypatch.setattr(ops, "_CHUNK_FLOATS", 256)
+        shared, single = self.shared_and_single(monkeypatch, lambda: [fuse_arrays(ir, vis, params, config)])
+        same_bytes(shared, single)
+
+    def test_taped_step_records_and_gradients_are_the_single_thread_ones(self, rng, monkeypatch):
+        # Only the calling thread records: the default step makes its 332
+        # records with sharing forced on, and the same loss and gradients.
+        config = FusionConfig()
+        params = init_params(config, seed=0)
+        ir, vis = (Tensor(rng.uniform(size=(1, 1, 32, 32)).astype(np.float32)) for _ in range(2))
+        monkeypatch.setattr(ops, "_BAND_FLOATS", 4 * config.channels * 34)
+
+        def step():
+            with Tape() as tape:
+                loss = loss_components(forward(ir, vis, params, config), ir, vis, config)["total"]
+                records = len(tape)
+                tape.backward(loss)
+            grads = [params[name].grad for name in sorted(params)]
+            tape.clear()
+            for t in params.values():
+                t.grad = None
+            return [np.array(records), loss.data] + grads
+
+        shared, single = self.shared_and_single(monkeypatch, step)
+        assert int(shared[0]) == 332
+        same_bytes(shared, single)
+
+    @pytest.mark.parametrize("state", ["raise", "ignore"])
+    def test_helper_keeps_the_callers_error_state(self, monkeypatch, state):
+        # Sums past the float32 range overflow on both threads: under
+        # ``over="raise"`` the call raises as one thread's does, and under
+        # ``"ignore"`` the helper warns of nothing either.
+        x = Tensor(np.full((1, 16, 12, 5), 3e38, np.float32))
+        k = Tensor(np.ones((16, 16, 3, 3), np.float32))
+        monkeypatch.setattr(ops, "_BAND_FLOATS", 16 * 7)
+
+        def call():
+            with np.errstate(over=state):
+                try:
+                    return [ops.conv2d(x, k, None, padding=1).data]
+                except FloatingPointError:
+                    return [None]
+
+        shared, single = self.shared_and_single(monkeypatch, call)
+        assert (single[0] is None) == (state == "raise")
+        same_bytes(shared, single)
+
+    def test_error_in_a_helper_band_reaches_the_caller(self, rng, monkeypatch):
+        # The caller waits on its first band until the helper has framed
+        # one, which then raises: the call raises it after the join, and
+        # no thread is left.
+        x, k, _ = conv_case(rng, (2, 16, 12, 5), (16, 16, 3, 3), 1)
+        monkeypatch.setattr(ops, "_SHARE_FLOATS", 1)
+        monkeypatch.setattr(ops, "_BAND_FLOATS", 16 * 7)
+        usable_cpus(monkeypatch, 2)
+        caller, helper_framed = threading.current_thread(), threading.Event()
+        band_frames = ops._band_frames
+
+        def failing(*args, **kwargs):
+            for band in band_frames(*args, **kwargs):
+                if threading.current_thread() is not caller:
+                    helper_framed.set()
+                    raise RuntimeError(f"band {band[:2]} failed")
+                assert helper_framed.wait(timeout=60)
+                yield band
+
+        monkeypatch.setattr(ops, "_band_frames", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=r"band \(\d+, \d+\) failed"):
+            ops.conv2d(Tensor(x), Tensor(k), None, padding=1)
+        assert threading.active_count() == before
+
+    def test_error_on_the_calling_thread_is_raised_after_the_join(self, rng, monkeypatch):
+        # The helper holds its first band until the caller has framed one,
+        # which raises: the call raises it once the helper has stopped.
+        x, k, _ = conv_case(rng, (2, 16, 12, 5), (16, 16, 3, 3), 1)
+        monkeypatch.setattr(ops, "_SHARE_FLOATS", 1)
+        monkeypatch.setattr(ops, "_BAND_FLOATS", 16 * 7)
+        usable_cpus(monkeypatch, 2)
+        caller, caller_framed = threading.current_thread(), threading.Event()
+        band_frames = ops._band_frames
+
+        def failing(*args, **kwargs):
+            for band in band_frames(*args, **kwargs):
+                if threading.current_thread() is caller:
+                    caller_framed.set()
+                    raise RuntimeError("caller's band failed")
+                assert caller_framed.wait(timeout=60)
+                yield band
+
+        monkeypatch.setattr(ops, "_band_frames", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="caller's band failed"):
+            ops.conv2d(Tensor(x), Tensor(k), None, padding=1)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "cpus,threshold,helpers",
+        [
+            pytest.param(1, 1, 0, id="one-usable-cpu"),
+            pytest.param(2, None, 0, id="below-threshold"),
+            pytest.param(2, 1, 1, id="two-usable-cpus"),
+        ],
+    )
+    def test_helper_starts_only_for_large_outputs_on_two_cpus(self, rng, monkeypatch, cpus, threshold, helpers):
+        # The 2x16x12x5 output (1920 floats) is far below the default threshold.
+        x, k, _ = conv_case(rng, (2, 16, 12, 5), (16, 16, 3, 3), 1)
+        total, s, bias, source = gate_operands(rng, (2, 16, 12, 5))
+        monkeypatch.setattr(ops, "_BAND_FLOATS", 16 * 7)
+        monkeypatch.setattr(ops, "_CHUNK_FLOATS", 60)
+        if threshold is not None:
+            monkeypatch.setattr(ops, "_SHARE_FLOATS", threshold)
+        usable_cpus(monkeypatch, cpus)
+        starts = count_starts(monkeypatch)
+        ops.conv2d(Tensor(x), Tensor(k), None, padding=1)
+        ops.gate_add(*map(Tensor, (total, s, bias)), 1, Tensor(source))
+        assert len(starts) == 2 * helpers
+
+    @pytest.mark.parametrize("count,helpers", [(2, 1), (1, 0), (None, 0)])
+    def test_cpu_count_where_there_is_no_affinity(self, rng, monkeypatch, count, helpers):
+        x, k, _ = conv_case(rng, (2, 16, 12, 5), (16, 16, 3, 3), 1)
+        monkeypatch.setattr(ops, "_SHARE_FLOATS", 1)
+        monkeypatch.setattr(ops, "_BAND_FLOATS", 16 * 7)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        starts = count_starts(monkeypatch)
+        ops.conv2d(Tensor(x), Tensor(k), None, padding=1)
+        assert len(starts) == helpers
 
 
 class TestOneTapePerThread:
